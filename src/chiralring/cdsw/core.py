@@ -10,8 +10,8 @@ weight-zero slice of the component.
 
 from fractions import Fraction
 
-from ..exterior import GrassmannAlgebra, ExtElement, OddMatrix
-from ..exactla import Subspace, FieldMode, guard_component
+from ..exterior import GrassmannAlgebra, ExtElement, OddMatrix, wedge_into
+from ..exactla import Subspace, FieldMode, addmul, guard_component
 from ..liemodule import ActionTable, invariant_basis_elements
 from ..rootsystem.reps import representation, default_trace_label
 
@@ -47,14 +47,14 @@ def relations(alg, lie):
     yd = [ExtElement(alg, {1 << (b + n): v
                            for b, v in enumerate(lie.form_inv[a]) if v})
           for a in range(n)]
-    xx = [alg.zero() for _ in range(n)]
-    xy = [alg.zero() for _ in range(n)]
-    yy = [alg.zero() for _ in range(n)]
+    xx, xy, yy = ([{} for _ in range(n)] for _ in range(3))
     for (a, b), comb in lie.struct.items():
-        for c, v in comb.items():
-            xx[c] = xx[c] + xd[a].wedge(xd[b]).scale(v)
-            xy[c] = xy[c] + xd[a].wedge(yd[b]).scale(v)
-            yy[c] = yy[c] + yd[a].wedge(yd[b]).scale(v)
+        pairs = ((xx, xd[a], xd[b]), (xy, xd[a], yd[b]), (yy, yd[a], yd[b]))
+        for fam, u, v in pairs:
+            uv = wedge_into({}, u.terms, v.terms)
+            for c, coeff in comb.items():
+                addmul(fam[c], uv, coeff)
+    xx, xy, yy = ([ExtElement(alg, t) for t in fam] for fam in (xx, xy, yy))
     return RelationSet(xx, xy, yy)
 
 

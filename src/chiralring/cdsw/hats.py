@@ -12,8 +12,8 @@ vanish in the quotient by the XX and YY families; as raw Grassmann elements
 they are nonzero, so they are checked as ideal memberships.
 """
 
-from ..exterior import OddMatrix
-from ..exactla import FieldMode, Subspace, guard_component
+from ..exterior import ExtElement, OddMatrix
+from ..exactla import FieldMode, Subspace, addmul, guard_component
 from ..liemodule import invariant_basis_elements
 from ..rootsystem.reps import trace_power_degrees, default_trace_label
 from .core import ideal_rows, ideal_weight_zero, XX, XY, YY
@@ -57,11 +57,11 @@ def d_trace(ws, k, arg, label=None):
     X, Y = ws.xy_matrices(label)
     A = X if arg == "X" else Y
     pows = _z_powers(ws, label, k - 1)
-    total = ws.alg.zero()
+    total = {}
     for i in range(k):
         j = k - 1 - i
-        total = total + pows[i].matmul(A).matmul(pows[j]).trace()
-    return total
+        addmul(total, pows[i].matmul(A).matmul(pows[j]).trace().terms)
+    return ExtElement(ws.alg, total)
 
 
 def hat_trace(ws, k, label=None):
@@ -69,11 +69,12 @@ def hat_trace(ws, k, label=None):
     label = label or default_trace_label(ws.lie.rs.type_label)
     X, Y = ws.xy_matrices(label)
     pows = _z_powers(ws, label, k - 2)
-    total = ws.alg.zero()
+    total = {}
     for i in range(k - 1):
         j = k - 2 - i
-        total = total + pows[i].matmul(X).matmul(pows[j]).matmul(Y).trace()
-    return HatElement(k, total.scale(k))
+        prod = pows[i].matmul(X).matmul(pows[j]).matmul(Y)
+        addmul(total, prod.trace().terms, k)
+    return HatElement(k, ExtElement(ws.alg, total))
 
 
 def hat_generators(ws, label=None, max_degree=None):

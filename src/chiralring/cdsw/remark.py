@@ -12,6 +12,8 @@ the S-power vanishing for sl(n) falls out.
 from fractions import Fraction
 from math import factorial
 
+from ..exactla import addmul
+from ..exterior import ExtElement
 from .core import ideal_weight_zero, XX, XY, YY
 
 
@@ -34,17 +36,10 @@ class Poly:
         return cls(nvars, {(0,) * nvars: c} if c else {})
 
     def __add__(self, other):
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e, 0) + c
-            if s:
-                t[e] = s
-            else:
-                t.pop(e, None)
-        return Poly(self.nvars, t)
+        return Poly(self.nvars, addmul(dict(self.terms), other.terms))
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return Poly(self.nvars, addmul(dict(self.terms), other.terms, -1))
 
     def scale(self, c):
         c = Fraction(c)
@@ -116,14 +111,14 @@ def newton_f(n):
 
 def _eval_poly_grassmann(poly, values, alg):
     """Evaluate a Poly at even Grassmann elements."""
-    total = alg.zero()
+    total = {}
     for e, c in poly.terms.items():
         term = alg.one()
         for i, k in enumerate(e):
             for _ in range(k):
                 term = term.wedge(values[i])
-        total = total + term.scale(c)
-    return total
+        addmul(total, term.terms, c)
+    return ExtElement(alg, total)
 
 
 def check_sln_remark(n, mode=None, cap=None):

@@ -296,10 +296,10 @@ def run(argv=None):
         runner = CheckRunner(key, mode, args.max_monomials, args.g2_heavy)
         results = []
         for name in selected:
-            t0 = time.time()
+            t0 = time.perf_counter()
             res = runner.run(name)
             timings["%s%d:%s" % (key[0], key[1], name)] = round(
-                time.time() - t0, 3)
+                time.perf_counter() - t0, 3)
             res["name"] = name
             results.append(res)
             verdict = res["verdict"]

@@ -1,14 +1,18 @@
 """Exact linear algebra over Q, with an optional probabilistic prime-field
 mode, on sparse coordinate vectors.
 
-Vectors are dicts {column index: coefficient}.  The workhorse is a reduced
-row echelon form maintained incrementally; the RREF of a row space is
-unique, so ranks and membership answers do not depend on input order.
-Prime-field mode runs the same elimination modulo >= 2 random primes
-> 2**30 and reports only when all primes agree.
+Vectors are dicts {column index: coefficient}.  Every sum goes through one
+in-place kernel per field, `addmul(dst, src, c)` over Q and
+`addmul_mod(dst, src, c, p)` over GF(p): dst += c * src, dropping entries
+that cancel.  The workhorse is a reduced row echelon form maintained
+incrementally; the RREF of a row space is unique, so ranks and membership
+answers do not depend on input order.  Prime-field mode runs the same
+elimination modulo >= 2 random primes > 2**30 and reports only when all
+primes agree.
 """
 
 from fractions import Fraction
+from functools import partial
 import random
 
 
@@ -55,6 +59,42 @@ def _is_prime(n):
     return True
 
 
+def addmul(dst, src, c=1):
+    """dst += c * src over Q, in place; entries that cancel are dropped.
+    Returns dst."""
+    for j, v in src.items():
+        s = dst.get(j, 0) + c * v
+        if s:
+            dst[j] = s
+        else:
+            dst.pop(j, None)
+    return dst
+
+
+def addmul_mod(dst, src, c, p):
+    """dst += c * src over GF(p), in place; entries that cancel are
+    dropped.  Returns dst."""
+    for j, v in src.items():
+        s = (dst.get(j, 0) + c * v) % p
+        if s:
+            dst[j] = s
+        else:
+            dst.pop(j, None)
+    return dst
+
+
+def _mod_coercion(p):
+    """Map a rational (Fraction or int) to its residue in GF(p)."""
+    def coerce(v):
+        if isinstance(v, Fraction):
+            den = v.denominator % p
+            if den == 0:
+                raise ModularDisagreement("prime %d divides a denominator" % p)
+            return v.numerator % p * pow(den, p - 2, p) % p
+        return v % p
+    return coerce
+
+
 def random_prime(rng, lo=1 << 30):
     while True:
         c = rng.randrange(lo, lo << 1) | 1
@@ -96,11 +136,23 @@ class FieldMode:
 
 class Echelon:
     """Incremental reduced row echelon form.  p=None works over Q with
-    Fractions; otherwise all coefficients live in GF(p)."""
+    Fractions; otherwise all coefficients live in GF(p).
+
+    rows maps each pivot column to the row's non-pivot entries; the pivot
+    coefficient is an implicit 1, which basis_rows() puts back.
+    """
 
     def __init__(self, p=None):
         self.p = p
-        self.rows = {}  # pivot column -> row dict (pivot coefficient 1)
+        self.rows = {}  # pivot column -> non-pivot entries of its row
+        if p is None:
+            self._addmul = addmul
+            self._inv = lambda c: Fraction(1) / c
+            self._coerce = lambda v: v
+        else:
+            self._addmul = partial(addmul_mod, p=p)
+            self._inv = lambda c: pow(c, p - 2, p)
+            self._coerce = _mod_coercion(p)
 
     @property
     def rank(self):
@@ -110,56 +162,25 @@ class Echelon:
         return sorted(self.rows)
 
     def _normalize(self, row, piv):
-        c = row[piv]
-        if self.p is None:
-            inv = Fraction(1) / c
-            return {j: v * inv for j, v in row.items()}
-        inv = pow(c, self.p - 2, self.p)
-        return {j: v * inv % self.p for j, v in row.items()}
+        """The row scaled to pivot coefficient 1, with the pivot dropped."""
+        inv = self._inv(row.pop(piv))
+        return self._addmul({}, row, inv)
 
     def reduce(self, vec):
         """Residue of vec against the echelon rows (vec unchanged)."""
-        p = self.p
-        if p is None:
-            row = {j: v for j, v in vec.items() if v}
-        else:
-            row = {}
-            for j, v in vec.items():
-                if isinstance(v, Fraction):
-                    den = v.denominator % p
-                    if den == 0:
-                        raise ModularDisagreement(
-                            "prime %d divides a denominator" % p)
-                    v = v.numerator % p * pow(den, p - 2, p) % p
-                else:
-                    v = v % p
-                if v:
-                    row[j] = v
+        coerce = self._coerce
+        row = {}
+        for j, v in vec.items():
+            v = coerce(v)
+            if v:
+                row[j] = v
+        # a base row has entries only in non-pivot columns right of its
+        # pivot, so one pass in increasing column order clears every pivot
         for piv in sorted(row):
-            if piv not in row:
-                continue
             base = self.rows.get(piv)
-            if base is None:
+            if base is None or piv not in row:
                 continue
-            c = row.pop(piv)
-            if p is None:
-                for j, v in base.items():
-                    if j == piv:
-                        continue
-                    s = row.get(j, 0) - c * v
-                    if s:
-                        row[j] = s
-                    else:
-                        row.pop(j, None)
-            else:
-                for j, v in base.items():
-                    if j == piv:
-                        continue
-                    s = (row.get(j, 0) - c * v) % p
-                    if s:
-                        row[j] = s
-                    else:
-                        row.pop(j, None)
+            self._addmul(row, base, -row.pop(piv))
         return row
 
     def insert(self, vec):
@@ -171,24 +192,10 @@ class Echelon:
         piv = min(row)
         row = self._normalize(row, piv)
         # back-substitute into existing rows to stay fully reduced
-        for bp, base in self.rows.items():
-            c = base.get(piv)
-            if not c:
-                continue
-            if self.p is None:
-                for j, v in row.items():
-                    s = base.get(j, 0) - c * v
-                    if s:
-                        base[j] = s
-                    else:
-                        base.pop(j, None)
-            else:
-                for j, v in row.items():
-                    s = (base.get(j, 0) - c * v) % self.p
-                    if s:
-                        base[j] = s
-                    else:
-                        base.pop(j, None)
+        for base in self.rows.values():
+            c = base.pop(piv, None)
+            if c:
+                self._addmul(base, row, -c)
         self.rows[piv] = row
         return True
 
@@ -196,7 +203,9 @@ class Echelon:
         return not self.reduce(vec)
 
     def basis_rows(self):
-        return [dict(self.rows[p]) for p in sorted(self.rows)]
+        """The RREF rows in pivot order, pivot coefficient included."""
+        one = self._coerce(Fraction(1))
+        return [{piv: one, **self.rows[piv]} for piv in sorted(self.rows)]
 
 
 def kernel_basis(rows, ncols):
@@ -251,29 +260,22 @@ class Subspace:
         return ranks.pop()
 
     def coordinates(self, elem):
+        """Coordinate vector of elem.  A term outside the columns raises
+        WrongComponent, also when its bidegree is the ambient one (a
+        weight slice leaves out monomials of the component)."""
         vec = {}
         for m, c in elem.terms.items():
             i = self.index.get(m)
             if i is None:
-                if self.bidegree is not None and \
-                        elem.alg.bidegree_of_mask(m) != self.bidegree:
-                    raise WrongComponent("monomial of bidegree %s, ambient %s"
-                                         % (elem.alg.bidegree_of_mask(m),
-                                            self.bidegree))
-                return None
+                raise WrongComponent(
+                    "monomial of bidegree %s outside the %d columns of %s"
+                    % (elem.alg.bidegree_of_mask(m), len(self.columns),
+                       self.bidegree))
             vec[i] = c
         return vec
 
     def insert(self, elem):
         vec = self.coordinates(elem)
-        if vec is None:
-            raise WrongComponent("element outside the ambient columns")
-        grew = [e.insert(vec) for e in self.echelons]
-        if len(set(grew)) != 1:
-            raise ModularDisagreement("rank growth differs between primes")
-        return grew[0]
-
-    def insert_vec(self, vec):
         grew = [e.insert(vec) for e in self.echelons]
         if len(set(grew)) != 1:
             raise ModularDisagreement("rank growth differs between primes")
@@ -283,8 +285,6 @@ class Subspace:
         """Membership of elem in the span.  Exact mode: exact.  Prime-field
         mode: False is exact, True is probabilistic (all primes agreed)."""
         vec = self.coordinates(elem)
-        if vec is None:
-            return False
         answers = {e.contains(vec) for e in self.echelons}
         if len(answers) != 1:
             raise ModularDisagreement("membership differs between primes")
@@ -329,10 +329,6 @@ def guard_component(alg, p, q, mode=None, cap=None):
         raise ComponentTooLarge("component (%d,%d) has %d monomials, cap %d"
                                 % (p, q, dim, limit))
     return dim
-
-
-def quotient_dim(component_dim, subspace):
-    return component_dim - subspace.rank
 
 
 def minimal_polynomial(apply_op, basis_vectors, ncols):

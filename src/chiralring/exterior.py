@@ -7,9 +7,15 @@ over the fixed order: x-block (bits 0..N-1), y-block (bits N..2N-1),
 xi (bit 2N), eta (bit 2N+1).  Coefficients are Fractions; elements never
 store zero coefficients.  Bidegree: an x-generator counts (1,0), a
 y-generator (0,1), xi counts (1,0) and eta (0,1).
+
+Sums accumulate in place on terms dicts: `addmul` (from exactla) adds a
+scaled element and `wedge_into(out, t1, t2)` adds a product, so a matrix
+entry or a trace is summed into one dict rather than copied per addend.
 """
 
 from fractions import Fraction
+
+from .exactla import addmul
 
 
 class SizeMismatch(ValueError):
@@ -103,6 +109,25 @@ class GrassmannAlgebra:
         return comb(self.n, p) * comb(self.n, q)
 
 
+def wedge_into(out, t1, t2):
+    """out += t1 ^ t2 on terms dicts, in place; entries that cancel are
+    dropped.  Returns out."""
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            if m1 & m2:
+                continue
+            c = c1 * c2
+            if merge_sign(m1, m2) < 0:
+                c = -c
+            m = m1 | m2
+            s = out.get(m, 0) + c
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return out
+
+
 def _mask_of(indices):
     m = 0
     for i in indices:
@@ -139,17 +164,10 @@ class ExtElement:
         return NotImplemented if r is NotImplemented else (not r)
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return ExtElement(self.alg, terms)
+        return ExtElement(self.alg, addmul(dict(self.terms), other.terms))
 
     def __sub__(self, other):
-        return self + (-other)
+        return ExtElement(self.alg, addmul(dict(self.terms), other.terms, -1))
 
     def __neg__(self):
         return ExtElement(self.alg, {m: -c for m, c in self.terms.items()})
@@ -169,21 +187,7 @@ class ExtElement:
         return self.scale(other)
 
     def wedge(self, other):
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if m1 & m2:
-                    continue
-                c = c1 * c2
-                if merge_sign(m1, m2) < 0:
-                    c = -c
-                m = m1 | m2
-                s = out.get(m, 0) + c
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return ExtElement(self.alg, out)
+        return ExtElement(self.alg, wedge_into({}, self.terms, other.terms))
 
     def power(self, k):
         r = self.alg.one()
@@ -241,8 +245,9 @@ class ExtElement:
             m2 = 0
             for b in perm:
                 m2 |= 1 << b
-            out[m2] = out.get(m2, 0) + sign * c
-        return ExtElement(alg, {m: c for m, c in out.items() if c})
+            # the swap permutes monomials, so no two terms collide
+            out[m2] = sign * c
+        return ExtElement(alg, out)
 
     def __str__(self):
         if not self.terms:
@@ -291,13 +296,11 @@ class OddMatrix:
         for i in range(m):
             row = []
             for j in range(m):
-                acc = self.alg.zero()
+                acc = {}
                 for k in range(m):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.terms and b.terms:
-                        acc = acc + a.wedge(b)
-                row.append(acc)
+                    wedge_into(acc, self.entries[i][k].terms,
+                               other.entries[k][j].terms)
+                row.append(ExtElement(self.alg, acc))
             out.append(row)
         return OddMatrix(self.alg, out)
 
@@ -309,10 +312,10 @@ class OddMatrix:
                                     for row in self.entries])
 
     def trace(self):
-        acc = self.alg.zero()
+        acc = {}
         for i in range(self.size):
-            acc = acc + self.entries[i][i]
-        return acc
+            addmul(acc, self.entries[i][i].terms)
+        return ExtElement(self.alg, acc)
 
     def power(self, k):
         r = OddMatrix.identity(self.alg, self.size)

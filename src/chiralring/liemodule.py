@@ -6,7 +6,8 @@ it acts as the identity on the generators)."""
 from fractions import Fraction
 
 from .exterior import ExtElement, _bits
-from .exactla import Subspace, FieldMode, kernel_basis, guard_component
+from .exactla import (Subspace, FieldMode, addmul, kernel_basis,
+                      guard_component)
 
 
 class ActionTable:
@@ -71,25 +72,20 @@ class ActionTable:
     def act(self, a, elem):
         out = {}
         for mask, coeff in elem.terms.items():
-            for m2, v in self.act_mask(a, mask).items():
-                s = out.get(m2, 0) + coeff * v
-                if s:
-                    out[m2] = s
-                else:
-                    out.pop(m2, None)
+            addmul(out, self.act_mask(a, mask), coeff)
         return ExtElement(self.alg, out)
 
     def casimir(self, elem):
         """sum_a act(e_a, act(e^a, -)); commutes with every act(b, -) and is
         the identity on the generators."""
         lie = self.lie
-        out = self.alg.zero()
+        out = {}
         for a in range(lie.dim):
-            inner = self.alg.zero()
+            inner = {}
             for b, c in lie.dual_vector(a).items():
-                inner = inner + self.act(b, elem).scale(c)
-            out = out + self.act(a, inner)
-        return out
+                addmul(inner, self.act(b, elem).terms, c)
+            addmul(out, self.act(a, ExtElement(self.alg, inner)).terms)
+        return ExtElement(self.alg, out)
 
     def weight_masks(self, p, q, weight=None):
         """Monomial masks of bidegree (p,q) grouped by weight; weight=None
@@ -128,11 +124,9 @@ def invariants(action, p, q, mode=None, cap=None):
             for m2, v in action.act_mask(a, mask).items():
                 eqs.setdefault((a, m2), {})[j] = v
     basis = kernel_basis(list(eqs.values()), len(w0))
-    columns = alg.component_masks(p, q)
-    sub = Subspace(columns, mode, (p, q))
-    full_index = {m: i for i, m in enumerate(columns)}
+    sub = Subspace(alg.component_masks(p, q), mode, (p, q))
     for vec in basis:
-        sub.insert_vec({full_index[w0[j]]: c for j, c in vec.items()})
+        sub.insert(ExtElement(alg, {w0[j]: c for j, c in vec.items()}))
     return sub
 
 

@@ -18,6 +18,7 @@ Casimir to act as the identity on the adjoint representation.
 
 from fractions import Fraction
 
+from ..exactla import addmul
 from .roots import build_root_system, UnsupportedType, LIE_DATA_TYPES
 
 
@@ -202,12 +203,7 @@ class LieAlgebraData:
         """[basis_a, v] for a sparse coordinate vector v."""
         out = {}
         for b, c in vec.items():
-            for d, f in self.bracket(a, b).items():
-                s = out.get(d, 0) + c * f
-                if s:
-                    out[d] = s
-                else:
-                    out.pop(d, None)
+            addmul(out, self.bracket(a, b), c)
         return out
 
     # ------------------------------------------------------------------

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from chiralring.exactla import FieldMode, ComponentTooLarge
-from chiralring.cdsw.core import (ideal_component, check_S_power,
-                                  check_part_i, swap_membership_invariance,
+from chiralring.exactla import FieldMode, ComponentTooLarge, WrongComponent
+from chiralring.cdsw.core import (ideal_component, ideal_weight_zero,
+                                  check_S_power, check_part_i,
+                                  swap_membership_invariance,
                                   family_equivariance, XX, XY, YY)
 
 
@@ -78,6 +79,20 @@ def test_sl2_S_powers(ws_sl2):
 def test_sl3_S_powers(ws_sl3):
     assert check_S_power(ws_sl3, 3)["contained"] is True
     assert check_S_power(ws_sl3, 2)["contained"] is False
+
+
+def test_weight_zero_slice_rejects_term_of_nonzero_weight(ws_sl3):
+    """S^3 lies in I; adding a (3,3) monomial of nonzero weight leaves the
+    weight-zero slice, which cannot decide membership, so it raises
+    instead of answering "not in I"."""
+    sub = ideal_weight_zero(ws_sl3, (XX, XY, YY), 3, 3)
+    s3 = ws_sl3.S.power(3)
+    assert sub.contains(s3)
+    action = ws_sl3.action
+    mask = next(m for m in ws_sl3.alg.component_masks(3, 3)
+                if action.mask_weight(m) != action.zero_weight)
+    with pytest.raises(WrongComponent):
+        sub.contains(s3 + ws_sl3.alg.monomial(mask))
 
 
 def test_so5_S_powers(ws_so5):

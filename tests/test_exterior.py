@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chiralring.exterior import (GrassmannAlgebra, ExtElement, OddMatrix,
                                  SizeMismatch, merge_sign, term_key)
@@ -214,6 +215,36 @@ def test_oddmatrix_trace_cyclicity_graded():
                 A, B = rand_mat(pa), rand_mat(pb)
                 sign = -1 if pa * pb else 1
                 assert A.matmul(B).trace() == B.matmul(A).trace().scale(sign)
+
+
+_ALG3 = GrassmannAlgebra(3)
+_ENTRIES = st.dictionaries(
+    st.integers(0, (1 << (2 * _ALG3.n + 2)) - 1),
+    st.integers(-3, 3).filter(bool).map(Fraction), max_size=3)
+
+
+@st.composite
+def _matrix_pairs(draw):
+    size = draw(st.integers(1, 3))
+    return [OddMatrix(_ALG3, [[ExtElement(_ALG3, draw(_ENTRIES))
+                               for _ in range(size)] for _ in range(size)])
+            for _ in range(2)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_matrix_pairs())
+def test_matmul_entries_match_model(pair):
+    a, b = pair
+    prod = a.matmul(b)
+    for i in range(a.size):
+        for j in range(a.size):
+            want = {}
+            for k in range(a.size):
+                for key, c in _model_mul(_to_model(a.entries[i][k]),
+                                         _to_model(b.entries[k][j])).items():
+                    want[key] = want.get(key, 0) + c
+            assert _to_model(prod.entries[i][j]) == \
+                {key: c for key, c in want.items() if c}
 
 
 def test_size_mismatch():
