@@ -72,7 +72,7 @@ def S_element(alg, lie):
 
 class Workspace:
     """Bundles one Lie algebra with its Grassmann algebra, action table,
-    relation families and S; caches representations and weight tables."""
+    relation families and S; caches the X, Y matrices and hat data."""
 
     def __init__(self, lie):
         self.lie = lie
@@ -81,15 +81,8 @@ class Workspace:
         self.rels = relations(self.alg, lie)
         self.S = S_element(self.alg, lie)
         self.g = lie.dual_coxeter
-        self._weight_groups = {}
         self._xy_mats = {}
         self.hat_cache = {}
-
-    def weight_groups(self, p, q):
-        key = (p, q)
-        if key not in self._weight_groups:
-            self._weight_groups[key] = self.action.weight_masks(p, q)
-        return self._weight_groups[key]
 
     def rep(self, label=None):
         if label is None:
@@ -150,17 +143,15 @@ def ideal_rows(ws, families, p, q, weight=None):
         rp, rq = p - dp, q - dq
         if rp < 0 or rq < 0:
             continue
-        rels = ws.rels.family(fam)
-        groups = ws.weight_groups(rp, rq)
-        for rel in rels:
+        if weight is None:
+            masks = alg.component_masks(rp, rq)
+        for rel in ws.rels.family(fam):
             if rel.is_zero():
                 continue
-            if weight is None:
-                masks = [m for g in groups.values() for m in g]
-            else:
+            if weight is not None:
                 rw = ws.action.mask_weight(next(iter(rel.terms)))
                 need = tuple(w - r for w, r in zip(weight, rw))
-                masks = groups.get(need, ())
+                masks = ws.action.weight_masks(rp, rq, need)
             for m in masks:
                 row = rel.wedge(ExtElement(alg, {m: Fraction(1)}))
                 if not row.is_zero():
@@ -185,8 +176,7 @@ def ideal_weight_zero(ws, families, p, q, mode=None, cap=None):
     mode = mode or FieldMode.exact()
     guard_component(ws.alg, p, q, mode, cap)
     zero = ws.action.zero_weight
-    cols = ws.weight_groups(p, q).get(zero, ())
-    sub = Subspace(cols, mode, (p, q))
+    sub = Subspace(ws.action.weight_masks(p, q, zero), mode, (p, q))
     for row in ideal_rows(ws, families, p, q, weight=zero):
         sub.insert(row)
     return sub

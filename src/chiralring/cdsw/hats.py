@@ -16,7 +16,8 @@ from ..exterior import ExtElement, OddMatrix
 from ..exactla import FieldMode, Subspace, addmul, guard_component
 from ..liemodule import invariant_basis_elements
 from ..rootsystem.reps import trace_power_degrees, default_trace_label
-from .core import ideal_rows, ideal_weight_zero, XX, XY, YY
+from .core import (ideal_rows, ideal_weight_zero, invariants_of_quotient,
+                   XX, XY, YY)
 
 
 class HatElement:
@@ -52,16 +53,14 @@ def trace_z_power(ws, k, label=None):
 
 
 def d_trace(ws, k, arg, label=None):
-    """dF({X,Y}) applied to X or Y: sum_{i+j=k-1} Tr(z^i A z^j)."""
+    """dF({X,Y}) applied to X or Y: sum_{i+j=k-1} Tr(z^i A z^j).  z has
+    even entries, so each term equals Tr(A z^(k-1)) by trace cyclicity and
+    the sum is k * Tr(A z^(k-1)): one product."""
     label = label or default_trace_label(ws.lie.rs.type_label)
     X, Y = ws.xy_matrices(label)
     A = X if arg == "X" else Y
-    pows = _z_powers(ws, label, k - 1)
-    total = {}
-    for i in range(k):
-        j = k - 1 - i
-        addmul(total, pows[i].matmul(A).matmul(pows[j]).trace().terms)
-    return ExtElement(ws.alg, total)
+    zk = _z_powers(ws, label, k - 1)[k - 1]
+    return A.matmul(zk).trace().scale(k)
 
 
 def hat_trace(ws, k, label=None):
@@ -138,8 +137,8 @@ def check_prop_hat(ws, k1, k2, label=None, mode=None, cap=None):
     for el, (p, q) in ((dfx, (k1, k1 - 1)), (dfy, (k1 - 1, k1))):
         if el.is_zero():
             continue
-        subb = Subspace(_offdiag_columns(ws, el), mode or FieldMode.exact(),
-                        (p, q))
+        subb = Subspace(ws.action.weight_masks(p, q, ws.action.zero_weight),
+                        mode or FieldMode.exact(), (p, q))
         for row in ideal_rows(ws, (XX, YY), p, q,
                               weight=ws.action.zero_weight):
             subb.insert(row)
@@ -161,25 +160,13 @@ def check_prop_hat(ws, k1, k2, label=None, mode=None, cap=None):
     return report
 
 
-def _offdiag_columns(ws, el):
-    """Columns for an off-diagonal weight-zero membership test: the
-    weight-zero monomials of the element's bidegree."""
-    p, q = el.bidegree()
-    return ws.weight_groups(p, q).get(ws.action.zero_weight, ())
-
-
 def dim_E(ws, d, mode=None, cap=None):
     """dim of the invariants of the quotient by the XX and YY families at
     (d,d): rank growth of the ideal span when the invariant basis of the
     ambient component is adjoined."""
     if d == 0:
         return 1
-    sub = ideal_weight_zero(ws, (XX, YY), d, d, mode, cap)
-    grew = 0
-    for v in invariant_basis_elements(ws.action, d, d, cap):
-        if sub.insert(v):
-            grew += 1
-    return grew
+    return invariants_of_quotient(ws, d, d, (XX, YY), mode, cap)["dim"]
 
 
 def check_conj_c1(ws, up_to_d, label=None, mode=None, cap=None,
@@ -192,11 +179,12 @@ def check_conj_c1(ws, up_to_d, label=None, mode=None, cap=None,
     rows = []
     ok = True
     for d in range(up_to_d + 1):
-        e_dim = dim_E(ws, d, mode, cap)
         if d == 0:
-            p_dim = 1
+            e_dim = p_dim = 1
         else:
             sub = ideal_weight_zero(ws, (XX, YY), d, d, mode, cap)
+            e_dim = invariants_of_quotient(ws, d, d, (XX, YY), mode, cap,
+                                           subspace=sub.copy())["dim"]
             base = sub.rank
             for _, val in hat_monomials(ws, d, label, hats):
                 sub.insert(val)

@@ -1,7 +1,10 @@
 """The Lie algebra action on the Grassmann algebra over two copies of the
 adjoint module, extended as even derivations; weight bookkeeping, invariant
 subspaces of bigraded components, and the quadratic Casimir (normalized so
-it acts as the identity on the generators)."""
+it acts as the identity on the generators).
+
+Weight slices of a component are listed one way only,
+`ActionTable.weight_masks`, which joins x-halves and y-halves by weight."""
 
 from fractions import Fraction
 
@@ -87,20 +90,24 @@ class ActionTable:
             addmul(out, self.act(a, ExtElement(self.alg, inner)).terms)
         return ExtElement(self.alg, out)
 
-    def weight_masks(self, p, q, weight=None):
-        """Monomial masks of bidegree (p,q) grouped by weight; weight=None
-        returns the full dict, otherwise one list."""
-        groups = {}
-        for mask in self.alg.component_masks(p, q):
-            groups.setdefault(self.mask_weight(mask), []).append(mask)
-        if weight is None:
-            return groups
-        return groups.get(weight, [])
+    def weight_masks(self, p, q, weight):
+        """Monomial masks of bidegree (p,q) and the given weight, in
+        canonical order.  A mask's weight is the sum of its x-part's and its
+        y-part's, so each x-part of weight w is joined with the y-parts of
+        weight `weight - w`; the full component is never listed."""
+        ys = {}
+        for my in self.alg.component_masks(0, q):
+            ys.setdefault(self.mask_weight(my), []).append(my)
+        out = []
+        for mx in self.alg.component_masks(p, 0):
+            need = tuple(w - c for w, c in zip(weight, self.mask_weight(mx)))
+            out.extend(mx | my for my in ys.get(need, ()))
+        return out
 
 
 def invariants(action, p, q, mode=None, cap=None):
     """Invariant subspace of the (p,q) component, as a Subspace over the
-    full component basis.
+    weight-zero monomials of the component.
 
     Invariant vectors have weight zero, so the kernel is computed on the
     weight-zero slice only; the acting operators are the 2*rank simple-root
@@ -124,7 +131,7 @@ def invariants(action, p, q, mode=None, cap=None):
             for m2, v in action.act_mask(a, mask).items():
                 eqs.setdefault((a, m2), {})[j] = v
     basis = kernel_basis(list(eqs.values()), len(w0))
-    sub = Subspace(alg.component_masks(p, q), mode, (p, q))
+    sub = Subspace(w0, mode, (p, q))
     for vec in basis:
         sub.insert(ExtElement(alg, {w0[j]: c for j, c in vec.items()}))
     return sub

@@ -99,6 +99,16 @@ def test_associativity_exhaustive_on_monomials():
                 assert uv.wedge(w) == u.wedge(v.wedge(w))
 
 
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_component_masks_in_canonical_order(n):
+    alg = GrassmannAlgebra(n)
+    for p in range(n + 1):
+        for q in range(n + 1):
+            masks = alg.component_masks(p, q)
+            assert masks == sorted(masks, key=term_key)
+            assert len(masks) == alg.component_dim(p, q)
+
+
 def test_graded_commutativity():
     alg = GrassmannAlgebra(3)
     rng = random.Random(3)

@@ -4,10 +4,12 @@ import pytest
 
 from chiralring.abideals import enumerate_abelian_ideals, poincare_series
 from chiralring.exactla import FieldMode
+from chiralring.exterior import OddMatrix
 from chiralring.cdsw.core import ideal_weight_zero, XX, YY
 from chiralring.cdsw.hats import (hat_trace, hat_generators, hat_monomials,
                                   trace_z_power, d_trace, check_prop_hat,
-                                  dim_E, check_conj_c1, check_conj_c2_c3)
+                                  dim_E, check_conj_c1, check_conj_c2_c3,
+                                  z_matrix)
 
 
 def test_hat_bidegrees(ws_sl3):
@@ -64,6 +66,30 @@ def test_trace_z_square_not_literally_zero(ws_sl2, ws_sl3):
             assert len(fz.terms) == nterms
         sub = ideal_weight_zero(ws, (XX, YY), 2, 2)
         assert sub.contains(fz)
+
+
+def _d_trace_by_products(ws, k):
+    """Reference dF applied to X and to Y: sum_{i+j=k-1} Tr(z^i A z^j),
+    every product taken."""
+    X, Y = ws.xy_matrices()
+    z = z_matrix(X, Y)
+    pows = [OddMatrix.identity(ws.alg, X.size)]
+    for _ in range(k - 1):
+        pows.append(pows[-1].matmul(z))
+    out = {}
+    for arg, A in (("X", X), ("Y", Y)):
+        total = ws.alg.zero()
+        for i in range(k):
+            total = total + pows[i].matmul(A).matmul(pows[k - 1 - i]).trace()
+        out[arg] = total
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_d_trace_matches_sum_of_products(ws_sl3, ws_so5, k):
+    for ws in (ws_sl3, ws_so5):
+        for arg, expected in _d_trace_by_products(ws, k).items():
+            assert d_trace(ws, k, arg) == expected, (arg, k)
 
 
 def test_d_trace_in_ideal_not_zero(ws_sl3):

@@ -7,7 +7,7 @@ from chiralring.rootsystem import build_root_system, chevalley_data
 from chiralring.exterior import GrassmannAlgebra, ExtElement
 from chiralring.liemodule import (ActionTable, invariants,
                                   invariant_basis_elements, casimir_matrix)
-from chiralring.exactla import minimal_polynomial
+from chiralring.exactla import minimal_polynomial, span, WrongComponent
 from conftest import random_element
 
 
@@ -103,6 +103,47 @@ def test_invariant_dimensions_sl3(act_sl3):
     # the invariant 3-form lives at (0,3) and (3,0)
     assert invariants(act_sl3, 0, 3).rank == 1
     assert invariants(act_sl3, 3, 0).rank == 1
+
+
+def _weight_groups_by_filtering(act, p, q):
+    """Reference slices: the whole (p,q) component grouped by mask_weight."""
+    groups = {}
+    for m in act.alg.component_masks(p, q):
+        groups.setdefault(act.mask_weight(m), []).append(m)
+    return groups
+
+
+@pytest.mark.parametrize("key,top", [(("A", 2), 3), (("B", 2), 2),
+                                     (("G", 2), 2)])
+def test_weight_masks_match_filtering(key, top):
+    lie = chevalley_data(build_root_system(*key))
+    act = ActionTable(GrassmannAlgebra(lie.dim), lie)
+    unreachable = tuple(c + 100 for c in act.zero_weight)
+    for p in range(top + 1):
+        for q in range(top + 1):
+            for w, masks in _weight_groups_by_filtering(act, p, q).items():
+                assert act.weight_masks(p, q, w) == masks, (p, q, w)
+            assert act.weight_masks(p, q, unreachable) == []
+
+
+def test_invariants_live_on_weight_zero_slice(act_sl3):
+    alg = act_sl3.alg
+    sub = invariants(act_sl3, 2, 2)
+    assert list(sub.columns) == act_sl3.weight_masks(2, 2,
+                                                     act_sl3.zero_weight)
+    # the basis is still the canonical RREF over the full component
+    elems = invariant_basis_elements(act_sl3, 2, 2)
+    full = span(elems, component=(2, 2))
+    assert [ExtElement(alg, {full.columns[j]: c for j, c in row.items()})
+            for row in full.echelons[0].basis_rows()] == elems
+
+
+def test_invariants_reject_term_of_nonzero_weight(act_sl3):
+    sub = invariants(act_sl3, 2, 2)
+    mask = next(m for m in act_sl3.alg.component_masks(2, 2)
+                if act_sl3.mask_weight(m) != act_sl3.zero_weight)
+    with pytest.raises(WrongComponent):
+        sub.contains(act_sl3.alg.monomial(mask))
 
 
 def test_invariants_verified_and_killed_by_casimir(act_sl3):
