@@ -13,11 +13,10 @@ they are nonzero, so they are checked as ideal memberships.
 """
 
 from ..exterior import ExtElement, OddMatrix
-from ..exactla import FieldMode, Subspace, addmul, guard_component
+from ..exactla import addmul, guard_component
 from ..liemodule import invariant_basis_elements
-from ..rootsystem.reps import trace_power_degrees, default_trace_label
-from .core import (ideal_rows, ideal_weight_zero, invariants_of_quotient,
-                   XX, XY, YY)
+from ..rootsystem.reps import trace_power_degrees
+from .core import ideal_weight_zero, invariants_of_quotient, XX, XY, YY
 
 
 class HatElement:
@@ -35,10 +34,11 @@ def z_matrix(X, Y):
     return X.matmul(Y) + Y.matmul(X)
 
 
-def _z_powers(ws, label, top):
-    pows = ws.hat_cache.setdefault(("zpow", label), [])
+def _z_powers(ws, top):
+    """ws.z_powers extended to hold z^0 .. z^top."""
+    pows = ws.z_powers
     if not pows:
-        X, Y = ws.xy_matrices(label)
+        X, Y = ws.xy_matrices()
         pows.append(OddMatrix.identity(ws.alg, X.size))
         pows.append(z_matrix(X, Y))
     while len(pows) <= top:
@@ -46,28 +46,25 @@ def _z_powers(ws, label, top):
     return pows
 
 
-def trace_z_power(ws, k, label=None):
+def trace_z_power(ws, k):
     """F({X,Y}) for F = Tr_V(w^k), as a raw element of bidegree (k,k)."""
-    label = label or default_trace_label(ws.lie.rs.type_label)
-    return _z_powers(ws, label, k)[k].trace()
+    return _z_powers(ws, k)[k].trace()
 
 
-def d_trace(ws, k, arg, label=None):
+def d_trace(ws, k, arg):
     """dF({X,Y}) applied to X or Y: sum_{i+j=k-1} Tr(z^i A z^j).  z has
     even entries, so each term equals Tr(A z^(k-1)) by trace cyclicity and
     the sum is k * Tr(A z^(k-1)): one product."""
-    label = label or default_trace_label(ws.lie.rs.type_label)
-    X, Y = ws.xy_matrices(label)
+    X, Y = ws.xy_matrices()
     A = X if arg == "X" else Y
-    zk = _z_powers(ws, label, k - 1)[k - 1]
+    zk = _z_powers(ws, k - 1)[k - 1]
     return A.matmul(zk).trace().scale(k)
 
 
-def hat_trace(ws, k, label=None):
+def hat_trace(ws, k):
     """hat of Tr_V(w^k): k * sum_{i+j=k-2} Tr(z^i X z^j Y)."""
-    label = label or default_trace_label(ws.lie.rs.type_label)
-    X, Y = ws.xy_matrices(label)
-    pows = _z_powers(ws, label, k - 2)
+    X, Y = ws.xy_matrices()
+    pows = _z_powers(ws, k - 2)
     total = {}
     for i in range(k - 1):
         j = k - 2 - i
@@ -76,20 +73,19 @@ def hat_trace(ws, k, label=None):
     return HatElement(k, ExtElement(ws.alg, total))
 
 
-def hat_generators(ws, label=None, max_degree=None):
+def hat_generators(ws, max_degree=None):
     """One hat element per generating invariant degree of the type; only
     those of hat-degree <= max_degree when given."""
     degrees = trace_power_degrees(ws.lie)
     if max_degree is not None:
         degrees = [k for k in degrees if k - 1 <= max_degree]
-    return [hat_trace(ws, k, label) for k in degrees]
+    return [hat_trace(ws, k) for k in degrees]
 
 
-def hat_monomials(ws, degree, label=None, hats=None):
-    """All products of hat generators of total hat-degree `degree`, as
-    (exponent tuple, ExtElement) pairs.  Hat elements have even total
+def hat_monomials(ws, degree, hats):
+    """All products of the given hat elements of total hat-degree `degree`,
+    as (exponent tuple, ExtElement) pairs.  Hat elements have even total
     degree, so the product order is immaterial."""
-    hats = hats if hats is not None else hat_generators(ws, label)
     degs = [h.source_degree - 1 for h in hats]
     out = []
 
@@ -109,7 +105,7 @@ def hat_monomials(ws, degree, label=None, hats=None):
     return out
 
 
-def check_prop_hat(ws, k1, k2, label=None, mode=None, cap=None):
+def check_prop_hat(ws, k1, k2, mode=None, cap=None):
     """The three identities behind the product rule, as memberships in the
     span of the XX and YY families (their raw values are also reported):
 
@@ -117,39 +113,31 @@ def check_prop_hat(ws, k1, k2, label=None, mode=None, cap=None):
       (b)  dF(z)(X) and dF(z)(Y) lie in the ideal;
       (c)  the Leibniz expansion of hat(F H) lies in the ideal.
     """
-    label = label or default_trace_label(ws.lie.rs.type_label)
-    report = {"k1": k1, "k2": k2, "rep": label}
+    report = {"k1": k1, "k2": k2, "rep": ws.trace_label}
     # guard the largest components touched before any trace expansion
     k = k1 + k2
     for d in (k1, k2, k - 1):
         guard_component(ws.alg, d, d, mode, cap)
 
-    fz = trace_z_power(ws, k1, label)
-    hz = trace_z_power(ws, k2, label)
+    fz = trace_z_power(ws, k1)
+    hz = trace_z_power(ws, k2)
     report["a_zero_literal"] = fz.is_zero()
     sub = ideal_weight_zero(ws, (XX, YY), k1, k1, mode, cap)
     report["a_in_ideal"] = sub.contains(fz)
 
-    dfx = d_trace(ws, k1, "X", label)
-    dfy = d_trace(ws, k1, "Y", label)
+    dfx = d_trace(ws, k1, "X")
+    dfy = d_trace(ws, k1, "Y")
     report["b_zero_literal"] = dfx.is_zero() and dfy.is_zero()
-    okb = True
-    for el, (p, q) in ((dfx, (k1, k1 - 1)), (dfy, (k1 - 1, k1))):
-        if el.is_zero():
-            continue
-        subb = Subspace(ws.action.weight_masks(p, q, ws.action.zero_weight),
-                        mode or FieldMode.exact(), (p, q))
-        for row in ideal_rows(ws, (XX, YY), p, q,
-                              weight=ws.action.zero_weight):
-            subb.insert(row)
-        okb = okb and subb.contains(el)
-    report["b_in_ideal"] = okb
+    report["b_in_ideal"] = all(
+        el.is_zero()
+        or ideal_weight_zero(ws, (XX, YY), p, q, mode, cap).contains(el)
+        for el, (p, q) in ((dfx, (k1, k1 - 1)), (dfy, (k1 - 1, k1))))
 
     # Leibniz expansion of hat(FH) at z = {X,Y}
-    dhx = d_trace(ws, k2, "X", label)
-    dhy = d_trace(ws, k2, "Y", label)
-    hatf = hat_trace(ws, k1, label).value
-    hath = hat_trace(ws, k2, label).value
+    dhx = d_trace(ws, k2, "X")
+    dhy = d_trace(ws, k2, "Y")
+    hatf = hat_trace(ws, k1).value
+    hath = hat_trace(ws, k2).value
     total = (hatf.wedge(hz) + fz.wedge(hath)
              + dfx.wedge(dhy) + dhx.wedge(dfy))
     report["c_zero_literal"] = total.is_zero()
@@ -166,16 +154,14 @@ def dim_E(ws, d, mode=None, cap=None):
     ambient component is adjoined."""
     if d == 0:
         return 1
-    return invariants_of_quotient(ws, d, d, (XX, YY), mode, cap)["dim"]
+    return invariants_of_quotient(ws, d, d, (XX, YY), mode, cap)
 
 
-def check_conj_c1(ws, up_to_d, label=None, mode=None, cap=None,
-                  ideal_counts=None):
+def check_conj_c1(ws, up_to_d, ideal_counts, mode=None, cap=None):
     """dim E_(d,d) vs the span of hat monomials vs the abelian-ideal count,
     for d <= up_to_d."""
-    label = label or default_trace_label(ws.lie.rs.type_label)
     guard_component(ws.alg, up_to_d, up_to_d, mode, cap)
-    hats = hat_generators(ws, label, max_degree=up_to_d)
+    hats = hat_generators(ws, max_degree=up_to_d)
     rows = []
     ok = True
     for d in range(up_to_d + 1):
@@ -183,35 +169,30 @@ def check_conj_c1(ws, up_to_d, label=None, mode=None, cap=None,
             e_dim = p_dim = 1
         else:
             sub = ideal_weight_zero(ws, (XX, YY), d, d, mode, cap)
-            e_dim = invariants_of_quotient(ws, d, d, (XX, YY), mode, cap,
-                                           subspace=sub.copy())["dim"]
-            base = sub.rank
-            for _, val in hat_monomials(ws, d, label, hats):
-                sub.insert(val)
-            p_dim = sub.rank - base
-        row = {"d": d, "dim_E": e_dim, "dim_P_span": p_dim}
-        if ideal_counts is not None:
-            row["ideal_count"] = ideal_counts[d] if d < len(ideal_counts) else 0
-            ok = ok and row["ideal_count"] == e_dim
-        ok = ok and e_dim == p_dim
-        rows.append(row)
-    return {"rep": label, "rows": rows, "pass": ok}
+            e_dim = invariants_of_quotient(ws, d, d, cap=cap,
+                                           subspace=sub.copy())
+            p_dim = sub.insert_all(val for _, val in
+                                   hat_monomials(ws, d, hats))
+        count = ideal_counts[d] if d < len(ideal_counts) else 0
+        rows.append({"d": d, "dim_E": e_dim, "dim_P_span": p_dim,
+                     "ideal_count": count})
+        ok = ok and e_dim == p_dim == count
+    return {"rep": ws.trace_label, "rows": rows, "pass": ok}
 
 
-def check_conj_c2_c3(ws, label=None, mode=None, cap=None):
+def check_conj_c2_c3(ws, mode=None, cap=None):
     """c3: the invariants of the supercommutator ideal match the ideal
     generated by the hat elements of degree > 1, below the critical degree;
     every such hat element lies in that ideal.  c2: at the critical degree
     g there is a relation among hat monomials with a nonzero coefficient on
     the g-th power of the quadratic one."""
-    label = label or default_trace_label(ws.lie.rs.type_label)
     g = ws.g
     # every component touched: (d,d) for d up to g and up to each hat degree
     top = max([g] + [k - 1 for k in trace_power_degrees(ws.lie)])
     guard_component(ws.alg, top, top, mode, cap)
-    hats = hat_generators(ws, label)
-    report = {"rep": label, "g": g, "per_degree": [], "hat_in_L": [],
-              "pass": True}
+    hats = hat_generators(ws)
+    report = {"rep": ws.trace_label, "g": g, "per_degree": [],
+              "hat_in_L": [], "pass": True}
 
     # p_hat_i in L for i >= 2: membership in the span of all three families
     # restricted to (XY) + (XX,YY)
@@ -225,35 +206,25 @@ def check_conj_c2_c3(ws, label=None, mode=None, cap=None):
     for d in range(g):
         inv = invariant_basis_elements(ws.action, d, d, cap) if d else []
         sub_j = ideal_weight_zero(ws, (XX, YY), d, d, mode, cap)
-        rank_j = sub_j.rank
-        sub_jinv = sub_j.copy()
-        grew_j = sum(1 for v in inv if sub_jinv.insert(v))
         sub_jxy = ideal_weight_zero(ws, (XX, XY, YY), d, d, mode, cap)
-        rank_jxy = sub_jxy.rank
-        sub_jxyinv = sub_jxy.copy()
-        grew_jxy = sum(1 for v in inv if sub_jxyinv.insert(v))
-        # dim(Inv cap W) = |inv| - growth
-        dim_L = (len(inv) - grew_jxy) - (len(inv) - grew_j)
+        # dim(Inv cap W) = |inv| - growth, so the difference of the two
+        # intersections is the difference of the two growths
+        dim_L = sub_j.copy().insert_all(inv) - sub_jxy.insert_all(inv)
         # ideal generated by hats of degree > 1, inside E, at degree d
-        sub = sub_j.copy()
-        base = sub.rank
-        for expo, val in hat_monomials(ws, d, label, hats):
-            if any(e for e in expo[1:]):
-                sub.insert(val)
-        dim_gen = sub.rank - base
+        dim_gen = sub_j.insert_all(val for expo, val in
+                                   hat_monomials(ws, d, hats)
+                                   if any(expo[1:]))
         row = {"d": d, "dim_L": dim_L, "dim_hat_ideal": dim_gen,
                "match": dim_L == dim_gen}
         report["per_degree"].append(row)
         report["pass"] = report["pass"] and row["match"]
 
-    # c2 at degree g
+    # c2 at degree g: the pure power of the quadratic hat against the span
+    # of the other hat monomials
+    monos = dict(hat_monomials(ws, g, hats))
+    p1_power = monos.pop((g,) + (0,) * (len(hats) - 1))
     sub = ideal_weight_zero(ws, (XX, YY), g, g, mode, cap)
-    p1_power = None
-    for expo, val in hat_monomials(ws, g, label, hats):
-        if expo[0] == g and not any(expo[1:]):
-            p1_power = val
-        else:
-            sub.insert(val)
+    sub.insert_all(monos.values())
     relation = sub.contains(p1_power)
     report["c2_relation_with_p1_power"] = relation
     report["pass"] = report["pass"] and relation

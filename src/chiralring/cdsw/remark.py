@@ -132,7 +132,7 @@ def check_sln_remark(n, mode=None, cap=None):
     lie = chevalley_data(build_root_system("A", n - 1))
     ws = Workspace(lie)
     alg = ws.alg
-    X, Y = ws.xy_matrices("vector")
+    X, Y = ws.xy_matrices()
     Z = X.matmul(Y) + X.scale_left(alg.xi()) + Y.scale_left(alg.eta())
 
     traces = []

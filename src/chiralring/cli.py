@@ -223,7 +223,8 @@ def build_parser():
     p.add_argument("--mode", choices=["exact", "modular"], default="exact")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for modular prime selection (logged)")
-    p.add_argument("--max-monomials", type=int, default=DEFAULT_MONOMIAL_CAP)
+    p.add_argument("--max-monomials", type=int, default=DEFAULT_MONOMIAL_CAP,
+                   metavar="N", help="component-size cap, N >= 1")
     p.add_argument("--json", metavar="PATH", help="write the JSON report here")
     p.add_argument("--g2-heavy", action="store_true",
                    help="enable the large G2 exterior computations")
@@ -250,6 +251,10 @@ def run(argv=None):
             print("known: %s" % ", ".join(CHECK_NAMES), file=sys.stderr)
             return 2
     explicit_checks = args.checks != "all"
+    if args.max_monomials < 1:
+        print("configuration error: --max-monomials must be at least 1, "
+              "got %d" % args.max_monomials, file=sys.stderr)
+        return 2
 
     if args.mode == "modular":
         mode = FieldMode.modular(seed=args.seed)

@@ -315,9 +315,3 @@ class OddMatrix:
         for i in range(self.size):
             addmul(acc, self.entries[i][i].terms)
         return ExtElement(self.alg, acc)
-
-    def power(self, k):
-        r = OddMatrix.identity(self.alg, self.size)
-        for _ in range(k):
-            r = r.matmul(self)
-        return r

@@ -6,11 +6,8 @@ it acts as the identity on the generators).
 Weight slices of a component are listed one way only,
 `ActionTable.weight_masks`, which joins x-halves and y-halves by weight."""
 
-from fractions import Fraction
-
 from .exterior import ExtElement, _bits
-from .exactla import (Subspace, FieldMode, addmul, kernel_basis,
-                      guard_component)
+from .exactla import Subspace, addmul, kernel_basis, guard_component
 
 
 class ActionTable:
@@ -105,9 +102,9 @@ class ActionTable:
         return out
 
 
-def invariants(action, p, q, mode=None, cap=None):
-    """Invariant subspace of the (p,q) component, as a Subspace over the
-    weight-zero monomials of the component.
+def invariants(action, p, q, cap=None):
+    """Invariant subspace of the (p,q) component, as an exact Subspace over
+    the weight-zero monomials of the component.
 
     Invariant vectors have weight zero, so the kernel is computed on the
     weight-zero slice only; the acting operators are the 2*rank simple-root
@@ -115,10 +112,8 @@ def invariants(action, p, q, mode=None, cap=None):
     elements act as zero on weight-zero vectors).
     """
     alg, lie = action.alg, action.lie
-    mode = mode or FieldMode.exact()
-    guard_component(alg, p, q, mode, cap)
+    guard_component(alg, p, q, cap=cap)
     w0 = action.weight_masks(p, q, action.zero_weight)
-    col_of = {m: i for i, m in enumerate(w0)}
     gens = []
     for i in range(lie.rank):
         simple = lie.rs.simple_roots[i]
@@ -131,32 +126,18 @@ def invariants(action, p, q, mode=None, cap=None):
             for m2, v in action.act_mask(a, mask).items():
                 eqs.setdefault((a, m2), {})[j] = v
     basis = kernel_basis(list(eqs.values()), len(w0))
-    sub = Subspace(w0, mode, (p, q))
-    for vec in basis:
-        sub.insert(ExtElement(alg, {w0[j]: c for j, c in vec.items()}))
+    sub = Subspace(w0, bidegree=(p, q))
+    sub.insert_all(ExtElement(alg, {w0[j]: c for j, c in vec.items()})
+                   for vec in basis)
     return sub
 
 
 def invariant_basis_elements(action, p, q, cap=None):
     """The canonical invariant basis as ExtElements (exact mode)."""
-    sub = invariants(action, p, q, FieldMode.exact(), cap)
+    sub = invariants(action, p, q, cap)
     columns = sub.columns
     out = []
     for row in sub.echelons[0].basis_rows():
         out.append(ExtElement(action.alg,
                               {columns[j]: c for j, c in row.items()}))
     return out
-
-
-def casimir_matrix(action, masks):
-    """Matrix of the Casimir on the span of the given monomials (which must
-    be Casimir-stable, e.g. a full component or a weight slice)."""
-    index = {m: i for i, m in enumerate(masks)}
-    cols = []
-    for m in masks:
-        img = action.casimir(ExtElement(action.alg, {m: Fraction(1)}))
-        col = {}
-        for m2, v in img.terms.items():
-            col[index[m2]] = v
-        cols.append(col)
-    return cols

@@ -4,6 +4,8 @@ import pytest
 
 from chiralring.rootsystem import build_root_system, chevalley_data
 from chiralring.cdsw import Workspace
+from chiralring.exactla import Echelon
+from chiralring.exterior import ExtElement
 
 
 @pytest.fixture(scope="session")
@@ -38,7 +40,6 @@ def ws_so5(so5):
 
 def random_element(alg, rng, nterms=4, maxdeg=2):
     """Random sparse element with small integer coefficients."""
-    from chiralring.exterior import ExtElement
     ngens = 2 * alg.n + 2
     terms = {}
     for _ in range(nterms):
@@ -80,3 +81,120 @@ def dense_rref(rows, ncols):
         if lead == len(m):
             break
     return m[:len(pivots)], pivots
+
+
+def casimir_matrix(action, masks):
+    """Matrix of the Casimir on the span of the given monomials (which must
+    be Casimir-stable, e.g. a full component or a weight slice)."""
+    index = {m: i for i, m in enumerate(masks)}
+    cols = []
+    for m in masks:
+        img = action.casimir(ExtElement(action.alg, {m: Fraction(1)}))
+        col = {}
+        for m2, v in img.terms.items():
+            col[index[m2]] = v
+        cols.append(col)
+    return cols
+
+
+def minimal_polynomial(apply_op, basis_vectors, ncols):
+    """Minimal polynomial of an exact linear operator, via Krylov iteration
+    from a deterministic cycling start vector.  apply_op maps a coordinate
+    dict to a coordinate dict.  Returns monic coefficient list c_0..c_d
+    with sum c_i t^i = 0."""
+    lcm_poly = [Fraction(1)]
+    for start in basis_vectors:
+        # polynomial annihilating the cyclic subspace of `start`
+        ech = Echelon()
+        krylov = []
+        vec = dict(start)
+        while True:
+            res = ech.reduce(vec)
+            if not res:
+                break
+            krylov.append(dict(vec))
+            ech.insert(vec)
+            vec = apply_op(vec)
+        # express vec over the krylov vectors: solve linear system
+        cols = len(krylov)
+        eqs = {}
+        for j, kv in enumerate(krylov):
+            for i, c in kv.items():
+                eqs.setdefault(i, {})[j] = c
+        rhs = dict(vec)
+        sol = _solve(eqs, rhs, cols)
+        local = [-sol.get(j, Fraction(0)) for j in range(cols)] + [Fraction(1)]
+        lcm_poly = _poly_lcm(lcm_poly, local)
+        if len(lcm_poly) - 1 >= ncols:
+            break
+    return lcm_poly
+
+
+def _solve(eqs_by_row, rhs, ncols):
+    """Solve an exactly-solvable system: rows are eqs_by_row[i] (dicts over
+    0..ncols-1), target rhs[i]."""
+    ech = Echelon()
+    aug_col = ncols
+    for i, row in eqs_by_row.items():
+        vec = dict(row)
+        b = rhs.get(i)
+        if b:
+            vec[aug_col] = b
+        ech.insert(vec)
+    sol = {}
+    for piv in sorted(ech.rows, reverse=True):
+        if piv == aug_col:
+            raise ArithmeticError("inconsistent system")
+        row = ech.rows[piv]
+        sol[piv] = row.get(aug_col, Fraction(0))
+    return sol
+
+
+def _poly_lcm(a, b):
+    g = _poly_gcd(a, b)
+    q, _ = _poly_divmod(a, g)
+    return _poly_mul(q, b)
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if not ca:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _poly_trim(out)
+
+
+def _poly_trim(a):
+    while len(a) > 1 and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_divmod(a, b):
+    a = list(a)
+    out = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    while len(a) >= len(b) and any(a):
+        if not a[-1]:
+            a.pop()
+            continue
+        shift = len(a) - len(b)
+        c = a[-1] / b[-1]
+        out[shift] = c
+        for i, cb in enumerate(b):
+            a[shift + i] -= c * cb
+        a.pop()
+    return _poly_trim(out), _poly_trim(a if a else [Fraction(0)])
+
+
+def _poly_gcd(a, b):
+    a, b = list(a), list(b)
+    while any(b):
+        _, r = _poly_divmod(a, b)
+        a, b = b, r
+        if len(b) == 1 and not b[0]:
+            break
+    # make monic
+    lead = a[-1]
+    return [c / lead for c in a]

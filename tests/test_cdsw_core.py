@@ -2,11 +2,52 @@ from fractions import Fraction
 
 import pytest
 
-from chiralring.exactla import FieldMode, ComponentTooLarge, WrongComponent
-from chiralring.cdsw.core import (ideal_component, ideal_weight_zero,
-                                  check_S_power, check_part_i,
-                                  swap_membership_invariance,
-                                  family_equivariance, XX, XY, YY)
+from chiralring.rootsystem import build_root_system, chevalley_data
+from chiralring.cdsw import Workspace
+from chiralring.exactla import (FieldMode, Subspace, ComponentTooLarge,
+                                WrongComponent)
+from chiralring.cdsw.core import (ideal_weight_zero, check_S_power,
+                                  check_part_i, XX, XY, YY, _FAMILY_DEGREE)
+
+
+def ideal_component(ws, families, p, q):
+    """Reference oracle: the span of the selected families inside the full
+    (p,q) component, every product r ^ m of a relation and a monomial
+    taken, whatever its weight."""
+    alg = ws.alg
+    sub = Subspace(alg.component_masks(p, q), bidegree=(p, q))
+    for fam in families:
+        dp, dq = _FAMILY_DEGREE[fam]
+        if p < dp or q < dq:
+            continue
+        for rel in ws.rels.family(fam):
+            for m in alg.component_masks(p - dp, q - dq):
+                sub.insert(rel.wedge(alg.monomial(m)))
+    return sub
+
+
+def swap_membership_invariance(ws, k):
+    """The x<->y involution maps the relation families onto themselves, so
+    S-power verdicts are invariant under it; checked by recomputation."""
+    direct = check_S_power(ws, k)
+    sub = ideal_weight_zero(ws, (XX, XY, YY), k, k)
+    return direct["contained"] == sub.contains(ws.S.power(k).swap_xy())
+
+
+def family_equivariance(ws, family):
+    """Every act(a, r) for r in a relation family stays in the family span:
+    the families are adjoint copies."""
+    rels = [r for r in ws.rels.family(family) if not r.is_zero()]
+    p, q = _FAMILY_DEGREE[family]
+    sub = Subspace(ws.alg.component_masks(p, q), bidegree=(p, q))
+    for r in rels:
+        sub.insert(r)
+    for r in rels:
+        for a in ws.lie.chevalley_generator_indices():
+            img = ws.action.act(a, r)
+            if not img.is_zero() and not sub.contains(img):
+                return False
+    return True
 
 
 def test_relation_counts_and_degrees(ws_sl2):
@@ -66,6 +107,20 @@ def test_trace_proportionality_constants(ws_sl2, ws_sl3, ws_so5):
     assert ws_so5.trace_S_constant() == Fraction(1, 3)
 
 
+@pytest.mark.parametrize("key,label,size,constant", [
+    (("A", 2), "vector", 3, Fraction(1, 6)),
+    (("B", 2), "vector", 5, Fraction(1, 3)),
+    (("C", 2), "vector", 4, Fraction(1, 6)),
+    (("G", 2), "fundamental-7", 7, Fraction(1, 4)),
+])
+def test_trace_representation_fixed_by_type(key, label, size, constant):
+    ws = Workspace(chevalley_data(build_root_system(*key)))
+    assert ws.trace_label == label
+    X, Y = ws.xy_matrices()
+    assert X.size == Y.size == size
+    assert ws.trace_S_constant() == constant
+
+
 def test_S_not_in_relation_span(ws_sl2):
     sub = ideal_component(ws_sl2, (XX, XY, YY), 1, 1)
     assert not sub.contains(ws_sl2.S)
@@ -103,8 +158,6 @@ def test_so5_S_powers(ws_so5):
 def test_sp4_matches_so5():
     """sp(4) and so(5) are isomorphic: the S-power verdicts and invariant
     dimensions must coincide."""
-    from chiralring.rootsystem import build_root_system, chevalley_data
-    from chiralring.cdsw import Workspace
     ws = Workspace(chevalley_data(build_root_system("C", 2)))
     assert ws.g == 3
     assert check_S_power(ws, 3)["contained"] is True
@@ -163,6 +216,22 @@ def test_part_i_sl3(ws_sl3):
     rep = check_part_i(ws_sl3, 3)
     assert [d["dim"] for d in rep["diagonal"]] == [1, 1, 1, 0]
     assert rep["pass"]
+
+
+def test_part_i_modular_matches_exact(ws_sl3):
+    exact = check_part_i(ws_sl3, 3)
+    mod = check_part_i(ws_sl3, 3, mode=FieldMode.modular(seed=31))
+
+    def dims(rep):
+        return ([d["dim"] for d in rep["diagonal"]],
+                [o["dim"] for o in rep["offdiagonal"]])
+
+    assert dims(mod) == dims(exact) == ([1, 1, 1, 0], [0, 0, 0])
+    assert mod["pass"]
+    for d in mod["diagonal"][1:]:
+        assert d["probabilistic"] is True
+    for d in exact["diagonal"][1:]:
+        assert d["probabilistic"] is False
 
 
 def test_swap_membership_invariance(ws_sl2, ws_sl3):

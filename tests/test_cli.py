@@ -19,6 +19,18 @@ def test_unknown_check_rejected_before_compute(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_below_one_rejected_before_compute(tmp_path, capsys, cap):
+    out = tmp_path / "report.json"
+    code = run(["--algebra", "A", "1", "--checks", "all",
+                "--max-monomials", cap, "--json", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--max-monomials" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_unsupported_algebra(tmp_path):
     assert run(["--algebra", "Q", "9"]) == 2
     assert run(["--algebra", "A", "99"]) == 2

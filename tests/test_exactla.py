@@ -7,9 +7,8 @@ from chiralring.exterior import GrassmannAlgebra
 from chiralring.exactla import (Echelon, FieldMode, span,
                                 kernel_basis, guard_component,
                                 ComponentTooLarge, InhomogeneousInput,
-                                WrongComponent, minimal_polynomial,
-                                random_prime, _is_prime)
-from conftest import dense_rref
+                                WrongComponent, random_prime, _is_prime)
+from conftest import dense_rref, minimal_polynomial
 
 
 def _random_rows(rng, nrows, ncols, density=0.4):

@@ -128,7 +128,7 @@ def test_dim_E_matches_ideal_counts(ws_sl2, ws_sl3, ws_so5):
 
 
 def test_hat_monomials_enumeration(ws_sl3):
-    monos = hat_monomials(ws_sl3, 3)
+    monos = hat_monomials(ws_sl3, 3, hat_generators(ws_sl3))
     expos = {e for e, _ in monos}
     # generators of hat-degrees 1 and 2: monomials of degree 3
     assert expos == {(3, 0), (1, 1)}

@@ -6,9 +6,10 @@ import pytest
 from chiralring.rootsystem import build_root_system, chevalley_data
 from chiralring.exterior import GrassmannAlgebra, ExtElement
 from chiralring.liemodule import (ActionTable, invariants,
-                                  invariant_basis_elements, casimir_matrix)
-from chiralring.exactla import minimal_polynomial, span, WrongComponent
-from conftest import random_element
+                                  invariant_basis_elements)
+from chiralring.exactla import span, WrongComponent
+from conftest import (random_element, casimir_matrix, minimal_polynomial,
+                      _poly_divmod)
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +178,6 @@ def _casimir_eigenvalues_on_wedge(act, d):
     # extract rational roots by trial division with the candidate values
     roots = []
     candidates = [Fraction(k, 12) for k in range(-12 * d, 12 * (d + 1))]
-    from chiralring.exactla import _poly_divmod
     cur = list(poly)
     for cand in candidates:
         while len(cur) > 1:
