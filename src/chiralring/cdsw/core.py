@@ -74,7 +74,9 @@ class Workspace:
     """Bundles one Lie algebra with its Grassmann algebra, action table,
     relation families and S.  The trace representation is fixed by the
     type (`trace_label`); the X, Y matrices and the powers of z = XY + YX
-    are cached."""
+    are cached.  `z_powers` holds z^0 .. z^ceil(k/2) for the largest degree
+    k traced so far: no trace of degree k needs a higher power (see
+    `cdsw.hats`)."""
 
     def __init__(self, lie):
         self.lie = lie
@@ -104,25 +106,20 @@ class Workspace:
                         for j in range(rep.dim_V):
                             m[i][j] += c * mb[i][j]
             dual.append(m)
-        X = OddMatrix.zero(alg, rep.dim_V)
-        Y = OddMatrix.zero(alg, rep.dim_V)
-        for i in range(rep.dim_V):
-            for j in range(rep.dim_V):
-                xt, yt = {}, {}
-                for a in range(lie.dim):
-                    v = dual[a][i][j]
-                    if v:
-                        xt[1 << a] = v
-                        yt[1 << (a + lie.dim)] = v
-                X.entries[i][j] = ExtElement(alg, xt)
-                Y.entries[i][j] = ExtElement(alg, yt)
+        def matrix(shift):
+            return OddMatrix(alg, [[ExtElement(alg, {
+                1 << (a + shift): dual[a][i][j]
+                for a in range(lie.dim) if dual[a][i][j]})
+                for j in range(rep.dim_V)] for i in range(rep.dim_V)])
+
+        X, Y = matrix(0), matrix(lie.dim)
         self._xy = (X, Y)
         return self._xy
 
     def trace_S_constant(self):
         """c with Tr_V(XY) = c * S; the Dynkin-index factor."""
         X, Y = self.xy_matrices()
-        t = X.matmul(Y).trace()
+        t = X.trace_product(Y)
         mask, coeff = next(iter(self.S.terms.items()))
         c = t.terms.get(mask, Fraction(0)) / coeff
         if t != self.S.scale(c):

@@ -47,29 +47,50 @@ def _z_powers(ws, top):
 
 
 def trace_z_power(ws, k):
-    """F({X,Y}) for F = Tr_V(w^k), as a raw element of bidegree (k,k)."""
-    return _z_powers(ws, k)[k].trace()
+    """F({X,Y}) for F = Tr_V(w^k), as a raw element of bidegree (k,k):
+    Tr(z^floor(k/2) . z^ceil(k/2)), the last product diagonal-only."""
+    h = k // 2
+    pows = _z_powers(ws, k - h)
+    return pows[h].trace_product(pows[k - h])
 
 
 def d_trace(ws, k, arg):
     """dF({X,Y}) applied to X or Y: sum_{i+j=k-1} Tr(z^i A z^j).  z has
-    even entries, so each term equals Tr(A z^(k-1)) by trace cyclicity and
-    the sum is k * Tr(A z^(k-1)): one product."""
+    even entries, so by trace cyclicity each term is
+    Tr(A z^(k-1)) = Tr((A z^j) . z^(k-1-j)); with j = floor((k-1)/2) the
+    sum is k times one odd-by-even product and one trace-only product, and
+    no power above z^ceil(k/2) is needed."""
     X, Y = ws.xy_matrices()
     A = X if arg == "X" else Y
-    zk = _z_powers(ws, k - 1)[k - 1]
-    return A.matmul(zk).trace().scale(k)
+    j = (k - 1) // 2
+    pows = _z_powers(ws, k - 1 - j)
+    if j:
+        A = A.matmul(pows[j])
+    return A.trace_product(pows[k - 1 - j]).scale(k)
+
+
+def _times_z_powers(ws, A, k):
+    """[A z^0, ..., A z^(k-2)] for a degree-k trace, one product each:
+    A z^j = (A z^(j-s)) . z^s with s = min(j, ceil(k/2)), so no power above
+    z^ceil(k/2) is built."""
+    h = (k + 1) // 2
+    pows = _z_powers(ws, min(h, k - 2))
+    out = [A]
+    for j in range(1, k - 1):
+        s = min(j, h)
+        out.append(out[j - s].matmul(pows[s]))
+    return out
 
 
 def hat_trace(ws, k):
-    """hat of Tr_V(w^k): k * sum_{i+j=k-2} Tr(z^i X z^j Y)."""
+    """hat of Tr_V(w^k): k * sum_{i+j=k-2} Tr(z^i X z^j Y).  z has even
+    entries, so by trace cyclicity each term is Tr((X z^j) . (Y z^i)):
+    2(k-2) odd-by-even products and k-1 trace-only products."""
     X, Y = ws.xy_matrices()
-    pows = _z_powers(ws, k - 2)
+    xz, yz = _times_z_powers(ws, X, k), _times_z_powers(ws, Y, k)
     total = {}
     for i in range(k - 1):
-        j = k - 2 - i
-        prod = pows[i].matmul(X).matmul(pows[j]).matmul(Y)
-        addmul(total, prod.trace().terms, k)
+        addmul(total, xz[k - 2 - i].trace_product(yz[i]).terms, k)
     return HatElement(k, ExtElement(ws.alg, total))
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from ..exactla import addmul
-from ..exterior import ExtElement
+from ..exterior import ExtElement, OddMatrix
 from .core import ideal_weight_zero, XX, XY, YY
 
 
@@ -133,14 +133,16 @@ def check_sln_remark(n, mode=None, cap=None):
     ws = Workspace(lie)
     alg = ws.alg
     X, Y = ws.xy_matrices()
-    Z = X.matmul(Y) + X.scale_left(alg.xi()) + Y.scale_left(alg.eta())
+    xy = X.matmul(Y)
+    Z = xy + X.scale_left(alg.xi()) + Y.scale_left(alg.eta())
 
-    traces = []
-    zp = Z
-    for k in range(1, n + 2):
-        traces.append(zp.trace())
-        if k <= n:
-            zp = zp.matmul(Z)
+    # Z has even entries, so Tr(Z^k) = Tr(Z^floor(k/2) . Z^ceil(k/2)) by
+    # trace cyclicity: powers up to Z^ceil((n+1)/2) suffice
+    pows = [OddMatrix.identity(alg, Z.size), Z]
+    while len(pows) <= (n + 2) // 2:
+        pows.append(pows[-1].matmul(Z))
+    traces = [pows[k // 2].trace_product(pows[k - k // 2])
+              for k in range(1, n + 2)]
     lhs = traces[n]  # Tr(Z^{n+1})
 
     np_ = newton_f(n)
@@ -150,7 +152,7 @@ def check_sln_remark(n, mode=None, cap=None):
     q_star = np_.mixed_coefficient()
     c = -2 * q_star
 
-    trxy = X.matmul(Y).trace()
+    trxy = xy.trace()
     trxy_n = trxy.power(n)
 
     # xi-eta parts: the distinguished monomial y1^(n-1) y2 contributes

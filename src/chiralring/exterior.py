@@ -4,9 +4,13 @@ variables xi and eta.
 
 A monomial is a subset of the generators, stored as a Python int bitmask
 over the fixed order: x-block (bits 0..N-1), y-block (bits N..2N-1),
-xi (bit 2N), eta (bit 2N+1).  Coefficients are Fractions; elements never
-store zero coefficients.  Bidegree: an x-generator counts (1,0), a
-y-generator (0,1), xi counts (1,0) and eta (0,1).
+xi (bit 2N), eta (bit 2N+1).  ExtElement coefficients are Fractions;
+elements never store zero coefficients.  Bidegree: an x-generator counts
+(1,0), a y-generator (0,1), xi counts (1,0) and eta (0,1).
+
+An OddMatrix holds its entries as int coefficients over one shared
+denominator `den`, so matrix products run on ints; an entry or a trace
+becomes Fractions only when it leaves the matrix.
 
 Sums accumulate in place on terms dicts: `addmul` (from exactla) adds a
 scaled element and `wedge_into(out, t1, t2)` adds a product, so a matrix
@@ -14,6 +18,7 @@ entry or a trace is summed into one dict rather than copied per addend.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .exactla import addmul
 
@@ -262,56 +267,100 @@ class ExtElement:
 
 
 class OddMatrix:
-    """Square matrix with ExtElement entries; products keep Grassmann signs
-    because entry multiplication is the wedge."""
+    """Square matrix of Grassmann elements, stored as int-coefficient terms
+    dicts over one shared positive denominator `den`; products keep
+    Grassmann signs because entry multiplication is the wedge.  Rationals
+    appear only at the boundary: the constructor takes ExtElements, and
+    `entry`, `trace` and `trace_product` return them."""
 
     def __init__(self, alg, entries):
+        """From a square list of rows of ExtElements."""
+        den = _common_den(e.terms for row in entries for e in row)
         self.alg = alg
         self.size = len(entries)
-        self.entries = entries
+        self.entries = [[_over(e.terms, den) for e in row] for row in entries]
+        self.den = den
 
     @classmethod
-    def zero(cls, alg, m):
-        return cls(alg, [[alg.zero() for _ in range(m)] for _ in range(m)])
+    def _of(cls, alg, entries, den):
+        """A matrix of int terms dicts over den."""
+        mat = cls.__new__(cls)
+        mat.alg, mat.size, mat.entries = alg, len(entries), entries
+        mat.den = den
+        return mat
 
     @classmethod
     def identity(cls, alg, m):
-        z = cls.zero(alg, m)
-        for i in range(m):
-            z.entries[i][i] = alg.one()
-        return z
+        return cls._of(alg, [[{0: 1} if i == j else {} for j in range(m)]
+                             for i in range(m)], 1)
+
+    def _element(self, terms, den):
+        return ExtElement(self.alg, {m: Fraction(c, den)
+                                     for m, c in terms.items()})
+
+    def entry(self, i, j):
+        """Entry (i, j) as an exact ExtElement."""
+        return self._element(self.entries[i][j], self.den)
+
+    def _check_size(self, other):
+        if self.size != other.size:
+            raise SizeMismatch("%d != %d" % (self.size, other.size))
 
     def __add__(self, other):
-        if self.size != other.size:
-            raise SizeMismatch("%d != %d" % (self.size, other.size))
-        return OddMatrix(self.alg, [[a + b for a, b in zip(ra, rb)]
-                                    for ra, rb in zip(self.entries, other.entries)])
+        self._check_size(other)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return OddMatrix._of(self.alg, [
+            [addmul(addmul({}, s, a), t, b) for s, t in zip(ra, rb)]
+            for ra, rb in zip(self.entries, other.entries)], den)
 
     def matmul(self, other):
-        if self.size != other.size:
-            raise SizeMismatch("%d != %d" % (self.size, other.size))
-        m = self.size
-        out = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                acc = {}
-                for k in range(m):
-                    wedge_into(acc, self.entries[i][k].terms,
-                               other.entries[k][j].terms)
-                row.append(ExtElement(self.alg, acc))
-            out.append(row)
-        return OddMatrix(self.alg, out)
+        self._check_size(other)
+        cols = list(zip(*other.entries))
+        return OddMatrix._of(self.alg, [[_dot_into({}, row, col)
+                                         for col in cols]
+                                        for row in self.entries],
+                             self.den * other.den)
 
     __matmul__ = matmul
 
+    def trace_product(self, other):
+        """Tr(self . other) from the diagonal of the product alone:
+        sum_i sum_k self[i][k] ^ other[k][i]."""
+        self._check_size(other)
+        acc = {}
+        for row, col in zip(self.entries, zip(*other.entries)):
+            _dot_into(acc, row, col)
+        return self._element(acc, self.den * other.den)
+
     def scale_left(self, elem):
         """Left multiplication of every entry by a fixed element."""
-        return OddMatrix(self.alg, [[elem.wedge(e) for e in row]
-                                    for row in self.entries])
+        den = _common_den([elem.terms])
+        e = _over(elem.terms, den)
+        return OddMatrix._of(self.alg, [[wedge_into({}, e, t) for t in row]
+                                        for row in self.entries],
+                             self.den * den)
 
     def trace(self):
         acc = {}
         for i in range(self.size):
-            addmul(acc, self.entries[i][i].terms)
-        return ExtElement(self.alg, acc)
+            addmul(acc, self.entries[i][i])
+        return self._element(acc, self.den)
+
+
+def _common_den(terms_dicts):
+    """Least common denominator of the rational coefficients."""
+    return lcm(*(c.denominator for t in terms_dicts for c in t.values()))
+
+
+def _over(terms, den):
+    """Int numerators of rational terms over den, a multiple of each of
+    their denominators."""
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+
+
+def _dot_into(acc, row, col):
+    """acc += sum_k row[k] ^ col[k] on terms dicts, in place."""
+    for a, b in zip(row, col):
+        wedge_into(acc, a, b)
+    return acc

@@ -18,8 +18,7 @@ Casimir to act as the identity on the adjoint representation.
 
 from fractions import Fraction
 
-from ..exactla import addmul
-from .roots import build_root_system, UnsupportedType, LIE_DATA_TYPES
+from .roots import UnsupportedType, LIE_DATA_TYPES
 
 
 def _neg(v):
@@ -199,13 +198,6 @@ class LieAlgebraData:
         """[basis_a, basis_b] as a sparse dict over basis indices."""
         return self.struct.get((a, b), {})
 
-    def bracket_vec(self, a, vec):
-        """[basis_a, v] for a sparse coordinate vector v."""
-        out = {}
-        for b, c in vec.items():
-            addmul(out, self.bracket(a, b), c)
-        return out
-
     # ------------------------------------------------------------------
     # invariant form
 
@@ -256,10 +248,6 @@ def chevalley_data(rs):
     if key not in _CACHE:
         _CACHE[key] = LieAlgebraData(rs)
     return _CACHE[key]
-
-
-def lie_algebra(type_label, rank):
-    return chevalley_data(build_root_system(type_label, rank))
 
 
 def lie_to_json_dict(lie, reps=()):

@@ -173,9 +173,6 @@ class RootSystem:
         """<beta, alpha_i^vee> for a coefficient vector beta."""
         return sum(beta[j] * self.cartan[i][j] for j in range(self.rank))
 
-    def marks(self):
-        return self.highest_root
-
     def dual_coxeter(self):
         """1 + sum of comarks; the comark of alpha_i rescales the mark by
         (a_i,a_i)/(theta,theta)."""

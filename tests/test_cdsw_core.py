@@ -87,8 +87,9 @@ def test_rho_image_cross_check(ws_sl2, ws_sl3):
                  (YY, Y.matmul(Y), (0, 2))]
         for fam, mat, (p, q) in pairs:
             sub = ideal_component(ws, (fam,), p, q)
-            for row in mat.entries:
-                for e in row:
+            for i in range(mat.size):
+                for j in range(mat.size):
+                    e = mat.entry(i, j)
                     if not e.is_zero():
                         assert sub.contains(e)
 

@@ -188,20 +188,16 @@ def test_oddmatrix_matmul_associative():
     alg = GrassmannAlgebra(3)
     rng = random.Random(5)
     for size in (2, 3):
-        mats = []
-        for _ in range(3):
-            m = OddMatrix.zero(alg, size)
-            for i in range(size):
-                for j in range(size):
-                    m.entries[i][j] = random_element(alg, rng, nterms=2,
-                                                     maxdeg=1)
-            mats.append(m)
-        a, b, c = mats
+        a, b, c = (OddMatrix(alg, [[random_element(alg, rng, nterms=2,
+                                                   maxdeg=1)
+                                    for _ in range(size)]
+                                   for _ in range(size)])
+                   for _ in range(3))
         lhs = a.matmul(b).matmul(c)
         rhs = a.matmul(b.matmul(c))
         for i in range(size):
             for j in range(size):
-                assert lhs.entries[i][j] == rhs.entries[i][j]
+                assert lhs.entry(i, j) == rhs.entry(i, j)
 
 
 def test_oddmatrix_trace_cyclicity_graded():
@@ -212,16 +208,15 @@ def test_oddmatrix_trace_cyclicity_graded():
     for pa in (0, 1):
         for pb in (0, 1):
             for _ in range(10):
+                def rand_entry(par):
+                    p, q = rng.choice(comps[par])
+                    masks = alg.component_masks(p, q)
+                    return ExtElement(alg, {rng.choice(masks):
+                                            Fraction(rng.randint(-3, 3) or 1)})
+
                 def rand_mat(par):
-                    m = OddMatrix.zero(alg, 2)
-                    for i in range(2):
-                        for j in range(2):
-                            p, q = rng.choice(comps[par])
-                            masks = alg.component_masks(p, q)
-                            m.entries[i][j] = ExtElement(
-                                alg, {rng.choice(masks):
-                                      Fraction(rng.randint(-3, 3) or 1)})
-                    return m
+                    return OddMatrix(alg, [[rand_entry(par) for _ in range(2)]
+                                           for _ in range(2)])
                 A, B = rand_mat(pa), rand_mat(pb)
                 sign = -1 if pa * pb else 1
                 assert A.matmul(B).trace() == B.matmul(A).trace().scale(sign)
@@ -241,6 +236,16 @@ def _matrix_pairs(draw):
             for _ in range(2)]
 
 
+def _model_entry(a, b, i, j):
+    """Entry (i, j) of the product a . b by the model, over Fractions."""
+    want = {}
+    for k in range(a.size):
+        for key, c in _model_mul(_to_model(a.entry(i, k)),
+                                 _to_model(b.entry(k, j))).items():
+            want[key] = want.get(key, 0) + c
+    return {key: c for key, c in want.items() if c}
+
+
 @settings(max_examples=80, deadline=None)
 @given(_matrix_pairs())
 def test_matmul_entries_match_model(pair):
@@ -248,19 +253,59 @@ def test_matmul_entries_match_model(pair):
     prod = a.matmul(b)
     for i in range(a.size):
         for j in range(a.size):
-            want = {}
-            for k in range(a.size):
-                for key, c in _model_mul(_to_model(a.entries[i][k]),
-                                         _to_model(b.entries[k][j])).items():
-                    want[key] = want.get(key, 0) + c
-            assert _to_model(prod.entries[i][j]) == \
-                {key: c for key, c in want.items() if c}
+            assert _to_model(prod.entry(i, j)) == _model_entry(a, b, i, j)
+
+
+# entries with denominators 1..6, so each matrix has its own shared
+# denominator and the int numerators must be rescaled to meet
+_RATIONAL_ENTRIES = st.dictionaries(
+    st.integers(0, (1 << (2 * _ALG3.n + 2)) - 1),
+    st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 6)),
+    max_size=3)
+
+
+@st.composite
+def _rational_matrices(draw):
+    size = draw(st.integers(1, 3))
+    rows = [[[ExtElement(_ALG3, draw(_RATIONAL_ENTRIES))
+              for _ in range(size)] for _ in range(size)] for _ in range(2)]
+    return rows, ExtElement(_ALG3, draw(_RATIONAL_ENTRIES))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rational_matrices())
+def test_integer_entries_match_fraction_arithmetic(case):
+    """Int numerators over a shared denominator against the same products,
+    sums and scalings taken entry by entry over Fractions."""
+    (rows_a, rows_b), elem = case
+    a, b = OddMatrix(_ALG3, rows_a), OddMatrix(_ALG3, rows_b)
+    # a seventh of b has a denominator no entry drawn above shares
+    b7 = OddMatrix(_ALG3, [[e.scale(Fraction(1, 7)) for e in row]
+                           for row in rows_b])
+    prod, total, total7 = a.matmul(b), a + b, a + b7
+    left = a.scale_left(elem)
+    for i in range(a.size):
+        for j in range(a.size):
+            assert a.entry(i, j) == rows_a[i][j]
+            assert all(type(c) is int for c in prod.entries[i][j].values())
+            assert _to_model(prod.entry(i, j)) == _model_entry(a, b, i, j)
+            assert total.entry(i, j) == rows_a[i][j] + rows_b[i][j]
+            assert total7.entry(i, j) == \
+                rows_a[i][j] + rows_b[i][j].scale(Fraction(1, 7))
+            assert left.entry(i, j) == elem.wedge(rows_a[i][j])
+    assert a.trace_product(b) == prod.trace()
+    assert b.trace_product(a) == b.matmul(a).trace()
 
 
 def test_size_mismatch():
     alg = GrassmannAlgebra(2)
     with pytest.raises(SizeMismatch):
         OddMatrix.identity(alg, 2).matmul(OddMatrix.identity(alg, 3))
+    # zip would silently drop the extra row or column
+    with pytest.raises(SizeMismatch):
+        OddMatrix.identity(alg, 2).trace_product(OddMatrix.identity(alg, 3))
+    with pytest.raises(SizeMismatch):
+        OddMatrix.identity(alg, 3) + OddMatrix.identity(alg, 2)
 
 
 def test_merge_sign_matches_model():

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from chiralring.abideals import enumerate_abelian_ideals, poincare_series
 from chiralring.exactla import FieldMode
 from chiralring.exterior import OddMatrix
+from chiralring.rootsystem import build_root_system, chevalley_data
+from chiralring.cdsw import Workspace
 from chiralring.cdsw.core import ideal_weight_zero, XX, YY
 from chiralring.cdsw.hats import (hat_trace, hat_generators, hat_monomials,
                                   trace_z_power, d_trace, check_prop_hat,
@@ -68,14 +71,21 @@ def test_trace_z_square_not_literally_zero(ws_sl2, ws_sl3):
         assert sub.contains(fz)
 
 
+def _z_powers_by_products(ws, top):
+    """Reference [z^0, ..., z^top], every power a full product."""
+    X, Y = ws.xy_matrices()
+    z = z_matrix(X, Y)
+    pows = [OddMatrix.identity(ws.alg, X.size)]
+    for _ in range(top):
+        pows.append(pows[-1].matmul(z))
+    return pows
+
+
 def _d_trace_by_products(ws, k):
     """Reference dF applied to X and to Y: sum_{i+j=k-1} Tr(z^i A z^j),
     every product taken."""
     X, Y = ws.xy_matrices()
-    z = z_matrix(X, Y)
-    pows = [OddMatrix.identity(ws.alg, X.size)]
-    for _ in range(k - 1):
-        pows.append(pows[-1].matmul(z))
+    pows = _z_powers_by_products(ws, k - 1)
     out = {}
     for arg, A in (("X", X), ("Y", Y)):
         total = ws.alg.zero()
@@ -85,11 +95,59 @@ def _d_trace_by_products(ws, k):
     return out
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+def _hat_trace_by_products(ws, k):
+    """Reference hat of Tr_V(w^k): k * sum_{i+j=k-2} Tr(z^i X z^j Y), every
+    product taken and each trace read from the full last product."""
+    X, Y = ws.xy_matrices()
+    pows = _z_powers_by_products(ws, k - 2)
+    total = ws.alg.zero()
+    for i in range(k - 1):
+        prod = pows[i].matmul(X).matmul(pows[k - 2 - i]).matmul(Y)
+        total = total + prod.trace()
+    return total.scale(k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_d_trace_matches_sum_of_products(ws_sl3, ws_so5, k):
-    for ws in (ws_sl3, ws_so5):
+    for ws in (ws_sl3, ws_so5) if k <= 4 else (ws_sl3,):
         for arg, expected in _d_trace_by_products(ws, k).items():
             assert d_trace(ws, k, arg) == expected, (arg, k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_traces_match_full_products(ws_sl3, ws_so5, k):
+    """Tr(z^k) from half powers and hat from trace-only products against
+    the full z^k and the product-by-product hat (B2 up to k = 3)."""
+    for ws in (ws_sl3, ws_so5) if k <= 3 else (ws_sl3,):
+        assert trace_z_power(ws, k) == \
+            _z_powers_by_products(ws, k)[k].trace(), k
+        assert hat_trace(ws, k).value == _hat_trace_by_products(ws, k), k
+
+
+def test_degree_k_traces_build_powers_up_to_half_k(sl3):
+    ws = Workspace(sl3)
+    for k in (2, 3, 4, 5, 6):
+        trace_z_power(ws, k)
+        hat_trace(ws, k)
+        d_trace(ws, k, "X")
+        # z^0 .. z^ceil(k/2)
+        assert len(ws.z_powers) == (k + 1) // 2 + 1, k
+
+
+def _digest(elem):
+    """[term count, digest of the exact terms], as the benchmark's
+    workloads pin elements."""
+    text = ";".join("%d:%s" % (m, c) for m, c in sorted(elem.terms.items()))
+    return [len(elem.terms), hashlib.sha256(text.encode()).hexdigest()[:16]]
+
+
+def test_g2_degree_four_traces_pinned():
+    """G2 in its 7-dimensional representation, which no other test
+    expands; the pinned answers are those of the product-by-product
+    formulas."""
+    ws = Workspace(chevalley_data(build_root_system("G", 2)))
+    assert _digest(hat_trace(ws, 4).value) == [3260, "1cbc043add5402ff"]
+    assert _digest(d_trace(ws, 4, "X")) == [6044, "674923ff6d27484d"]
 
 
 def test_d_trace_in_ideal_not_zero(ws_sl3):
