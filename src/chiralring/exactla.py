@@ -1,18 +1,45 @@
-"""Exact linear algebra over Q, with an optional probabilistic prime-field
-mode, on sparse coordinate vectors.
+"""Exact linear algebra over Q on sparse coordinate vectors, computed over a
+prime and certified over Q, with a probabilistic two-prime mode.
 
 Vectors are dicts {column index: coefficient}.  Every sum goes through one
 in-place kernel per field, `addmul(dst, src, c)` over Q and
 `addmul_mod(dst, src, c, p)` over GF(p): dst += c * src, dropping entries
-that cancel.  The workhorse is a reduced row echelon form maintained
-incrementally; the RREF of a row space is unique, so ranks and membership
-answers do not depend on input order.  Prime-field mode runs the same
-elimination modulo >= 2 random primes > 2**30 and reports only when all
-primes agree.
+that cancel.
+
+All elimination runs over GF(p), in semi-echelon form (`Echelon`): a row
+keeps only its entries right of its pivot and is not cleared above pivots
+found after it; a reduction walks the pivots in increasing order (fill-in
+can bring in new ones), and the back-substitution to the reduced row
+echelon form (RREF) runs once, in decreasing pivot order, when the RREF is
+read.  An input row is first scaled to integers (its span does not
+change), so no prime ever has to invert a denominator.
+
+Exact mode (`Echelon()`, and so `Subspace` in `FieldMode.exact()` and
+`kernel_basis`) eliminates over the first prime of `exact_primes()`, lifts
+each RREF entry to Q by rational reconstruction and certifies the lift R in
+cleared-denominator integers: every row inserted since the last
+certificate, and every row of the previous R, must equal
+sum over pivots of row[piv] * R_piv.  That puts the span of the rows inside
+the span of R, and the rank over Q is at least the rank mod p, so R is the
+canonical RREF over Q.  When reconstruction or the check fails (an entry
+beyond the one-prime bound of about 2**15, or a prime that drops the
+rank), the rows are eliminated over the next prime and the residues of
+primes with the same pivots are combined by the Chinese remainder theorem,
+until the check passes.  Rank, `Subspace.insert_all` growth, membership,
+`basis_rows` and kernel vectors are read from a certified R only; the RREF
+of a row space is unique, so none of them depends on input order or on the
+primes used.
+
+Prime-field mode (`FieldMode.modular`) runs the same elimination modulo
+>= 2 random primes > 2**30, compares rank growth and membership across the
+primes at every step, and its answers are reported as probabilistic.
 """
 
+import copy
 from fractions import Fraction
-from functools import partial
+from heapq import heapify, heappop, heappush
+from itertools import islice
+from math import gcd, isqrt
 import random
 
 
@@ -83,18 +110,6 @@ def addmul_mod(dst, src, c, p):
     return dst
 
 
-def _mod_coercion(p):
-    """Map a rational (Fraction or int) to its residue in GF(p)."""
-    def coerce(v):
-        if isinstance(v, Fraction):
-            den = v.denominator % p
-            if den == 0:
-                raise ModularDisagreement("prime %d divides a denominator" % p)
-            return v.numerator % p * pow(den, p - 2, p) % p
-        return v % p
-    return coerce
-
-
 def random_prime(rng, lo=1 << 30):
     while True:
         c = rng.randrange(lo, lo << 1) | 1
@@ -102,8 +117,103 @@ def random_prime(rng, lo=1 << 30):
             return c
 
 
+def exact_primes():
+    """The primes exact mode eliminates over, in the order it takes them:
+    the primes below 2**31, largest first."""
+    p = 1 << 31
+    while True:
+        p -= 1
+        if _is_prime(p):
+            yield p
+
+
+def rational_reconstruction(a, m):
+    """(n, d) with n = a*d mod m, |n| and 0 < d both at most sqrt(m/2), or
+    None when no such fraction exists (Wang's half extended Euclid); the
+    fraction is unique when it exists."""
+    bound = isqrt(m // 2)
+    r0, r1, s0, s1 = m, a % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if s1 < 0:
+        r1, s1 = -r1, -s1
+    if s1 > bound or gcd(r1, s1) != 1:
+        return None
+    return r1, s1
+
+
+def _cleared(vec):
+    """vec times the lcm of its denominators: an int dict without zero
+    entries, spanning the same line."""
+    den = 1
+    for v in vec.values():
+        d = v.denominator
+        if den % d:
+            den = den // gcd(den, d) * d
+    if den == 1:
+        return {j: v.numerator for j, v in vec.items() if v}
+    return {j: v.numerator * (den // v.denominator)
+            for j, v in vec.items() if v}
+
+
+def _in_span(u, rref, den):
+    """Whether the int row u equals the sum over pivots of u[piv] * R_piv,
+    where R_piv = e_piv + rref[piv] / den (rref holds the non-pivot
+    entries times den): membership of u in the span of R."""
+    acc, rest = {}, {}
+    for j, c in u.items():
+        row = rref.get(j)
+        if row is None:
+            rest[j] = c
+        else:
+            addmul(acc, row, c)
+    addmul(acc, rest, -den)
+    return not acc
+
+
+def _lift(table, m):
+    """The RREF residues mod m of table, reconstructed in Q as int rows
+    over one common denominator: (rows, den), or None when an entry has
+    no reconstruction."""
+    fractions, cache, den = {}, {}, 1
+    for piv, row in table.items():
+        out = {}
+        for j, a in row.items():
+            nd = cache.get(a)
+            if nd is None:
+                nd = cache[a] = rational_reconstruction(a, m)
+                if nd is None:
+                    return None
+            out[j] = nd
+            if den % nd[1]:
+                den = den // gcd(den, nd[1]) * nd[1]
+        fractions[piv] = out
+    return {piv: {j: n * (den // d) for j, (n, d) in row.items()}
+            for piv, row in fractions.items()}, den
+
+
+def _crt(table, m, rows, p):
+    """Residues mod m*p of the entries that are table mod m and rows mod p
+    (same pivots)."""
+    inv = pow(m, -1, p)
+    out = {}
+    for piv, row in table.items():
+        new = rows[piv]
+        out[piv] = {j: a + m * ((new.get(j, 0) - a) * inv % p)
+                    for j, a in {**dict.fromkeys(new, 0), **row}.items()}
+    return out
+
+
+def _pivot_key(rows):
+    """Orders RREFs of one row space over different primes: a lucky prime
+    has the highest rank and, at equal rank, the earliest pivots."""
+    return len(rows), [-piv for piv in sorted(rows)]
+
+
 class FieldMode:
-    """exact-rational arithmetic, or reduction modulo a list of primes."""
+    """Certified exact arithmetic, or reduction modulo a list of primes."""
 
     def __init__(self, primes=()):
         self.primes = tuple(primes)
@@ -135,106 +245,177 @@ class FieldMode:
 
 
 class Echelon:
-    """Incremental reduced row echelon form.  p=None works over Q with
-    Fractions; otherwise all coefficients live in GF(p).
+    """Incremental semi-echelon form over GF(p).  p=None is exact mode: the
+    prime comes from exact_primes(), and rank, contains and basis_rows are
+    answered from the certified RREF over Q.
 
-    rows maps each pivot column to the row's non-pivot entries; the pivot
-    coefficient is an implicit 1, which basis_rows() puts back.
+    rows maps each pivot column to the residues of the row's entries right
+    of its pivot; the pivot coefficient is an implicit 1, which
+    basis_rows() puts back.  A row is cleared above the pivots found after
+    it only when the RREF is read.
     """
 
     def __init__(self, p=None):
-        self.p = p
-        self.rows = {}  # pivot column -> non-pivot entries of its row
-        if p is None:
-            self._addmul = addmul
-            self._inv = lambda c: Fraction(1) / c
-            self._coerce = lambda v: v
-        else:
-            self._addmul = partial(addmul_mod, p=p)
-            self._inv = lambda c: pow(c, p - 2, p)
-            self._coerce = _mod_coercion(p)
+        self.exact = p is None
+        self._tries = 0  # primes of exact_primes() given up so far
+        self.p = next(exact_primes()) if self.exact else p
+        self.rows = {}  # pivot column -> residues right of the pivot
+        self._reduced = True  # rows are the RREF mod p
+        # exact mode: the int rows inserted since the certified RREF, and
+        # that RREF as non-pivot entries times a common denominator
+        self._batch = []
+        self._rref, self._den = {}, 1
 
     @property
     def rank(self):
+        if self.exact:
+            self._certify()
+            return len(self._rref)
         return len(self.rows)
 
-    def pivots(self):
-        return sorted(self.rows)
+    def _reduce(self, u):
+        """Residue mod p of the int row u against the rows, walking pivots
+        in increasing order; it has no entry in a pivot column."""
+        p, rows = self.p, self.rows
+        # entries are summed as plain ints and taken mod p only where a
+        # pivot is cleared and at the end, so a column never leaves the row
+        # and is queued at most once
+        row = dict(u)
+        get = row.get
+        heap = [j for j in row if j in rows]
+        heapify(heap)
+        while heap:
+            piv = heappop(heap)
+            c = row.pop(piv) % p
+            if not c:
+                continue
+            c = p - c
+            for j, v in rows[piv].items():
+                s = get(j)
+                if s is None:
+                    row[j] = c * v
+                    if j in rows:
+                        heappush(heap, j)
+                else:
+                    row[j] = s + c * v
+        return {j: v for j, v in ((j, v % p) for j, v in row.items()) if v}
 
-    def _normalize(self, row, piv):
-        """The row scaled to pivot coefficient 1, with the pivot dropped."""
-        inv = self._inv(row.pop(piv))
-        return self._addmul({}, row, inv)
+    def _adjoin(self, row):
+        """Adjoin a reduced residue as a new row if nonzero."""
+        if not row:
+            return False
+        p = self.p
+        piv = min(row)
+        inv = pow(row.pop(piv), -1, p)
+        self.rows[piv] = {j: v * inv % p for j, v in row.items()}
+        self._reduced = False
+        return True
 
     def reduce(self, vec):
-        """Residue of vec against the echelon rows (vec unchanged)."""
-        coerce = self._coerce
-        row = {}
-        for j, v in vec.items():
-            v = coerce(v)
-            if v:
-                row[j] = v
-        # a base row has entries only in non-pivot columns right of its
-        # pivot, so one pass in increasing column order clears every pivot
-        for piv in sorted(row):
-            base = self.rows.get(piv)
-            if base is None or piv not in row:
-                continue
-            self._addmul(row, base, -row.pop(piv))
-        return row
+        """Residue of vec mod p against the rows (vec unchanged)."""
+        return self._reduce(_cleared(vec))
 
     def insert(self, vec):
         """Reduce vec and adjoin the residue if nonzero.  Returns True when
-        the rank grew."""
-        row = self.reduce(vec)
-        if not row:
-            return False
-        piv = min(row)
-        row = self._normalize(row, piv)
-        # back-substitute into existing rows to stay fully reduced
-        for base in self.rows.values():
-            c = base.pop(piv, None)
-            if c:
-                self._addmul(base, row, -c)
-        self.rows[piv] = row
-        return True
+        the rank over GF(p) grew; in exact mode the rank over Q is read
+        from `rank`, which certifies it."""
+        u = _cleared(vec)
+        if self.exact:
+            self._batch.append(u)
+        return self._adjoin(self._reduce(u))
+
+    def _back_substitute(self):
+        """Clear each row above the pivots right of it, in decreasing pivot
+        order, so those rows are already cleared: rows becomes the RREF."""
+        if self._reduced:
+            return
+        rows, p = self.rows, self.p
+        for piv in sorted(rows, reverse=True):
+            row = rows[piv]
+            for j in [j for j in row if j in rows]:
+                addmul_mod(row, rows[j], p - row.pop(j), p)
+        self._reduced = True
+
+    def _certify(self):
+        """Lift the RREF mod p to Q and check it against the batch and the
+        previous certified RREF; until the check passes, eliminate the same
+        rows over the next prime and combine residues by CRT."""
+        if not self._batch:
+            return
+        den = self._den
+        batch = self._batch + [{piv: den, **row}
+                               for piv, row in self._rref.items()]
+        table, m = None, 1
+        while True:
+            self._back_substitute()
+            rows, p = self.rows, self.p
+            if table is None or _pivot_key(rows) > _pivot_key(table):
+                table, m = rows, p
+            elif rows.keys() == table.keys():
+                table, m = _crt(table, m, rows, p), m * p
+            lifted = _lift(table, m)
+            if lifted is not None and all(_in_span(u, *lifted)
+                                          for u in batch):
+                break
+            self._tries += 1
+            self.p = next(islice(exact_primes(), self._tries, None))
+            self.rows = {}
+            for u in batch:
+                self._adjoin(self._reduce(u))
+        self._rref, self._den = lifted
+        self._batch = []
 
     def contains(self, vec):
+        if self.exact:
+            self._certify()
+            return _in_span(_cleared(vec), self._rref, self._den)
         return not self.reduce(vec)
 
     def basis_rows(self):
-        """The RREF rows in pivot order, pivot coefficient included."""
-        one = self._coerce(Fraction(1))
-        return [{piv: one, **self.rows[piv]} for piv in sorted(self.rows)]
+        """The RREF rows in pivot order, pivot coefficient included: exact
+        Fractions in exact mode, residues mod p otherwise."""
+        if self.exact:
+            self._certify()
+            den = self._den
+            return [{piv: Fraction(1),
+                     **{j: Fraction(v, den) for j, v in row.items()}}
+                    for piv, row in sorted(self._rref.items())]
+        self._back_substitute()
+        return [{piv: 1, **self.rows[piv]} for piv in sorted(self.rows)]
+
+    def copy(self):
+        # batch rows and certified rows are never changed in place
+        dup = copy.copy(self)
+        dup.rows = {piv: dict(row) for piv, row in self.rows.items()}
+        dup._batch = list(self._batch)
+        return dup
 
 
 def kernel_basis(rows, ncols):
     """Nullspace basis of the linear system given by equation rows (each a
-    dict over column indices 0..ncols-1).  Exact; returns canonical basis
-    vectors as dicts, one per free column."""
+    dict over column indices 0..ncols-1), read from the certified RREF;
+    returns the canonical basis vectors as dicts, one per free column."""
     ech = Echelon()
     for r in rows:
         ech.insert(r)
-    pivset = set(ech.rows)
-    basis = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
-        vec = {free: Fraction(1)}
-        for piv, row in ech.rows.items():
-            c = row.get(free)
-            if c:
-                vec[piv] = -c
-        basis.append(vec)
-    return basis
+    rref = ech.basis_rows()
+    pivots = {min(row) for row in rref}
+    basis = {free: {free: Fraction(1)} for free in range(ncols)
+             if free not in pivots}
+    for row in rref:
+        piv = min(row)
+        for j, c in row.items():
+            if j != piv:
+                basis[j][piv] = -c
+    return list(basis.values())
 
 
 class Subspace:
     """Echelonized span inside one bigraded component.
 
     columns: tuple of monomial masks fixing the coordinatization (canonical
-    order).  In exact mode a single Echelon is kept; in prime-field mode one
-    per prime, and answers carry a probabilistic flag.
+    order).  In exact mode a single certified Echelon is kept; in
+    prime-field mode one per prime, and answers carry a probabilistic flag.
     """
 
     def __init__(self, columns, mode=None, bidegree=None):
@@ -275,15 +456,19 @@ class Subspace:
         return vec
 
     def insert(self, elem):
+        """Adjoin elem to the span; the rank growth is read from rank or
+        insert_all.  Prime-field mode raises ModularDisagreement when the
+        primes disagree on whether it grew."""
         vec = self.coordinates(elem)
-        grew = [e.insert(vec) for e in self.echelons]
-        if len(set(grew)) != 1:
+        if len({e.insert(vec) for e in self.echelons}) != 1:
             raise ModularDisagreement("rank growth differs between primes")
-        return grew[0]
 
     def insert_all(self, elems):
         """Insert each element in turn; returns how much the rank grew."""
-        return sum(1 for el in elems if self.insert(el))
+        before = self.rank
+        for el in elems:
+            self.insert(el)
+        return self.rank - before
 
     def contains(self, elem):
         """Membership of elem in the span.  Exact mode: exact.  Prime-field
@@ -296,8 +481,7 @@ class Subspace:
 
     def copy(self):
         dup = Subspace(self.columns, self.mode, self.bidegree)
-        for e_src, e_dst in zip(self.echelons, dup.echelons):
-            e_dst.rows = {p: dict(r) for p, r in e_src.rows.items()}
+        dup.echelons = [e.copy() for e in self.echelons]
         return dup
 
 

@@ -9,7 +9,7 @@ pick root vectors as solutions of eigenvalue equations.
 
 from fractions import Fraction
 
-from ..exactla import Echelon, kernel_basis
+from ..exactla import addmul, kernel_basis
 
 # basis order: u, v1, v2, v3, w1, w2, w3, u'
 _U, _V1, _V2, _V3, _W1, _W2, _W3, _UP = range(8)
@@ -75,8 +75,7 @@ def derivation_equations(mult):
 
                 def add(r, c, val):
                     if val:
-                        k = 8 * r + c
-                        eq[k] = eq.get(k, 0) + val
+                        addmul(eq, {8 * r + c: val})
 
                 # D(b_i b_j)_l = sum_k prod_k D[l][k]
                 for k in range(8):
@@ -150,13 +149,11 @@ class SplitG2Seeds:
         ders = derivation_basis()
         # Cartan: derivations diagonal on the octonion basis.  Solve inside
         # the derivation span.
-        ech = Echelon()
         dercoords = []
         for m in ders:
             vec = {8 * r + c: m[r][c] for r in range(8) for c in range(8)
                    if m[r][c]}
             dercoords.append(vec)
-            ech.insert(vec)
         # unknowns: coefficients t_1..t_14 with sum t_k D_k diagonal
         eqs = []
         for r in range(8):

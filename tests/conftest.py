@@ -1,11 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from chiralring.rootsystem import build_root_system, chevalley_data
 from chiralring.cdsw import Workspace
-from chiralring.exactla import Echelon
+from chiralring.exactla import addmul
 from chiralring.exterior import ExtElement
+
+# Property tests draw the same examples on every run, and none is failed for
+# its time: the suite runs on small shared hosts.
+settings.register_profile("chiralring", derandomize=True, deadline=None)
+settings.load_profile("chiralring")
 
 
 @pytest.fixture(scope="session")
@@ -83,6 +89,55 @@ def dense_rref(rows, ncols):
     return m[:len(pivots)], pivots
 
 
+class FractionRREF:
+    """Incremental reduced row echelon form over Q in Fractions, kept fully
+    reduced after every insert: the reference that certified exact mode is
+    tested against.  rows maps each pivot column to the row's non-pivot
+    entries; the pivot coefficient is an implicit 1."""
+
+    def __init__(self):
+        self.rows = {}
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def reduce(self, vec):
+        """Residue of vec against the rows (vec unchanged)."""
+        row = {j: v for j, v in vec.items() if v}
+        # a base row has entries only in non-pivot columns right of its
+        # pivot, so one pass in increasing column order clears every pivot
+        for piv in sorted(row):
+            base = self.rows.get(piv)
+            if base is None or piv not in row:
+                continue
+            addmul(row, base, -row.pop(piv))
+        return row
+
+    def insert(self, vec):
+        """Reduce vec and adjoin the residue if nonzero, back-substituting
+        it into the existing rows.  Returns True when the rank grew."""
+        row = self.reduce(vec)
+        if not row:
+            return False
+        piv = min(row)
+        row = addmul({}, row, Fraction(1) / row.pop(piv))
+        for base in self.rows.values():
+            c = base.pop(piv, None)
+            if c:
+                addmul(base, row, -c)
+        self.rows[piv] = row
+        return True
+
+    def contains(self, vec):
+        return not self.reduce(vec)
+
+    def basis_rows(self):
+        """The RREF rows in pivot order, pivot coefficient included."""
+        return [{piv: Fraction(1), **self.rows[piv]}
+                for piv in sorted(self.rows)]
+
+
 def casimir_matrix(action, masks):
     """Matrix of the Casimir on the span of the given monomials (which must
     be Casimir-stable, e.g. a full component or a weight slice)."""
@@ -105,7 +160,7 @@ def minimal_polynomial(apply_op, basis_vectors, ncols):
     lcm_poly = [Fraction(1)]
     for start in basis_vectors:
         # polynomial annihilating the cyclic subspace of `start`
-        ech = Echelon()
+        ech = FractionRREF()
         krylov = []
         vec = dict(start)
         while True:
@@ -133,7 +188,7 @@ def minimal_polynomial(apply_op, basis_vectors, ncols):
 def _solve(eqs_by_row, rhs, ncols):
     """Solve an exactly-solvable system: rows are eqs_by_row[i] (dicts over
     0..ncols-1), target rhs[i]."""
-    ech = Echelon()
+    ech = FractionRREF()
     aug_col = ncols
     for i, row in eqs_by_row.items():
         vec = dict(row)

@@ -2,13 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chiralring.exterior import GrassmannAlgebra
-from chiralring.exactla import (Echelon, FieldMode, span,
+from chiralring import exactla
+from chiralring.exterior import ExtElement, GrassmannAlgebra
+from chiralring.exactla import (Echelon, FieldMode, Subspace, span,
                                 kernel_basis, guard_component,
                                 ComponentTooLarge, InhomogeneousInput,
-                                WrongComponent, random_prime, _is_prime)
-from conftest import dense_rref, minimal_polynomial
+                                WrongComponent, random_prime, _is_prime,
+                                exact_primes, rational_reconstruction)
+from conftest import FractionRREF, dense_rref, minimal_polynomial
 
 
 def _random_rows(rng, nrows, ncols, density=0.4):
@@ -30,7 +33,7 @@ def test_rref_matches_dense_oracle():
             ech.insert({j: v for j, v in enumerate(r) if v})
         dense, pivots = dense_rref(rows, ncols)
         assert ech.rank == len(pivots)
-        assert ech.pivots() == pivots
+        assert [min(row) for row in ech.basis_rows()] == pivots
         # row content identical (canonical RREF is unique)
         assert ech.basis_rows() == [
             {j: v for j, v in enumerate(dense_row) if v}
@@ -73,7 +76,7 @@ def test_rank_independent_of_order():
         ech = Echelon()
         for r in rows:
             ech.insert({j: v for j, v in enumerate(r) if v})
-        canon = {p: dict(row) for p, row in ech.rows.items()}
+        canon = ech.basis_rows()
         if base is None:
             base = canon
         assert canon == base
@@ -235,3 +238,145 @@ def test_random_prime():
     rng = random.Random(99)
     p = random_prime(rng)
     assert p > 2 ** 30 and _is_prime(p)
+
+
+def test_rational_reconstruction():
+    m = 2 ** 31 - 1
+    for n, d in ((0, 1), (5, 1), (-1, 1), (1449, 54), (-32767, 32765)):
+        f = Fraction(n, d)
+        a = f.numerator * pow(f.denominator, -1, m) % m
+        assert rational_reconstruction(a, m) == (f.numerator, f.denominator)
+    # beyond the bound sqrt(m/2) no fraction is returned, or a wrong one
+    # that the certificate rejects
+    big = Fraction(10 ** 6, 7)
+    a = big.numerator * pow(big.denominator, -1, m) % m
+    assert rational_reconstruction(a, m) != (10 ** 6, 7)
+
+
+def _primes_below(n):
+    """A stand-in for exact_primes() whose sequence starts below n."""
+    def primes():
+        p = n
+        while True:
+            p -= 1
+            if _is_prime(p):
+                yield p
+    return primes
+
+
+def _oracle_kernel(rref, ncols):
+    """Canonical kernel basis read off a FractionRREF."""
+    basis = []
+    for free in range(ncols):
+        if free in rref.rows:
+            continue
+        vec = {free: Fraction(1)}
+        for piv, row in rref.rows.items():
+            if row.get(free):
+                vec[piv] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+FIRST_PRIME = next(exact_primes())
+
+
+@pytest.mark.parametrize("rows, why", [
+    ([{0: 1, 1: 1}, {0: 1, 1: 1 + FIRST_PRIME}],
+     "dependent mod the first prime only"),
+    ([{0: Fraction(1, FIRST_PRIME), 1: 1}, {0: 1}],
+     "a denominator divisible by the first prime"),
+    ([{0: 1, 1: Fraction(10 ** 6, 7)}, {1: 1, 2: Fraction(-3, 10 ** 5)}],
+     "RREF entries beyond the one-prime bound"),
+])
+def test_exact_mode_takes_next_prime(rows, why):
+    """Each case fails its first certificate; the answer must still be the
+    exact RREF, reached over further primes."""
+    ech = Echelon()
+    for r in rows:
+        ech.insert(r)
+    oracle = FractionRREF()
+    for r in rows:
+        oracle.insert(r)
+    assert ech.basis_rows() == oracle.basis_rows(), why
+    assert ech.rank == oracle.rank
+    assert ech.p != FIRST_PRIME, why
+
+
+def _entries(first):
+    """Rationals with small and large parts, denominators divisible by the
+    first prime, and explicit zeros."""
+    return st.one_of(
+        st.integers(-5, 5).map(Fraction),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+        st.builds(lambda n, k: Fraction(n, first * k),
+                  st.integers(-3, 3), st.integers(1, 2)),
+        st.builds(Fraction, st.integers(32768, 10 ** 12) |
+                  st.integers(-10 ** 12, -32768), st.integers(1, 50)))
+
+
+@st.composite
+def _rational_system(draw, first):
+    """(ncols, rows, split, queries): rows as coordinate dicts, some of
+    them copies of an earlier row that agree with it mod the first prime
+    only; queries mix combinations of rows and free vectors."""
+    ncols = draw(st.integers(1, 6))
+    row = st.dictionaries(st.integers(0, ncols - 1), _entries(first),
+                          max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=7))
+    for _ in range(draw(st.integers(0, 2))):
+        base = draw(st.sampled_from(rows))
+        if base:
+            j = draw(st.sampled_from(sorted(base)))
+            rows.append({**base, j: base[j] * (1 + first)})
+    coeffs = st.lists(st.integers(-3, 3).map(Fraction), min_size=len(rows),
+                      max_size=len(rows))
+    queries = []
+    for cs in draw(st.lists(coeffs, max_size=3)):
+        q = {}
+        for c, r in zip(cs, rows):
+            exactla.addmul(q, r, c)
+        queries.append(q)
+    queries += draw(st.lists(row, max_size=3))
+    split = draw(st.integers(0, len(rows)))
+    return ncols, rows, split, queries
+
+
+_ALG = GrassmannAlgebra(3)
+_COLUMNS = _ALG.component_masks(1, 1)
+
+
+@pytest.mark.parametrize("start", [1 << 31, 1 << 15],
+                         ids=["primes-below-2^31", "primes-below-2^15"])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_certified_exact_mode_matches_fraction_oracle(start, data):
+    """Certified exact mode against the Fraction RREF on random sparse
+    rational rows: RREF, rank, kernel, membership and insert_all growth.
+    Below 2**15 almost every RREF entry needs several primes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactla, "exact_primes", _primes_below(start))
+        first = next(exactla.exact_primes())
+        ncols, rows, split, queries = data.draw(_rational_system(first))
+        oracle = FractionRREF()
+        ech = Echelon()
+        for r in rows:
+            oracle.insert(r)
+            ech.insert(r)
+        assert ech.basis_rows() == oracle.basis_rows()
+        assert ech.rank == oracle.rank
+        assert kernel_basis(rows, ncols) == _oracle_kernel(oracle, ncols)
+        for q in queries + rows:
+            assert ech.contains(q) == oracle.contains(q)
+
+        def elem(vec):
+            return ExtElement(_ALG, {_COLUMNS[j]: c for j, c in vec.items()})
+
+        sub = Subspace(_COLUMNS[:ncols], bidegree=(1, 1))
+        staged = FractionRREF()
+        for batch in (rows[:split], rows[split:]):
+            want = sum(1 for r in batch if staged.insert(r))
+            assert sub.insert_all(elem(r) for r in batch) == want
+            for q in queries:
+                assert sub.contains(elem(q)) == staged.contains(q)
+        assert sub.echelons[0].basis_rows() == oracle.basis_rows()

@@ -297,6 +297,28 @@ def test_integer_entries_match_fraction_arithmetic(case):
     assert b.trace_product(a) == b.matmul(a).trace()
 
 
+@st.composite
+def _homogeneous_elements(draw):
+    """(degree, element): a random element of _ALG3 whose terms all have
+    the same total degree."""
+    degree = draw(st.integers(0, 4))
+    masks = st.lists(st.integers(0, 2 * _ALG3.n + 1), min_size=degree,
+                     max_size=degree, unique=True).map(
+                         lambda bits: sum(1 << b for b in bits))
+    coeffs = st.builds(Fraction, st.integers(-5, 5).filter(bool),
+                       st.integers(1, 4))
+    terms = draw(st.dictionaries(masks, coeffs, max_size=4))
+    return degree, ExtElement(_ALG3, terms)
+
+
+@settings(max_examples=80)
+@given(_homogeneous_elements(), _homogeneous_elements())
+def test_graded_commutativity_random_elements(a, b):
+    """a ^ b = (-1)^(|a||b|) b ^ a on sums of monomials."""
+    (da, a), (db, b) = a, b
+    assert a.wedge(b) == b.wedge(a).scale((-1) ** (da * db))
+
+
 def test_size_mismatch():
     alg = GrassmannAlgebra(2)
     with pytest.raises(SizeMismatch):
