@@ -10,7 +10,8 @@ weight-zero slice of the component.
 
 from fractions import Fraction
 
-from ..exterior import GrassmannAlgebra, ExtElement, OddMatrix, wedge_into
+from ..exterior import (GrassmannAlgebra, ExtElement, OddMatrix,
+                        suffix_parity, wedge_into)
 from ..exactla import Subspace, FieldMode, addmul, guard_component
 from ..liemodule import ActionTable, invariant_basis_elements
 from ..rootsystem.reps import representation, default_trace_label
@@ -129,22 +130,32 @@ class Workspace:
 
 def ideal_rows(ws, families, p, q, weight):
     """Spanning vectors r ^ m of the selected ideal families in the (p,q)
-    component that have the given total weight."""
-    alg = ws.alg
+    component that have the given total weight.  Wedging r with one
+    monomial m sends each term m1 of r to m1 | m or to nothing, one to one,
+    so a row is r's coefficients, signed by `suffix_parity`, on new masks:
+    no term ever collides or cancels."""
+    alg, action = ws.alg, ws.action
     for fam in families:
         dp, dq = _FAMILY_DEGREE[fam]
         rp, rq = p - dp, q - dq
         if rp < 0 or rq < 0:
             continue
+        slices = {}
         for rel in ws.rels.family(fam):
             if rel.is_zero():
                 continue
-            rw = ws.action.mask_weight(next(iter(rel.terms)))
+            rw = action.mask_weight(next(iter(rel.terms)))
             need = tuple(w - r for w, r in zip(weight, rw))
-            for m in ws.action.weight_masks(rp, rq, need):
-                row = rel.wedge(ExtElement(alg, {m: Fraction(1)}))
-                if not row.is_zero():
-                    yield row
+            masks = slices.get(need)
+            if masks is None:
+                masks = slices[need] = action.weight_masks(rp, rq, need)
+            terms = [(m1, suffix_parity(m1), c, -c)
+                     for m1, c in rel.terms.items()]
+            for m in masks:
+                row = {m1 | m: n if (p1 & m).bit_count() & 1 else c
+                       for m1, p1, c, n in terms if not m1 & m}
+                if row:
+                    yield ExtElement(alg, row)
 
 
 def ideal_weight_zero(ws, families, p, q, mode=None, cap=None):

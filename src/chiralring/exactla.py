@@ -25,10 +25,11 @@ canonical RREF over Q.  When reconstruction or the check fails (an entry
 beyond the one-prime bound of about 2**15, or a prime that drops the
 rank), the rows are eliminated over the next prime and the residues of
 primes with the same pivots are combined by the Chinese remainder theorem,
-until the check passes.  Rank, `Subspace.insert_all` growth, membership,
-`basis_rows` and kernel vectors are read from a certified R only; the RREF
-of a row space is unique, so none of them depends on input order or on the
-primes used.
+until the check passes; a certificate that still fails after
+CERTIFICATE_PRIMES primes raises CertificateFailure.  Rank,
+`Subspace.insert_all` growth, membership, `basis_rows` and kernel vectors
+are read from a certified R only; the RREF of a row space is unique, so
+none of them depends on input order or on the primes used.
 
 Prime-field mode (`FieldMode.modular`) runs the same elimination modulo
 >= 2 random primes > 2**30, compares rank growth and membership across the
@@ -59,7 +60,15 @@ class ModularDisagreement(RuntimeError):
     pass
 
 
+class CertificateFailure(RuntimeError):
+    """No prime gave a certified RREF within CERTIFICATE_PRIMES tries."""
+
+
 DEFAULT_MONOMIAL_CAP = 2 * 10 ** 6
+
+# primes one certificate may take before it raises CertificateFailure; a
+# correct elimination needs a few, only a defect exhausts them
+CERTIFICATE_PRIMES = 64
 
 
 def _is_prime(n):
@@ -339,14 +348,21 @@ class Echelon:
     def _certify(self):
         """Lift the RREF mod p to Q and check it against the batch and the
         previous certified RREF; until the check passes, eliminate the same
-        rows over the next prime and combine residues by CRT."""
+        rows over the next prime and combine residues by CRT.  Raises
+        CertificateFailure after CERTIFICATE_PRIMES primes."""
         if not self._batch:
             return
         den = self._den
         batch = self._batch + [{piv: den, **row}
                                for piv, row in self._rref.items()]
         table, m = None, 1
-        while True:
+        for attempt in range(CERTIFICATE_PRIMES):
+            if attempt:
+                self._tries += 1
+                self.p = next(islice(exact_primes(), self._tries, None))
+                self.rows = {}
+                for u in batch:
+                    self._adjoin(self._reduce(u))
             self._back_substitute()
             rows, p = self.rows, self.p
             if table is None or _pivot_key(rows) > _pivot_key(table):
@@ -357,11 +373,9 @@ class Echelon:
             if lifted is not None and all(_in_span(u, *lifted)
                                           for u in batch):
                 break
-            self._tries += 1
-            self.p = next(islice(exact_primes(), self._tries, None))
-            self.rows = {}
-            for u in batch:
-                self._adjoin(self._reduce(u))
+        else:
+            raise CertificateFailure("no certified RREF after %d primes"
+                                     % CERTIFICATE_PRIMES)
         self._rref, self._den = lifted
         self._batch = []
 

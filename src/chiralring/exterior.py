@@ -12,6 +12,13 @@ An OddMatrix holds its entries as int coefficients over one shared
 denominator `den`, so matrix products run on ints; an entry or a trace
 becomes Fractions only when it leaves the matrix.
 
+The product of disjoint monomials m1 ^ m2 is the monomial m1 | m2 times
+(-1)**k, where k counts the pairs of a generator of m1 above a generator
+of m2 (the inversions of the merge).  Bit b of `suffix_parity(m1)` is the
+parity of the bits of m1 above b, so k is odd exactly when
+`(suffix_parity(m1) & m2).bit_count()` is: one mask per left monomial,
+then one `&` and one popcount per pair, at any number of generators.
+
 Sums accumulate in place on terms dicts: `addmul` (from exactla) adds a
 scaled element and `wedge_into(out, t1, t2)` adds a product, so a matrix
 entry or a trace is summed into one dict rather than copied per addend.
@@ -34,17 +41,16 @@ def _bits(mask):
         mask ^= low
 
 
-def merge_sign(m1, m2):
-    """Sign of sorting the concatenation of two disjoint ordered monomials.
-
-    Counts pairs (i in m1, j in m2) with i > j; the merge permutation has
-    that many inversions.
-    """
-    sign = 1
-    for b in _bits(m2):
-        if (m1 >> (b + 1)).bit_count() & 1:
-            sign = -sign
-    return sign
+def suffix_parity(m):
+    """Bit b is the parity of the bits of m above b, so the wedge of m
+    with a disjoint monomial m2 has the sign
+    (-1)**(suffix_parity(m) & m2).bit_count()."""
+    s = m >> 1
+    shift = 1
+    while s >> shift:
+        s ^= s >> shift
+        shift <<= 1
+    return s
 
 
 class GrassmannAlgebra:
@@ -117,11 +123,12 @@ def wedge_into(out, t1, t2):
     """out += t1 ^ t2 on terms dicts, in place; entries that cancel are
     dropped.  Returns out."""
     for m1, c1 in t1.items():
+        p1 = suffix_parity(m1)
         for m2, c2 in t2.items():
             if m1 & m2:
                 continue
             c = c1 * c2
-            if merge_sign(m1, m2) < 0:
+            if (p1 & m2).bit_count() & 1:
                 c = -c
             m = m1 | m2
             s = out.get(m, 0) + c

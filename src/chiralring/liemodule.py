@@ -107,18 +107,16 @@ def invariants(action, p, q, cap=None):
     the weight-zero monomials of the component.
 
     Invariant vectors have weight zero, so the kernel is computed on the
-    weight-zero slice only; the acting operators are the 2*rank simple-root
-    raising and lowering generators, which generate the algebra (Cartan
-    elements act as zero on weight-zero vectors).
+    weight-zero slice only (Cartan elements act as zero there), and the
+    acting operators are the rank simple raising operators e_i alone: a
+    weight-zero vector killed by every e_i is a highest-weight vector of
+    weight 0 in a finite-dimensional module, so it spans a trivial
+    submodule and every f_i kills it too.
     """
     alg, lie = action.alg, action.lie
     guard_component(alg, p, q, cap=cap)
     w0 = action.weight_masks(p, q, action.zero_weight)
-    gens = []
-    for i in range(lie.rank):
-        simple = lie.rs.simple_roots[i]
-        gens.append(lie.e_index(simple))
-        gens.append(lie.f_index(simple))
+    gens = [lie.e_index(simple) for simple in lie.rs.simple_roots]
     # rows of the stacked equation system: one per (generator, image monomial)
     eqs = {}
     for a in gens:

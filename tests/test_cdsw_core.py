@@ -6,8 +6,10 @@ from chiralring.rootsystem import build_root_system, chevalley_data
 from chiralring.cdsw import Workspace
 from chiralring.exactla import (FieldMode, Subspace, ComponentTooLarge,
                                 WrongComponent)
-from chiralring.cdsw.core import (ideal_weight_zero, check_S_power,
-                                  check_part_i, XX, XY, YY, _FAMILY_DEGREE)
+from chiralring.cdsw.core import (ideal_weight_zero, ideal_rows,
+                                  check_S_power, check_part_i, XX, XY, YY,
+                                  _FAMILY_DEGREE)
+from chiralring.exterior import ExtElement
 
 
 def ideal_component(ws, families, p, q):
@@ -24,6 +26,26 @@ def ideal_component(ws, families, p, q):
             for m in alg.component_masks(p - dp, q - dq):
                 sub.insert(rel.wedge(alg.monomial(m)))
     return sub
+
+
+def reference_ideal_rows(ws, families, p, q, weight):
+    """Reference for ideal_rows: every nonzero rel ^ m, built by the wedge,
+    for the monomials m of the weight that completes rel's."""
+    out = []
+    for fam in families:
+        dp, dq = _FAMILY_DEGREE[fam]
+        if p < dp or q < dq:
+            continue
+        for rel in ws.rels.family(fam):
+            if rel.is_zero():
+                continue
+            rw = ws.action.mask_weight(next(iter(rel.terms)))
+            need = tuple(w - r for w, r in zip(weight, rw))
+            for m in ws.action.weight_masks(p - dp, q - dq, need):
+                row = rel.wedge(ExtElement(ws.alg, {m: Fraction(1)}))
+                if not row.is_zero():
+                    out.append(row)
+    return out
 
 
 def swap_membership_invariance(ws, k):
@@ -277,3 +299,24 @@ def test_equivariance_of_ideal_spans(ws_sl2):
             img = ws_sl2.action.act(a, el)
             if not img.is_zero():
                 assert sub.contains(img)
+
+
+@pytest.fixture(scope="module", params=[("A", 2), ("B", 2), ("G", 2)],
+                ids=lambda key: "%s%d" % key)
+def ws_rank2(request):
+    return Workspace(chevalley_data(build_root_system(*request.param)))
+
+
+@pytest.mark.parametrize("p, q", [(2, 2), (3, 3), (2, 1)])
+def test_ideal_rows_match_wedge_reference(ws_rank2, p, q):
+    """ideal_rows against rel ^ m by the wedge, row for row and in order,
+    per family and for all three, at weight zero and at a simple root.
+    (2,1) has no YY row at all."""
+    ws = ws_rank2
+    simple = ws.lie.rs.simple_roots[0]
+    for weight in (ws.action.zero_weight, simple):
+        for families in ((XX,), (XY,), (YY,), (XX, XY, YY)):
+            got = list(ideal_rows(ws, families, p, q, weight))
+            want = reference_ideal_rows(ws, families, p, q, weight)
+            assert [r.terms for r in got] == [r.terms for r in want]
+            assert bool(got) == (families != (YY,) or (p, q) != (2, 1))

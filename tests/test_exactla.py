@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,8 @@ from chiralring.exactla import (Echelon, FieldMode, Subspace, span,
                                 kernel_basis, guard_component,
                                 ComponentTooLarge, InhomogeneousInput,
                                 WrongComponent, random_prime, _is_prime,
-                                exact_primes, rational_reconstruction)
+                                exact_primes, rational_reconstruction,
+                                CertificateFailure, CERTIFICATE_PRIMES)
 from conftest import FractionRREF, dense_rref, minimal_polynomial
 
 
@@ -301,6 +303,17 @@ def test_exact_mode_takes_next_prime(rows, why):
     assert ech.basis_rows() == oracle.basis_rows(), why
     assert ech.rank == oracle.rank
     assert ech.p != FIRST_PRIME, why
+
+
+def test_certificate_gives_up_after_its_primes(monkeypatch):
+    """A certificate that can never pass raises instead of taking primes
+    forever."""
+    monkeypatch.setattr(exactla, "_in_span", lambda u, rref, den: False)
+    ech = Echelon()
+    ech.insert({0: 1, 1: Fraction(2, 3)})
+    with pytest.raises(CertificateFailure):
+        ech.rank
+    assert ech.p == list(islice(exact_primes(), CERTIFICATE_PRIMES))[-1]
 
 
 def _entries(first):

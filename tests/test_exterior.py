@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chiralring.exterior import (GrassmannAlgebra, ExtElement, OddMatrix,
-                                 SizeMismatch, merge_sign, term_key)
+                                 SizeMismatch, suffix_parity, term_key,
+                                 wedge_into)
 from conftest import random_element
 
 
@@ -330,6 +331,11 @@ def test_size_mismatch():
         OddMatrix.identity(alg, 3) + OddMatrix.identity(alg, 2)
 
 
+def _merge_sign(m1, m2):
+    """The sign of m1 ^ m2 as wedge_into reads it."""
+    return -1 if (suffix_parity(m1) & m2).bit_count() & 1 else 1
+
+
 def test_merge_sign_matches_model():
     rng = random.Random(7)
     for _ in range(300):
@@ -339,4 +345,51 @@ def test_merge_sign_matches_model():
         m1 = sum(1 << b for b in bits1)
         m2 = sum(1 << b for b in bits2)
         _, sign = _sort_sign(sorted(bits1) + sorted(bits2))
-        assert merge_sign(m1, m2) == sign
+        assert _merge_sign(m1, m2) == sign
+
+
+# E8: two blocks of 248 generators, then xi and eta
+_E8_GENERATORS = 2 * 248 + 2
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.integers(0, _E8_GENERATORS - 1), st.booleans()),
+                unique_by=lambda t: t[0], max_size=40))
+def test_suffix_parity_sign_on_wide_masks(bits):
+    """Disjoint monomials anywhere in E8's 498 generators: the mask's bits
+    are suffix parities, and the sign is the bubble-sort sign."""
+    bits1 = [b for b, left in bits if left]
+    bits2 = [b for b, left in bits if not left]
+    m1 = sum(1 << b for b in bits1)
+    m2 = sum(1 << b for b in bits2)
+    parity = suffix_parity(m1)
+    assert parity < 1 << max(bits1, default=0)
+    for b in range(_E8_GENERATORS):
+        assert parity >> b & 1 == (m1 >> (b + 1)).bit_count() & 1
+    _, sign = _sort_sign(sorted(bits1) + sorted(bits2))
+    assert _merge_sign(m1, m2) == sign
+
+
+# a few generators below bit 64 and most above, up to E8's last, so that
+# products overlap, collide and cancel
+_WIDE_BITS = (0, 5, 63, 64, 65, 100, 127, 128, 250, 400, 496, 497)
+_WIDE_TERMS = st.dictionaries(
+    st.lists(st.sampled_from(_WIDE_BITS), max_size=4, unique=True).map(
+        lambda bits: sum(1 << b for b in bits)),
+    st.integers(-3, 3).filter(bool).map(Fraction), max_size=4)
+
+
+@settings(max_examples=150)
+@given(_WIDE_TERMS, _WIDE_TERMS, _WIDE_TERMS)
+def test_wedge_into_wide_masks_matches_model(t1, t2, acc):
+    """out += t1 ^ t2 against concatenate-and-sort on generators above 64,
+    accumulated into a dict that may already hold terms."""
+    alg = GrassmannAlgebra(248)
+    out = wedge_into(dict(acc), t1, t2)
+    want = _to_model(ExtElement(alg, acc))
+    for key, c in _model_mul(_to_model(ExtElement(alg, t1)),
+                             _to_model(ExtElement(alg, t2))).items():
+        want[key] = want.get(key, 0) + c
+    assert _to_model(ExtElement(alg, out)) == \
+        {key: c for key, c in want.items() if c}
+    assert all(out.values())

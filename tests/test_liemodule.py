@@ -7,7 +7,7 @@ from chiralring.rootsystem import build_root_system, chevalley_data
 from chiralring.exterior import GrassmannAlgebra, ExtElement
 from chiralring.liemodule import (ActionTable, invariants,
                                   invariant_basis_elements)
-from chiralring.exactla import span, WrongComponent
+from chiralring.exactla import span, kernel_basis, Subspace, WrongComponent
 from conftest import (random_element, casimir_matrix, minimal_polynomial,
                       _poly_divmod)
 
@@ -153,6 +153,31 @@ def test_invariants_verified_and_killed_by_casimir(act_sl3):
             for a in range(act_sl3.lie.dim):
                 assert act_sl3.act(a, v).is_zero()
             assert act_sl3.casimir(v).is_zero()
+
+
+@pytest.mark.parametrize("key", [("B", 2), ("G", 2)])
+def test_invariants_from_raising_operators_match_both_directions(key):
+    """The kernel of the e_i alone against the kernel of every e_i and f_i
+    (the reference), and each basis vector killed by all of g."""
+    lie = chevalley_data(build_root_system(*key))
+    act = ActionTable(GrassmannAlgebra(lie.dim), lie)
+    elems = invariant_basis_elements(act, 2, 2)
+    w0 = act.weight_masks(2, 2, act.zero_weight)
+    eqs = {}
+    for simple in lie.rs.simple_roots:
+        for a in (lie.e_index(simple), lie.f_index(simple)):
+            for j, mask in enumerate(w0):
+                for m2, v in act.act_mask(a, mask).items():
+                    eqs.setdefault((a, m2), {})[j] = v
+    ref = Subspace(w0, bidegree=(2, 2))
+    ref.insert_all(ExtElement(act.alg, {w0[j]: c for j, c in vec.items()})
+                   for vec in kernel_basis(list(eqs.values()), len(w0)))
+    assert [ExtElement(act.alg, {w0[j]: c for j, c in row.items()})
+            for row in ref.echelons[0].basis_rows()] == elems
+    assert elems
+    for v in elems:
+        for a in range(lie.dim):
+            assert act.act(a, v).is_zero()
 
 
 def _casimir_eigenvalues_on_wedge(act, d):
