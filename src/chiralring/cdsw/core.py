@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from ..exterior import (GrassmannAlgebra, ExtElement, OddMatrix,
                         suffix_parity, wedge_into)
-from ..exactla import Subspace, FieldMode, addmul, guard_component
+from ..exactla import Subspace, addmul, guard_component
 from ..liemodule import ActionTable, invariant_basis_elements
 from ..rootsystem.reps import representation, default_trace_label
 
@@ -162,8 +162,7 @@ def ideal_weight_zero(ws, families, p, q, mode=None, cap=None):
     """Weight-zero slice of the ideal span, coordinatized on the weight-zero
     monomials only.  Valid for membership of weight-zero elements because
     the spanning vectors are weight-homogeneous."""
-    mode = mode or FieldMode.exact()
-    guard_component(ws.alg, p, q, mode, cap)
+    guard_component(ws.alg, p, q, cap)
     zero = ws.action.zero_weight
     sub = Subspace(ws.action.weight_masks(p, q, zero), mode, (p, q))
     sub.insert_all(ideal_rows(ws, families, p, q, zero))
@@ -171,14 +170,15 @@ def ideal_weight_zero(ws, families, p, q, mode=None, cap=None):
 
 
 def check_S_power(ws, k, mode=None, cap=None):
-    """Membership of S^k in the full defining ideal at bidegree (k,k)."""
+    """Membership of S^k in the full defining ideal at bidegree (k,k).
+    mode names the primes the certified elimination tries first; no answer
+    depends on it."""
     sub = ideal_weight_zero(ws, (XX, XY, YY), k, k, mode, cap)
     sk = ws.S.power(k)
     return {
         "k": k,
         "contained": sub.contains(sk),
         "ideal_rank": sub.rank,
-        "probabilistic": sub.probabilistic,
     }
 
 
@@ -214,7 +214,6 @@ def check_part_i(ws, up_to_k, mode=None, cap=None):
             "dim": dim,
             "s_power_dim": s_dim,
             "match": dim == s_dim,
-            "probabilistic": sub.probabilistic,
         })
     off = [{"bidegree": [p, q],
             "dim": invariants_of_quotient(ws, p, q, mode=mode, cap=cap)}

@@ -138,7 +138,7 @@ def check_prop_hat(ws, k1, k2, mode=None, cap=None):
     # guard the largest components touched before any trace expansion
     k = k1 + k2
     for d in (k1, k2, k - 1):
-        guard_component(ws.alg, d, d, mode, cap)
+        guard_component(ws.alg, d, d, cap)
 
     fz = trace_z_power(ws, k1)
     hz = trace_z_power(ws, k2)
@@ -169,19 +169,10 @@ def check_prop_hat(ws, k1, k2, mode=None, cap=None):
     return report
 
 
-def dim_E(ws, d, mode=None, cap=None):
-    """dim of the invariants of the quotient by the XX and YY families at
-    (d,d): rank growth of the ideal span when the invariant basis of the
-    ambient component is adjoined."""
-    if d == 0:
-        return 1
-    return invariants_of_quotient(ws, d, d, (XX, YY), mode, cap)
-
-
 def check_conj_c1(ws, up_to_d, ideal_counts, mode=None, cap=None):
     """dim E_(d,d) vs the span of hat monomials vs the abelian-ideal count,
     for d <= up_to_d."""
-    guard_component(ws.alg, up_to_d, up_to_d, mode, cap)
+    guard_component(ws.alg, up_to_d, up_to_d, cap)
     hats = hat_generators(ws, max_degree=up_to_d)
     rows = []
     ok = True
@@ -210,7 +201,7 @@ def check_conj_c2_c3(ws, mode=None, cap=None):
     g = ws.g
     # every component touched: (d,d) for d up to g and up to each hat degree
     top = max([g] + [k - 1 for k in trace_power_degrees(ws.lie)])
-    guard_component(ws.alg, top, top, mode, cap)
+    guard_component(ws.alg, top, top, cap)
     hats = hat_generators(ws)
     report = {"rep": ws.trace_label, "g": g, "per_degree": [],
               "hat_in_L": [], "pass": True}

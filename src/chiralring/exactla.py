@@ -1,5 +1,5 @@
 """Exact linear algebra over Q on sparse coordinate vectors, computed over a
-prime and certified over Q, with a probabilistic two-prime mode.
+prime and certified over Q.
 
 Vectors are dicts {column index: coefficient}.  Every sum goes through one
 in-place kernel per field, `addmul(dst, src, c)` over Q and
@@ -14,32 +14,32 @@ echelon form (RREF) runs once, in decreasing pivot order, when the RREF is
 read.  An input row is first scaled to integers (its span does not
 change), so no prime ever has to invert a denominator.
 
-Exact mode (`Echelon()`, and so `Subspace` in `FieldMode.exact()` and
-`kernel_basis`) eliminates over the first prime of `exact_primes()`, lifts
-each RREF entry to Q by rational reconstruction and certifies the lift R in
-cleared-denominator integers: every row inserted since the last
-certificate, and every row of the previous R, must equal
-sum over pivots of row[piv] * R_piv.  That puts the span of the rows inside
-the span of R, and the rank over Q is at least the rank mod p, so R is the
-canonical RREF over Q.  When reconstruction or the check fails (an entry
-beyond the one-prime bound of about 2**15, or a prime that drops the
-rank), the rows are eliminated over the next prime and the residues of
-primes with the same pivots are combined by the Chinese remainder theorem,
-until the check passes; a certificate that still fails after
-CERTIFICATE_PRIMES primes raises CertificateFailure.  Rank,
-`Subspace.insert_all` growth, membership, `basis_rows` and kernel vectors
-are read from a certified R only; the RREF of a row space is unique, so
-none of them depends on input order or on the primes used.
+Every answer is certified.  An `Echelon` (and so every `Subspace` and
+`kernel_basis`) eliminates over one prime, lifts each RREF entry to Q by
+rational reconstruction and certifies the lift R in cleared-denominator
+integers: every row inserted since the last certificate, and every row of
+the previous R, must equal sum over pivots of row[piv] * R_piv.  That puts
+the span of the rows inside the span of R, and the rank over Q is at least
+the rank mod p, so R is the canonical RREF over Q.  When reconstruction or
+the check fails (an entry beyond the one-prime bound of about 2**15, or a
+prime that drops the rank), the rows are eliminated over the next prime
+and the residues of primes with the same pivots are combined by the
+Chinese remainder theorem, until the check passes; a certificate that
+still fails after CERTIFICATE_PRIMES primes raises CertificateFailure.
+Rank, `Subspace.insert_all` growth, membership, `basis_rows` and kernel
+vectors are read from a certified R only; the RREF of a row space is
+unique, so none of them depends on input order or on the primes used.
 
-Prime-field mode (`FieldMode.modular`) runs the same elimination modulo
->= 2 random primes > 2**30, compares rank growth and membership across the
-primes at every step, and its answers are reported as probabilistic.
+The primes are taken from `exact_primes()`, after those a `FieldMode`
+names; a mode never changes an answer.  The residues mod p and the lift
+are not held in full at the same time: the lift pops each residue row as
+it lifts it, and the residues are read back from R when next needed.
 """
 
 import copy
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import islice
+from itertools import chain, islice
 from math import gcd, isqrt
 import random
 
@@ -53,10 +53,6 @@ class WrongComponent(ValueError):
 
 
 class ComponentTooLarge(RuntimeError):
-    pass
-
-
-class ModularDisagreement(RuntimeError):
     pass
 
 
@@ -127,8 +123,8 @@ def random_prime(rng, lo=1 << 30):
 
 
 def exact_primes():
-    """The primes exact mode eliminates over, in the order it takes them:
-    the primes below 2**31, largest first."""
+    """The primes an elimination takes after the given ones, in order: the
+    primes below 2**31, largest first."""
     p = 1 << 31
     while True:
         p -= 1
@@ -136,10 +132,21 @@ def exact_primes():
             yield p
 
 
+def _primes(start):
+    """The primes an elimination takes in turn: those of start, then those
+    of exact_primes(), each once."""
+    seen = set()
+    for p in chain(start, exact_primes()):
+        if p not in seen:
+            seen.add(p)
+            yield p
+
+
 def rational_reconstruction(a, m):
-    """(n, d) with n = a*d mod m, |n| and 0 < d both at most sqrt(m/2), or
-    None when no such fraction exists (Wang's half extended Euclid); the
-    fraction is unique when it exists."""
+    """(n, d) with n = a*d mod m, |n| and 0 < d both at most sqrt(m/2) and
+    d prime to m, or None when no such fraction exists (Wang's half
+    extended Euclid); the fraction is unique when it exists.  With d prime
+    to m, a is n/d mod m, so a lifted row gives its residues back."""
     bound = isqrt(m // 2)
     r0, r1, s0, s1 = m, a % m, 0, 1
     while r1 > bound:
@@ -148,7 +155,7 @@ def rational_reconstruction(a, m):
         s0, s1 = s1, s0 - q * s1
     if s1 < 0:
         r1, s1 = -r1, -s1
-    if s1 > bound or gcd(r1, s1) != 1:
+    if s1 > bound or gcd(r1, s1) != 1 or gcd(s1, m) != 1:
         return None
     return r1, s1
 
@@ -167,40 +174,59 @@ def _cleared(vec):
             for j, v in vec.items() if v}
 
 
-def _in_span(u, rref, den):
+def _in_span(u, rref):
     """Whether the int row u equals the sum over pivots of u[piv] * R_piv,
-    where R_piv = e_piv + rref[piv] / den (rref holds the non-pivot
-    entries times den): membership of u in the span of R."""
-    acc, rest = {}, {}
+    where R_piv = e_piv + row / den for rref[piv] = (row, den), row holding
+    the non-pivot entries times den: membership of u in the span of R."""
+    hits, rest, den = [], {}, 1
     for j, c in u.items():
-        row = rref.get(j)
-        if row is None:
+        entry = rref.get(j)
+        if entry is None:
             rest[j] = c
         else:
-            addmul(acc, row, c)
+            hits.append((c, entry))
+            if den % entry[1]:
+                den = den // gcd(den, entry[1]) * entry[1]
+    acc = {}
+    for c, (row, d) in hits:
+        addmul(acc, row, c * (den // d))
     addmul(acc, rest, -den)
     return not acc
 
 
+def _residues(rref, m):
+    """The rows of rref (as in _in_span) mod m, pivot coefficient left
+    implicit; every denominator is prime to m."""
+    out = {}
+    for piv, (row, den) in rref.items():
+        inv = pow(den, -1, m)
+        out[piv] = {j: r for j, r in ((j, v * inv % m) for j, v in row.items())
+                    if r}
+    return out
+
+
 def _lift(table, m):
-    """The RREF residues mod m of table, reconstructed in Q as int rows
-    over one common denominator: (rows, den), or None when an entry has
-    no reconstruction."""
-    fractions, cache, den = {}, {}, 1
-    for piv, row in table.items():
-        out = {}
-        for j, a in row.items():
+    """The RREF residues mod m of table reconstructed in Q, each row as int
+    entries over its own denominator (as in _in_span).  Each residue row is
+    popped from table as it is lifted; when an entry has no reconstruction,
+    table gets every row's residues back and the result is None."""
+    lifted, cache = {}, {}
+    while table:
+        piv, row = table.popitem()
+        den = 1
+        for a in row.values():
             nd = cache.get(a)
             if nd is None:
                 nd = cache[a] = rational_reconstruction(a, m)
                 if nd is None:
+                    table[piv] = row
+                    table.update(_residues(lifted, m))
                     return None
-            out[j] = nd
             if den % nd[1]:
                 den = den // gcd(den, nd[1]) * nd[1]
-        fractions[piv] = out
-    return {piv: {j: n * (den // d) for j, (n, d) in row.items()}
-            for piv, row in fractions.items()}, den
+        lifted[piv] = ({j: n * (den // d) for j, (n, d) in
+                        ((j, cache[a]) for j, a in row.items())}, den)
+    return lifted
 
 
 def _crt(table, m, rows, p):
@@ -222,7 +248,9 @@ def _pivot_key(rows):
 
 
 class FieldMode:
-    """Certified exact arithmetic, or reduction modulo a list of primes."""
+    """The primes a certified elimination tries first, before those of
+    `exact_primes()`.  Answers never depend on them: `exact()` names none,
+    `modular(seed)` two random primes in [2**30, 2**31) drawn from seed."""
 
     def __init__(self, primes=()):
         self.primes = tuple(primes)
@@ -232,55 +260,54 @@ class FieldMode:
         return cls()
 
     @classmethod
-    def modular(cls, seed=0, nprimes=2):
-        if nprimes < 2:
-            raise ValueError("modular mode needs >= 2 primes")
+    def modular(cls, seed=0):
         rng = random.Random(seed)
         primes = []
-        while len(primes) < nprimes:
+        while len(primes) < 2:
             p = random_prime(rng)
             if p not in primes:
                 primes.append(p)
         return cls(primes)
 
-    @property
-    def is_exact(self):
-        return not self.primes
-
     def label(self):
-        if self.is_exact:
+        if not self.primes:
             return "exact"
         return "modular(%s)" % ",".join(str(p) for p in self.primes)
 
 
 class Echelon:
-    """Incremental semi-echelon form over GF(p).  p=None is exact mode: the
-    prime comes from exact_primes(), and rank, contains and basis_rows are
-    answered from the certified RREF over Q.
+    """Incremental semi-echelon form over GF(p); rank, contains and
+    basis_rows are answered from the certified RREF over Q.  The given
+    primes are taken first, then those of exact_primes(), each once.
 
     rows maps each pivot column to the residues of the row's entries right
-    of its pivot; the pivot coefficient is an implicit 1, which
-    basis_rows() puts back.  A row is cleared above the pivots found after
-    it only when the RREF is read.
+    of its pivot; the pivot coefficient is an implicit 1.  A row is cleared
+    above the pivots found after it only when the RREF is read.  A
+    certificate empties rows, and they are read back from the certified
+    RREF when next needed.
     """
 
-    def __init__(self, p=None):
-        self.exact = p is None
-        self._tries = 0  # primes of exact_primes() given up so far
-        self.p = next(exact_primes()) if self.exact else p
-        self.rows = {}  # pivot column -> residues right of the pivot
+    def __init__(self, primes=()):
+        self._start = tuple(primes)
+        self._tries = 0  # primes given up so far
+        self.p = next(_primes(self._start))
+        self._rows = {}  # None: the certified RREF mod p, not read back yet
         self._reduced = True  # rows are the RREF mod p
-        # exact mode: the int rows inserted since the certified RREF, and
-        # that RREF as non-pivot entries times a common denominator
+        # the int rows inserted since the certified RREF, and that RREF as
+        # {pivot: (non-pivot entries times den, den)}
         self._batch = []
-        self._rref, self._den = {}, 1
+        self._rref = {}
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            self._rows = _residues(self._rref, self.p)
+        return self._rows
 
     @property
     def rank(self):
-        if self.exact:
-            self._certify()
-            return len(self._rref)
-        return len(self.rows)
+        self._certify()
+        return len(self._rref)
 
     def _reduce(self, u):
         """Residue mod p of the int row u against the rows, walking pivots
@@ -326,11 +353,10 @@ class Echelon:
 
     def insert(self, vec):
         """Reduce vec and adjoin the residue if nonzero.  Returns True when
-        the rank over GF(p) grew; in exact mode the rank over Q is read
-        from `rank`, which certifies it."""
+        the rank over GF(p) grew; the rank over Q is read from `rank`,
+        which certifies it."""
         u = _cleared(vec)
-        if self.exact:
-            self._batch.append(u)
+        self._batch.append(u)
         return self._adjoin(self._reduce(u))
 
     def _back_substitute(self):
@@ -352,55 +378,51 @@ class Echelon:
         CertificateFailure after CERTIFICATE_PRIMES primes."""
         if not self._batch:
             return
-        den = self._den
         batch = self._batch + [{piv: den, **row}
-                               for piv, row in self._rref.items()]
+                               for piv, (row, den) in self._rref.items()]
         table, m = None, 1
         for attempt in range(CERTIFICATE_PRIMES):
             if attempt:
                 self._tries += 1
-                self.p = next(islice(exact_primes(), self._tries, None))
-                self.rows = {}
+                self.p = next(islice(_primes(self._start), self._tries, None))
+                self._rows = {}
                 for u in batch:
                     self._adjoin(self._reduce(u))
             self._back_substitute()
             rows, p = self.rows, self.p
             if table is None or _pivot_key(rows) > _pivot_key(table):
-                table, m = rows, p
+                table, m, good = rows, p, p
             elif rows.keys() == table.keys():
-                table, m = _crt(table, m, rows, p), m * p
+                table, m, good = _crt(table, m, rows, p), m * p, p
             lifted = _lift(table, m)
-            if lifted is not None and all(_in_span(u, *lifted)
-                                          for u in batch):
-                break
+            if lifted is not None:
+                if all(_in_span(u, lifted) for u in batch):
+                    break
+                table = _residues(lifted, m)
         else:
             raise CertificateFailure("no certified RREF after %d primes"
                                      % CERTIFICATE_PRIMES)
-        self._rref, self._den = lifted
+        # R mod good is the RREF of the rows mod good
+        self._rref, self.p, self._rows = lifted, good, None
         self._batch = []
 
     def contains(self, vec):
-        if self.exact:
-            self._certify()
-            return _in_span(_cleared(vec), self._rref, self._den)
-        return not self.reduce(vec)
+        self._certify()
+        return _in_span(_cleared(vec), self._rref)
 
     def basis_rows(self):
-        """The RREF rows in pivot order, pivot coefficient included: exact
-        Fractions in exact mode, residues mod p otherwise."""
-        if self.exact:
-            self._certify()
-            den = self._den
-            return [{piv: Fraction(1),
-                     **{j: Fraction(v, den) for j, v in row.items()}}
-                    for piv, row in sorted(self._rref.items())]
-        self._back_substitute()
-        return [{piv: 1, **self.rows[piv]} for piv in sorted(self.rows)]
+        """The certified RREF rows in pivot order, as Fractions, pivot
+        coefficient included."""
+        self._certify()
+        return [{piv: Fraction(1),
+                 **{j: Fraction(v, den) for j, v in row.items()}}
+                for piv, (row, den) in sorted(self._rref.items())]
 
     def copy(self):
         # batch rows and certified rows are never changed in place
         dup = copy.copy(self)
-        dup.rows = {piv: dict(row) for piv, row in self.rows.items()}
+        if self._rows is not None:
+            dup._rows = {piv: dict(row) for piv, row in self._rows.items()}
         dup._batch = list(self._batch)
         return dup
 
@@ -425,34 +447,22 @@ def kernel_basis(rows, ncols):
 
 
 class Subspace:
-    """Echelonized span inside one bigraded component.
+    """Certified span inside one bigraded component.
 
     columns: tuple of monomial masks fixing the coordinatization (canonical
-    order).  In exact mode a single certified Echelon is kept; in
-    prime-field mode one per prime, and answers carry a probabilistic flag.
+    order).  The span is one certified Echelon that tries the primes of
+    mode first; no answer depends on the mode.
     """
 
     def __init__(self, columns, mode=None, bidegree=None):
         self.columns = tuple(columns)
         self.index = {m: i for i, m in enumerate(self.columns)}
-        self.mode = mode or FieldMode.exact()
         self.bidegree = bidegree
-        if self.mode.is_exact:
-            self.echelons = [Echelon()]
-        else:
-            self.echelons = [Echelon(p) for p in self.mode.primes]
-
-    @property
-    def probabilistic(self):
-        return not self.mode.is_exact
+        self.echelon = Echelon(mode.primes if mode else ())
 
     @property
     def rank(self):
-        ranks = {e.rank for e in self.echelons}
-        if len(ranks) != 1:
-            raise ModularDisagreement("ranks differ between primes: %s" %
-                                      sorted(ranks))
-        return ranks.pop()
+        return self.echelon.rank
 
     def coordinates(self, elem):
         """Coordinate vector of elem.  A term outside the columns raises
@@ -471,11 +481,8 @@ class Subspace:
 
     def insert(self, elem):
         """Adjoin elem to the span; the rank growth is read from rank or
-        insert_all.  Prime-field mode raises ModularDisagreement when the
-        primes disagree on whether it grew."""
-        vec = self.coordinates(elem)
-        if len({e.insert(vec) for e in self.echelons}) != 1:
-            raise ModularDisagreement("rank growth differs between primes")
+        insert_all."""
+        self.echelon.insert(self.coordinates(elem))
 
     def insert_all(self, elems):
         """Insert each element in turn; returns how much the rank grew."""
@@ -485,34 +492,29 @@ class Subspace:
         return self.rank - before
 
     def contains(self, elem):
-        """Membership of elem in the span.  Exact mode: exact.  Prime-field
-        mode: False is exact, True is probabilistic (all primes agreed)."""
-        vec = self.coordinates(elem)
-        answers = {e.contains(vec) for e in self.echelons}
-        if len(answers) != 1:
-            raise ModularDisagreement("membership differs between primes")
-        return answers.pop()
+        """Membership of elem in the span."""
+        return self.echelon.contains(self.coordinates(elem))
 
     def copy(self):
-        dup = Subspace(self.columns, self.mode, self.bidegree)
-        dup.echelons = [e.copy() for e in self.echelons]
+        # columns and index are never changed in place
+        dup = copy.copy(self)
+        dup.echelon = self.echelon.copy()
         return dup
 
 
 def span(elements, component=None, mode=None, columns=None, cap=None):
-    """Echelonized span of homogeneous elements of one bidegree.
+    """Certified span of homogeneous elements of one bidegree.
 
     component: (p, q); columns defaults to the full component monomial list
-    of the first element's algebra.  cap guards the ambient monomial count
-    (ComponentTooLarge) unless prime-field mode is on.
+    of the first element's algebra, and cap then guards its monomial count
+    (ComponentTooLarge) in every mode.  mode names the primes tried first.
     """
-    mode = mode or FieldMode.exact()
     if columns is None:
         if not elements:
             return Subspace((), mode, component)
         alg = elements[0].alg
         p, q = component if component is not None else elements[0].bidegree()
-        guard_component(alg, p, q, mode, cap)
+        guard_component(alg, p, q, cap)
         columns = alg.component_masks(p, q)
         component = (p, q)
     sub = Subspace(columns, mode, component)
@@ -524,10 +526,10 @@ def span(elements, component=None, mode=None, columns=None, cap=None):
     return sub
 
 
-def guard_component(alg, p, q, mode=None, cap=None):
+def guard_component(alg, p, q, cap=None):
     dim = alg.component_dim(p, q)
     limit = DEFAULT_MONOMIAL_CAP if cap is None else cap
-    if dim > limit and (mode is None or mode.is_exact):
+    if dim > limit:
         raise ComponentTooLarge("component (%d,%d) has %d monomials, cap %d"
                                 % (p, q, dim, limit))
     return dim

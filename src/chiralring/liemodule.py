@@ -131,11 +131,11 @@ def invariants(action, p, q, cap=None):
 
 
 def invariant_basis_elements(action, p, q, cap=None):
-    """The canonical invariant basis as ExtElements (exact mode)."""
+    """The canonical invariant basis as ExtElements."""
     sub = invariants(action, p, q, cap)
     columns = sub.columns
     out = []
-    for row in sub.echelons[0].basis_rows():
+    for row in sub.echelon.basis_rows():
         out.append(ExtElement(action.alg,
                               {columns[j]: c for j, c in row.items()}))
     return out

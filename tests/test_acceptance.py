@@ -212,27 +212,24 @@ def test_criterion_10_oracle_agreement():
         rs = build_root_system(*key)
         ok = ok and abideals.enumerate_abelian_ideals(rs) == \
             abideals.enumerate_abelian_ideals_bruteforce(rs)
-    # exact vs two-prime modular verdicts
+    # the same certified verdicts when the primes are drawn from a seed
     mode = FieldMode.modular(seed=31337)
     for key, k in [(("A", 1), 1), (("A", 1), 2), (("A", 2), 2), (("A", 2), 3),
                    (("B", 2), 2), (("B", 2), 3)]:
         ws = _ws(*key)
-        exact = check_S_power(ws, k)
-        modular = check_S_power(ws, k, mode=mode)
-        ok = ok and exact["contained"] == modular["contained"]
-        ok = ok and exact["ideal_rank"] == modular["ideal_rank"]
+        ok = ok and check_S_power(ws, k, mode=mode) == check_S_power(ws, k)
     _report(10, ok, "DFS enumeration matches brute force (rank <= 3); "
-            "exact and two-prime modular verdicts agree on all instances")
+            "verdicts and ranks do not depend on the first primes")
 
 
 @pytest.mark.slow
 @pytest.mark.skipif(os.environ.get("CHIRALRING_G2_HEAVY") != "1",
-                    reason="optional G2 run (hours); enable with "
-                           "CHIRALRING_G2_HEAVY=1")
+                    reason="optional G2 run (runtime unverified, expected "
+                           "hours); enable with CHIRALRING_G2_HEAVY=1")
 def test_criterion_3_optional_g2():
     ws = _ws("G", 2)
     mode = FieldMode.modular(seed=2024)
     not_in = not check_S_power(ws, 3, mode=mode)["contained"]
     in_g = check_S_power(ws, 4, mode=mode)["contained"]
     _report(3, in_g and not_in,
-            "G2 (modular, 2 primes): S^4 in I and S^3 not in I")
+            "G2 (certified): S^4 in I and S^3 not in I")

@@ -98,7 +98,7 @@ def test_span_contains_and_reconstruction():
     sub2 = span([x1y1 + x2y2, x2y2], component=(1, 1))
     v = x1y1.scale(3) + x2y2.scale(5)
     assert sub2.contains(v)
-    rows = sub2.echelons[0].basis_rows()
+    rows = sub2.echelon.basis_rows()
     cols = sub2.columns
     coords = {cols.index(m): c for m, c in v.terms.items()}
     recon = {}
@@ -134,9 +134,15 @@ def test_quotient_dim():
 def test_memory_guard():
     alg = GrassmannAlgebra(14)
     with pytest.raises(ComponentTooLarge):
-        guard_component(alg, 5, 5, FieldMode.exact(), cap=10 ** 5)
-    # modular mode bypasses the cap
-    guard_component(alg, 5, 5, FieldMode.modular(seed=1), cap=10 ** 5)
+        guard_component(alg, 5, 5, cap=10 ** 5)
+    # the cap guards what is built in every mode
+    columns = alg.component_masks(1, 1)
+    elements = [alg.x(0).wedge(alg.y(0))]
+    with pytest.raises(ComponentTooLarge):
+        span(elements, component=(1, 1), mode=FieldMode.modular(seed=1),
+             cap=len(columns) - 1)
+    assert span(elements, component=(1, 1), mode=FieldMode.modular(seed=1),
+                cap=len(columns)).rank == 1
 
 
 def test_field_mode_primes():
@@ -146,8 +152,7 @@ def test_field_mode_primes():
         assert p > 2 ** 30 and _is_prime(p)
     assert FieldMode.modular(seed=42).primes == mode.primes  # reproducible
     assert FieldMode.exact().label() == "exact"
-    with pytest.raises(ValueError):
-        FieldMode.modular(nprimes=1)
+    assert FieldMode.exact().primes == ()
 
 
 def _mod(v, p):
@@ -163,42 +168,46 @@ def test_modular_rank_matches_exact():
         for r in rows:
             exact.insert({j: v for j, v in enumerate(r) if v})
         mode = FieldMode.modular(seed=rng.randint(0, 10 ** 6))
-        ranks = []
-        for p in mode.primes:
-            ech = Echelon(p)
-            for r in rows:
-                ech.insert({j: v for j, v in enumerate(r) if v})
-            ranks.append(ech.rank)
-            # with equal ranks the GF(p) RREF is the exact RREF mod p
-            assert ech.basis_rows() == [
-                {j: _mod(v, p) for j, v in row.items()}
-                for row in exact.basis_rows()]
-        # modular rank never exceeds the exact rank, and generically equals
-        assert all(rk <= exact.rank for rk in ranks)
-        assert ranks[0] == ranks[1] == exact.rank
+        ech = Echelon(mode.primes)
+        for r in rows:
+            ech.insert({j: v for j, v in enumerate(r) if v})
+        assert ech.rank == exact.rank
+        assert ech.basis_rows() == exact.basis_rows()
+        # the residues read back from the certified RREF are its image
+        # mod the first given prime
+        p = mode.primes[0]
+        assert ech.p == p
+        assert ech.rows == {min(row): {j: _mod(v, p) for j, v in row.items()
+                                       if j != min(row)}
+                            for row in exact.basis_rows()}
 
 
 def test_modular_membership_with_fractions():
     alg = GrassmannAlgebra(3)
     x1y1 = alg.x(0).wedge(alg.y(0)).scale(Fraction(2, 3))
+    queries = [x1y1.scale(Fraction(7, 11)), alg.x(1).wedge(alg.y(1)),
+               x1y1 + alg.x(1).wedge(alg.y(1))]
+    exact = span([x1y1], component=(1, 1))
     sub = span([x1y1], component=(1, 1), mode=FieldMode.modular(seed=5))
-    assert sub.probabilistic
-    assert sub.contains(x1y1.scale(Fraction(7, 11)))
-    assert not sub.contains(alg.x(1).wedge(alg.y(1)))
+    assert [sub.contains(q) for q in queries] == \
+        [exact.contains(q) for q in queries] == [True, False, False]
 
 
-def test_modular_disagreement_aborts():
-    from chiralring.exactla import ModularDisagreement, Subspace
+def test_modular_prime_collapse_gives_exact_rank():
+    """A row that collapses mod the first given prime only: modular mode
+    takes a further prime and answers as exact mode does."""
     alg = GrassmannAlgebra(3)
     mode = FieldMode.modular(seed=3)
     p1 = mode.primes[0]
     x1y1 = alg.x(0).wedge(alg.y(0))
     x2y2 = alg.x(1).wedge(alg.y(1))
+    rows = [x1y1 + x2y2, x1y1 + x2y2.scale(1 + p1)]
     sub = Subspace(alg.component_masks(1, 1), mode, (1, 1))
-    sub.insert(x1y1 + x2y2)
-    # collapses mod the first prime only: the primes must disagree loudly
-    with pytest.raises(ModularDisagreement):
-        sub.insert(x1y1 + x2y2.scale(1 + p1))
+    exact = Subspace(alg.component_masks(1, 1), bidegree=(1, 1))
+    assert sub.insert_all(rows) == exact.insert_all(rows) == 2
+    assert sub.contains(x2y2) and exact.contains(x2y2)
+    assert sub.echelon.basis_rows() == exact.echelon.basis_rows()
+    assert sub.echelon.p != p1
 
 
 def test_kernel_basis():
@@ -281,20 +290,36 @@ def _oracle_kernel(rref, ncols):
 
 
 FIRST_PRIME = next(exact_primes())
+GIVEN_PRIME = FieldMode.modular(seed=8).primes[0]
 
 
-@pytest.mark.parametrize("rows, why", [
-    ([{0: 1, 1: 1}, {0: 1, 1: 1 + FIRST_PRIME}],
-     "dependent mod the first prime only"),
-    ([{0: Fraction(1, FIRST_PRIME), 1: 1}, {0: 1}],
-     "a denominator divisible by the first prime"),
-    ([{0: 1, 1: Fraction(10 ** 6, 7)}, {1: 1, 2: Fraction(-3, 10 ** 5)}],
-     "RREF entries beyond the one-prime bound"),
-])
-def test_exact_mode_takes_next_prime(rows, why):
-    """Each case fails its first certificate; the answer must still be the
-    exact RREF, reached over further primes."""
-    ech = Echelon()
+def _unlucky(first):
+    """(rows, why) whose certificate fails over the prime first."""
+    return [
+        ([{0: 1, 1: 1}, {0: 1, 1: 1 + first}],
+         "dependent mod the first prime only"),
+        ([{0: Fraction(1, first), 1: 1}, {0: 1}],
+         "a denominator divisible by the first prime"),
+        ([{0: 1, 1: Fraction(10 ** 6, 7)}, {1: 1, 2: Fraction(-3, 10 ** 5)}],
+         "RREF entries beyond the one-prime bound"),
+    ]
+
+
+@pytest.mark.parametrize("start, rows, why", [
+    pytest.param((), rows, why, id="rows%d-%s" % (i, why))
+    for i, (rows, why) in enumerate(_unlucky(FIRST_PRIME))] + [
+    pytest.param((GIVEN_PRIME,), rows, why, id="given-prime-%s" % why)
+    for rows, why in _unlucky(GIVEN_PRIME)] + [
+    pytest.param((FIRST_PRIME,), rows, why,
+                 id="given-prime-also-in-exact-primes-%s" % why)
+    for rows, why in _unlucky(FIRST_PRIME)])
+def test_exact_mode_takes_next_prime(start, rows, why):
+    """Each case fails its first certificate, over the first given prime or
+    else the first of exact_primes(); the answer must still be the exact
+    RREF, certified with the second distinct prime.  A given prime that is
+    also in exact_primes() is not taken twice (the CRT of a prime with
+    itself would fail)."""
+    ech = Echelon(start)
     for r in rows:
         ech.insert(r)
     oracle = FractionRREF()
@@ -302,13 +327,15 @@ def test_exact_mode_takes_next_prime(rows, why):
         oracle.insert(r)
     assert ech.basis_rows() == oracle.basis_rows(), why
     assert ech.rank == oracle.rank
-    assert ech.p != FIRST_PRIME, why
+    first, second = islice(exactla._primes(start), 2)
+    assert first != second
+    assert ech.p == second, why
 
 
 def test_certificate_gives_up_after_its_primes(monkeypatch):
     """A certificate that can never pass raises instead of taking primes
     forever."""
-    monkeypatch.setattr(exactla, "_in_span", lambda u, rref, den: False)
+    monkeypatch.setattr(exactla, "_in_span", lambda u, rref: False)
     ech = Echelon()
     ech.insert({0: 1, 1: Fraction(2, 3)})
     with pytest.raises(CertificateFailure):
@@ -357,22 +384,29 @@ def _rational_system(draw, first):
 
 _ALG = GrassmannAlgebra(3)
 _COLUMNS = _ALG.component_masks(1, 1)
+_SMALL = list(islice(_primes_below(1 << 15)(), 2))
 
 
-@pytest.mark.parametrize("start", [1 << 31, 1 << 15],
-                         ids=["primes-below-2^31", "primes-below-2^15"])
+@pytest.mark.parametrize("below, start", [
+    pytest.param(1 << 31, (), id="primes-below-2^31"),
+    pytest.param(1 << 15, (), id="primes-below-2^15"),
+    pytest.param(1 << 31, (GIVEN_PRIME,), id="given-prime"),
+    pytest.param(1 << 15, (_SMALL[1], _SMALL[0]),
+                 id="given-primes-also-in-exact-primes-below-2^15")])
 @settings(max_examples=60)
 @given(data=st.data())
-def test_certified_exact_mode_matches_fraction_oracle(start, data):
+def test_certified_exact_mode_matches_fraction_oracle(below, start, data):
     """Certified exact mode against the Fraction RREF on random sparse
     rational rows: RREF, rank, kernel, membership and insert_all growth.
-    Below 2**15 almost every RREF entry needs several primes."""
+    The primes are those of start, then exact_primes() (a stand-in taking
+    the primes below `below`); the rows are unlucky for the first prime
+    taken.  Below 2**15 almost every RREF entry needs several primes."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exactla, "exact_primes", _primes_below(start))
-        first = next(exactla.exact_primes())
+        mp.setattr(exactla, "exact_primes", _primes_below(below))
+        first = next(exactla._primes(start))
         ncols, rows, split, queries = data.draw(_rational_system(first))
         oracle = FractionRREF()
-        ech = Echelon()
+        ech = Echelon(start)
         for r in rows:
             oracle.insert(r)
             ech.insert(r)
@@ -385,11 +419,11 @@ def test_certified_exact_mode_matches_fraction_oracle(start, data):
         def elem(vec):
             return ExtElement(_ALG, {_COLUMNS[j]: c for j, c in vec.items()})
 
-        sub = Subspace(_COLUMNS[:ncols], bidegree=(1, 1))
+        sub = Subspace(_COLUMNS[:ncols], FieldMode(start), (1, 1))
         staged = FractionRREF()
         for batch in (rows[:split], rows[split:]):
             want = sum(1 for r in batch if staged.insert(r))
             assert sub.insert_all(elem(r) for r in batch) == want
             for q in queries:
                 assert sub.contains(elem(q)) == staged.contains(q)
-        assert sub.echelons[0].basis_rows() == oracle.basis_rows()
+        assert sub.echelon.basis_rows() == oracle.basis_rows()

@@ -136,7 +136,7 @@ def test_invariants_live_on_weight_zero_slice(act_sl3):
     elems = invariant_basis_elements(act_sl3, 2, 2)
     full = span(elems, component=(2, 2))
     assert [ExtElement(alg, {full.columns[j]: c for j, c in row.items()})
-            for row in full.echelons[0].basis_rows()] == elems
+            for row in full.echelon.basis_rows()] == elems
 
 
 def test_invariants_reject_term_of_nonzero_weight(act_sl3):
@@ -173,7 +173,7 @@ def test_invariants_from_raising_operators_match_both_directions(key):
     ref.insert_all(ExtElement(act.alg, {w0[j]: c for j, c in vec.items()})
                    for vec in kernel_basis(list(eqs.values()), len(w0)))
     assert [ExtElement(act.alg, {w0[j]: c for j, c in row.items()})
-            for row in ref.echelons[0].basis_rows()] == elems
+            for row in ref.echelon.basis_rows()] == elems
     assert elems
     for v in elems:
         for a in range(lie.dim):
