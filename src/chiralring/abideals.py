@@ -9,12 +9,6 @@ prefix of a valid set along this order is valid, so the search tree has one
 branch per ideal and depth |Phi+|; the count must come out 2^rank.
 """
 
-from fractions import Fraction
-
-
-class EmptyIdeal(ValueError):
-    pass
-
 
 class AbelianIdeal:
     def __init__(self, rs, indices):
@@ -86,21 +80,6 @@ def enumerate_abelian_ideals(rs):
     return found
 
 
-def enumerate_abelian_ideals_bruteforce(rs):
-    """Oracle: test every subset of the positive roots.  Only for small
-    rank."""
-    from itertools import combinations
-    pos = rs.positive_roots
-    out = []
-    for size in range(len(pos) + 1):
-        for comb in combinations(range(len(pos)), size):
-            roots = [pos[i] for i in comb]
-            if is_ideal(rs, roots) and is_abelian(rs, roots):
-                out.append(AbelianIdeal(rs, comb))
-    out.sort(key=lambda a: (a.dim, a.indices))
-    return out
-
-
 def poincare_series(ideals):
     """Coefficient c_d = number of ideals of dimension d."""
     top = max(a.dim for a in ideals)
@@ -152,13 +131,3 @@ def check_prop_cox(rs, ideals=None):
         "pass": first_mismatch is None and discrepancy > 0,
     }
 
-
-def highest_weight_vector(alg, lie, ideal):
-    """Wedge of the x-generators of the ideal's root vectors, in canonical
-    order; a highest weight vector for the module it generates."""
-    if ideal.dim == 0:
-        raise EmptyIdeal("the empty ideal contributes the scalar 1")
-    mask = 0
-    for r in ideal.roots:
-        mask |= 1 << lie.e_index(r)
-    return alg.monomial(mask, Fraction(1))

@@ -158,22 +158,23 @@ def ideal_rows(ws, families, p, q, weight):
                     yield ExtElement(alg, row)
 
 
-def ideal_weight_zero(ws, families, p, q, mode=None, cap=None):
+def ideal_weight_zero(ws, families, p, q, cap=None):
     """Weight-zero slice of the ideal span, coordinatized on the weight-zero
     monomials only.  Valid for membership of weight-zero elements because
     the spanning vectors are weight-homogeneous."""
     guard_component(ws.alg, p, q, cap)
     zero = ws.action.zero_weight
-    sub = Subspace(ws.action.weight_masks(p, q, zero), mode, (p, q))
+    sub = Subspace(ws.action.weight_masks(p, q, zero), (p, q))
     sub.insert_all(ideal_rows(ws, families, p, q, zero))
     return sub
 
 
 def check_S_power(ws, k, mode=None, cap=None):
     """Membership of S^k in the full defining ideal at bidegree (k,k).
-    mode names the primes the certified elimination tries first; no answer
-    depends on it."""
-    sub = ideal_weight_zero(ws, (XX, XY, YY), k, k, mode, cap)
+    Nothing reads mode: the benchmark (perfbench/workloads.py) still passes
+    a `FieldMode` third, and the parameter goes when the benchmark next
+    changes."""
+    sub = ideal_weight_zero(ws, (XX, XY, YY), k, k, cap)
     sk = ws.S.power(k)
     return {
         "k": k,
@@ -182,15 +183,15 @@ def check_S_power(ws, k, mode=None, cap=None):
     }
 
 
-def invariants_of_quotient(ws, p, q, families=(XX, XY, YY), mode=None,
-                           cap=None, subspace=None):
+def invariants_of_quotient(ws, p, q, families=(XX, XY, YY), cap=None,
+                           subspace=None):
     """dim of the invariants of the quotient by the selected ideal at
     (p,q), computed as invariants of the component modulo their overlap
     with the ideal (taking invariants is exact here): the rank growth of
     the ideal span when the invariant basis is adjoined.  A given subspace
     (the ideal span) is grown in place."""
     sub = subspace if subspace is not None else \
-        ideal_weight_zero(ws, families, p, q, mode, cap)
+        ideal_weight_zero(ws, families, p, q, cap)
     return sub.insert_all(invariant_basis_elements(ws.action, p, q, cap))
 
 
@@ -198,7 +199,7 @@ def invariants_of_quotient(ws, p, q, families=(XX, XY, YY), mode=None,
 OFFDIAGONAL_SPOT_CHECKS = ((1, 0), (0, 2), (2, 1))
 
 
-def check_part_i(ws, up_to_k, mode=None, cap=None):
+def check_part_i(ws, up_to_k, cap=None):
     """dim A^g at (k,k) for k <= up_to_k, its match with the image of S^k,
     and off-diagonal vanishing spot checks."""
     diag = []
@@ -206,7 +207,7 @@ def check_part_i(ws, up_to_k, mode=None, cap=None):
         if k == 0:
             diag.append({"k": 0, "dim": 1, "s_power_dim": 1, "match": True})
             continue
-        sub = ideal_weight_zero(ws, (XX, XY, YY), k, k, mode, cap)
+        sub = ideal_weight_zero(ws, (XX, XY, YY), k, k, cap)
         s_dim = 0 if sub.contains(ws.S.power(k)) else 1
         dim = invariants_of_quotient(ws, k, k, subspace=sub, cap=cap)
         diag.append({
@@ -216,7 +217,7 @@ def check_part_i(ws, up_to_k, mode=None, cap=None):
             "match": dim == s_dim,
         })
     off = [{"bidegree": [p, q],
-            "dim": invariants_of_quotient(ws, p, q, mode=mode, cap=cap)}
+            "dim": invariants_of_quotient(ws, p, q, cap=cap)}
            for (p, q) in OFFDIAGONAL_SPOT_CHECKS]
     expected = [1] * min(up_to_k + 1, ws.g) + [0] * max(0, up_to_k + 1 - ws.g)
     got = [d["dim"] for d in diag]

@@ -126,7 +126,7 @@ def hat_monomials(ws, degree, hats):
     return out
 
 
-def check_prop_hat(ws, k1, k2, mode=None, cap=None):
+def check_prop_hat(ws, k1, k2, cap=None):
     """The three identities behind the product rule, as memberships in the
     span of the XX and YY families (their raw values are also reported):
 
@@ -143,7 +143,7 @@ def check_prop_hat(ws, k1, k2, mode=None, cap=None):
     fz = trace_z_power(ws, k1)
     hz = trace_z_power(ws, k2)
     report["a_zero_literal"] = fz.is_zero()
-    sub = ideal_weight_zero(ws, (XX, YY), k1, k1, mode, cap)
+    sub = ideal_weight_zero(ws, (XX, YY), k1, k1, cap)
     report["a_in_ideal"] = sub.contains(fz)
 
     dfx = d_trace(ws, k1, "X")
@@ -151,7 +151,7 @@ def check_prop_hat(ws, k1, k2, mode=None, cap=None):
     report["b_zero_literal"] = dfx.is_zero() and dfy.is_zero()
     report["b_in_ideal"] = all(
         el.is_zero()
-        or ideal_weight_zero(ws, (XX, YY), p, q, mode, cap).contains(el)
+        or ideal_weight_zero(ws, (XX, YY), p, q, cap).contains(el)
         for el, (p, q) in ((dfx, (k1, k1 - 1)), (dfy, (k1 - 1, k1))))
 
     # Leibniz expansion of hat(FH) at z = {X,Y}
@@ -162,14 +162,14 @@ def check_prop_hat(ws, k1, k2, mode=None, cap=None):
     total = (hatf.wedge(hz) + fz.wedge(hath)
              + dfx.wedge(dhy) + dhx.wedge(dfy))
     report["c_zero_literal"] = total.is_zero()
-    subc = ideal_weight_zero(ws, (XX, YY), k - 1, k - 1, mode, cap)
+    subc = ideal_weight_zero(ws, (XX, YY), k - 1, k - 1, cap)
     report["c_in_ideal"] = total.is_zero() or subc.contains(total)
     report["pass"] = report["a_in_ideal"] and report["b_in_ideal"] and \
         report["c_in_ideal"]
     return report
 
 
-def check_conj_c1(ws, up_to_d, ideal_counts, mode=None, cap=None):
+def check_conj_c1(ws, up_to_d, ideal_counts, cap=None):
     """dim E_(d,d) vs the span of hat monomials vs the abelian-ideal count,
     for d <= up_to_d."""
     guard_component(ws.alg, up_to_d, up_to_d, cap)
@@ -180,7 +180,7 @@ def check_conj_c1(ws, up_to_d, ideal_counts, mode=None, cap=None):
         if d == 0:
             e_dim = p_dim = 1
         else:
-            sub = ideal_weight_zero(ws, (XX, YY), d, d, mode, cap)
+            sub = ideal_weight_zero(ws, (XX, YY), d, d, cap)
             e_dim = invariants_of_quotient(ws, d, d, cap=cap,
                                            subspace=sub.copy())
             p_dim = sub.insert_all(val for _, val in
@@ -192,7 +192,7 @@ def check_conj_c1(ws, up_to_d, ideal_counts, mode=None, cap=None):
     return {"rep": ws.trace_label, "rows": rows, "pass": ok}
 
 
-def check_conj_c2_c3(ws, mode=None, cap=None):
+def check_conj_c2_c3(ws, cap=None):
     """c3: the invariants of the supercommutator ideal match the ideal
     generated by the hat elements of degree > 1, below the critical degree;
     every such hat element lies in that ideal.  c2: at the critical degree
@@ -210,15 +210,15 @@ def check_conj_c2_c3(ws, mode=None, cap=None):
     # restricted to (XY) + (XX,YY)
     for h in hats[1:]:
         d = h.source_degree - 1
-        sub = ideal_weight_zero(ws, (XX, XY, YY), d, d, mode, cap)
+        sub = ideal_weight_zero(ws, (XX, XY, YY), d, d, cap)
         member = sub.contains(h.value)
         report["hat_in_L"].append({"k": h.source_degree, "in_ideal": member})
         report["pass"] = report["pass"] and member
 
     for d in range(g):
         inv = invariant_basis_elements(ws.action, d, d, cap) if d else []
-        sub_j = ideal_weight_zero(ws, (XX, YY), d, d, mode, cap)
-        sub_jxy = ideal_weight_zero(ws, (XX, XY, YY), d, d, mode, cap)
+        sub_j = ideal_weight_zero(ws, (XX, YY), d, d, cap)
+        sub_jxy = ideal_weight_zero(ws, (XX, XY, YY), d, d, cap)
         # dim(Inv cap W) = |inv| - growth, so the difference of the two
         # intersections is the difference of the two growths
         dim_L = sub_j.copy().insert_all(inv) - sub_jxy.insert_all(inv)
@@ -235,7 +235,7 @@ def check_conj_c2_c3(ws, mode=None, cap=None):
     # of the other hat monomials
     monos = dict(hat_monomials(ws, g, hats))
     p1_power = monos.pop((g,) + (0,) * (len(hats) - 1))
-    sub = ideal_weight_zero(ws, (XX, YY), g, g, mode, cap)
+    sub = ideal_weight_zero(ws, (XX, YY), g, g, cap)
     sub.insert_all(monos.values())
     relation = sub.contains(p1_power)
     report["c2_relation_with_p1_power"] = relation

@@ -121,7 +121,7 @@ def _eval_poly_grassmann(poly, values, alg):
     return ExtElement(alg, total)
 
 
-def check_sln_remark(n, mode=None, cap=None):
+def check_sln_remark(n, cap=None):
     """The exact trace identity for Z = XY + xi X + eta Y over sl(n), and
     the xi-eta extraction that witnesses the degree-n S-power relation."""
     from ..rootsystem import build_root_system, chevalley_data
@@ -169,7 +169,7 @@ def check_sln_remark(n, mode=None, cap=None):
 
     # memberships in the full defining ideal at (n,n): every piece except
     # the Tr(XY)^n term reduces into it, which forces S^n into the ideal
-    sub = ideal_weight_zero(ws, (XX, XY, YY), n, n, mode, cap)
+    sub = ideal_weight_zero(ws, (XX, XY, YY), n, n, cap)
     lhs_in_ideal = sub.contains(lhs_xieta)
     rest_in_ideal = sub.contains(rest)
     s_power_in_ideal = sub.contains(trxy_n)

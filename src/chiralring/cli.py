@@ -16,7 +16,7 @@ from .rootsystem import (build_root_system, chevalley_data, representation,
                          UnsupportedType, LIE_DATA_TYPES, COMBINATORIAL_TYPES,
                          lie_to_json_dict)
 from .rootsystem.reps import default_trace_label, trace_power_degrees
-from .exactla import FieldMode, ComponentTooLarge, DEFAULT_MONOMIAL_CAP
+from .exactla import ComponentTooLarge, DEFAULT_MONOMIAL_CAP
 from . import abideals
 from .cdsw import (Workspace, check_S_power, check_part_i, check_prop_hat,
                    check_conj_c1, check_conj_c2_c3, check_sln_remark)
@@ -46,9 +46,8 @@ def _check_applicable(name, key):
 
 
 class CheckRunner:
-    def __init__(self, key, mode, cap, g2_heavy=False):
+    def __init__(self, key, cap, g2_heavy):
         self.key = key
-        self.mode = mode
         self.cap = cap
         self.g2_heavy = g2_heavy
         self.rs = build_root_system(*key)
@@ -130,7 +129,7 @@ class CheckRunner:
     def check_cdsw_ii(self):
         self._gate_g2()
         g = self.ws.g
-        res = check_S_power(self.ws, g, self.mode, self.cap)
+        res = check_S_power(self.ws, g, cap=self.cap)
         verdict = "pass" if res["contained"] else "fail"
         out = {"verdict": verdict, "k": g, "s_power_in_ideal": res["contained"],
                "ideal_rank": res["ideal_rank"],
@@ -142,7 +141,7 @@ class CheckRunner:
     def check_cdsw_iii(self):
         self._gate_g2()
         g = self.ws.g
-        res = check_S_power(self.ws, g - 1, self.mode, self.cap)
+        res = check_S_power(self.ws, g - 1, cap=self.cap)
         verdict = "pass" if not res["contained"] else "fail"
         out = {"verdict": verdict, "k": g - 1,
                "s_power_in_ideal": res["contained"],
@@ -157,7 +156,7 @@ class CheckRunner:
 
     def check_cdsw_i(self):
         self._gate_g2()
-        rep = check_part_i(self.ws, self.ws.g, self.mode, self.cap)
+        rep = check_part_i(self.ws, self.ws.g, self.cap)
         rep["verdict"] = "pass" if rep.pop("pass") else "fail"
         return rep
 
@@ -168,7 +167,7 @@ class CheckRunner:
         runs = []
         ok = True
         for k1, k2 in pairs:
-            r = check_prop_hat(self.ws, k1, k2, mode=self.mode, cap=self.cap)
+            r = check_prop_hat(self.ws, k1, k2, self.cap)
             ok = ok and r.pop("pass")
             runs.append(r)
         return {"verdict": "pass" if ok else "fail", "pairs": runs}
@@ -176,20 +175,19 @@ class CheckRunner:
     def check_conj_c1(self):
         self._gate_g2()
         counts = abideals.poincare_series(self.ideals)
-        rep = check_conj_c1(self.ws, self.ws.g - 1, mode=self.mode,
-                            cap=self.cap, ideal_counts=counts)
+        rep = check_conj_c1(self.ws, self.ws.g - 1, counts, self.cap)
         rep["verdict"] = "pass" if rep.pop("pass") else "fail"
         return rep
 
     def check_conj_c23(self):
         self._gate_g2()
-        rep = check_conj_c2_c3(self.ws, mode=self.mode, cap=self.cap)
+        rep = check_conj_c2_c3(self.ws, self.cap)
         rep["verdict"] = "pass" if rep.pop("pass") else "fail"
         return rep
 
     def check_sln_remark(self):
         n = self.key[1] + 1
-        rep = check_sln_remark(n, self.mode, self.cap)
+        rep = check_sln_remark(n, self.cap)
         rep["verdict"] = "pass" if rep.pop("pass") else "fail"
         return rep
 
@@ -218,12 +216,6 @@ def build_parser():
                         "omit to run the default profile")
     p.add_argument("--checks", default="all",
                    help="comma list out of %s, or 'all'" % ",".join(CHECK_NAMES))
-    p.add_argument("--mode", choices=["exact", "modular"], default="exact",
-                   help="modular: the certified elimination tries two "
-                        "primes drawn from --seed first; every answer is "
-                        "certified and identical in both modes")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the first primes in modular mode (logged)")
     p.add_argument("--max-monomials", type=int, default=DEFAULT_MONOMIAL_CAP,
                    metavar="N", help="component-size cap, N >= 1")
     p.add_argument("--json", metavar="PATH", help="write the JSON report here")
@@ -257,11 +249,6 @@ def run(argv=None):
               "got %d" % args.max_monomials, file=sys.stderr)
         return 2
 
-    if args.mode == "modular":
-        mode = FieldMode.modular(seed=args.seed)
-    else:
-        mode = FieldMode.exact()
-
     try:
         if args.algebra:
             algebras = [_parse_algebra(args.algebra)]
@@ -288,8 +275,6 @@ def run(argv=None):
         "config": {
             "algebras": ["%s%d" % key for key in algebras],
             "checks": selected,
-            "mode": mode.label(),
-            "seed": args.seed,
             "max_monomials": args.max_monomials,
         },
         "runs": [],
@@ -299,7 +284,7 @@ def run(argv=None):
     cap_blocked_explicit = False
 
     for key in algebras:
-        runner = CheckRunner(key, mode, args.max_monomials, args.g2_heavy)
+        runner = CheckRunner(key, args.max_monomials, args.g2_heavy)
         results = []
         for name in selected:
             t0 = time.perf_counter()

@@ -30,22 +30,18 @@ Rank, `Subspace.insert_all` growth, membership, `basis_rows` and kernel
 vectors are read from a certified R only; the RREF of a row space is
 unique, so none of them depends on input order or on the primes used.
 
-The primes are taken from `exact_primes()`, after those a `FieldMode`
-names; a mode never changes an answer.  The residues mod p and the lift
-are not held in full at the same time: the lift pops each residue row as
-it lifts it, and the residues are read back from R when next needed.
+Every elimination takes the primes of `exact_primes()` in order.  The
+residues mod p and the lift are not held in full at the same time: the
+lift pops each residue row as it lifts it, and the residues are read back
+from R when next needed.
 """
 
 import copy
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import chain, islice
+from itertools import islice
 from math import gcd, isqrt
 import random
-
-
-class InhomogeneousInput(ValueError):
-    pass
 
 
 class WrongComponent(ValueError):
@@ -115,30 +111,13 @@ def addmul_mod(dst, src, c, p):
     return dst
 
 
-def random_prime(rng, lo=1 << 30):
-    while True:
-        c = rng.randrange(lo, lo << 1) | 1
-        if _is_prime(c):
-            return c
-
-
 def exact_primes():
-    """The primes an elimination takes after the given ones, in order: the
-    primes below 2**31, largest first."""
+    """The primes an elimination takes, in order: the primes below 2**31,
+    largest first."""
     p = 1 << 31
     while True:
         p -= 1
         if _is_prime(p):
-            yield p
-
-
-def _primes(start):
-    """The primes an elimination takes in turn: those of start, then those
-    of exact_primes(), each once."""
-    seen = set()
-    for p in chain(start, exact_primes()):
-        if p not in seen:
-            seen.add(p)
             yield p
 
 
@@ -248,37 +227,33 @@ def _pivot_key(rows):
 
 
 class FieldMode:
-    """The primes a certified elimination tries first, before those of
-    `exact_primes()`.  Answers never depend on them: `exact()` names none,
-    `modular(seed)` two random primes in [2**30, 2**31) drawn from seed."""
+    """What remains of the field mode, for callers that still pass one to
+    `cdsw.check_S_power`: no elimination reads it.  `exact()` names no
+    primes, `modular(seed)` two distinct primes in [2**30, 2**31) drawn
+    from seed."""
 
-    def __init__(self, primes=()):
+    def __init__(self, primes):
         self.primes = tuple(primes)
 
     @classmethod
     def exact(cls):
-        return cls()
+        return cls(())
 
     @classmethod
-    def modular(cls, seed=0):
+    def modular(cls, seed):
         rng = random.Random(seed)
         primes = []
         while len(primes) < 2:
-            p = random_prime(rng)
-            if p not in primes:
+            p = rng.randrange(1 << 30, 1 << 31) | 1
+            if _is_prime(p) and p not in primes:
                 primes.append(p)
         return cls(primes)
-
-    def label(self):
-        if not self.primes:
-            return "exact"
-        return "modular(%s)" % ",".join(str(p) for p in self.primes)
 
 
 class Echelon:
     """Incremental semi-echelon form over GF(p); rank, contains and
-    basis_rows are answered from the certified RREF over Q.  The given
-    primes are taken first, then those of exact_primes(), each once.
+    basis_rows are answered from the certified RREF over Q.  The primes
+    are those of exact_primes(), in order.
 
     rows maps each pivot column to the residues of the row's entries right
     of its pivot; the pivot coefficient is an implicit 1.  A row is cleared
@@ -287,10 +262,9 @@ class Echelon:
     RREF when next needed.
     """
 
-    def __init__(self, primes=()):
-        self._start = tuple(primes)
+    def __init__(self):
         self._tries = 0  # primes given up so far
-        self.p = next(_primes(self._start))
+        self.p = next(exact_primes())
         self._rows = {}  # None: the certified RREF mod p, not read back yet
         self._reduced = True  # rows are the RREF mod p
         # the int rows inserted since the certified RREF, and that RREF as
@@ -384,7 +358,7 @@ class Echelon:
         for attempt in range(CERTIFICATE_PRIMES):
             if attempt:
                 self._tries += 1
-                self.p = next(islice(_primes(self._start), self._tries, None))
+                self.p = next(islice(exact_primes(), self._tries, None))
                 self._rows = {}
                 for u in batch:
                     self._adjoin(self._reduce(u))
@@ -450,15 +424,15 @@ class Subspace:
     """Certified span inside one bigraded component.
 
     columns: tuple of monomial masks fixing the coordinatization (canonical
-    order).  The span is one certified Echelon that tries the primes of
-    mode first; no answer depends on the mode.
+    order); bidegree: the component, named in WrongComponent messages.
+    The span is one certified Echelon.
     """
 
-    def __init__(self, columns, mode=None, bidegree=None):
+    def __init__(self, columns, bidegree):
         self.columns = tuple(columns)
         self.index = {m: i for i, m in enumerate(self.columns)}
         self.bidegree = bidegree
-        self.echelon = Echelon(mode.primes if mode else ())
+        self.echelon = Echelon()
 
     @property
     def rank(self):
@@ -500,30 +474,6 @@ class Subspace:
         dup = copy.copy(self)
         dup.echelon = self.echelon.copy()
         return dup
-
-
-def span(elements, component=None, mode=None, columns=None, cap=None):
-    """Certified span of homogeneous elements of one bidegree.
-
-    component: (p, q); columns defaults to the full component monomial list
-    of the first element's algebra, and cap then guards its monomial count
-    (ComponentTooLarge) in every mode.  mode names the primes tried first.
-    """
-    if columns is None:
-        if not elements:
-            return Subspace((), mode, component)
-        alg = elements[0].alg
-        p, q = component if component is not None else elements[0].bidegree()
-        guard_component(alg, p, q, cap)
-        columns = alg.component_masks(p, q)
-        component = (p, q)
-    sub = Subspace(columns, mode, component)
-    for el in elements:
-        if component is not None and el.terms and el.bidegree() != tuple(component):
-            raise InhomogeneousInput("element of bidegree %s in component %s"
-                                     % (el.bidegree(), component))
-        sub.insert(el)
-    return sub
 
 
 def guard_component(alg, p, q, cap=None):

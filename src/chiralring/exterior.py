@@ -85,10 +85,6 @@ class GrassmannAlgebra:
     def eta(self):
         return ExtElement(self, {1 << self.eta_bit: Fraction(1)})
 
-    def monomial(self, mask, coeff=1):
-        coeff = Fraction(coeff)
-        return ExtElement(self, {mask: coeff} if coeff else {})
-
     def bidegree_of_mask(self, mask):
         p = (mask & self._xmask).bit_count()
         q = (mask & self._ymask).bit_count()
@@ -230,35 +226,6 @@ class ExtElement:
         both = (1 << alg.xi_bit) | (1 << alg.eta_bit)
         return ExtElement(alg, {m ^ both: c for m, c in self.terms.items()
                                 if m & both == both})
-
-    def swap_xy(self):
-        """Algebra involution exchanging x_a with y_a (and xi with eta)."""
-        alg = self.alg
-        n = alg.n
-
-        def image(b):
-            if b < n:
-                return b + n
-            if b < 2 * n:
-                return b - n
-            return alg.eta_bit if b == alg.xi_bit else alg.xi_bit
-
-        out = {}
-        for m, c in self.terms.items():
-            # list the image generators in source order, then count the
-            # inversions needed to restore canonical order
-            perm = [image(b) for b in _bits(m)]
-            sign = 1
-            for i in range(len(perm)):
-                for j in range(i + 1, len(perm)):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            m2 = 0
-            for b in perm:
-                m2 |= 1 << b
-            # the swap permutes monomials, so no two terms collide
-            out[m2] = sign * c
-        return ExtElement(alg, out)
 
     def __str__(self):
         if not self.terms:

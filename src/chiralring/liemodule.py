@@ -1,7 +1,6 @@
 """The Lie algebra action on the Grassmann algebra over two copies of the
-adjoint module, extended as even derivations; weight bookkeeping, invariant
-subspaces of bigraded components, and the quadratic Casimir (normalized so
-it acts as the identity on the generators).
+adjoint module, extended as even derivations; weight bookkeeping and
+invariant subspaces of bigraded components.
 
 Weight slices of a component are listed one way only,
 `ActionTable.weight_masks`, which joins x-halves and y-halves by weight."""
@@ -73,18 +72,6 @@ class ActionTable:
         out = {}
         for mask, coeff in elem.terms.items():
             addmul(out, self.act_mask(a, mask), coeff)
-        return ExtElement(self.alg, out)
-
-    def casimir(self, elem):
-        """sum_a act(e_a, act(e^a, -)); commutes with every act(b, -) and is
-        the identity on the generators."""
-        lie = self.lie
-        out = {}
-        for a in range(lie.dim):
-            inner = {}
-            for b, c in lie.dual_vector(a).items():
-                addmul(inner, self.act(b, elem).terms, c)
-            addmul(out, self.act(a, ExtElement(self.alg, inner)).terms)
         return ExtElement(self.alg, out)
 
     def weight_masks(self, p, q, weight):

@@ -81,15 +81,6 @@ class LieAlgebraData:
             return self.e_index(signed)
         return self.f_index(_neg(signed))
 
-    def chevalley_generator_indices(self):
-        """Indices of e_i, f_i, h_i for simple i: they generate the algebra."""
-        out = []
-        for i in range(self.rank):
-            simple = self.rs.simple_roots[i]
-            out += [self.e_index(simple), self.f_index(simple),
-                    self.h_index(i)]
-        return out
-
     # ------------------------------------------------------------------
     # structure constants
 
@@ -216,10 +207,6 @@ class LieAlgebraData:
                             total += c * c2
                 form[a][b] = form[b][a] = total
         return form
-
-    def dual_vector(self, a):
-        """Coefficients of e^a (form-dual basis) over the basis."""
-        return {b: c for b, c in enumerate(self.form_inv[a]) if c}
 
 
 def _invert(matrix):

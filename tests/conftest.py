@@ -1,12 +1,15 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import settings
 
 from chiralring.rootsystem import build_root_system, chevalley_data
 from chiralring.cdsw import Workspace
-from chiralring.exactla import addmul
-from chiralring.exterior import ExtElement
+from chiralring.abideals import AbelianIdeal, is_abelian, is_ideal
+from chiralring.exactla import Subspace, _is_prime, addmul, guard_component
+from chiralring.exterior import ExtElement, _bits
 
 # Property tests draw the same examples on every run, and none is failed for
 # its time: the suite runs on small shared hosts.
@@ -138,13 +141,149 @@ class FractionRREF:
                 for piv in sorted(self.rows)]
 
 
+def primes_below(n, first=()):
+    """A stand-in for exactla.exact_primes(): the primes of first, then the
+    primes below n, largest first."""
+    def primes():
+        yield from first
+        p = n
+        while True:
+            p -= 1
+            if _is_prime(p):
+                yield p
+    return primes
+
+
+def seed_primes(seed, count):
+    """count distinct primes in [2**30, 2**31) drawn from seed."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = rng.randrange(1 << 30, 1 << 31) | 1
+        if _is_prime(p) and p not in out:
+            out.append(p)
+    return out
+
+
+class InhomogeneousInput(ValueError):
+    pass
+
+
+def span(elements, component=None, columns=None, cap=None):
+    """Certified span of homogeneous elements of one bidegree.
+
+    component: (p, q); columns defaults to the full component monomial list
+    of the first element's algebra, and cap then guards its monomial count
+    (ComponentTooLarge).
+    """
+    if columns is None:
+        if not elements:
+            return Subspace((), component)
+        alg = elements[0].alg
+        p, q = component if component is not None else elements[0].bidegree()
+        guard_component(alg, p, q, cap)
+        columns = alg.component_masks(p, q)
+        component = (p, q)
+    sub = Subspace(columns, component)
+    for el in elements:
+        if (component is not None and el.terms
+                and el.bidegree() != tuple(component)):
+            raise InhomogeneousInput("element of bidegree %s in component %s"
+                                     % (el.bidegree(), component))
+        sub.insert(el)
+    return sub
+
+
+def casimir(action, elem):
+    """sum_a act(e_a, act(e^a, -)), e^a = sum_b form_inv[a][b] e_b the
+    form-dual basis; commutes with every act(b, -) and is the identity on
+    the generators."""
+    lie = action.lie
+    out = {}
+    for a in range(lie.dim):
+        inner = {}
+        for b, c in enumerate(lie.form_inv[a]):
+            if c:
+                addmul(inner, action.act(b, elem).terms, c)
+        addmul(out, action.act(a, ExtElement(action.alg, inner)).terms)
+    return ExtElement(action.alg, out)
+
+
+def swap_xy(elem):
+    """Algebra involution exchanging x_a with y_a (and xi with eta)."""
+    alg = elem.alg
+    n = alg.n
+
+    def image(b):
+        if b < n:
+            return b + n
+        if b < 2 * n:
+            return b - n
+        return alg.eta_bit if b == alg.xi_bit else alg.xi_bit
+
+    out = {}
+    for m, c in elem.terms.items():
+        # list the image generators in source order, then count the
+        # inversions needed to restore canonical order
+        perm = [image(b) for b in _bits(m)]
+        sign = 1
+        for i in range(len(perm)):
+            for j in range(i + 1, len(perm)):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        m2 = 0
+        for b in perm:
+            m2 |= 1 << b
+        # the swap permutes monomials, so no two terms collide
+        out[m2] = sign * c
+    return ExtElement(alg, out)
+
+
+def chevalley_generator_indices(lie):
+    """Indices of e_i, f_i, h_i for simple i: they generate the algebra."""
+    out = []
+    for i in range(lie.rank):
+        simple = lie.rs.simple_roots[i]
+        out += [lie.e_index(simple), lie.f_index(simple), lie.h_index(i)]
+    return out
+
+
+class EmptyIdeal(ValueError):
+    pass
+
+
+def highest_weight_vector(alg, lie, ideal):
+    """Wedge of the x-generators of the ideal's root vectors, in canonical
+    order; a highest weight vector for the module it generates."""
+    if ideal.dim == 0:
+        raise EmptyIdeal("the empty ideal contributes the scalar 1")
+    mask = 0
+    for r in ideal.roots:
+        mask |= 1 << lie.e_index(r)
+    return ExtElement(alg, {mask: Fraction(1)})
+
+
+def enumerate_abelian_ideals_bruteforce(rs):
+    """Oracle: test every subset of the positive roots.  Only for small
+    rank."""
+    pos = rs.positive_roots
+    out = []
+    for size in range(len(pos) + 1):
+        for comb in combinations(range(len(pos)), size):
+            roots = [pos[i] for i in comb]
+            if is_ideal(rs, roots) and is_abelian(rs, roots):
+                out.append(AbelianIdeal(rs, comb))
+    out.sort(key=lambda a: (a.dim, a.indices))
+    return out
+
+
 def casimir_matrix(action, masks):
     """Matrix of the Casimir on the span of the given monomials (which must
     be Casimir-stable, e.g. a full component or a weight slice)."""
     index = {m: i for i, m in enumerate(masks)}
     cols = []
     for m in masks:
-        img = action.casimir(ExtElement(action.alg, {m: Fraction(1)}))
+        img = casimir(action, ExtElement(action.alg, {m: Fraction(1)}))
         col = {}
         for m2, v in img.terms.items():
             col[index[m2]] = v

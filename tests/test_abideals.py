@@ -5,11 +5,11 @@ import pytest
 from chiralring.rootsystem import build_root_system, chevalley_data
 from chiralring.exterior import GrassmannAlgebra
 from chiralring.liemodule import ActionTable
-from chiralring.abideals import (enumerate_abelian_ideals,
-                                 enumerate_abelian_ideals_bruteforce,
-                                 is_ideal, is_abelian, poincare_series,
-                                 product_series, check_prop_cox,
-                                 highest_weight_vector, EmptyIdeal)
+from chiralring.abideals import (enumerate_abelian_ideals, is_ideal,
+                                 is_abelian, poincare_series, product_series,
+                                 check_prop_cox)
+from conftest import (EmptyIdeal, casimir, enumerate_abelian_ideals_bruteforce,
+                      highest_weight_vector)
 
 PETERSON_TYPES = [("A", r) for r in range(1, 6)] + \
     [("B", r) for r in range(2, 5)] + [("C", r) for r in range(2, 5)] + \
@@ -122,7 +122,7 @@ def test_highest_weight_vectors(key):
             e_i = lie.e_index(lie.rs.simple_roots[i])
             assert act.act(e_i, v).is_zero()
         # Casimir eigenvalue equals the dimension of the ideal
-        assert act.casimir(v) == v.scale(a.dim)
+        assert casimir(act, v) == v.scale(a.dim)
 
 
 def test_single_root_vector():

@@ -7,6 +7,7 @@ import ast
 import importlib
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -50,23 +51,25 @@ def _workloads():
 
 @pytest.mark.parametrize("seed", [0, 11])
 def test_benchmark_modular_ops_get_expected_answers(seed):
-    """The benchmark's modular S-power operations (A1 k=1,2 and A2 k=2 in
-    its small workload) call check_S_power(ws, k, FieldMode.modular(seed))
-    and must get the answers of workloads.EXPECTED."""
-    from chiralring import cdsw
+    """Every operation of every small workload, called as the benchmark
+    calls it: op.call(api, ws, mode) with the names of run.API, one
+    workspace per algebra, and FieldMode.modular(seed) for the modular
+    S-power operations (FieldMode.exact() for the rest).  Each must get
+    the answer of workloads.EXPECTED."""
     from chiralring.exactla import FieldMode
     from chiralring.rootsystem import build_root_system, chevalley_data
 
-    primes = FieldMode.modular(seed).primes
-    assert isinstance(primes, tuple) and primes
-    assert all(isinstance(p, int) for p in primes)
+    api = SimpleNamespace(**{
+        attr: getattr(importlib.import_module(module), attr)
+        for module, attrs in _literal("run.py", "API").items()
+        for attr in attrs})
+    exact, modular = FieldMode.exact(), FieldMode.modular(seed)
     workloads = _workloads()
-    ops = [op for op in workloads.TINY["ideal-modular"] if op.modular]
-    assert {op.key for op in ops} == {"check_S_power/A1/k1",
-                                      "check_S_power/A1/k2",
-                                      "check_S_power/A2/k2"}
+    ops = [op for ops in workloads.TINY.values() for op in ops]
+    assert any(op.modular for op in ops)
+    workspaces = {key: api.Workspace(chevalley_data(build_root_system(t, r)))
+                  for key, t, r in workloads.algebras(ops)}
     for op in ops:
-        ws = cdsw.Workspace(chevalley_data(
-            build_root_system(op.algebra[0], int(op.algebra[1:]))))
-        answer = op.call(cdsw, ws, FieldMode.modular(seed))
+        answer = op.call(api, workspaces.get(op.algebra),
+                         modular if op.modular else exact)
         assert answer == workloads.EXPECTED[op.key], op.name

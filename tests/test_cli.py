@@ -101,21 +101,10 @@ def test_golden_reports(tmp_path, label, args):
     assert doc["report"] == golden
 
 
-def test_modular_mode_runs(tmp_path):
-    """Modular mode only picks the first primes: its report is the exact
-    report, but for the config."""
-    args = ["--algebra", "A", "1", "--checks", "cdsw-ii,cdsw-iii"]
-    code, doc = _run_json(tmp_path, args + ["--mode", "modular",
-                                            "--seed", "11"])
-    assert code == 0
-    res = doc["report"]["runs"][0]["results"]
-    assert all(r["verdict"] == "pass" for r in res)
-    assert doc["report"]["config"]["mode"].startswith("modular(")
-    exact_code, exact = _run_json(tmp_path, args)
-    assert exact_code == 0
-    assert exact["report"]["config"]["mode"] == "exact"
-    assert ({**doc["report"], "config": None}
-            == {**exact["report"], "config": None})
+def test_mode_and_seed_options_removed():
+    """There is one certified field: --mode and --seed are unknown options."""
+    assert run(["--algebra", "A", "1", "--mode", "exact"]) == 2
+    assert run(["--algebra", "A", "1", "--seed", "11"]) == 2
 
 
 def test_export_lie(tmp_path):

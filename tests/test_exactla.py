@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from chiralring import exactla
 from chiralring.exterior import ExtElement, GrassmannAlgebra
-from chiralring.exactla import (Echelon, FieldMode, Subspace, span,
+from chiralring.exactla import (Echelon, FieldMode, Subspace,
                                 kernel_basis, guard_component,
-                                ComponentTooLarge, InhomogeneousInput,
-                                WrongComponent, random_prime, _is_prime,
+                                ComponentTooLarge, WrongComponent, _is_prime,
                                 exact_primes, rational_reconstruction,
                                 CertificateFailure, CERTIFICATE_PRIMES)
-from conftest import FractionRREF, dense_rref, minimal_polynomial
+from conftest import (FractionRREF, InhomogeneousInput, dense_rref,
+                      minimal_polynomial, primes_below, seed_primes, span)
 
 
 def _random_rows(rng, nrows, ncols, density=0.4):
@@ -135,24 +135,12 @@ def test_memory_guard():
     alg = GrassmannAlgebra(14)
     with pytest.raises(ComponentTooLarge):
         guard_component(alg, 5, 5, cap=10 ** 5)
-    # the cap guards what is built in every mode
+    # the cap guards what is built
     columns = alg.component_masks(1, 1)
     elements = [alg.x(0).wedge(alg.y(0))]
     with pytest.raises(ComponentTooLarge):
-        span(elements, component=(1, 1), mode=FieldMode.modular(seed=1),
-             cap=len(columns) - 1)
-    assert span(elements, component=(1, 1), mode=FieldMode.modular(seed=1),
-                cap=len(columns)).rank == 1
-
-
-def test_field_mode_primes():
-    mode = FieldMode.modular(seed=42)
-    assert len(mode.primes) == 2
-    for p in mode.primes:
-        assert p > 2 ** 30 and _is_prime(p)
-    assert FieldMode.modular(seed=42).primes == mode.primes  # reproducible
-    assert FieldMode.exact().label() == "exact"
-    assert FieldMode.exact().primes == ()
+        span(elements, component=(1, 1), cap=len(columns) - 1)
+    assert span(elements, component=(1, 1), cap=len(columns)).rank == 1
 
 
 def _mod(v, p):
@@ -160,53 +148,55 @@ def _mod(v, p):
     return v.numerator * pow(v.denominator, -1, p) % p
 
 
-def test_modular_rank_matches_exact():
+def test_modular_rank_matches_exact(monkeypatch):
+    """Elimination over two primes drawn from a seed, then those of
+    exact_primes(), gives the rank and RREF of the Fraction reference, and
+    the residues read back from the certified RREF are its image mod the
+    prime that certified it."""
     rng = random.Random(12)
     for _ in range(20):
         rows = _random_rows(rng, 8, 6)
-        exact = Echelon()
+        oracle = FractionRREF()
         for r in rows:
-            exact.insert({j: v for j, v in enumerate(r) if v})
-        mode = FieldMode.modular(seed=rng.randint(0, 10 ** 6))
-        ech = Echelon(mode.primes)
+            oracle.insert({j: v for j, v in enumerate(r) if v})
+        first = seed_primes(rng.randint(0, 10 ** 6), 2)
+        monkeypatch.setattr(exactla, "exact_primes",
+                            primes_below(1 << 31, first))
+        ech = Echelon()
         for r in rows:
             ech.insert({j: v for j, v in enumerate(r) if v})
-        assert ech.rank == exact.rank
-        assert ech.basis_rows() == exact.basis_rows()
-        # the residues read back from the certified RREF are its image
-        # mod the first given prime
-        p = mode.primes[0]
+        assert ech.rank == oracle.rank
+        assert ech.basis_rows() == oracle.basis_rows()
+        p = first[0]
         assert ech.p == p
         assert ech.rows == {min(row): {j: _mod(v, p) for j, v in row.items()
                                        if j != min(row)}
-                            for row in exact.basis_rows()}
+                            for row in oracle.basis_rows()}
 
 
 def test_modular_membership_with_fractions():
+    """Rows and queries with fractional coefficients: denominators are
+    cleared before the elimination mod p, so membership is exact."""
     alg = GrassmannAlgebra(3)
     x1y1 = alg.x(0).wedge(alg.y(0)).scale(Fraction(2, 3))
     queries = [x1y1.scale(Fraction(7, 11)), alg.x(1).wedge(alg.y(1)),
                x1y1 + alg.x(1).wedge(alg.y(1))]
-    exact = span([x1y1], component=(1, 1))
-    sub = span([x1y1], component=(1, 1), mode=FieldMode.modular(seed=5))
-    assert [sub.contains(q) for q in queries] == \
-        [exact.contains(q) for q in queries] == [True, False, False]
+    sub = span([x1y1], component=(1, 1))
+    assert [sub.contains(q) for q in queries] == [True, False, False]
 
 
-def test_modular_prime_collapse_gives_exact_rank():
-    """A row that collapses mod the first given prime only: modular mode
-    takes a further prime and answers as exact mode does."""
+def test_modular_prime_collapse_gives_exact_rank(monkeypatch):
+    """A row that collapses mod the first prime only: the subspace takes a
+    further prime and gives the exact rank, growth and membership."""
     alg = GrassmannAlgebra(3)
-    mode = FieldMode.modular(seed=3)
-    p1 = mode.primes[0]
+    p1 = seed_primes(3, 1)[0]
+    monkeypatch.setattr(exactla, "exact_primes", primes_below(1 << 31, [p1]))
     x1y1 = alg.x(0).wedge(alg.y(0))
     x2y2 = alg.x(1).wedge(alg.y(1))
     rows = [x1y1 + x2y2, x1y1 + x2y2.scale(1 + p1)]
-    sub = Subspace(alg.component_masks(1, 1), mode, (1, 1))
-    exact = Subspace(alg.component_masks(1, 1), bidegree=(1, 1))
-    assert sub.insert_all(rows) == exact.insert_all(rows) == 2
-    assert sub.contains(x2y2) and exact.contains(x2y2)
-    assert sub.echelon.basis_rows() == exact.echelon.basis_rows()
+    sub = Subspace(alg.component_masks(1, 1), (1, 1))
+    assert sub.insert_all(rows) == 2
+    assert sub.contains(x1y1) and sub.contains(x2y2)
     assert sub.echelon.p != p1
 
 
@@ -246,9 +236,13 @@ def test_minimal_polynomial_diagonal():
 
 
 def test_random_prime():
-    rng = random.Random(99)
-    p = random_prime(rng)
-    assert p > 2 ** 30 and _is_prime(p)
+    """FieldMode.modular(seed) draws two distinct primes in [2**30, 2**31),
+    the same ones for the same seed; FieldMode.exact() names none."""
+    primes = FieldMode.modular(99).primes
+    assert len(set(primes)) == 2
+    assert all(2 ** 30 < p < 2 ** 31 and _is_prime(p) for p in primes)
+    assert FieldMode.modular(99).primes == primes
+    assert FieldMode.exact().primes == ()
 
 
 def test_rational_reconstruction():
@@ -262,17 +256,6 @@ def test_rational_reconstruction():
     big = Fraction(10 ** 6, 7)
     a = big.numerator * pow(big.denominator, -1, m) % m
     assert rational_reconstruction(a, m) != (10 ** 6, 7)
-
-
-def _primes_below(n):
-    """A stand-in for exact_primes() whose sequence starts below n."""
-    def primes():
-        p = n
-        while True:
-            p -= 1
-            if _is_prime(p):
-                yield p
-    return primes
 
 
 def _oracle_kernel(rref, ncols):
@@ -290,7 +273,7 @@ def _oracle_kernel(rref, ncols):
 
 
 FIRST_PRIME = next(exact_primes())
-GIVEN_PRIME = FieldMode.modular(seed=8).primes[0]
+GIVEN_PRIME = seed_primes(8, 1)[0]
 
 
 def _unlucky(first):
@@ -305,21 +288,17 @@ def _unlucky(first):
     ]
 
 
-@pytest.mark.parametrize("start, rows, why", [
+@pytest.mark.parametrize("first, rows, why", [
     pytest.param((), rows, why, id="rows%d-%s" % (i, why))
     for i, (rows, why) in enumerate(_unlucky(FIRST_PRIME))] + [
     pytest.param((GIVEN_PRIME,), rows, why, id="given-prime-%s" % why)
-    for rows, why in _unlucky(GIVEN_PRIME)] + [
-    pytest.param((FIRST_PRIME,), rows, why,
-                 id="given-prime-also-in-exact-primes-%s" % why)
-    for rows, why in _unlucky(FIRST_PRIME)])
-def test_exact_mode_takes_next_prime(start, rows, why):
-    """Each case fails its first certificate, over the first given prime or
-    else the first of exact_primes(); the answer must still be the exact
-    RREF, certified with the second distinct prime.  A given prime that is
-    also in exact_primes() is not taken twice (the CRT of a prime with
-    itself would fail)."""
-    ech = Echelon(start)
+    for rows, why in _unlucky(GIVEN_PRIME)])
+def test_exact_mode_takes_next_prime(monkeypatch, first, rows, why):
+    """Each case fails its first certificate, over the first prime of
+    exact_primes() (a stand-in that takes the given primes first); the
+    answer must still be the exact RREF, certified with the second prime."""
+    monkeypatch.setattr(exactla, "exact_primes", primes_below(1 << 31, first))
+    ech = Echelon()
     for r in rows:
         ech.insert(r)
     oracle = FractionRREF()
@@ -327,9 +306,7 @@ def test_exact_mode_takes_next_prime(start, rows, why):
         oracle.insert(r)
     assert ech.basis_rows() == oracle.basis_rows(), why
     assert ech.rank == oracle.rank
-    first, second = islice(exactla._primes(start), 2)
-    assert first != second
-    assert ech.p == second, why
+    assert ech.p == list(islice(exactla.exact_primes(), 2))[1], why
 
 
 def test_certificate_gives_up_after_its_primes(monkeypatch):
@@ -384,29 +361,26 @@ def _rational_system(draw, first):
 
 _ALG = GrassmannAlgebra(3)
 _COLUMNS = _ALG.component_masks(1, 1)
-_SMALL = list(islice(_primes_below(1 << 15)(), 2))
 
 
-@pytest.mark.parametrize("below, start", [
+@pytest.mark.parametrize("below, first", [
     pytest.param(1 << 31, (), id="primes-below-2^31"),
     pytest.param(1 << 15, (), id="primes-below-2^15"),
-    pytest.param(1 << 31, (GIVEN_PRIME,), id="given-prime"),
-    pytest.param(1 << 15, (_SMALL[1], _SMALL[0]),
-                 id="given-primes-also-in-exact-primes-below-2^15")])
+    pytest.param(1 << 31, (GIVEN_PRIME,), id="given-prime")])
 @settings(max_examples=60)
 @given(data=st.data())
-def test_certified_exact_mode_matches_fraction_oracle(below, start, data):
-    """Certified exact mode against the Fraction RREF on random sparse
+def test_certified_exact_mode_matches_fraction_oracle(below, first, data):
+    """Certified elimination against the Fraction RREF on random sparse
     rational rows: RREF, rank, kernel, membership and insert_all growth.
-    The primes are those of start, then exact_primes() (a stand-in taking
-    the primes below `below`); the rows are unlucky for the first prime
-    taken.  Below 2**15 almost every RREF entry needs several primes."""
+    exact_primes() is a stand-in taking the primes of first, then the
+    primes below `below`; the rows are unlucky for the first prime taken.
+    Below 2**15 almost every RREF entry needs several primes."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exactla, "exact_primes", _primes_below(below))
-        first = next(exactla._primes(start))
-        ncols, rows, split, queries = data.draw(_rational_system(first))
+        mp.setattr(exactla, "exact_primes", primes_below(below, first))
+        ncols, rows, split, queries = data.draw(
+            _rational_system(next(exactla.exact_primes())))
         oracle = FractionRREF()
-        ech = Echelon(start)
+        ech = Echelon()
         for r in rows:
             oracle.insert(r)
             ech.insert(r)
@@ -419,7 +393,7 @@ def test_certified_exact_mode_matches_fraction_oracle(below, start, data):
         def elem(vec):
             return ExtElement(_ALG, {_COLUMNS[j]: c for j, c in vec.items()})
 
-        sub = Subspace(_COLUMNS[:ncols], FieldMode(start), (1, 1))
+        sub = Subspace(_COLUMNS[:ncols], (1, 1))
         staged = FractionRREF()
         for batch in (rows[:split], rows[split:]):
             want = sum(1 for r in batch if staged.insert(r))

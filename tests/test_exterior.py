@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from chiralring.exterior import (GrassmannAlgebra, ExtElement, OddMatrix,
                                  SizeMismatch, suffix_parity, term_key,
                                  wedge_into)
-from conftest import random_element
+from conftest import random_element, swap_xy
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +173,10 @@ def test_swap_involution():
     for _ in range(100):
         u = random_element(alg, rng)
         v = random_element(alg, rng)
-        assert u.swap_xy().swap_xy() == u
-        assert u.wedge(v).swap_xy() == u.swap_xy().wedge(v.swap_xy())
-    assert alg.x(0).swap_xy() == alg.y(0)
-    assert alg.xi().swap_xy() == alg.eta()
+        assert swap_xy(swap_xy(u)) == u
+        assert swap_xy(u.wedge(v)) == swap_xy(u).wedge(swap_xy(v))
+    assert swap_xy(alg.x(0)) == alg.y(0)
+    assert swap_xy(alg.xi()) == alg.eta()
 
 
 def test_oddmatrix_trace_identity():

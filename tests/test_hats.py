@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from chiralring.abideals import enumerate_abelian_ideals, poincare_series
-from chiralring.exactla import FieldMode
 from chiralring.exterior import OddMatrix
 from chiralring.rootsystem import build_root_system, chevalley_data
 from chiralring.cdsw import Workspace
@@ -14,6 +13,7 @@ from chiralring.cdsw.hats import (hat_trace, hat_generators, hat_monomials,
                                   trace_z_power, d_trace, check_prop_hat,
                                   check_conj_c1, check_conj_c2_c3,
                                   z_matrix)
+from conftest import chevalley_generator_indices
 
 
 def test_hat_bidegrees(ws_sl3):
@@ -26,7 +26,7 @@ def test_hat_bidegrees(ws_sl3):
 def test_hats_invariant(ws_sl2, ws_sl3, ws_so5):
     for ws in (ws_sl2, ws_sl3, ws_so5):
         for h in hat_generators(ws):
-            for a in ws.lie.chevalley_generator_indices():
+            for a in chevalley_generator_indices(ws.lie):
                 assert ws.action.act(a, h.value).is_zero()
 
 
@@ -223,23 +223,6 @@ def test_conj_c3_sl3_values(ws_sl3):
     assert rep["hat_in_L"] == [{"k": 3, "in_ideal": True}]
     assert [(r["d"], r["dim_L"], r["dim_hat_ideal"])
             for r in rep["per_degree"]] == [(0, 0, 0), (1, 0, 0), (2, 1, 1)]
-
-
-def test_modular_prop_hat_agrees(ws_sl3):
-    mode = FieldMode.modular(seed=77)
-    exact = check_prop_hat(ws_sl3, 2, 3)
-    mod = check_prop_hat(ws_sl3, 2, 3, mode=mode)
-    assert mod == exact
-
-
-def test_modular_conjecture_checks_agree(ws_sl3):
-    from chiralring.abideals import enumerate_abelian_ideals, poincare_series
-    mode = FieldMode.modular(seed=99)
-    counts = poincare_series(enumerate_abelian_ideals(ws_sl3.lie.rs))
-    exact_c1 = check_conj_c1(ws_sl3, 2, ideal_counts=counts)
-    mod_c1 = check_conj_c1(ws_sl3, 2, mode=mode, ideal_counts=counts)
-    assert mod_c1 == exact_c1
-    assert check_conj_c2_c3(ws_sl3, mode=mode) == check_conj_c2_c3(ws_sl3)
 
 
 def test_off_diagonal_invariants_vanish_in_double_quotient(ws_sl2, ws_sl3):

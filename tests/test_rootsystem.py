@@ -149,7 +149,7 @@ def test_form_invariance_and_casimir(key):
         acc = {}
         for a in range(n):
             v1 = {}
-            for u, cu in lie.dual_vector(a).items():
+            for u, cu in enumerate(lie.form_inv[a]):
                 for d, w in lie.bracket(u, b).items():
                     v1[d] = v1.get(d, 0) + cu * w
             for d, w in v1.items():
