@@ -8,6 +8,7 @@ from hypothesis import settings
 from chiralring.rootsystem import build_root_system, chevalley_data
 from chiralring.cdsw import Workspace
 from chiralring.abideals import AbelianIdeal, is_abelian, is_ideal
+from chiralring import exactla
 from chiralring.exactla import Subspace, _is_prime, addmul, guard_component
 from chiralring.exterior import ExtElement, _bits
 
@@ -163,6 +164,13 @@ def seed_primes(seed, count):
         if _is_prime(p) and p not in out:
             out.append(p)
     return out
+
+
+def use_seed_primes(monkeypatch, seed):
+    """Make every elimination first take two primes drawn from seed."""
+    first = seed_primes(seed, 2)
+    monkeypatch.setattr(exactla, "exact_primes", primes_below(1 << 31, first))
+    assert exactla.Echelon().p == first[0]
 
 
 class InhomogeneousInput(ValueError):

@@ -9,8 +9,7 @@ from chiralring.cdsw.core import (ideal_weight_zero, ideal_rows,
                                   check_S_power, check_part_i, XX, XY, YY,
                                   _FAMILY_DEGREE)
 from chiralring.exterior import ExtElement
-from conftest import (chevalley_generator_indices, primes_below, seed_primes,
-                      swap_xy)
+from conftest import chevalley_generator_indices, swap_xy, use_seed_primes
 
 
 def ideal_component(ws, families, p, q):
@@ -258,33 +257,30 @@ def test_swap_maps_families(ws_sl3):
         assert swap_xy(rxy) == rxy
 
 
-def test_reports_do_not_depend_on_primes(monkeypatch, ws_sl2, ws_sl3,
-                                         ws_so5):
-    """Whole reports of the checks on A1 and A2 (and the S powers on B2)
-    are the same when every elimination first takes two primes drawn from
-    a seed: the certified RREF over Q does not depend on the primes."""
-    from chiralring import exactla
-    from chiralring.cdsw.hats import (check_prop_hat, check_conj_c1,
-                                      check_conj_c2_c3)
-    from chiralring.abideals import enumerate_abelian_ideals, poincare_series
-
+def test_modular_exact_agreement(monkeypatch, ws_sl2, ws_sl3, ws_so5):
+    """Whole S power reports on A1, A2 and B2 are the same when every
+    elimination first takes two seed-drawn primes: the certified RREF over
+    Q does not depend on the primes."""
     def reports():
-        out = [check_S_power(ws, k) for ws in (ws_sl2, ws_sl3, ws_so5)
-               for k in range(1, ws.g + 1)]
-        for ws in (ws_sl2, ws_sl3):
-            counts = poincare_series(enumerate_abelian_ideals(ws.lie.rs))
-            out += [check_part_i(ws, ws.g), check_prop_hat(ws, 2, ws.g),
-                    check_conj_c1(ws, ws.g - 1, counts),
-                    check_conj_c2_c3(ws)]
-        return out
+        return [check_S_power(ws, k) for ws in (ws_sl2, ws_sl3, ws_so5)
+                for k in range(1, ws.g + 1)]
 
     want = reports()
     assert [r["contained"] for r in want[:8]] == \
         [False, True, False, False, True, False, False, True]
-    first = seed_primes(123, 2)
-    monkeypatch.setattr(exactla, "exact_primes", primes_below(1 << 31, first))
-    assert exactla.Echelon().p == first[0]
+    use_seed_primes(monkeypatch, 123)
     assert reports() == want
+
+
+def test_part_i_modular_matches_exact(monkeypatch, ws_sl3):
+    """The Part I report on A2 is the same under seed-drawn first primes."""
+    want = check_part_i(ws_sl3, 3)
+    use_seed_primes(monkeypatch, 31)
+    got = check_part_i(ws_sl3, 3)
+    assert got == want
+    assert ([d["dim"] for d in got["diagonal"]],
+            [o["dim"] for o in got["offdiagonal"]]) == ([1, 1, 1, 0], [0, 0, 0])
+    assert got["pass"]
 
 
 def test_component_too_large_guard(ws_sl3):

@@ -13,7 +13,7 @@ from chiralring.cdsw.hats import (hat_trace, hat_generators, hat_monomials,
                                   trace_z_power, d_trace, check_prop_hat,
                                   check_conj_c1, check_conj_c2_c3,
                                   z_matrix)
-from conftest import chevalley_generator_indices
+from conftest import chevalley_generator_indices, use_seed_primes
 
 
 def test_hat_bidegrees(ws_sl3):
@@ -223,6 +223,30 @@ def test_conj_c3_sl3_values(ws_sl3):
     assert rep["hat_in_L"] == [{"k": 3, "in_ideal": True}]
     assert [(r["d"], r["dim_L"], r["dim_hat_ideal"])
             for r in rep["per_degree"]] == [(0, 0, 0), (1, 0, 0), (2, 1, 1)]
+
+
+def test_modular_prop_hat_agrees(monkeypatch, ws_sl3):
+    """The Proposition report on A2 is the same under seed-drawn first
+    primes."""
+    want = check_prop_hat(ws_sl3, 2, 3)
+    use_seed_primes(monkeypatch, 77)
+    assert check_prop_hat(ws_sl3, 2, 3) == want
+
+
+def test_modular_conjecture_checks_agree(monkeypatch, ws_sl2, ws_sl3):
+    """The conjecture reports on A1 and A2 are the same under seed-drawn
+    first primes."""
+    def reports():
+        out = []
+        for ws in (ws_sl2, ws_sl3):
+            counts = poincare_series(enumerate_abelian_ideals(ws.lie.rs))
+            out += [check_conj_c1(ws, ws.g - 1, counts),
+                    check_conj_c2_c3(ws)]
+        return out
+
+    want = reports()
+    use_seed_primes(monkeypatch, 99)
+    assert reports() == want
 
 
 def test_off_diagonal_invariants_vanish_in_double_quotient(ws_sl2, ws_sl3):
