@@ -74,10 +74,17 @@ def S_element(alg, lie):
 class Workspace:
     """Bundles one Lie algebra with its Grassmann algebra, action table,
     relation families and S.  The trace representation is fixed by the
-    type (`trace_label`); the X, Y matrices and the powers of z = XY + YX
-    are cached.  `z_powers` holds z^0 .. z^ceil(k/2) for the largest degree
-    k traced so far: no trace of degree k needs a higher power (see
-    `cdsw.hats`)."""
+    type (`trace_label`).  What the checks derive from the algebra alone is
+    cached here and lives as long as the workspace:
+
+    - the X, Y matrices and the powers of z = XY + YX: `z_powers` holds
+      z^0 .. z^ceil(k/2) for the largest degree k traced so far, and no
+      trace of degree k needs a higher power (see `cdsw.hats`);
+    - the certified weight-zero ideal spans of `ideal_weight_zero`, in
+      `ideal_spans`, keyed by (frozenset of families, p, q).  Checks grow
+      the spans they are given, so each is handed out as a copy, which
+      shares the certified RREF until it grows;
+    - the half-mask weights of `ActionTable.weight_masks`, in `action`."""
 
     def __init__(self, lie):
         self.lie = lie
@@ -89,6 +96,7 @@ class Workspace:
         self.trace_label = default_trace_label(lie.rs.type_label)
         self._xy = None
         self.z_powers = []
+        self.ideal_spans = {}
 
     def xy_matrices(self):
         """X = sum_a x_a rho(e^a) and Y likewise; dual-basis matrices make
@@ -161,12 +169,22 @@ def ideal_rows(ws, families, p, q, weight):
 def ideal_weight_zero(ws, families, p, q, cap=None):
     """Weight-zero slice of the ideal span, coordinatized on the weight-zero
     monomials only.  Valid for membership of weight-zero elements because
-    the spanning vectors are weight-homogeneous."""
+    the spanning vectors are weight-homogeneous.
+
+    The span is eliminated once per workspace and families set (in any
+    order) and kept certified in `ws.ideal_spans`; each call returns a copy
+    the caller may grow.  The cap is checked on every call, so a smaller
+    cap refuses a span that is already cached."""
     guard_component(ws.alg, p, q, cap)
-    zero = ws.action.zero_weight
-    sub = Subspace(ws.action.weight_masks(p, q, zero), (p, q))
-    sub.insert_all(ideal_rows(ws, families, p, q, zero))
-    return sub
+    key = (frozenset(families), p, q)
+    sub = ws.ideal_spans.get(key)
+    if sub is None:
+        zero = ws.action.zero_weight
+        sub = Subspace(ws.action.weight_masks(p, q, zero), (p, q))
+        # insert_all reads the rank, which certifies the span
+        sub.insert_all(ideal_rows(ws, families, p, q, zero))
+        ws.ideal_spans[key] = sub
+    return sub.copy()
 
 
 def check_S_power(ws, k, mode=None, cap=None):
@@ -183,15 +201,12 @@ def check_S_power(ws, k, mode=None, cap=None):
     }
 
 
-def invariants_of_quotient(ws, p, q, families=(XX, XY, YY), cap=None,
-                           subspace=None):
+def invariants_of_quotient(ws, p, q, families=(XX, XY, YY), cap=None):
     """dim of the invariants of the quotient by the selected ideal at
     (p,q), computed as invariants of the component modulo their overlap
     with the ideal (taking invariants is exact here): the rank growth of
-    the ideal span when the invariant basis is adjoined.  A given subspace
-    (the ideal span) is grown in place."""
-    sub = subspace if subspace is not None else \
-        ideal_weight_zero(ws, families, p, q, cap)
+    the ideal span when the invariant basis is adjoined."""
+    sub = ideal_weight_zero(ws, families, p, q, cap)
     return sub.insert_all(invariant_basis_elements(ws.action, p, q, cap))
 
 
@@ -209,7 +224,7 @@ def check_part_i(ws, up_to_k, cap=None):
             continue
         sub = ideal_weight_zero(ws, (XX, XY, YY), k, k, cap)
         s_dim = 0 if sub.contains(ws.S.power(k)) else 1
-        dim = invariants_of_quotient(ws, k, k, subspace=sub, cap=cap)
+        dim = invariants_of_quotient(ws, k, k, cap=cap)
         diag.append({
             "k": k,
             "dim": dim,

@@ -180,11 +180,9 @@ def check_conj_c1(ws, up_to_d, ideal_counts, cap=None):
         if d == 0:
             e_dim = p_dim = 1
         else:
-            sub = ideal_weight_zero(ws, (XX, YY), d, d, cap)
-            e_dim = invariants_of_quotient(ws, d, d, cap=cap,
-                                           subspace=sub.copy())
-            p_dim = sub.insert_all(val for _, val in
-                                   hat_monomials(ws, d, hats))
+            e_dim = invariants_of_quotient(ws, d, d, (XX, YY), cap)
+            p_dim = ideal_weight_zero(ws, (XX, YY), d, d, cap).insert_all(
+                val for _, val in hat_monomials(ws, d, hats))
         count = ideal_counts[d] if d < len(ideal_counts) else 0
         rows.append({"d": d, "dim_E": e_dim, "dim_P_span": p_dim,
                      "ideal_count": count})
@@ -217,15 +215,14 @@ def check_conj_c2_c3(ws, cap=None):
 
     for d in range(g):
         inv = invariant_basis_elements(ws.action, d, d, cap) if d else []
-        sub_j = ideal_weight_zero(ws, (XX, YY), d, d, cap)
-        sub_jxy = ideal_weight_zero(ws, (XX, XY, YY), d, d, cap)
         # dim(Inv cap W) = |inv| - growth, so the difference of the two
         # intersections is the difference of the two growths
-        dim_L = sub_j.copy().insert_all(inv) - sub_jxy.insert_all(inv)
+        dim_L = (ideal_weight_zero(ws, (XX, YY), d, d, cap).insert_all(inv)
+                 - ideal_weight_zero(ws, (XX, XY, YY), d, d, cap)
+                 .insert_all(inv))
         # ideal generated by hats of degree > 1, inside E, at degree d
-        dim_gen = sub_j.insert_all(val for expo, val in
-                                   hat_monomials(ws, d, hats)
-                                   if any(expo[1:]))
+        dim_gen = ideal_weight_zero(ws, (XX, YY), d, d, cap).insert_all(
+            val for expo, val in hat_monomials(ws, d, hats) if any(expo[1:]))
         row = {"d": d, "dim_L": dim_L, "dim_hat_ideal": dim_gen,
                "match": dim_L == dim_gen}
         report["per_degree"].append(row)

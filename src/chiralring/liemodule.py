@@ -28,6 +28,11 @@ class ActionTable:
                     row[b + n] = [(c + n, v) for c, v in moves]
             self.table.append(row)
         self.zero_weight = (0,) * lie.rank
+        # weight_masks' half-mask tables, each filled on first use: the
+        # x-halves of (p,0) as (mask, weight) pairs in canonical order, keyed
+        # by p, and the y-halves of (0,q) grouped by weight, keyed by q
+        self._x_halves = {}
+        self._y_halves = {}
 
     def generator_weight(self, bit):
         n = self.alg.n
@@ -78,13 +83,22 @@ class ActionTable:
         """Monomial masks of bidegree (p,q) and the given weight, in
         canonical order.  A mask's weight is the sum of its x-part's and its
         y-part's, so each x-part of weight w is joined with the y-parts of
-        weight `weight - w`; the full component is never listed."""
-        ys = {}
-        for my in self.alg.component_masks(0, q):
-            ys.setdefault(self.mask_weight(my), []).append(my)
+        weight `weight - w`; the full component is never listed.  The
+        half-masks and their weights depend only on the algebra, so each
+        (p,0) and (0,q) is listed and weighed once per action table."""
+        xs = self._x_halves.get(p)
+        if xs is None:
+            xs = self._x_halves[p] = [
+                (mx, self.mask_weight(mx))
+                for mx in self.alg.component_masks(p, 0)]
+        ys = self._y_halves.get(q)
+        if ys is None:
+            ys = self._y_halves[q] = {}
+            for my in self.alg.component_masks(0, q):
+                ys.setdefault(self.mask_weight(my), []).append(my)
         out = []
-        for mx in self.alg.component_masks(p, 0):
-            need = tuple(w - c for w, c in zip(weight, self.mask_weight(mx)))
+        for mx, wx in xs:
+            need = tuple(w - c for w, c in zip(weight, wx))
             out.extend(mx | my for my in ys.get(need, ()))
         return out
 

@@ -167,10 +167,20 @@ def seed_primes(seed, count):
 
 
 def use_seed_primes(monkeypatch, seed):
-    """Make every elimination first take two primes drawn from seed."""
+    """Make every elimination first take two primes drawn from seed;
+    returns those primes."""
     first = seed_primes(seed, 2)
     monkeypatch.setattr(exactla, "exact_primes", primes_below(1 << 31, first))
     assert exactla.Echelon().p == first[0]
+    return first
+
+
+def eliminated_over(workspaces, primes):
+    """Whether the workspaces cached ideal spans and each was certified over
+    one of primes: the spans were eliminated after the primes were set, not
+    read from an earlier run."""
+    spans = [sub for ws in workspaces for sub in ws.ideal_spans.values()]
+    return bool(spans) and all(sub.echelon.p in primes for sub in spans)
 
 
 class InhomogeneousInput(ValueError):

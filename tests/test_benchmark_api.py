@@ -49,6 +49,14 @@ def _workloads():
     return module
 
 
+def _api():
+    """The package's names as the benchmark imports them (run.API)."""
+    return SimpleNamespace(**{
+        attr: getattr(importlib.import_module(module), attr)
+        for module, attrs in _literal("run.py", "API").items()
+        for attr in attrs})
+
+
 @pytest.mark.parametrize("seed", [0, 11])
 def test_benchmark_modular_ops_get_expected_answers(seed):
     """Every operation of every small workload, called as the benchmark
@@ -59,10 +67,7 @@ def test_benchmark_modular_ops_get_expected_answers(seed):
     from chiralring.exactla import FieldMode
     from chiralring.rootsystem import build_root_system, chevalley_data
 
-    api = SimpleNamespace(**{
-        attr: getattr(importlib.import_module(module), attr)
-        for module, attrs in _literal("run.py", "API").items()
-        for attr in attrs})
+    api = _api()
     exact, modular = FieldMode.exact(), FieldMode.modular(seed)
     workloads = _workloads()
     ops = [op for ops in workloads.TINY.values() for op in ops]
@@ -72,4 +77,21 @@ def test_benchmark_modular_ops_get_expected_answers(seed):
     for op in ops:
         answer = op.call(api, workspaces.get(op.algebra),
                          modular if op.modular else exact)
+        assert answer == workloads.EXPECTED[op.key], op.name
+
+
+def test_benchmark_exact_ops_in_reverse_order():
+    """The small ideal-exact workload run backwards on one set of
+    workspaces, so each operation finds spans the ones listed after it
+    left behind: every answer is still that of workloads.EXPECTED."""
+    from chiralring.exactla import FieldMode
+    from chiralring.rootsystem import build_root_system, chevalley_data
+
+    api = _api()
+    workloads = _workloads()
+    ops = workloads.TINY["ideal-exact"][::-1]
+    workspaces = {key: api.Workspace(chevalley_data(build_root_system(t, r)))
+                  for key, t, r in workloads.algebras(ops)}
+    for op in ops:
+        answer = op.call(api, workspaces.get(op.algebra), FieldMode.exact())
         assert answer == workloads.EXPECTED[op.key], op.name

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,8 @@ from chiralring.cdsw.core import (ideal_weight_zero, ideal_rows,
                                   check_S_power, check_part_i, XX, XY, YY,
                                   _FAMILY_DEGREE)
 from chiralring.exterior import ExtElement
-from conftest import chevalley_generator_indices, swap_xy, use_seed_primes
+from conftest import (chevalley_generator_indices, eliminated_over, swap_xy,
+                      use_seed_primes)
 
 
 def ideal_component(ws, families, p, q):
@@ -260,24 +263,30 @@ def test_swap_maps_families(ws_sl3):
 def test_modular_exact_agreement(monkeypatch, ws_sl2, ws_sl3, ws_so5):
     """Whole S power reports on A1, A2 and B2 are the same when every
     elimination first takes two seed-drawn primes: the certified RREF over
-    Q does not depend on the primes."""
-    def reports():
-        return [check_S_power(ws, k) for ws in (ws_sl2, ws_sl3, ws_so5)
+    Q does not depend on the primes.  Each report runs on fresh workspaces,
+    so the second eliminates its spans again."""
+    def reports(workspaces):
+        return [check_S_power(ws, k) for ws in workspaces
                 for k in range(1, ws.g + 1)]
 
-    want = reports()
+    lies = [ws.lie for ws in (ws_sl2, ws_sl3, ws_so5)]
+    want = reports([Workspace(lie) for lie in lies])
     assert [r["contained"] for r in want[:8]] == \
         [False, True, False, False, True, False, False, True]
-    use_seed_primes(monkeypatch, 123)
-    assert reports() == want
+    primes = use_seed_primes(monkeypatch, 123)
+    fresh = [Workspace(lie) for lie in lies]
+    assert reports(fresh) == want
+    assert eliminated_over(fresh, primes)
 
 
 def test_part_i_modular_matches_exact(monkeypatch, ws_sl3):
     """The Part I report on A2 is the same under seed-drawn first primes."""
-    want = check_part_i(ws_sl3, 3)
-    use_seed_primes(monkeypatch, 31)
-    got = check_part_i(ws_sl3, 3)
+    want = check_part_i(Workspace(ws_sl3.lie), 3)
+    primes = use_seed_primes(monkeypatch, 31)
+    fresh = Workspace(ws_sl3.lie)
+    got = check_part_i(fresh, 3)
     assert got == want
+    assert eliminated_over([fresh], primes)
     assert ([d["dim"] for d in got["diagonal"]],
             [o["dim"] for o in got["offdiagonal"]]) == ([1, 1, 1, 0], [0, 0, 0])
     assert got["pass"]
@@ -286,6 +295,59 @@ def test_part_i_modular_matches_exact(monkeypatch, ws_sl3):
 def test_component_too_large_guard(ws_sl3):
     with pytest.raises(ComponentTooLarge):
         check_S_power(ws_sl3, 3, cap=100)
+
+
+def test_cached_span_is_handed_out_as_a_copy(so5):
+    """Growing a returned span leaves the next one returned unchanged."""
+    ws = Workspace(so5)
+    first = ideal_weight_zero(ws, (XX, YY), 2, 2)
+    rank, rows = first.rank, first.echelon.basis_rows()
+    assert 0 < rank < len(first.columns)
+    first.insert_all(ExtElement(ws.alg, {m: Fraction(1)})
+                     for m in first.columns)
+    assert first.rank == len(first.columns)
+    again = ideal_weight_zero(ws, (XX, YY), 2, 2)
+    assert again.rank == rank
+    assert again.echelon.basis_rows() == rows
+
+
+def test_span_cache_key_ignores_family_order(so5):
+    ws = Workspace(so5)
+    rank = ideal_weight_zero(ws, (XX, YY), 2, 2).rank
+    assert ideal_weight_zero(ws, (YY, XX), 2, 2).rank == rank
+    assert list(ws.ideal_spans) == [(frozenset((XX, YY)), 2, 2)]
+
+
+def test_cached_span_still_refused_under_a_smaller_cap(so5):
+    ws = Workspace(so5)
+    ideal_weight_zero(ws, (XX, XY, YY), 2, 2)
+    assert ws.ideal_spans
+    with pytest.raises(ComponentTooLarge):
+        ideal_weight_zero(ws, (XX, XY, YY), 2, 2, cap=100)
+
+
+def test_cached_spans_die_with_their_workspace(so5):
+    ws = Workspace(so5)
+    ideal_weight_zero(ws, (XX, YY), 2, 2)
+    ref = weakref.ref(ws.ideal_spans[(frozenset((XX, YY)), 2, 2)])
+    del ws
+    gc.collect()
+    assert ref() is None
+
+
+def test_check_reports_do_not_depend_on_order(so5):
+    """Part (i) and S^3 on B2 share the (k,k) spans of all three families:
+    whichever runs first on a workspace, both reports are those of
+    separate fresh workspaces."""
+    separate = (check_part_i(Workspace(so5), 3),
+                check_S_power(Workspace(so5), 3))
+    ws = Workspace(so5)
+    part_first = (check_part_i(ws, 3), check_S_power(ws, 3))
+    ws = Workspace(so5)
+    s_power = check_S_power(ws, 3)
+    s_power_first = (check_part_i(ws, 3), s_power)
+    assert part_first == separate
+    assert s_power_first == separate
 
 
 def test_equivariance_of_ideal_spans(ws_sl2):

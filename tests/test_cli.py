@@ -1,5 +1,6 @@
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -98,6 +99,30 @@ def test_golden_reports(tmp_path, label, args):
     code, doc = _run_json(tmp_path, args + ["--checks", "all"])
     assert code == 0
     golden = json.load(open(os.path.join(GOLDEN_DIR, "report_%s.json" % label)))
+    assert doc["report"] == golden
+
+
+def test_each_span_eliminated_once(tmp_path, monkeypatch):
+    """A2 --checks all asks about 18 distinct weight-zero ideal spans (the
+    CLI's workspace and the one sl(n) remark builds); each is eliminated
+    once, and the report is the golden one."""
+    from chiralring.cdsw import core
+
+    builds, workspaces = Counter(), []
+    rows = core.ideal_rows
+
+    def counted(ws, families, p, q, weight):
+        if ws not in workspaces:
+            workspaces.append(ws)
+        builds[workspaces.index(ws), frozenset(families), p, q] += 1
+        return rows(ws, families, p, q, weight)
+
+    monkeypatch.setattr(core, "ideal_rows", counted)
+    code, doc = _run_json(tmp_path, ["--algebra", "A", "2", "--checks", "all"])
+    assert code == 0
+    assert len(workspaces) == 2
+    assert sum(builds.values()) == len(builds) == 18
+    golden = json.load(open(os.path.join(GOLDEN_DIR, "report_A2.json")))
     assert doc["report"] == golden
 
 

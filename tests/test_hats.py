@@ -13,7 +13,8 @@ from chiralring.cdsw.hats import (hat_trace, hat_generators, hat_monomials,
                                   trace_z_power, d_trace, check_prop_hat,
                                   check_conj_c1, check_conj_c2_c3,
                                   z_matrix)
-from conftest import chevalley_generator_indices, use_seed_primes
+from conftest import (chevalley_generator_indices, eliminated_over,
+                      use_seed_primes)
 
 
 def test_hat_bidegrees(ws_sl3):
@@ -227,26 +228,31 @@ def test_conj_c3_sl3_values(ws_sl3):
 
 def test_modular_prop_hat_agrees(monkeypatch, ws_sl3):
     """The Proposition report on A2 is the same under seed-drawn first
-    primes."""
-    want = check_prop_hat(ws_sl3, 2, 3)
-    use_seed_primes(monkeypatch, 77)
-    assert check_prop_hat(ws_sl3, 2, 3) == want
+    primes, each report on a fresh workspace."""
+    want = check_prop_hat(Workspace(ws_sl3.lie), 2, 3)
+    primes = use_seed_primes(monkeypatch, 77)
+    fresh = Workspace(ws_sl3.lie)
+    assert check_prop_hat(fresh, 2, 3) == want
+    assert eliminated_over([fresh], primes)
 
 
 def test_modular_conjecture_checks_agree(monkeypatch, ws_sl2, ws_sl3):
     """The conjecture reports on A1 and A2 are the same under seed-drawn
-    first primes."""
-    def reports():
+    first primes, each set of reports on fresh workspaces."""
+    def reports(workspaces):
         out = []
-        for ws in (ws_sl2, ws_sl3):
+        for ws in workspaces:
             counts = poincare_series(enumerate_abelian_ideals(ws.lie.rs))
             out += [check_conj_c1(ws, ws.g - 1, counts),
                     check_conj_c2_c3(ws)]
         return out
 
-    want = reports()
-    use_seed_primes(monkeypatch, 99)
-    assert reports() == want
+    lies = [ws_sl2.lie, ws_sl3.lie]
+    want = reports([Workspace(lie) for lie in lies])
+    primes = use_seed_primes(monkeypatch, 99)
+    fresh = [Workspace(lie) for lie in lies]
+    assert reports(fresh) == want
+    assert eliminated_over(fresh, primes)
 
 
 def test_off_diagonal_invariants_vanish_in_double_quotient(ws_sl2, ws_sl3):

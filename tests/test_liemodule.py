@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chiralring.rootsystem import build_root_system, chevalley_data
 from chiralring.exterior import GrassmannAlgebra, ExtElement
@@ -126,6 +127,34 @@ def test_weight_masks_match_filtering(key, top):
             for w, masks in _weight_groups_by_filtering(act, p, q).items():
                 assert act.weight_masks(p, q, w) == masks, (p, q, w)
             assert act.weight_masks(p, q, unreachable) == []
+
+
+@pytest.fixture(scope="module")
+def rank2_tables():
+    """One action table per type, shared by the examples, so later examples
+    read the half-mask tables earlier ones filled."""
+    out = {}
+    for key in ("A", 2), ("B", 2), ("G", 2):
+        lie = chevalley_data(build_root_system(*key))
+        out[key] = ActionTable(GrassmannAlgebra(lie.dim), lie)
+    return out
+
+
+@given(key=st.sampled_from([("A", 2), ("B", 2), ("G", 2)]),
+       p=st.integers(0, 3), q=st.integers(0, 3), data=st.data())
+@settings(max_examples=40)
+def test_weight_masks_cached_match_filtering(rank2_tables, key, p, q, data):
+    """weight_masks against filtering the component by mask_weight, at a
+    weight of the component or beyond it, called twice per input so both
+    the table-building and the cached path are checked."""
+    act = rank2_tables[key]
+    component = act.alg.component_masks(p, q)
+    weights = sorted({act.mask_weight(m) for m in component})
+    w = data.draw(st.sampled_from(weights) | st.tuples(
+        st.integers(-12, 12), st.integers(-12, 12)))
+    want = [m for m in component if act.mask_weight(m) == w]
+    assert act.weight_masks(p, q, w) == want
+    assert act.weight_masks(p, q, w) == want
 
 
 def test_invariants_live_on_weight_zero_slice(act_sl3):
