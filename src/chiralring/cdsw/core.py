@@ -84,7 +84,8 @@ class Workspace:
       `ideal_spans`, keyed by (frozenset of families, p, q).  Checks grow
       the spans they are given, so each is handed out as a copy, which
       shares the certified RREF until it grows;
-    - the half-mask weights of `ActionTable.weight_masks`, in `action`."""
+    - the half-mask weights of `ActionTable.weight_masks` and the bases of
+      `invariant_basis_elements`, in `action`."""
 
     def __init__(self, lie):
         self.lie = lie

@@ -14,6 +14,13 @@ echelon form (RREF) runs once, in decreasing pivot order, when the RREF is
 read.  An input row is first scaled to integers (its span does not
 change), so no prime ever has to invert a denominator.
 
+A batch (`Echelon.insert_all`, which `Subspace.insert_all` and
+`kernel_basis` go through) enters in descending leading column, ties in
+input order.  Pivots are then found from right to left, and a row never
+has entries left of its pivot, so the rows stay reduced against each
+other: a new row's reduction rarely meets fill-in pivots, and the
+back-substitution has little to clear.  The order sets only the cost.
+
 Every answer is certified.  An `Echelon` (and so every `Subspace` and
 `kernel_basis`) eliminates over one prime, lifts each RREF entry to Q by
 rational reconstruction and certifies the lift R in cleared-denominator
@@ -333,6 +340,14 @@ class Echelon:
         self._batch.append(u)
         return self._adjoin(self._reduce(u))
 
+    def insert_all(self, vecs):
+        """Insert a batch, each row through `insert`, by descending leading
+        column (ties in input order) so that the rows stay reduced (see
+        the module docstring); no answer depends on the order."""
+        for vec in sorted(vecs, key=lambda vec: min(vec, default=-1),
+                          reverse=True):
+            self.insert(vec)
+
     def _back_substitute(self):
         """Clear each row above the pivots right of it, in decreasing pivot
         order, so those rows are already cleared: rows becomes the RREF."""
@@ -406,8 +421,7 @@ def kernel_basis(rows, ncols):
     dict over column indices 0..ncols-1), read from the certified RREF;
     returns the canonical basis vectors as dicts, one per free column."""
     ech = Echelon()
-    for r in rows:
-        ech.insert(r)
+    ech.insert_all(rows)
     rref = ech.basis_rows()
     pivots = {min(row) for row in rref}
     basis = {free: {free: Fraction(1)} for free in range(ncols)
@@ -453,16 +467,11 @@ class Subspace:
             vec[i] = c
         return vec
 
-    def insert(self, elem):
-        """Adjoin elem to the span; the rank growth is read from rank or
-        insert_all."""
-        self.echelon.insert(self.coordinates(elem))
-
     def insert_all(self, elems):
-        """Insert each element in turn; returns how much the rank grew."""
+        """Insert the elements as one `Echelon.insert_all` batch; returns
+        how much the rank grew."""
         before = self.rank
-        for el in elems:
-            self.insert(el)
+        self.echelon.insert_all(self.coordinates(el) for el in elems)
         return self.rank - before
 
     def contains(self, elem):

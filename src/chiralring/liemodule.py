@@ -33,6 +33,8 @@ class ActionTable:
         # by p, and the y-halves of (0,q) grouped by weight, keyed by q
         self._x_halves = {}
         self._y_halves = {}
+        # invariant_basis_elements' canonical bases, keyed by (p, q)
+        self._invariant_bases = {}
 
     def generator_weight(self, bit):
         n = self.alg.n
@@ -132,11 +134,15 @@ def invariants(action, p, q, cap=None):
 
 
 def invariant_basis_elements(action, p, q, cap=None):
-    """The canonical invariant basis as ExtElements."""
-    sub = invariants(action, p, q, cap)
-    columns = sub.columns
-    out = []
-    for row in sub.echelon.basis_rows():
-        out.append(ExtElement(action.alg,
-                              {columns[j]: c for j, c in row.items()}))
-    return out
+    """The canonical invariant basis as ExtElements, in a new list.  Each
+    (p, q) basis is computed once per action table; the cap is checked on
+    every call, so a smaller cap refuses a basis that is already known."""
+    guard_component(action.alg, p, q, cap=cap)
+    basis = action._invariant_bases.get((p, q))
+    if basis is None:
+        sub = invariants(action, p, q, cap)
+        columns = sub.columns
+        basis = action._invariant_bases[(p, q)] = [
+            ExtElement(action.alg, {columns[j]: c for j, c in row.items()})
+            for row in sub.echelon.basis_rows()]
+    return list(basis)

@@ -187,6 +187,22 @@ class InhomogeneousInput(ValueError):
     pass
 
 
+def kernel_of(ech, ncols):
+    """Canonical kernel basis read off an Echelon's certified RREF, rows
+    taken in whatever order they were inserted."""
+    rref = {min(row): row for row in ech.basis_rows()}
+    basis = []
+    for free in range(ncols):
+        if free in rref:
+            continue
+        vec = {free: Fraction(1)}
+        for piv, row in rref.items():
+            if row.get(free):
+                vec[piv] = -row[free]
+        basis.append(vec)
+    return basis
+
+
 def span(elements, component=None, columns=None, cap=None):
     """Certified span of homogeneous elements of one bidegree.
 
@@ -202,13 +218,13 @@ def span(elements, component=None, columns=None, cap=None):
         guard_component(alg, p, q, cap)
         columns = alg.component_masks(p, q)
         component = (p, q)
-    sub = Subspace(columns, component)
     for el in elements:
         if (component is not None and el.terms
                 and el.bidegree() != tuple(component)):
             raise InhomogeneousInput("element of bidegree %s in component %s"
                                      % (el.bidegree(), component))
-        sub.insert(el)
+    sub = Subspace(columns, component)
+    sub.insert_all(elements)
     return sub
 
 

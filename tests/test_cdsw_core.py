@@ -20,14 +20,16 @@ def ideal_component(ws, families, p, q):
     (p,q) component, every product r ^ m of a relation and a monomial
     taken, whatever its weight."""
     alg = ws.alg
-    sub = Subspace(alg.component_masks(p, q), bidegree=(p, q))
+    products = []
     for fam in families:
         dp, dq = _FAMILY_DEGREE[fam]
         if p < dp or q < dq:
             continue
         for rel in ws.rels.family(fam):
             for m in alg.component_masks(p - dp, q - dq):
-                sub.insert(rel.wedge(ExtElement(alg, {m: Fraction(1)})))
+                products.append(rel.wedge(ExtElement(alg, {m: Fraction(1)})))
+    sub = Subspace(alg.component_masks(p, q), bidegree=(p, q))
+    sub.insert_all(products)
     return sub
 
 
@@ -65,8 +67,7 @@ def family_equivariance(ws, family):
     rels = [r for r in ws.rels.family(family) if not r.is_zero()]
     p, q = _FAMILY_DEGREE[family]
     sub = Subspace(ws.alg.component_masks(p, q), bidegree=(p, q))
-    for r in rels:
-        sub.insert(r)
+    sub.insert_all(rels)
     for r in rels:
         for a in chevalley_generator_indices(ws.lie):
             img = ws.action.act(a, r)

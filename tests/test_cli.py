@@ -141,3 +141,21 @@ def test_export_lie(tmp_path):
     assert doc["dim"] == 8
     assert "vector" in doc["representations"]
     assert run(["--checks", "roots", "--export-lie", str(out)]) == 2
+
+
+def test_one_invariant_kernel_per_bidegree(tmp_path, monkeypatch):
+    """Part (i), c1 and c2/c3 share each invariant basis of B2: one kernel
+    per (action table, p, q) in an `--checks all` run."""
+    from chiralring import liemodule
+    kernels = Counter()
+    inner = liemodule.invariants
+
+    def counting(action, p, q, cap=None):
+        kernels[(id(action), p, q)] += 1
+        return inner(action, p, q, cap)
+
+    monkeypatch.setattr(liemodule, "invariants", counting)
+    code, doc = _run_json(tmp_path, ["--algebra", "B", "2", "--checks", "all"])
+    assert code == 0
+    assert len(kernels) == 6
+    assert set(kernels.values()) == {1}

@@ -13,7 +13,8 @@ from chiralring.exactla import (Echelon, FieldMode, Subspace,
                                 exact_primes, rational_reconstruction,
                                 CertificateFailure, CERTIFICATE_PRIMES)
 from conftest import (FractionRREF, InhomogeneousInput, dense_rref,
-                      minimal_polynomial, primes_below, seed_primes, span)
+                      kernel_of, minimal_polynomial, primes_below,
+                      seed_primes, span)
 
 
 def _random_rows(rng, nrows, ncols, density=0.4):
@@ -401,3 +402,89 @@ def test_certified_exact_mode_matches_fraction_oracle(below, first, data):
             for q in queries:
                 assert sub.contains(elem(q)) == staged.contains(q)
         assert sub.echelon.basis_rows() == oracle.basis_rows()
+
+
+class _CountingEchelon(Echelon):
+    """An Echelon counting the inserts that grew its rank over GF(p)."""
+
+    grew = 0
+
+    def insert(self, vec):
+        grew = super().insert(vec)
+        self.grew += grew
+        return grew
+
+
+_SMALL = (st.integers(-5, 5).filter(bool).map(Fraction)
+          | st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                      st.integers(1, 9)))
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_batch_order_changes_no_answer(data):
+    """insert_all (descending leading column) against inserting the same
+    random sparse rational rows one by one in their given order: the same
+    RREF, rank, membership, two-batch growth and kernel, and as many
+    inserts that grew as the rank."""
+    ncols = data.draw(st.integers(1, 8))
+    row = st.dictionaries(st.integers(0, ncols - 1), _SMALL, max_size=ncols)
+    rows = data.draw(st.lists(row, max_size=10))
+    queries = data.draw(st.lists(row, max_size=3))
+    split = data.draw(st.integers(0, len(rows)))
+    given_order, batched = _CountingEchelon(), _CountingEchelon()
+    for r in rows:
+        given_order.insert(r)
+    batched.insert_all(rows)
+    assert batched.basis_rows() == given_order.basis_rows()
+    assert batched.rank == given_order.rank
+    assert batched.grew == given_order.grew == batched.rank
+    for q in queries + rows:
+        assert batched.contains(q) == given_order.contains(q)
+    assert kernel_basis(rows, ncols) == kernel_of(given_order, ncols)
+
+    one_by_one, staged = Echelon(), _CountingEchelon()
+    for batch in (rows[:split], rows[split:]):
+        before = one_by_one.rank
+        for r in batch:
+            one_by_one.insert(r)
+        want = one_by_one.rank - before
+        before = staged.rank
+        staged.insert_all(batch)
+        assert staged.rank - before == want
+    assert staged.grew == staged.rank == batched.rank
+
+
+def test_batches_enter_by_descending_leading_column(monkeypatch):
+    """Subspace.insert_all and kernel_basis, and through them the ideal
+    spans, the invariant kernels and the octonion derivation kernel, hand
+    every Echelon its rows in non-increasing leading column."""
+    from chiralring.cdsw import Workspace
+    from chiralring.cdsw.core import XX, XY, YY, ideal_weight_zero
+    from chiralring.liemodule import invariants
+    from chiralring.rootsystem import build_root_system, chevalley_data
+    from chiralring.rootsystem.octonion import derivation_basis
+
+    leads = {}
+    insert = Echelon.insert
+
+    def recording(self, vec):
+        leads.setdefault(self, []).append(min(vec, default=-1))
+        return insert(self, vec)
+
+    monkeypatch.setattr(Echelon, "insert", recording)
+    rng = random.Random(16)
+    rows = [{j: v for j, v in enumerate(r) if v}
+            for r in _random_rows(rng, 12, 9)]
+    kernel_basis(rows, 9)
+    sub = Subspace(_COLUMNS, (1, 1))
+    sub.insert_all(ExtElement(_ALG, {_COLUMNS[j]: c for j, c in r.items()})
+                   for r in rows if r)
+    derivation_basis()
+    ws = Workspace(chevalley_data(build_root_system("A", 2)))
+    ideal_weight_zero(ws, (XX, XY, YY), 2, 2)
+    invariants(ws.action, 2, 2)
+    # the kernels and spans above, each with rows to order
+    assert len(leads) >= 6
+    for seq in leads.values():
+        assert seq == sorted(seq, reverse=True)

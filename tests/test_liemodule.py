@@ -8,9 +8,11 @@ from chiralring.rootsystem import build_root_system, chevalley_data
 from chiralring.exterior import GrassmannAlgebra, ExtElement
 from chiralring.liemodule import (ActionTable, invariants,
                                   invariant_basis_elements)
-from chiralring.exactla import kernel_basis, Subspace, WrongComponent
+from chiralring.exactla import (ComponentTooLarge, Echelon, kernel_basis,
+                                Subspace, WrongComponent)
 from conftest import (random_element, casimir, casimir_matrix,
-                      chevalley_generator_indices, minimal_polynomial, span,
+                      chevalley_generator_indices, kernel_of,
+                      minimal_polynomial, span,
                       _poly_divmod)
 
 
@@ -257,3 +259,59 @@ def test_casimir_largest_eigenvalue_is_degree(key, dmax):
         from chiralring.abideals import enumerate_abelian_ideals
         dims = {a.dim for a in enumerate_abelian_ideals(lie.rs)}
         assert (max(roots) == d) == (d in dims)
+
+
+def _invariant_basis_in_equation_order(act, p, q):
+    """invariant_basis_elements with every row inserted one by one, in the
+    order the equations and the kernel vectors are built."""
+    lie = act.lie
+    w0 = act.weight_masks(p, q, act.zero_weight)
+    eqs = {}
+    for simple in lie.rs.simple_roots:
+        a = lie.e_index(simple)
+        for j, mask in enumerate(w0):
+            for m2, v in act.act_mask(a, mask).items():
+                eqs.setdefault((a, m2), {})[j] = v
+    equations, invariant = Echelon(), Echelon()
+    for row in eqs.values():
+        equations.insert(row)
+    for vec in kernel_of(equations, len(w0)):
+        invariant.insert(vec)
+    return [ExtElement(act.alg, {w0[j]: c for j, c in row.items()})
+            for row in invariant.basis_rows()]
+
+
+@pytest.mark.parametrize("key, d", [
+    (("A", 2), 2), (("B", 2), 2), (("G", 2), 2), (("B", 2), 3),
+    (("G", 2), 3)])
+def test_invariant_basis_does_not_depend_on_row_order(key, d):
+    """The batches' descending leading-column order gives the canonical
+    basis of the rows taken in the order they are built."""
+    lie = chevalley_data(build_root_system(*key))
+    act = ActionTable(GrassmannAlgebra(lie.dim), lie)
+    elems = invariant_basis_elements(act, d, d)
+    assert elems
+    assert elems == _invariant_basis_in_equation_order(act, d, d)
+
+
+def test_invariant_basis_cached_per_action_table(act_sl3, monkeypatch):
+    """One kernel per (p, q) and action table; each call gets a new list,
+    and the cap is checked also when the basis is known."""
+    from chiralring import liemodule
+    calls = []
+    inner = liemodule.invariants
+
+    def counting(action, p, q, cap=None):
+        calls.append((p, q))
+        return inner(action, p, q, cap)
+
+    monkeypatch.setattr(liemodule, "invariants", counting)
+    act = ActionTable(act_sl3.alg, act_sl3.lie)
+    first = invariant_basis_elements(act, 2, 2)
+    first.clear()
+    again = invariant_basis_elements(act, 2, 2)
+    assert again == _invariant_basis_in_equation_order(act, 2, 2)
+    assert len(again) == 3
+    with pytest.raises(ComponentTooLarge):
+        invariant_basis_elements(act, 2, 2, cap=10)
+    assert calls == [(2, 2)]
