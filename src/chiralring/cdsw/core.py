@@ -9,6 +9,7 @@ weight-zero slice of the component.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from ..exterior import (GrassmannAlgebra, ExtElement, OddMatrix,
                         suffix_parity, wedge_into)
@@ -41,18 +42,23 @@ def relations(alg, lie):
     the three families are the components of the supercommutators of the
     equivariant matrices X, Y, so each family spans the canonical adjoint
     copy and is stable under the action table (the same contraction on the
-    plain coordinates is not, away from orthonormal bases)."""
+    plain coordinates is not, away from orthonormal bases).
+
+    The dual coordinates are taken with D * Binv, D the lcm of Binv's
+    denominators, so every coefficient is an int: each relation is D**2
+    times the contraction with Binv, and each family spans the same
+    space."""
     n = lie.dim
-    xd = [ExtElement(alg, {1 << b: v for b, v in enumerate(lie.form_inv[a])
-                           if v}) for a in range(n)]
-    yd = [ExtElement(alg, {1 << (b + n): v
-                           for b, v in enumerate(lie.form_inv[a]) if v})
-          for a in range(n)]
+    den = lcm(*(v.denominator for row in lie.form_inv for v in row))
+    dual = [{b: v.numerator * (den // v.denominator)
+             for b, v in enumerate(row) if v} for row in lie.form_inv]
+    xd = [{1 << b: v for b, v in row.items()} for row in dual]
+    yd = [{1 << (b + n): v for b, v in row.items()} for row in dual]
     xx, xy, yy = ([{} for _ in range(n)] for _ in range(3))
     for (a, b), comb in lie.struct.items():
         pairs = ((xx, xd[a], xd[b]), (xy, xd[a], yd[b]), (yy, yd[a], yd[b]))
         for fam, u, v in pairs:
-            uv = wedge_into({}, u.terms, v.terms)
+            uv = wedge_into({}, u, v)
             for c, coeff in comb.items():
                 addmul(fam[c], uv, coeff)
     xx, xy, yy = ([ExtElement(alg, t) for t in fam] for fam in (xx, xy, yy))

@@ -105,7 +105,9 @@ def newton_f(n):
         f = f + (term if i % 2 == 1 else term.scale(-1))
     np = NewtonPolynomial(n, f)
     lead = np.leading_power_coefficient()
-    assert abs(lead) == Fraction(1, factorial(n)), lead
+    if abs(lead) != Fraction(1, factorial(n)):
+        raise AssertionError("leading power coefficient %s, expected "
+                             "+-1/%d!" % (lead, n))
     return np
 
 

@@ -4,7 +4,9 @@ variables xi and eta.
 
 A monomial is a subset of the generators, stored as a Python int bitmask
 over the fixed order: x-block (bits 0..N-1), y-block (bits N..2N-1),
-xi (bit 2N), eta (bit 2N+1).  ExtElement coefficients are Fractions;
+xi (bit 2N), eta (bit 2N+1).  ExtElement coefficients are exact
+rationals: ints where the value is integral by construction (the relation
+families, the action's images, the ideal rows), Fractions otherwise;
 elements never store zero coefficients.  Bidegree: an x-generator counts
 (1,0), a y-generator (0,1), xi counts (1,0) and eta (0,1).
 

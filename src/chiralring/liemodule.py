@@ -22,12 +22,15 @@ class ActionTable:
         for a in range(lie.dim):
             row = {}
             for b in range(n):
-                moves = [(c, v) for c, v in lie.bracket(a, b).items() if v]
+                moves = list(lie.bracket(a, b).items())
                 if moves:
                     row[b] = moves
                     row[b + n] = [(c + n, v) for c, v in moves]
             self.table.append(row)
         self.zero_weight = (0,) * lie.rank
+        # mask_weight's table: the weight of each generator bit
+        self._bit_weights = [self.generator_weight(b)
+                             for b in range(2 * n + 2)]
         # weight_masks' half-mask tables, each filled on first use: the
         # x-halves of (p,0) as (mask, weight) pairs in canonical order, keyed
         # by p, and the y-halves of (0,q) grouped by weight, keyed by q
@@ -45,8 +48,7 @@ class ActionTable:
     def mask_weight(self, mask):
         w = list(self.zero_weight)
         for b in _bits(mask):
-            gw = self.generator_weight(b)
-            for i, c in enumerate(gw):
+            for i, c in enumerate(self._bit_weights[b]):
                 w[i] += c
         return tuple(w)
 

@@ -13,7 +13,9 @@ and N(a1, b1) = p + 1 > 0.  Every other constant follows from
   plus one Jacobi identity per remaining special pair.
 
 The invariant form is the Killing form, which normalizes the quadratic
-Casimir to act as the identity on the adjoint representation.
+Casimir to act as the identity on the adjoint representation.  The
+structure constants and the Killing form are ints (in a Chevalley basis
+both are integral); only the inverse form `form_inv` is rational.
 """
 
 from fractions import Fraction
@@ -101,12 +103,8 @@ class LieAlgebraData:
         """gamma^vee in the basis of simple coroots; integer entries."""
         rs = self.rs
         n2 = rs.norm2(root)
-        out = []
-        for i, m in enumerate(root):
-            c = m * rs.lengths[i] / n2
-            assert c.denominator == 1
-            out.append(int(c))
-        return out
+        return [_integral(m * rs.lengths[i] / n2, "coroot entry")
+                for i, m in enumerate(root)]
 
     def N(self, u, v):
         """Constant in [e_u, e_v] = N(u,v) e_{u+v} for signed roots with
@@ -153,7 +151,8 @@ class LieAlgebraData:
         struct = {}
 
         def put(a, b, comb):
-            comb = {c: v for c, v in comb.items() if v}
+            comb = {c: _integral(v, "structure constant")
+                    for c, v in comb.items() if v}
             if comb:
                 struct[(a, b)] = comb
 
@@ -167,17 +166,17 @@ class LieAlgebraData:
                     continue
                 if ra is None:          # [h_i, e_v]
                     i = a - dimE
-                    put(a, b, {b: Fraction(rs.pairing(rb, i))})
+                    put(a, b, {b: rs.pairing(rb, i)})
                     continue
                 if rb is None:
                     i = b - dimE
-                    put(a, b, {a: -Fraction(rs.pairing(ra, i))})
+                    put(a, b, {a: -rs.pairing(ra, i)})
                     continue
                 s = rs.add_roots(ra, rb)
                 if not any(s):          # [e_a, e_{-a}] = coroot
                     sign = 1 if _is_pos(ra) else -1
                     pos = ra if _is_pos(ra) else rb
-                    comb = {self.h_index(i): Fraction(sign * c)
+                    comb = {self.h_index(i): sign * c
                             for i, c in enumerate(self.coroot(pos))}
                     put(a, b, comb)
                     continue
@@ -194,35 +193,47 @@ class LieAlgebraData:
 
     def _killing_form(self):
         n = self.dim
-        form = [[Fraction(0)] * n for _ in range(n)]
+        # ad[a][u] = [basis_a, basis_u], nonzero brackets only
+        ad = [{} for _ in range(n)]
+        for (a, u), comb in self.struct.items():
+            ad[a][u] = comb
+        form = [[0] * n for _ in range(n)]
         for a in range(n):
             for b in range(a, n):
-                total = Fraction(0)
-                for u in range(n):
-                    row = self.bracket(a, u)
+                back = ad[b]
+                total = 0
+                for u, row in ad[a].items():
                     for v, c in row.items():
-                        back = self.bracket(b, v)
-                        c2 = back.get(u)
+                        c2 = back.get(v, {}).get(u)
                         if c2:
                             total += c * c2
                 form[a][b] = form[b][a] = total
         return form
 
 
+def _integral(x, what):
+    """The rational x as an int; raises when x is not integral."""
+    if x.denominator != 1:
+        raise AssertionError("%s %s is not integral" % (what, x))
+    return int(x)
+
+
 def _invert(matrix):
+    """Inverse of an invertible square matrix, as Fractions.  The matrices
+    inverted here are sparse, so the row operations skip zero entries."""
     n = len(matrix)
-    aug = [list(row) + [Fraction(1) if i == j else Fraction(0)
-                        for j in range(n)] for i, row in enumerate(matrix)]
+    aug = [list(row) + [int(i == j) for j in range(n)]
+           for i, row in enumerate(matrix)]
     for col in range(n):
         piv = next(r for r in range(col, n) if aug[r][col])
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
+        inv = Fraction(1, aug[col][col])
+        aug[col] = prow = [v * inv if v else 0 for v in aug[col]]
         for r in range(n):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [v - c * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            c = aug[r][col]
+            if r != col and c:
+                aug[r] = [v - c * w if w else v for v, w in zip(aug[r], prow)]
+    return [[Fraction(v) for v in row[n:]] for row in aug]
 
 
 _CACHE = {}

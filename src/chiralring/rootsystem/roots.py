@@ -115,6 +115,7 @@ class RootSystem:
         self.simple_roots = [tuple(1 if j == i else 0 for j in range(rank))
                              for i in range(rank)]
         self.highest_root = self.positive_roots[-1]
+        self._norm2 = {}
 
     def _reflect(self, root, i):
         c = sum(root[j] * self.cartan[i][j] for j in range(self.rank))
@@ -149,7 +150,10 @@ class RootSystem:
                    for i in range(self.rank) for j in range(self.rank))
 
     def norm2(self, root):
-        return self.inner(root, root)
+        n2 = self._norm2.get(root)
+        if n2 is None:
+            n2 = self._norm2[root] = self.inner(root, root)
+        return n2
 
     def is_root(self, vec):
         return vec in self.root_set or tuple(-c for c in vec) in self.root_set
@@ -181,7 +185,8 @@ class RootSystem:
         for i, m in enumerate(self.highest_root):
             total += m * self.lengths[i] / theta2
         g = 1 + total
-        assert g.denominator == 1
+        if g.denominator != 1:
+            raise AssertionError("dual Coxeter number %s is not integral" % g)
         return int(g)
 
     def invariant_degrees(self):

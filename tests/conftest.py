@@ -10,7 +10,7 @@ from chiralring.cdsw import Workspace
 from chiralring.abideals import AbelianIdeal, is_abelian, is_ideal
 from chiralring import exactla
 from chiralring.exactla import Subspace, _is_prime, addmul, guard_component
-from chiralring.exterior import ExtElement, _bits
+from chiralring.exterior import ExtElement, _bits, wedge_into
 
 # Property tests draw the same examples on every run, and none is failed for
 # its time: the suite runs on small shared hosts.
@@ -226,6 +226,27 @@ def span(elements, component=None, columns=None, cap=None):
     sub = Subspace(columns, component)
     sub.insert_all(elements)
     return sub
+
+
+def fraction_relations(alg, lie):
+    """Reference for cdsw.core.relations: the contraction
+    sum_ab f_ab^c g^a g^b in the form-dual coordinates g^a = sum_b Binv_ab g_b
+    with Binv's Fractions as they are, so each relation is 1/D**2 times the
+    library's int one (D the lcm of Binv's denominators).  Returns the XX,
+    XY and YY families as lists of ExtElements."""
+    n = lie.dim
+    xd = [{1 << b: v for b, v in enumerate(lie.form_inv[a]) if v}
+          for a in range(n)]
+    yd = [{1 << (b + n): v for b, v in enumerate(lie.form_inv[a]) if v}
+          for a in range(n)]
+    xx, xy, yy = ([{} for _ in range(n)] for _ in range(3))
+    for (a, b), comb in lie.struct.items():
+        pairs = ((xx, xd[a], xd[b]), (xy, xd[a], yd[b]), (yy, yd[a], yd[b]))
+        for fam, u, v in pairs:
+            uv = wedge_into({}, u, v)
+            for c, coeff in comb.items():
+                addmul(fam[c], uv, Fraction(coeff))
+    return tuple([ExtElement(alg, t) for t in fam] for fam in (xx, xy, yy))
 
 
 def casimir(action, elem):

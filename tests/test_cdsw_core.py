@@ -1,18 +1,20 @@
 import gc
 import weakref
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from chiralring.rootsystem import build_root_system, chevalley_data
+from chiralring.rootsystem import (build_root_system, chevalley_data,
+                                   LIE_DATA_TYPES)
 from chiralring.cdsw import Workspace
 from chiralring.exactla import Subspace, ComponentTooLarge, WrongComponent
-from chiralring.cdsw.core import (ideal_weight_zero, ideal_rows,
+from chiralring.cdsw.core import (ideal_weight_zero, ideal_rows, relations,
                                   check_S_power, check_part_i, XX, XY, YY,
                                   _FAMILY_DEGREE)
-from chiralring.exterior import ExtElement
-from conftest import (chevalley_generator_indices, eliminated_over, swap_xy,
-                      use_seed_primes)
+from chiralring.exterior import ExtElement, GrassmannAlgebra
+from conftest import (chevalley_generator_indices, eliminated_over,
+                      fraction_relations, swap_xy, use_seed_primes)
 
 
 def ideal_component(ws, families, p, q):
@@ -259,6 +261,56 @@ def test_swap_maps_families(ws_sl3):
         assert swap_xy(ryy) == rxx
     for rxy in rels.xy_relations:
         assert swap_xy(rxy) == rxy
+
+
+@pytest.mark.parametrize("key", [("A", 1), ("A", 2), ("A", 3), ("B", 2),
+                                 ("B", 3), ("C", 2), ("C", 3), ("D", 4),
+                                 ("G", 2)], ids=lambda key: "%s%d" % key)
+def test_int_relations_match_fraction_oracle(key):
+    """Each int relation is D**2 times the Fraction contraction with
+    form_inv, D the lcm of form_inv's denominators, so every family spans
+    what it spanned; the x<->y swap still sends XX to YY and fixes XY."""
+    lie = chevalley_data(build_root_system(*key))
+    alg = GrassmannAlgebra(lie.dim)
+    rels = relations(alg, lie)
+    den = lcm(*(v.denominator for row in lie.form_inv for v in row))
+    assert den > 1
+    got = (rels.xx_relations, rels.xy_relations, rels.yy_relations)
+    for fam, want in zip(got, fraction_relations(alg, lie)):
+        assert len(fam) == len(want) == lie.dim
+        for rel, ref in zip(fam, want):
+            assert rel == ref.scale(den ** 2)
+    for rxx, rxy, ryy in zip(*got):
+        assert swap_xy(rxx) == ryy
+        assert swap_xy(ryy) == rxx
+        assert swap_xy(rxy) == rxy
+
+
+@pytest.mark.parametrize("key", LIE_DATA_TYPES, ids=lambda key: "%s%d" % key)
+def test_algebra_data_are_plain_ints(key):
+    """Structure constants, the Killing form, the action table, act_mask
+    images, relation terms and ideal_rows coefficients are all exactly
+    int: no Fraction enters the invariant equations or the ideal rows."""
+    def ints(values):
+        return all(type(v) is int for v in values)
+
+    lie = chevalley_data(build_root_system(*key))
+    assert all(ints(comb.values()) for comb in lie.struct.values())
+    assert all(ints(row) for row in lie.form)
+    ws = Workspace(lie)
+    action = ws.action
+    assert all(ints(v for _, v in moves)
+               for row in action.table for moves in row.values())
+    masks = action.weight_masks(2, 1, action.zero_weight)
+    assert masks
+    for a in chevalley_generator_indices(lie):
+        for mask in masks:
+            assert ints(action.act_mask(a, mask).values())
+    for fam in (XX, XY, YY):
+        assert all(ints(rel.terms.values()) for rel in ws.rels.family(fam))
+    rows = list(ideal_rows(ws, (XX, XY, YY), 2, 2, action.zero_weight))
+    assert rows
+    assert all(ints(row.terms.values()) for row in rows)
 
 
 def test_modular_exact_agreement(monkeypatch, ws_sl2, ws_sl3, ws_so5):

@@ -142,6 +142,31 @@ def rank2_tables():
     return out
 
 
+@pytest.fixture(scope="module")
+def weight_tables(rank2_tables):
+    lie = chevalley_data(build_root_system("D", 4))
+    return {**rank2_tables, ("D", 4): ActionTable(GrassmannAlgebra(lie.dim),
+                                                  lie)}
+
+
+@given(key=st.sampled_from([("A", 2), ("B", 2), ("G", 2), ("D", 4)]),
+       data=st.data())
+@settings(max_examples=60)
+def test_mask_weight_is_sum_of_generator_weights(weight_tables, key, data):
+    """mask_weight, read from the per-bit table, against the sum of
+    generator_weight over the bits, on random masks over every bit (x, y,
+    xi and eta) and on the empty mask."""
+    act = weight_tables[key]
+    nbits = 2 * act.alg.n + 2
+    bits = data.draw(st.sets(st.integers(0, nbits - 1), max_size=8))
+    for mask in (0, sum(1 << b for b in bits)):
+        want = [0] * act.lie.rank
+        for b in range(nbits):
+            if mask >> b & 1:
+                want = [w + c for w, c in zip(want, act.generator_weight(b))]
+        assert act.mask_weight(mask) == tuple(want)
+
+
 @given(key=st.sampled_from([("A", 2), ("B", 2), ("G", 2)]),
        p=st.integers(0, 3), q=st.integers(0, 3), data=st.data())
 @settings(max_examples=40)

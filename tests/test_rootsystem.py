@@ -1,12 +1,17 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from chiralring.rootsystem import (build_root_system, chevalley_data,
                                    representation, UnsupportedType,
                                    LIE_DATA_TYPES, lie_to_json_dict)
+from chiralring.rootsystem.chevalley import LieAlgebraData
 from chiralring.rootsystem.octonion import (derivation_basis,
                                             derivation_equations,
                                             multiplication_table)
@@ -206,3 +211,53 @@ def test_derivation_equations_carry_no_zero_coefficient():
     # digest of the 14 basis matrices as computed before zeros were dropped
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
         "a828de78b0e33bbd"
+
+
+def test_non_integral_structure_constant_raises(monkeypatch):
+    """A Chevalley basis has integral structure constants; one that is not
+    is refused when it is stored, not carried into the action table."""
+    rs = build_root_system("A", 2)
+    monkeypatch.setattr(LieAlgebraData, "N",
+                        lambda self, u, v: Fraction(1, 2))
+    with pytest.raises(AssertionError, match="structure constant 1/2"):
+        LieAlgebraData(rs)
+
+
+_GUARDS_UNDER_O = """
+import copy
+from fractions import Fraction
+from chiralring.rootsystem import build_root_system
+from chiralring.rootsystem.chevalley import LieAlgebraData
+from chiralring.cdsw import remark
+
+def raises(call, *args):
+    try:
+        call(*args)
+    except AssertionError:
+        return True
+    return False
+
+# lengths of 1/3 make the dual Coxeter number and the coroots fractional;
+# the untouched Newton polynomial must pass its own check
+bad = copy.copy(build_root_system("B", 2))
+bad.lengths = [Fraction(1, 3)] * bad.rank
+stub = LieAlgebraData.__new__(LieAlgebraData)
+stub.rs = bad
+print(raises(bad.dual_coxeter),
+      raises(stub.coroot, bad.simple_roots[0]),
+      raises(remark.newton_f, 2) is False)
+remark.NewtonPolynomial.leading_power_coefficient = lambda self: 1
+LieAlgebraData.N = lambda self, u, v: Fraction(1, 2)
+print(raises(remark.newton_f, 2),
+      raises(LieAlgebraData, build_root_system("A", 2)))
+"""
+
+
+def test_exactness_guards_survive_optimize():
+    """The dual Coxeter, coroot, structure-constant and Newton-coefficient
+    exactness checks are explicit raises, so `python -O` keeps them."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", _GUARDS_UNDER_O],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["True"] * 5
