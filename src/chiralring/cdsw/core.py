@@ -86,6 +86,8 @@ class Workspace:
     - the X, Y matrices and the powers of z = XY + YX: `z_powers` holds
       z^0 .. z^ceil(k/2) for the largest degree k traced so far, and no
       trace of degree k needs a higher power (see `cdsw.hats`);
+    - the traces of `cdsw.hats` (Tr(z^k), dF(z)(X) and hat of degree k) as
+      (int terms, den), in `traces`, keyed by (function name, k);
     - the certified weight-zero ideal spans of `ideal_weight_zero`, in
       `ideal_spans`, keyed by (frozenset of families, p, q).  Checks grow
       the spans they are given, so each is handed out as a copy, which
@@ -103,6 +105,7 @@ class Workspace:
         self.trace_label = default_trace_label(lie.rs.type_label)
         self._xy = None
         self.z_powers = []
+        self.traces = {}
         self.ideal_spans = {}
 
     def xy_matrices(self):

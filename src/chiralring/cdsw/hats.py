@@ -12,7 +12,9 @@ vanish in the quotient by the XX and YY families; as raw Grassmann elements
 they are nonzero, so they are checked as ideal memberships.
 """
 
-from ..exterior import ExtElement, OddMatrix
+from math import lcm
+
+from ..exterior import ExtElement, OddMatrix, swap_terms, wedge_into
 from ..exactla import addmul, guard_component
 from ..liemodule import invariant_basis_elements
 from ..rootsystem.reps import trace_power_degrees
@@ -46,52 +48,92 @@ def _z_powers(ws, top):
     return pows
 
 
-def trace_z_power(ws, k):
-    """F({X,Y}) for F = Tr_V(w^k), as a raw element of bidegree (k,k):
-    Tr(z^floor(k/2) . z^ceil(k/2)), the last product diagonal-only."""
+def _per_workspace(build):
+    """build(ws, k) computed once per workspace and degree: the result is
+    kept in ws.traces and shared, so callers must not change it."""
+    def cached(ws, k):
+        key = (build.__name__, k)
+        val = ws.traces.get(key)
+        if val is None:
+            val = ws.traces[key] = build(ws, k)
+        return val
+    return cached
+
+
+@_per_workspace
+def _trace_z_power_ints(ws, k):
+    """Tr(z^k) as (int terms, den): Tr(z^h . z^h) from `trace_square_ints`
+    for k = 2h, Tr(z^h . z^(h+1)) from the diagonal for k = 2h+1."""
     h = k // 2
     pows = _z_powers(ws, k - h)
-    return pows[h].trace_product(pows[k - h])
+    if k == 2 * h:
+        return pows[h].trace_square_ints()
+    return pows[h].trace_product_ints(pows[k - h])
 
 
-def d_trace(ws, k, arg):
-    """dF({X,Y}) applied to X or Y: sum_{i+j=k-1} Tr(z^i A z^j).  z has
-    even entries, so by trace cyclicity each term is
-    Tr(A z^(k-1)) = Tr((A z^j) . z^(k-1-j)); with j = floor((k-1)/2) the
+def trace_z_power(ws, k):
+    """F({X,Y}) for F = Tr_V(w^k), as a raw element of bidegree (k,k),
+    built from powers up to z^ceil(k/2)."""
+    return ExtElement.from_ints(ws.alg, *_trace_z_power_ints(ws, k))
+
+
+@_per_workspace
+def _d_trace_ints(ws, k):
+    """dF({X,Y}) applied to X, as (int terms, den).  z has even entries, so
+    by trace cyclicity each term of sum_{i+j=k-1} Tr(z^i X z^j) is
+    Tr(X z^(k-1)) = Tr((X z^j) . z^(k-1-j)); with j = floor((k-1)/2) the
     sum is k times one odd-by-even product and one trace-only product, and
     no power above z^ceil(k/2) is needed."""
-    X, Y = ws.xy_matrices()
-    A = X if arg == "X" else Y
+    X, _ = ws.xy_matrices()
     j = (k - 1) // 2
     pows = _z_powers(ws, k - 1 - j)
     if j:
-        A = A.matmul(pows[j])
-    return A.trace_product(pows[k - 1 - j]).scale(k)
+        X = X.matmul(pows[j])
+    terms, den = X.trace_product_ints(pows[k - 1 - j])
+    return {m: k * c for m, c in terms.items()}, den
 
 
-def _times_z_powers(ws, A, k):
-    """[A z^0, ..., A z^(k-2)] for a degree-k trace, one product each:
-    A z^j = (A z^(j-s)) . z^s with s = min(j, ceil(k/2)), so no power above
-    z^ceil(k/2) is built."""
+def d_trace(ws, k, arg):
+    """dF({X,Y}) applied to X or Y: sum_{i+j=k-1} Tr(z^i A z^j).  The swap
+    x <-> y fixes z and exchanges X and Y, so dF(Y) is the swap of dF(X),
+    with the sign +1 at bidegree (k, k-1)."""
+    terms, den = _d_trace_ints(ws, k)
+    if arg != "X":
+        terms = swap_terms(terms, ws.alg.n)
+    return ExtElement.from_ints(ws.alg, terms, den)
+
+
+@_per_workspace
+def _hat_trace_ints(ws, k):
+    """hat of Tr_V(w^k) as (int terms, den).
+
+    By trace cyclicity (z has even entries) the sum is k sum_{a+b=k-2}
+    T(a,b) with T(a,b) = Tr((X z^a) . (Y z^b)).  The swap x <-> y fixes z
+    and sends X z^j to Y z^j (sign +1 at bidegree (j+1, j)), and odd
+    entries anticommute under the trace, so T(b,a) = -swap(T(a,b)), that
+    is (-1)**k times T(a,b) relabelled at bidegree (k-1, k-1).  So only the
+    chain X z^j is built, and only the pairs a <= b are traced."""
+    X, _ = ws.xy_matrices()
     h = (k + 1) // 2
     pows = _z_powers(ws, min(h, k - 2))
-    out = [A]
+    # X z^j = (X z^(j-s)) . z^s with s = min(j, ceil(k/2))
+    xz = [X]
     for j in range(1, k - 1):
         s = min(j, h)
-        out.append(out[j - s].matmul(pows[s]))
-    return out
+        xz.append(xz[j - s].matmul(pows[s]))
+    # every pair has the denominator den(X)^2 den(z)^(k-2)
+    half, mid = {}, {}
+    for a in range(k // 2):
+        b = k - 2 - a
+        terms, den = xz[a].trace_product_ints(xz[b].swap())
+        addmul(half if a < b else mid, terms, k)
+    return addmul(addmul(half, swap_terms(half, ws.alg.n), -1), mid), den
 
 
 def hat_trace(ws, k):
-    """hat of Tr_V(w^k): k * sum_{i+j=k-2} Tr(z^i X z^j Y).  z has even
-    entries, so by trace cyclicity each term is Tr((X z^j) . (Y z^i)):
-    2(k-2) odd-by-even products and k-1 trace-only products."""
-    X, Y = ws.xy_matrices()
-    xz, yz = _times_z_powers(ws, X, k), _times_z_powers(ws, Y, k)
-    total = {}
-    for i in range(k - 1):
-        addmul(total, xz[k - 2 - i].trace_product(yz[i]).terms, k)
-    return HatElement(k, ExtElement(ws.alg, total))
+    """hat of Tr_V(w^k): k * sum_{i+j=k-2} Tr(z^i X z^j Y)."""
+    return HatElement(k, ExtElement.from_ints(ws.alg,
+                                              *_hat_trace_ints(ws, k)))
 
 
 def hat_generators(ws, max_degree=None):
@@ -140,33 +182,49 @@ def check_prop_hat(ws, k1, k2, cap=None):
     for d in (k1, k2, k - 1):
         guard_component(ws.alg, d, d, cap)
 
-    fz = trace_z_power(ws, k1)
-    hz = trace_z_power(ws, k2)
-    report["a_zero_literal"] = fz.is_zero()
+    # every trace as (int terms, den); memberships do not depend on scale
+    alg = ws.alg
+    fz = _trace_z_power_ints(ws, k1)
+    hz = _trace_z_power_ints(ws, k2)
+    report["a_zero_literal"] = not fz[0]
     sub = ideal_weight_zero(ws, (XX, YY), k1, k1, cap)
-    report["a_in_ideal"] = sub.contains(fz)
+    report["a_in_ideal"] = sub.contains(ExtElement(alg, fz[0]))
 
-    dfx = d_trace(ws, k1, "X")
-    dfy = d_trace(ws, k1, "Y")
-    report["b_zero_literal"] = dfx.is_zero() and dfy.is_zero()
-    report["b_in_ideal"] = all(
-        el.is_zero()
-        or ideal_weight_zero(ws, (XX, YY), p, q, cap).contains(el)
+    # dF(z)(Y) is the swap of dF(z)(X), as in `d_trace`
+    dfx = _d_trace_ints(ws, k1)
+    dfy = swap_terms(dfx[0], alg.n), dfx[1]
+    report["b_zero_literal"] = not dfx[0]
+    report["b_in_ideal"] = not dfx[0] or all(
+        ideal_weight_zero(ws, (XX, YY), p, q, cap).contains(
+            ExtElement(alg, el[0]))
         for el, (p, q) in ((dfx, (k1, k1 - 1)), (dfy, (k1 - 1, k1))))
 
-    # Leibniz expansion of hat(FH) at z = {X,Y}
-    dhx = d_trace(ws, k2, "X")
-    dhy = d_trace(ws, k2, "Y")
-    hatf = hat_trace(ws, k1).value
-    hath = hat_trace(ws, k2).value
-    total = (hatf.wedge(hz) + fz.wedge(hath)
-             + dfx.wedge(dhy) + dhx.wedge(dfy))
+    # Leibniz expansion of hat(FH) at z = {X,Y}, on ints over one
+    # denominator
+    dhx = _d_trace_ints(ws, k2)
+    dhy = swap_terms(dhx[0], alg.n), dhx[1]
+    hatf = _hat_trace_ints(ws, k1)
+    hath = _hat_trace_ints(ws, k2)
+    total = ExtElement(alg, _wedge_sum(
+        ((hatf, hz), (fz, hath), (dfx, dhy), (dhx, dfy))))
     report["c_zero_literal"] = total.is_zero()
     subc = ideal_weight_zero(ws, (XX, YY), k - 1, k - 1, cap)
     report["c_in_ideal"] = total.is_zero() or subc.contains(total)
     report["pass"] = report["a_in_ideal"] and report["b_in_ideal"] and \
         report["c_in_ideal"]
     return report
+
+
+def _wedge_sum(pairs):
+    """sum a ^ b over pairs of (int terms, den) factors, as int terms over
+    the lcm of the products' denominators."""
+    den = lcm(*(da * db for (_, da), (_, db) in pairs))
+    out = {}
+    for (ta, da), (tb, db) in pairs:
+        s = den // (da * db)
+        wedge_into(out, {m: s * c for m, c in ta.items()} if s > 1 else ta,
+                   tb)
+    return out
 
 
 def check_conj_c1(ws, up_to_d, ideal_counts, cap=None):

@@ -10,10 +10,10 @@ the S-power vanishing for sl(n) falls out.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
-from ..exactla import addmul
-from ..exterior import ExtElement, OddMatrix
+from ..exactla import addmul, guard_component
+from ..exterior import ExtElement, OddMatrix, wedge_into
 from .core import ideal_weight_zero, XX, XY, YY
 
 
@@ -103,6 +103,10 @@ def newton_f(n):
     for i in range(1, n + 1):
         term = E[i] * y[n - i]   # p_{n+1-i}
         f = f + (term if i % 2 == 1 else term.scale(-1))
+    for e in f.terms:
+        if sum(i * x for i, x in enumerate(e, 1)) != n + 1:
+            raise AssertionError("monomial %s of f_%d has weight other than "
+                                 "%d" % (e, n, n + 1))
     np = NewtonPolynomial(n, f)
     lead = np.leading_power_coefficient()
     if abs(lead) != Fraction(1, factorial(n)):
@@ -111,21 +115,59 @@ def newton_f(n):
     return np
 
 
-def _eval_poly_grassmann(poly, values, alg):
-    """Evaluate a Poly at even Grassmann elements."""
+def newton_ints(poly, traces, monomials):
+    """L times poly at the traces, as (L, int terms): L is the lcm of the
+    coefficients' denominators.  `monomials` maps exponent tuples to the
+    int products prod_i traces[i]^e_i already built, starting from
+    {(0,...,0): {0: 1}}; each missing one is built from a smaller one
+    (the highest variable taken off) and kept.  The traces are even, so the
+    order of the factors is immaterial."""
+    L = lcm(*(c.denominator for c in poly.terms.values()))
     total = {}
     for e, c in poly.terms.items():
-        term = alg.one()
-        for i, k in enumerate(e):
-            for _ in range(k):
-                term = term.wedge(values[i])
-        addmul(total, term.terms, c)
-    return ExtElement(alg, total)
+        addmul(total, _monomial(e, traces, monomials),
+               c.numerator * (L // c.denominator))
+    return L, total
+
+
+def _monomial(e, traces, monomials):
+    val = monomials.get(e)
+    if val is None:
+        i = max(j for j, x in enumerate(e) if x)
+        smaller = e[:i] + (e[i] - 1,) + e[i + 1:]
+        val = monomials[e] = wedge_into(
+            {}, _monomial(smaller, traces, monomials), traces[i])
+    return val
+
+
+def z_traces(ws, n):
+    """(D, [T_1, ..., T_(n+1)]) for Z = XY + xi X + eta Y: D = den(Z) and
+    T_k = D^k Tr(Z^k) as int terms.  Z has even entries, so
+    Tr(Z^k) = Tr(Z^floor(k/2) . Z^ceil(k/2)) by trace cyclicity, and powers
+    up to Z^ceil((n+1)/2) suffice; Z^h has the denominator D^h."""
+    alg = ws.alg
+    X, Y = ws.xy_matrices()
+    Z = X.matmul(Y) + X.scale_left(alg.xi()) + Y.scale_left(alg.eta())
+    pows = [OddMatrix.identity(alg, Z.size), Z]
+    while len(pows) <= (n + 2) // 2:
+        pows.append(pows[-1].matmul(Z))
+    traces = []
+    for k in range(1, n + 2):
+        h = k // 2
+        terms, _ = (pows[h].trace_square_ints() if k == 2 * h
+                    else pows[h].trace_product_ints(pows[k - h]))
+        traces.append(terms)
+    return Z.den, traces
 
 
 def check_sln_remark(n, cap=None):
     """The exact trace identity for Z = XY + xi X + eta Y over sl(n), and
-    the xi-eta extraction that witnesses the degree-n S-power relation."""
+    the xi-eta extraction that witnesses the degree-n S-power relation.
+
+    Everything runs on ints over D = den(Z): T_k = D^k Tr(Z^k) are int
+    terms, and every monomial of f_n has weight n+1 (`newton_f`), so the
+    identity reads L T_(n+1) = sum_e (L c_e) prod_i T_i^e_i, L clearing
+    f_n's denominators.  Memberships do not depend on the scale."""
     from ..rootsystem import build_root_system, chevalley_data
     from .core import Workspace
 
@@ -134,47 +176,45 @@ def check_sln_remark(n, cap=None):
     lie = chevalley_data(build_root_system("A", n - 1))
     ws = Workspace(lie)
     alg = ws.alg
-    X, Y = ws.xy_matrices()
-    xy = X.matmul(Y)
-    Z = xy + X.scale_left(alg.xi()) + Y.scale_left(alg.eta())
-
-    # Z has even entries, so Tr(Z^k) = Tr(Z^floor(k/2) . Z^ceil(k/2)) by
-    # trace cyclicity: powers up to Z^ceil((n+1)/2) suffice
-    pows = [OddMatrix.identity(alg, Z.size), Z]
-    while len(pows) <= (n + 2) // 2:
-        pows.append(pows[-1].matmul(Z))
-    traces = [pows[k // 2].trace_product(pows[k - k // 2])
-              for k in range(1, n + 2)]
-    lhs = traces[n]  # Tr(Z^{n+1})
+    # the memberships below are at (n,n): guard it before any expansion
+    guard_component(alg, n, n, cap)
+    D, traces = z_traces(ws, n)
+    lhs = traces[n]  # T_(n+1)
 
     np_ = newton_f(n)
-    rhs = _eval_poly_grassmann(np_.poly, traces[:n], alg)
-    identity = (lhs == rhs)
+    monomials = {(0,) * n: {0: 1}}
+    L, rhs = newton_ints(np_.poly, traces[:n], monomials)
+    identity = ({m: L * c for m, c in lhs.items()} == rhs)
 
     q_star = np_.mixed_coefficient()
     c = -2 * q_star
 
-    trxy = xy.trace()
-    trxy_n = trxy.power(n)
+    # D Tr(XY): the terms of T_1 = D Tr(Z) without xi or eta
+    trxy = {m: v for m, v in traces[0].items() if not m >> alg.xi_bit}
+    trxy_n = trxy
+    for _ in range(n - 1):
+        trxy_n = wedge_into({}, trxy_n, trxy)
 
     # xi-eta parts: the distinguished monomial y1^(n-1) y2 contributes
-    # exactly c * Tr(XY)^n
+    # exactly c * Tr(XY)^n; on ints, L q_star T_1^(n-1) T_2 against
+    # L c D times D^n Tr(XY)^n
     e_star = [0] * n
     e_star[0], e_star[1] = n - 1, 1
-    star_term = _eval_poly_grassmann(Poly(n, {tuple(e_star): q_star}),
-                                     traces[:n], alg)
-    star_xieta = star_term.extract_xi_eta()
-    star_matches = (star_xieta == trxy_n.scale(c))
+    Lq = L // q_star.denominator * q_star.numerator
+    star_term = {m: Lq * v for m, v in monomials[tuple(e_star)].items()}
+    star_matches = (ExtElement(alg, star_term).extract_xi_eta()
+                    == ExtElement(alg, {m: -2 * Lq * D * v
+                                        for m, v in trxy_n.items()}))
 
-    rest = (rhs - star_term).extract_xi_eta()
-    lhs_xieta = lhs.extract_xi_eta()
+    rest = ExtElement(alg, addmul(dict(rhs), star_term, -1)).extract_xi_eta()
+    lhs_xieta = ExtElement(alg, lhs).extract_xi_eta()
 
     # memberships in the full defining ideal at (n,n): every piece except
     # the Tr(XY)^n term reduces into it, which forces S^n into the ideal
     sub = ideal_weight_zero(ws, (XX, XY, YY), n, n, cap)
     lhs_in_ideal = sub.contains(lhs_xieta)
     rest_in_ideal = sub.contains(rest)
-    s_power_in_ideal = sub.contains(trxy_n)
+    s_power_in_ideal = sub.contains(ExtElement(alg, trxy_n))
 
     report = {
         "n": n,

@@ -12,7 +12,13 @@ elements never store zero coefficients.  Bidegree: an x-generator counts
 
 An OddMatrix holds its entries as int coefficients over one shared
 denominator `den`, so matrix products run on ints; an entry or a trace
-becomes Fractions only when it leaves the matrix.
+becomes Fractions only when it leaves the matrix, and the `_ints` traces
+hand out (int terms, den) for callers that keep summing on ints.
+
+The swap x_a <-> y_a (`swap_terms`, `OddMatrix.swap`) is the algebra
+automorphism exchanging the two blocks: it sends x_A y_B to
+y_A x_B = (-1)**(|A| |B|) x_B y_A, so on bidegree (p,q) it relabels each
+monomial with the sign (-1)**(pq).
 
 The product of disjoint monomials m1 ^ m2 is the monomial m1 | m2 times
 (-1)**k, where k counts the pairs of a generator of m1 above a generator
@@ -137,6 +143,20 @@ def wedge_into(out, t1, t2):
     return out
 
 
+def swap_terms(terms, n):
+    """The swap x_a <-> y_a of a terms dict over N = n generators per
+    block, with the sign (-1)**(pq) on each monomial of bidegree (p,q).
+    Masks with xi/eta bits raise ValueError."""
+    low = (1 << n) - 1
+    out = {}
+    for m, c in terms.items():
+        mx, my = m & low, m >> n
+        if my >> n:
+            raise ValueError("the swap is not defined on xi/eta")
+        out[mx << n | my] = -c if mx.bit_count() * my.bit_count() & 1 else c
+    return out
+
+
 def _mask_of(indices):
     m = 0
     for i in indices:
@@ -157,6 +177,11 @@ class ExtElement:
     def __init__(self, alg, terms):
         self.alg = alg
         self.terms = terms
+
+    @classmethod
+    def from_ints(cls, alg, terms, den):
+        """The element with int terms over the positive denominator den."""
+        return cls(alg, {m: Fraction(c, den) for m, c in terms.items()})
 
     def is_zero(self):
         return not self.terms
@@ -247,7 +272,8 @@ class OddMatrix:
     dicts over one shared positive denominator `den`; products keep
     Grassmann signs because entry multiplication is the wedge.  Rationals
     appear only at the boundary: the constructor takes ExtElements, and
-    `entry`, `trace` and `trace_product` return them."""
+    `entry`, `trace` and `trace_product` return them; `trace_product_ints`
+    and `trace_square_ints` return (int terms, den) instead."""
 
     def __init__(self, alg, entries):
         """From a square list of rows of ExtElements."""
@@ -270,13 +296,9 @@ class OddMatrix:
         return cls._of(alg, [[{0: 1} if i == j else {} for j in range(m)]
                              for i in range(m)], 1)
 
-    def _element(self, terms, den):
-        return ExtElement(self.alg, {m: Fraction(c, den)
-                                     for m, c in terms.items()})
-
     def entry(self, i, j):
         """Entry (i, j) as an exact ExtElement."""
-        return self._element(self.entries[i][j], self.den)
+        return ExtElement.from_ints(self.alg, self.entries[i][j], self.den)
 
     def _check_size(self, other):
         if self.size != other.size:
@@ -301,13 +323,36 @@ class OddMatrix:
     __matmul__ = matmul
 
     def trace_product(self, other):
-        """Tr(self . other) from the diagonal of the product alone:
-        sum_i sum_k self[i][k] ^ other[k][i]."""
+        """Tr(self . other) as an exact ExtElement."""
+        return ExtElement.from_ints(self.alg, *self.trace_product_ints(other))
+
+    def trace_product_ints(self, other):
+        """Tr(self . other) from the diagonal of the product alone,
+        sum_i sum_k self[i][k] ^ other[k][i], as (int terms, den)."""
         self._check_size(other)
         acc = {}
         for row, col in zip(self.entries, zip(*other.entries)):
             _dot_into(acc, row, col)
-        return self._element(acc, self.den * other.den)
+        return acc, self.den * other.den
+
+    def trace_square_ints(self):
+        """Tr(self . self) for a matrix with even entries, as (int terms,
+        den).  Even entries commute, so the trace is
+        sum_i P_ii^2 + 2 sum_{i<l} P_il P_li: about half the products of
+        `trace_product_ints(self)`."""
+        acc, off = {}, {}
+        rows = self.entries
+        for i, row in enumerate(rows):
+            wedge_into(acc, row[i], row[i])
+            for l in range(i + 1, self.size):
+                wedge_into(off, row[l], rows[l][i])
+        return addmul(acc, off, 2), self.den * self.den
+
+    def swap(self):
+        """The swap x_a <-> y_a of every entry (see `swap_terms`)."""
+        n = self.alg.n
+        return OddMatrix._of(self.alg, [[swap_terms(t, n) for t in row]
+                                        for row in self.entries], self.den)
 
     def scale_left(self, elem):
         """Left multiplication of every entry by a fixed element."""
@@ -321,7 +366,7 @@ class OddMatrix:
         acc = {}
         for i in range(self.size):
             addmul(acc, self.entries[i][i])
-        return self._element(acc, self.den)
+        return ExtElement.from_ints(self.alg, acc, self.den)
 
 
 def _common_den(terms_dicts):

@@ -34,6 +34,16 @@ def so5():
 
 
 @pytest.fixture(scope="session")
+def sp4():
+    return chevalley_data(build_root_system("C", 2))
+
+
+@pytest.fixture(scope="session")
+def g2():
+    return chevalley_data(build_root_system("G", 2))
+
+
+@pytest.fixture(scope="session")
 def ws_sl2(sl2):
     return Workspace(sl2)
 
@@ -46,6 +56,16 @@ def ws_sl3(sl3):
 @pytest.fixture(scope="session")
 def ws_so5(so5):
     return Workspace(so5)
+
+
+@pytest.fixture(scope="session")
+def ws_sp4(sp4):
+    return Workspace(sp4)
+
+
+@pytest.fixture(scope="session")
+def ws_g2(g2):
+    return Workspace(g2)
 
 
 def random_element(alg, rng, nterms=4, maxdeg=2):
@@ -292,6 +312,19 @@ def swap_xy(elem):
         # the swap permutes monomials, so no two terms collide
         out[m2] = sign * c
     return ExtElement(alg, out)
+
+
+def eval_poly_grassmann(poly, values, alg):
+    """Reference evaluation of a `remark.Poly` at even Grassmann elements,
+    over Fractions, every monomial wedged out from the constant 1."""
+    total = {}
+    for e, c in poly.terms.items():
+        term = alg.one()
+        for i, k in enumerate(e):
+            for _ in range(k):
+                term = term.wedge(values[i])
+        addmul(total, term.terms, c)
+    return ExtElement(alg, total)
 
 
 def chevalley_generator_indices(lie):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chiralring.exterior import (GrassmannAlgebra, ExtElement, OddMatrix,
-                                 SizeMismatch, suffix_parity, term_key,
-                                 wedge_into)
+                                 SizeMismatch, suffix_parity, swap_terms,
+                                 term_key, wedge_into)
 from conftest import random_element, swap_xy
 
 
@@ -318,6 +318,89 @@ def test_graded_commutativity_random_elements(a, b):
     """a ^ b = (-1)^(|a||b|) b ^ a on sums of monomials."""
     (da, a), (db, b) = a, b
     assert a.wedge(b) == b.wedge(a).scale((-1) ** (da * db))
+
+
+@st.composite
+def _bihomogeneous_elements(draw):
+    """(p, q, element): a random element of _ALG3 without xi/eta whose
+    terms all have bidegree (p,q)."""
+    n = _ALG3.n
+    p, q = draw(st.integers(0, n)), draw(st.integers(0, n))
+
+    def block(size):
+        return st.frozensets(st.integers(0, n - 1), min_size=size,
+                             max_size=size).map(
+                                 lambda bits: sum(1 << b for b in bits))
+    masks = st.tuples(block(p), block(q)).map(lambda xy: xy[0] | xy[1] << n)
+    coeffs = st.builds(Fraction, st.integers(-5, 5).filter(bool),
+                       st.integers(1, 4))
+    return p, q, ExtElement(_ALG3, draw(st.dictionaries(masks, coeffs,
+                                                         max_size=5)))
+
+
+@settings(max_examples=120)
+@given(_bihomogeneous_elements())
+def test_swap_terms_matches_oracle(case):
+    """swap_terms is the automorphism x_a <-> y_a of the conftest oracle:
+    on bidegree (p,q) it relabels each monomial with the sign (-1)^(pq)."""
+    p, q, u = case
+    n = _ALG3.n
+    swapped = ExtElement(_ALG3, swap_terms(u.terms, n))
+    assert swapped == swap_xy(u)
+    relabelled = {(m & ((1 << n) - 1)) << n | m >> n: c
+                  for m, c in u.terms.items()}
+    assert swapped == ExtElement(_ALG3, relabelled).scale((-1) ** (p * q))
+
+
+def test_swap_refuses_xi_eta():
+    alg = GrassmannAlgebra(2)
+    for aux in (alg.xi(), alg.eta()):
+        with pytest.raises(ValueError):
+            swap_terms(alg.x(0).wedge(aux).terms, alg.n)
+
+
+# entries of even total degree, which commute with each other
+_EVEN_ENTRIES = st.dictionaries(
+    st.integers(0, (1 << (2 * _ALG3.n + 2)) - 1).filter(
+        lambda m: m.bit_count() % 2 == 0),
+    st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 6)),
+    max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda size: st.lists(
+    st.lists(_EVEN_ENTRIES, min_size=size, max_size=size),
+    min_size=size, max_size=size)))
+def test_trace_square_matches_trace_product(rows):
+    """Tr(P . P) from the diagonal and the pairs i < l against the full
+    trace-only product, for even entries."""
+    a = OddMatrix(_ALG3, [[ExtElement(_ALG3, t) for t in row]
+                          for row in rows])
+    terms, den = a.trace_square_ints()
+    assert den == a.den ** 2
+    assert all(type(c) is int for c in terms.values())
+    assert ExtElement.from_ints(_ALG3, terms, den) == a.trace_product(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_rational_matrices())
+def test_matrix_swap_is_entrywise(case):
+    """OddMatrix.swap swaps every entry and keeps the denominator, and it
+    commutes with the product (the swap is an algebra automorphism)."""
+    (rows_a, rows_b), _ = case
+    # the swap is defined without xi/eta
+    aux = (1 << _ALG3.xi_bit) | (1 << _ALG3.eta_bit)
+    rows_a, rows_b = ([[ExtElement(_ALG3, {m: c for m, c in e.terms.items()
+                                           if not m & aux}) for e in row]
+                       for row in rows] for rows in (rows_a, rows_b))
+    a, b = OddMatrix(_ALG3, rows_a), OddMatrix(_ALG3, rows_b)
+    sa = a.swap()
+    assert sa.den == a.den
+    prod, sprod = a.matmul(b).swap(), sa.matmul(b.swap())
+    for i in range(a.size):
+        for j in range(a.size):
+            assert sa.entry(i, j) == swap_xy(rows_a[i][j])
+            assert prod.entry(i, j) == sprod.entry(i, j)
 
 
 def test_size_mismatch():

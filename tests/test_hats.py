@@ -99,13 +99,14 @@ def _d_trace_by_products(ws, k):
 
 def _hat_trace_by_products(ws, k):
     """Reference hat of Tr_V(w^k): k * sum_{i+j=k-2} Tr(z^i X z^j Y), every
-    product taken and each trace read from the full last product."""
+    term its own chain of products, with no pairing of terms under the
+    swap; each trace is read from the diagonal of the last product."""
     X, Y = ws.xy_matrices()
     pows = _z_powers_by_products(ws, k - 2)
     total = ws.alg.zero()
     for i in range(k - 1):
-        prod = pows[i].matmul(X).matmul(pows[k - 2 - i]).matmul(Y)
-        total = total + prod.trace()
+        prod = pows[i].matmul(X).matmul(pows[k - 2 - i])
+        total = total + prod.trace_product(Y)
     return total.scale(k)
 
 
@@ -117,13 +118,30 @@ def test_d_trace_matches_sum_of_products(ws_sl3, ws_so5, k):
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
-def test_traces_match_full_products(ws_sl3, ws_so5, k):
-    """Tr(z^k) from half powers and hat from trace-only products against
-    the full z^k and the product-by-product hat (B2 up to k = 3)."""
-    for ws in (ws_sl3, ws_so5) if k <= 3 else (ws_sl3,):
-        assert trace_z_power(ws, k) == \
-            _z_powers_by_products(ws, k)[k].trace(), k
+def test_traces_match_full_products(ws_sl3, ws_so5, ws_sp4, ws_g2, k):
+    """Tr(z^k) from half powers (`trace_square_ints` at even k) and hat
+    from mirrored pairs against Tr(z^(k-2) . z^2) and the
+    product-by-product hat: A2 up to k = 6, B2, C2 and G2 at k = 3 and 4,
+    so both the pairs T(a,b), T(b,a) and the self-paired middle term of
+    even k are checked."""
+    for ws in (ws_sl3, ws_so5, ws_sp4, ws_g2) if k in (3, 4) \
+            else (ws_sl3, ws_so5) if k == 2 else (ws_sl3,):
+        pows = _z_powers_by_products(ws, max(k - 2, 2))
+        assert trace_z_power(ws, k) == pows[k - 2].trace_product(pows[2]), k
         assert hat_trace(ws, k).value == _hat_trace_by_products(ws, k), k
+
+
+@pytest.mark.parametrize("fixture", ["ws_sl3", "ws_so5", "ws_sp4", "ws_g2"])
+def test_y_chain_is_swapped_x_chain(request, fixture):
+    """Y z^j is the swap of X z^j, entry by entry, for j <= 2: the swap
+    fixes z and has the sign +1 at bidegree (j+1, j)."""
+    ws = request.getfixturevalue(fixture)
+    X, Y = ws.xy_matrices()
+    for j, zj in enumerate(_z_powers_by_products(ws, 2)):
+        xz, yz = X.matmul(zj).swap(), Y.matmul(zj)
+        for a in range(X.size):
+            for b in range(X.size):
+                assert xz.entry(a, b) == yz.entry(a, b), (j, a, b)
 
 
 def test_degree_k_traces_build_powers_up_to_half_k(sl3):
@@ -150,6 +168,25 @@ def test_g2_degree_four_traces_pinned():
     ws = Workspace(chevalley_data(build_root_system("G", 2)))
     assert _digest(hat_trace(ws, 4).value) == [3260, "1cbc043add5402ff"]
     assert _digest(d_trace(ws, 4, "X")) == [6044, "674923ff6d27484d"]
+
+
+def test_prop_hat_traces_built_once_per_workspace(sl3, monkeypatch):
+    """Once the pair (2,3) has run, the pairs (2,2) and (3,3) and every
+    trace of degree 2 and 3 are read from the workspace: no matrix product
+    or trace is taken again."""
+    ws = Workspace(sl3)
+    want = {pair: check_prop_hat(Workspace(sl3), *pair)
+            for pair in ((2, 2), (3, 3))}
+    assert check_prop_hat(ws, 2, 3)["pass"]
+
+    def refuse(*args):
+        raise AssertionError("a trace built twice")
+    for name in ("matmul", "trace_product_ints", "trace_square_ints"):
+        monkeypatch.setattr(OddMatrix, name, refuse)
+    for pair, report in want.items():
+        assert check_prop_hat(ws, *pair) == report
+    for k in (2, 3):
+        hat_trace(ws, k), trace_z_power(ws, k), d_trace(ws, k, "Y")
 
 
 def test_d_trace_in_ideal_not_zero(ws_sl3):

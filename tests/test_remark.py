@@ -3,7 +3,13 @@ from math import factorial
 
 import pytest
 
-from chiralring.cdsw.remark import Poly, newton_f, check_sln_remark
+from chiralring.cdsw import Workspace
+from chiralring.cdsw.remark import (Poly, newton_f, newton_ints,
+                                    check_sln_remark, z_traces)
+from chiralring.exactla import ComponentTooLarge
+from chiralring.exterior import ExtElement, OddMatrix
+from chiralring.rootsystem import build_root_system, chevalley_data
+from conftest import eval_poly_grassmann
 
 
 def _power_sums_oracle(n, top):
@@ -108,3 +114,48 @@ def test_xi_eta_part_of_trace_z_square(ws_sl2):
     assert tz2.extract_xi_eta().bidegree() == (1, 1)
     offdiag = tz2 - tz2.component(2, 2)
     assert offdiag.component(3, 1) + offdiag.component(1, 3) == offdiag
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_newton_f_monomials_have_weight_n_plus_one(n):
+    """sum_i i e_i = n+1 on every monomial of f_n, so on traces
+    T_i = D^i Tr(Z^i) every monomial carries the same factor D^(n+1)."""
+    for e in newton_f(n).poly.terms:
+        assert sum(i * x for i, x in enumerate(e, 1)) == n + 1, e
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_int_evaluation_matches_fraction_oracle(n):
+    """The int traces are D^k Tr(Z^k), and the int evaluations of f_n and
+    of its y1^(n-1) y2 term are L D^(n+1) times the Fraction evaluation."""
+    ws = Workspace(chevalley_data(build_root_system("A", n - 1)))
+    alg = ws.alg
+    D, traces = z_traces(ws, n)
+    X, Y = ws.xy_matrices()
+    Z = X.matmul(Y) + X.scale_left(alg.xi()) + Y.scale_left(alg.eta())
+    power = Z
+    exact = []
+    for k, terms in enumerate(traces, 1):
+        exact.append(power.trace())
+        assert ExtElement.from_ints(alg, terms, D ** k) == exact[-1], k
+        power = power.matmul(Z)
+    f = newton_f(n)
+    e_star = (n - 1, 1) + (0,) * (n - 2)
+    star = Poly(n, {e_star: f.mixed_coefficient()})
+    monomials = {(0,) * n: {0: 1}}
+    for poly in (f.poly, star):
+        L, val = newton_ints(poly, traces[:n], monomials)
+        want = eval_poly_grassmann(poly, exact[:n], alg)
+        assert ExtElement(alg, val) == want.scale(L * D ** (n + 1))
+    # f_n's monomials, the star term's among them, were each built once
+    assert e_star in monomials
+
+
+def test_sln_remark_guards_before_expanding(monkeypatch):
+    """A cap below the (n,n) component refuses before any matrix power or
+    trace is built."""
+    def refuse(self, other):
+        raise AssertionError("a matrix product before the cap check")
+    monkeypatch.setattr(OddMatrix, "matmul", refuse)
+    with pytest.raises(ComponentTooLarge):
+        check_sln_remark(3, cap=1)
