@@ -8,7 +8,9 @@ weight-zero elements (S powers, invariants) are settled inside the
 weight-zero slice of the component.
 """
 
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from ..exterior import (GrassmannAlgebra, ExtElement, OddMatrix,
@@ -89,9 +91,10 @@ class Workspace:
     - the traces of `cdsw.hats` (Tr(z^k), dF(z)(X) and hat of degree k) as
       (int terms, den), in `traces`, keyed by (function name, k);
     - the certified weight-zero ideal spans of `ideal_weight_zero`, in
-      `ideal_spans`, keyed by (frozenset of families, p, q).  Checks grow
-      the spans they are given, so each is handed out as a copy, which
-      shares the certified RREF until it grows;
+      `ideal_spans`, keyed by (frozenset of families, p, q), each over its
+      own column order (see there).  Checks grow the spans they are given,
+      so each is handed out as a copy, which shares the certified RREF
+      until it grows;
     - the half-mask weights of `ActionTable.weight_masks` and the bases of
       `invariant_basis_elements`, in `action`."""
 
@@ -181,6 +184,13 @@ def ideal_weight_zero(ws, families, p, q, cap=None):
     monomials only.  Valid for membership of weight-zero elements because
     the spanning vectors are weight-homogeneous.
 
+    The columns are the weight-zero masks ordered by how many of the
+    span's rows touch each, fewest first, ties in canonical order.  Sparse
+    columns then take the pivots and dense ones stay free, which about
+    halves the certified RREF of the rank-3 (2,2) spans.  Rank, membership
+    and `insert_all` growth do not depend on the column order, only the
+    RREF does.
+
     The span is eliminated once per workspace and families set (in any
     order) and kept certified in `ws.ideal_spans`; each call returns a copy
     the caller may grow.  The cap is checked on every call, so a smaller
@@ -190,9 +200,15 @@ def ideal_weight_zero(ws, families, p, q, cap=None):
     sub = ws.ideal_spans.get(key)
     if sub is None:
         zero = ws.action.zero_weight
-        sub = Subspace(ws.action.weight_masks(p, q, zero), (p, q))
-        # insert_all reads the rank, which certifies the span
-        sub.insert_all(ideal_rows(ws, families, p, q, zero))
+        rows = list(ideal_rows(ws, families, p, q, zero))
+        touched = Counter(chain.from_iterable(row.terms for row in rows))
+        # a stable sort: equal counts keep the canonical order
+        sub = Subspace(sorted(ws.action.weight_masks(p, q, zero),
+                              key=touched.__getitem__), (p, q))
+        # each row is dropped as it is coordinatized; insert_all reads the
+        # rank, which certifies the span
+        rows.reverse()
+        sub.insert_all(rows.pop() for _ in range(len(rows)))
         ws.ideal_spans[key] = sub
     return sub.copy()
 

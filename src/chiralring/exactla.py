@@ -19,7 +19,12 @@ A batch (`Echelon.insert_all`, which `Subspace.insert_all` and
 input order.  Pivots are then found from right to left, and a row never
 has entries left of its pivot, so the rows stay reduced against each
 other: a new row's reduction rarely meets fill-in pivots, and the
-back-substitution has little to clear.  The order sets only the cost.
+back-substitution has little to clear.  The order sets only the cost, and
+so does the order of a `Subspace`'s columns: the pivots and entries of the
+RREF depend on it, but rank, membership and `insert_all` growth do not.
+`cdsw.ideal_weight_zero` puts the columns that few rows touch first, so
+they take the pivots and the dense ones stay free; invariant kernels keep
+the canonical order, where count order multiplies their work.
 
 Every answer is certified.  An `Echelon` (and so every `Subspace` and
 `kernel_basis`) eliminates over one prime, lifts each RREF entry to Q by
@@ -35,7 +40,8 @@ Chinese remainder theorem, until the check passes; a certificate that
 still fails after CERTIFICATE_PRIMES primes raises CertificateFailure.
 Rank, `Subspace.insert_all` growth, membership, `basis_rows` and kernel
 vectors are read from a certified R only; the RREF of a row space is
-unique, so none of them depends on input order or on the primes used.
+unique for its column order, so none of them depends on input order or on
+the primes used.
 
 Every elimination takes the primes of `exact_primes()` in order.  The
 residues mod p and the lift are not held in full at the same time: the
@@ -437,9 +443,10 @@ def kernel_basis(rows, ncols):
 class Subspace:
     """Certified span inside one bigraded component.
 
-    columns: tuple of monomial masks fixing the coordinatization (canonical
-    order); bidegree: the component, named in WrongComponent messages.
-    The span is one certified Echelon.
+    columns: tuple of monomial masks fixing the coordinatization, in any
+    order; the certified RREF is canonical for the given column order.
+    bidegree: the component, named in WrongComponent messages.  The span
+    is one certified Echelon.
     """
 
     def __init__(self, columns, bidegree):

@@ -272,8 +272,8 @@ class OddMatrix:
     dicts over one shared positive denominator `den`; products keep
     Grassmann signs because entry multiplication is the wedge.  Rationals
     appear only at the boundary: the constructor takes ExtElements, and
-    `entry`, `trace` and `trace_product` return them; `trace_product_ints`
-    and `trace_square_ints` return (int terms, den) instead."""
+    `entry` and `trace_product` return them; `trace_product_ints` and
+    `trace_square_ints` return (int terms, den) instead."""
 
     def __init__(self, alg, entries):
         """From a square list of rows of ExtElements."""
@@ -361,12 +361,6 @@ class OddMatrix:
         return OddMatrix._of(self.alg, [[wedge_into({}, e, t) for t in row]
                                         for row in self.entries],
                              self.den * den)
-
-    def trace(self):
-        acc = {}
-        for i in range(self.size):
-            addmul(acc, self.entries[i][i])
-        return ExtElement.from_ints(self.alg, acc, self.den)
 
 
 def _common_den(terms_dicts):

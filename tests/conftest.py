@@ -7,6 +7,7 @@ from hypothesis import settings
 
 from chiralring.rootsystem import build_root_system, chevalley_data
 from chiralring.cdsw import Workspace
+from chiralring.cdsw.core import ideal_rows
 from chiralring.abideals import AbelianIdeal, is_abelian, is_ideal
 from chiralring import exactla
 from chiralring.exactla import Subspace, _is_prime, addmul, guard_component
@@ -203,6 +204,18 @@ def eliminated_over(workspaces, primes):
     return bool(spans) and all(sub.echelon.p in primes for sub in spans)
 
 
+def canonical_ideal_span(ws, families, p, q, columns=None):
+    """Reference for cdsw.core.ideal_weight_zero: the same weight-zero
+    ideal rows over the given columns, by default the weight-zero masks in
+    canonical order."""
+    zero = ws.action.zero_weight
+    if columns is None:
+        columns = ws.action.weight_masks(p, q, zero)
+    sub = Subspace(columns, (p, q))
+    sub.insert_all(ideal_rows(ws, families, p, q, zero))
+    return sub
+
+
 class InhomogeneousInput(ValueError):
     pass
 
@@ -312,6 +325,15 @@ def swap_xy(elem):
         # the swap permutes monomials, so no two terms collide
         out[m2] = sign * c
     return ExtElement(alg, out)
+
+
+def matrix_trace(mat):
+    """Sum of the diagonal entries of an OddMatrix as an ExtElement: the
+    full-product reference for `trace_product` and the hat traces."""
+    acc = {}
+    for i in range(mat.size):
+        addmul(acc, mat.entries[i][i])
+    return ExtElement.from_ints(mat.alg, acc, mat.den)
 
 
 def eval_poly_grassmann(poly, values, alg):

@@ -14,7 +14,7 @@ from chiralring.cdsw.hats import (hat_trace, hat_generators, hat_monomials,
                                   check_conj_c1, check_conj_c2_c3,
                                   z_matrix)
 from conftest import (chevalley_generator_indices, eliminated_over,
-                      use_seed_primes)
+                      matrix_trace, use_seed_primes)
 
 
 def test_hat_bidegrees(ws_sl3):
@@ -92,7 +92,8 @@ def _d_trace_by_products(ws, k):
     for arg, A in (("X", X), ("Y", Y)):
         total = ws.alg.zero()
         for i in range(k):
-            total = total + pows[i].matmul(A).matmul(pows[k - 1 - i]).trace()
+            total = total + matrix_trace(
+                pows[i].matmul(A).matmul(pows[k - 1 - i]))
         out[arg] = total
     return out
 

@@ -9,7 +9,7 @@ from chiralring.cdsw.remark import (Poly, newton_f, newton_ints,
 from chiralring.exactla import ComponentTooLarge
 from chiralring.exterior import ExtElement, OddMatrix
 from chiralring.rootsystem import build_root_system, chevalley_data
-from conftest import eval_poly_grassmann
+from conftest import eval_poly_grassmann, matrix_trace
 
 
 def _power_sums_oracle(n, top):
@@ -104,11 +104,11 @@ def test_xi_eta_part_of_trace_z_square(ws_sl2):
     alg = ws_sl2.alg
     X, Y = ws_sl2.xy_matrices()
     Z = X.matmul(Y) + X.scale_left(alg.xi()) + Y.scale_left(alg.eta())
-    tz2 = Z.matmul(Z).trace()
-    trxy = X.matmul(Y).trace()
+    tz2 = matrix_trace(Z.matmul(Z))
+    trxy = matrix_trace(X.matmul(Y))
     assert tz2.extract_xi_eta() == trxy.scale(-2)
     # Tr Z itself carries no auxiliary variables: the matrices are traceless
-    assert Z.trace() == trxy
+    assert matrix_trace(Z) == trxy
     # the xi-eta part sits in the diagonal (2,2) slot; the xi-only and
     # eta-only cross terms sit off-diagonal at (3,1) and (1,3)
     assert tz2.extract_xi_eta().bidegree() == (1, 1)
@@ -136,7 +136,7 @@ def test_int_evaluation_matches_fraction_oracle(n):
     power = Z
     exact = []
     for k, terms in enumerate(traces, 1):
-        exact.append(power.trace())
+        exact.append(matrix_trace(power))
         assert ExtElement.from_ints(alg, terms, D ** k) == exact[-1], k
         power = power.matmul(Z)
     f = newton_f(n)
