@@ -6,8 +6,15 @@ quotients are represented by (span, residue) pairs, never by normal forms.
 All spanning vectors are weight vectors, so membership questions about
 weight-zero elements (S powers, invariants) are settled inside the
 weight-zero slice of the component.
+
+The swap x_a <-> y_a commutes with the action, sends each XX relation to
+the YY one of the same index and fixes each XY one.  So at (k,k) an ideal
+span whose families are closed under it is the sum of its parts in the
+swap's two eigenspaces, and `IdealSpan` eliminates each part as a
+certified span of half the size, from half of the rows.
 """
 
+import copy
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
@@ -15,12 +22,15 @@ from math import lcm
 
 from ..exterior import (GrassmannAlgebra, ExtElement, OddMatrix,
                         suffix_parity, wedge_into)
-from ..exactla import Subspace, addmul, guard_component
+from ..exactla import (Echelon, WrongComponent, addmul, cleared,
+                       guard_component)
 from ..liemodule import ActionTable, invariant_basis_elements
 from ..rootsystem.reps import representation, default_trace_label
 
 XX, XY, YY = "XX", "XY", "YY"
 _FAMILY_DEGREE = {XX: (2, 0), XY: (1, 1), YY: (0, 2)}
+# the family the swap x_a <-> y_a sends each family to
+_SWAP = {XX: YY, XY: XY, YY: XX}
 
 
 class RelationSet:
@@ -91,10 +101,11 @@ class Workspace:
     - the traces of `cdsw.hats` (Tr(z^k), dF(z)(X) and hat of degree k) as
       (int terms, den), in `traces`, keyed by (function name, k);
     - the certified weight-zero ideal spans of `ideal_weight_zero`, in
-      `ideal_spans`, keyed by (frozenset of families, p, q), each over its
-      own column order (see there).  Checks grow the spans they are given,
-      so each is handed out as a copy, which shares the certified RREF
-      until it grows;
+      `ideal_spans`, keyed by (frozenset of families, p, q), each an
+      `IdealSpan` of one part, or of two (the eigenspaces of the swap
+      x_a <-> y_a) when p == q and the families are closed under the swap.
+      Checks grow the spans they are given, so each is handed out as a
+      copy, which shares the certified RREFs until they grow;
     - the half-mask weights of `ActionTable.weight_masks` and the bases of
       `invariant_basis_elements`, in `action`."""
 
@@ -149,17 +160,21 @@ class Workspace:
         return c
 
 
-def ideal_rows(ws, families, p, q, weight):
+def ideal_rows(ws, families, p, q, weight, swap_half=False):
     """Spanning vectors r ^ m of the selected ideal families in the (p,q)
     component that have the given total weight.  Wedging r with one
     monomial m sends each term m1 of r to m1 | m or to nothing, one to one,
     so a row is r's coefficients, signed by `suffix_parity`, on new masks:
-    no term ever collides or cancels."""
+    no term ever collides or cancels.
+
+    swap_half leaves out the rows that are, up to sign, swaps x_a <-> y_a
+    of others: every YY row and each XY row r ^ m with swap(m) < m.  Their
+    projections onto the swap's eigenspaces are those of the rows kept."""
     alg, action = ws.alg, ws.action
     for fam in families:
         dp, dq = _FAMILY_DEGREE[fam]
         rp, rq = p - dp, q - dq
-        if rp < 0 or rq < 0:
+        if rp < 0 or rq < 0 or swap_half and fam == YY:
             continue
         slices = {}
         for rel in ws.rels.family(fam):
@@ -169,7 +184,10 @@ def ideal_rows(ws, families, p, q, weight):
             need = tuple(w - r for w, r in zip(weight, rw))
             masks = slices.get(need)
             if masks is None:
-                masks = slices[need] = action.weight_masks(rp, rq, need)
+                masks = action.weight_masks(rp, rq, need)
+                if swap_half and fam == XY:
+                    masks = [m for m in masks if m <= _swapped(m, alg.n)]
+                slices[need] = masks
             terms = [(m1, suffix_parity(m1), c, -c)
                      for m1, c in rel.terms.items()]
             for m in masks:
@@ -179,17 +197,136 @@ def ideal_rows(ws, families, p, q, weight):
                     yield ExtElement(alg, row)
 
 
-def ideal_weight_zero(ws, families, p, q, cap=None):
-    """Weight-zero slice of the ideal span, coordinatized on the weight-zero
-    monomials only.  Valid for membership of weight-zero elements because
-    the spanning vectors are weight-homogeneous.
+class IdealSpan:
+    """A certified span in the weight-zero slice of the (p,q) component,
+    one `Echelon` per part.
 
-    The columns are the weight-zero masks ordered by how many of the
-    span's rows touch each, fewest first, ties in canonical order.  Sparse
-    columns then take the pivots and dense ones stay free, which about
-    halves the certified RREF of the rank-3 (2,2) spans.  Rank, membership
-    and `insert_all` growth do not depend on the column order, only the
-    RREF does.
+    columns: the weight-zero masks, in canonical order.  orbit maps each to
+    the number o of its orbit, or to ~o for the second mask of a pair;
+    place[i][o] is the column of orbit o in part i, None when the orbit is
+    not in part i.  Column j of part i of an element sums the coefficients
+    of the masks of its orbit, the second of a pair times signs[i].  One
+    part has an orbit per mask.  Two parts are the eigenspaces e = +1, -1
+    of the swap x_a <-> y_a at (k,k), which sends monomial m to s * sm,
+    s = (-1)**k: their orbits are the pairs {m, sm}, read as e_m + e*s*e_sm
+    (signs (s, -s)), and the fixed masks (m == sm), in the part with
+    e*s = +1 only.  A swap-stable span is the sum of its projections, so
+    rank and membership are the sum and the conjunction of the parts'."""
+
+    def __init__(self, columns, bidegree, orbit, place, signs):
+        self.columns = columns
+        self.bidegree = bidegree
+        self.orbit = orbit
+        self.place = place
+        self.signs = signs
+        self.parts = [Echelon(len(cols) - cols.count(None)) for cols in place]
+
+    @property
+    def rank(self):
+        return sum(part.rank for part in self.parts)
+
+    def split(self, elem):
+        """The coordinate vector of elem, with its denominators cleared, in
+        each part.  A term outside the columns raises WrongComponent, also
+        when its bidegree is the ambient one (the slice leaves out
+        monomials of the component)."""
+        vecs = [{} for _ in self.parts]
+        parts = list(zip(vecs, self.place, self.signs))
+        for m, c in cleared(elem.terms).items():
+            o = self.orbit.get(m)
+            if o is None:
+                raise WrongComponent(
+                    "monomial of bidegree %s outside the %d columns of %s"
+                    % (elem.alg.bidegree_of_mask(m), len(self.columns),
+                       self.bidegree))
+            second = o < 0
+            if second:
+                o = ~o
+            for vec, place, sign in parts:
+                j = place[o]
+                if j is not None:
+                    vec[j] = vec.get(j, 0) + (sign * c if second else c)
+        return [{j: c for j, c in vec.items() if c} for vec in vecs]
+
+    def contains(self, elem):
+        """Membership of elem in the span."""
+        return all(part.contains(vec)
+                   for part, vec in zip(self.parts, self.split(elem)))
+
+    def insert_all(self, elems):
+        """Insert the elements as one `Echelon.insert_all` batch per part;
+        returns how much the rank grew.  Over two parts that growth is
+        dim(I + E + sE) - dim I, the growth by E only when span(E) is
+        stable under the swap s; a batch with some s(e) outside span(E)
+        raises ValueError."""
+        vecs = [self.split(el) for el in elems]
+        # a batch with no element in both parts is swap-stable
+        if len(self.parts) > 1 and any(all(vec) for vec in vecs):
+            offset = len(self.columns)
+
+            def joined(vec, e):
+                # the coordinates of the element, or of its swap for e = -1
+                return {**vec[0],
+                        **{offset + j: e * c for j, c in vec[1].items()}}
+            batch = Echelon()
+            batch.insert_all(joined(vec, 1) for vec in vecs)
+            if not all(batch.contains(joined(vec, -1)) for vec in vecs):
+                raise ValueError("the span of the batch at %s is not stable "
+                                 "under the swap x <-> y" % (self.bidegree,))
+        before = self.rank
+        for i, part in enumerate(self.parts):
+            part.insert_all(vec[i] for vec in vecs if vec[i])
+        return self.rank - before
+
+    def copy(self):
+        # columns, orbit and place are never changed in place
+        dup = copy.copy(self)
+        dup.parts = [part.copy() for part in self.parts]
+        return dup
+
+
+def _swapped(m, n):
+    """The mask of the swap x_a <-> y_a of monomial m, over n generators
+    per block."""
+    return (m & ((1 << n) - 1)) << n | m >> n
+
+
+def _orbits(masks, n=None, s=1):
+    """`IdealSpan` orbits of the weight-zero masks, and their columns in
+    each part in canonical order, as (orbit, place, signs): one part with
+    an orbit per mask when n is None, else the two eigenspaces of the swap
+    over n generators per block, whose sign on the masks is s.  Part 0 is
+    e = +1 and part 1 is e = -1; a fixed mask goes to e = s."""
+    fixed = (1 - s) // 2
+    orbit, place, widths = {}, ([], []), [0, 0]
+    for m in masks:
+        if m in orbit:
+            continue
+        o = orbit[m] = len(place[0])
+        sm = _swapped(m, n) if n else m
+        if sm != m:
+            orbit[sm] = ~o
+        for i, cols in enumerate(place):
+            if sm != m or i == fixed:
+                cols.append(widths[i])
+                widths[i] += 1
+            else:
+                cols.append(None)
+    return (orbit, list(place), (s, -s)) if n else (orbit, [place[0]], (1,))
+
+
+def ideal_weight_zero(ws, families, p, q, cap=None):
+    """Weight-zero slice of the ideal span, as an `IdealSpan`.  Valid for
+    membership of weight-zero elements because the spanning vectors are
+    weight-homogeneous.  At p == q, for families closed under the swap
+    x_a <-> y_a, its parts are the swap's two eigenspaces, eliminated from
+    the rows `ideal_rows` keeps under swap_half; otherwise it has one part.
+
+    Each part's columns are ordered by how many of its rows touch them,
+    fewest first, ties in canonical order.  Sparse columns then take the
+    pivots and dense ones stay free, which shrinks the certified RREFs.
+    Rank, membership and `insert_all` growth do not depend on the column
+    order, only the RREFs do.
 
     The span is eliminated once per workspace and families set (in any
     order) and kept certified in `ws.ideal_spans`; each call returns a copy
@@ -197,20 +334,31 @@ def ideal_weight_zero(ws, families, p, q, cap=None):
     cap refuses a span that is already cached."""
     guard_component(ws.alg, p, q, cap)
     key = (frozenset(families), p, q)
-    sub = ws.ideal_spans.get(key)
-    if sub is None:
+    span = ws.ideal_spans.get(key)
+    if span is None:
         zero = ws.action.zero_weight
-        rows = list(ideal_rows(ws, families, p, q, zero))
-        touched = Counter(chain.from_iterable(row.terms for row in rows))
-        # a stable sort: equal counts keep the canonical order
-        sub = Subspace(sorted(ws.action.weight_masks(p, q, zero),
-                              key=touched.__getitem__), (p, q))
-        # each row is dropped as it is coordinatized; insert_all reads the
-        # rank, which certifies the span
-        rows.reverse()
-        sub.insert_all(rows.pop() for _ in range(len(rows)))
-        ws.ideal_spans[key] = sub
-    return sub.copy()
+        split = p == q and {_SWAP[f] for f in families} == set(families)
+        masks = ws.action.weight_masks(p, q, zero)
+        # the swap's sign on a monomial of (k,k) is (-1)**(k*k)
+        swap = (ws.alg.n, (-1) ** p) if split else ()
+        span = IdealSpan(masks, (p, q), *_orbits(masks, *swap))
+        rows = [span.split(row)
+                for row in ideal_rows(ws, families, p, q, zero, split)]
+        for i, part in enumerate(span.parts):
+            touched = Counter(chain.from_iterable(vec[i] for vec in rows))
+            # a stable sort: equal counts keep the canonical order
+            order = sorted(range(part.width), key=touched.__getitem__)
+            new = dict(zip(order, range(part.width)))
+            span.place[i] = [None if j is None else new[j]
+                             for j in span.place[i]]
+            for vec in rows:
+                vec[i] = {new[j]: c for j, c in vec[i].items()}
+            part.insert_all(vec[i] for vec in rows if vec[i])
+            part.rank  # certifies the part, which drops its batch
+            for vec in rows:
+                vec[i] = None
+        ws.ideal_spans[key] = span
+    return span.copy()
 
 
 def check_S_power(ws, k, mode=None, cap=None):

@@ -26,6 +26,11 @@ RREF depend on it, but rank, membership and `insert_all` growth do not.
 they take the pivots and the dense ones stay free; invariant kernels keep
 the canonical order, where count order multiplies their work.
 
+An `Echelon` that knows its width (the number of columns; every
+`Subspace` does) stops reducing rows once its rank mod p reaches it: the
+rank over Q is at least the rank mod p, so the certified RREF is then the
+identity, with no lift.
+
 Every answer is certified.  An `Echelon` (and so every `Subspace` and
 `kernel_basis`) eliminates over one prime, lifts each RREF entry to Q by
 rational reconstruction and certifies the lift R in cleared-denominator
@@ -52,7 +57,7 @@ from R when next needed.
 import copy
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import islice
+from itertools import count, islice
 from math import gcd, isqrt
 import random
 
@@ -124,14 +129,19 @@ def addmul_mod(dst, src, c, p):
     return dst
 
 
+_PRIMES = []  # the primes exact_primes() has found so far, in order
+
+
 def exact_primes():
     """The primes an elimination takes, in order: the primes below 2**31,
-    largest first."""
-    p = 1 << 31
-    while True:
-        p -= 1
-        if _is_prime(p):
-            yield p
+    largest first.  Each is tested once per process."""
+    for i in count():
+        if i == len(_PRIMES):
+            p = (_PRIMES[-1] if _PRIMES else 1 << 31) - 1
+            while not _is_prime(p):
+                p -= 1
+            _PRIMES.append(p)
+        yield _PRIMES[i]
 
 
 def rational_reconstruction(a, m):
@@ -152,7 +162,7 @@ def rational_reconstruction(a, m):
     return r1, s1
 
 
-def _cleared(vec):
+def cleared(vec):
     """vec times the lcm of its denominators: an int dict without zero
     entries, spanning the same line."""
     den = 1
@@ -275,7 +285,8 @@ class Echelon:
     RREF when next needed.
     """
 
-    def __init__(self):
+    def __init__(self, width=None):
+        self.width = width  # the number of columns, when known
         self._tries = 0  # primes given up so far
         self.p = next(exact_primes())
         self._rows = {}  # None: the certified RREF mod p, not read back yet
@@ -336,13 +347,16 @@ class Echelon:
 
     def reduce(self, vec):
         """Residue of vec mod p against the rows (vec unchanged)."""
-        return self._reduce(_cleared(vec))
+        return self._reduce(cleared(vec))
 
     def insert(self, vec):
         """Reduce vec and adjoin the residue if nonzero.  Returns True when
         the rank over GF(p) grew; the rank over Q is read from `rank`,
-        which certifies it."""
-        u = _cleared(vec)
+        which certifies it.  At full rank mod p, vec is in the span and is
+        not even reduced."""
+        if len(self.rows) == self.width:
+            return False
+        u = cleared(vec)
         self._batch.append(u)
         return self._adjoin(self._reduce(u))
 
@@ -372,6 +386,11 @@ class Echelon:
         rows over the next prime and combine residues by CRT.  Raises
         CertificateFailure after CERTIFICATE_PRIMES primes."""
         if not self._batch:
+            return
+        if len(self.rows) == self.width:
+            # full rank mod p, so over Q too: R is the identity
+            self._rref = {j: ({}, 1) for j in range(self.width)}
+            self._rows, self._batch = None, []
             return
         batch = self._batch + [{piv: den, **row}
                                for piv, (row, den) in self._rref.items()]
@@ -403,7 +422,7 @@ class Echelon:
 
     def contains(self, vec):
         self._certify()
-        return _in_span(_cleared(vec), self._rref)
+        return _in_span(cleared(vec), self._rref)
 
     def basis_rows(self):
         """The certified RREF rows in pivot order, as Fractions, pivot
@@ -453,7 +472,7 @@ class Subspace:
         self.columns = tuple(columns)
         self.index = {m: i for i, m in enumerate(self.columns)}
         self.bidegree = bidegree
-        self.echelon = Echelon()
+        self.echelon = Echelon(len(self.columns))
 
     @property
     def rank(self):

@@ -197,11 +197,42 @@ def use_seed_primes(monkeypatch, seed):
 
 
 def eliminated_over(workspaces, primes):
-    """Whether the workspaces cached ideal spans and each was certified over
-    one of primes: the spans were eliminated after the primes were set, not
-    read from an earlier run."""
-    spans = [sub for ws in workspaces for sub in ws.ideal_spans.values()]
-    return bool(spans) and all(sub.echelon.p in primes for sub in spans)
+    """Whether the workspaces cached ideal spans and every part of each was
+    certified over one of primes: the spans were eliminated after the
+    primes were set, not read from an earlier run."""
+    parts = [part for ws in workspaces for span in ws.ideal_spans.values()
+             for part in span.parts]
+    return bool(parts) and all(part.p in primes for part in parts)
+
+
+def span_columns(span):
+    """{(part, column): [(mask, sign), ...]} of a `cdsw.core.IdealSpan`:
+    column j of part i of an element is the sum of sign * coefficient over
+    the listed masks."""
+    out = {}
+    for m, o in span.orbit.items():
+        second = o < 0
+        o = ~o if second else o
+        for i, (place, sign) in enumerate(zip(span.place, span.signs)):
+            if place[o] is not None:
+                out.setdefault((i, place[o]), []).append(
+                    (m, sign if second else 1))
+    return out
+
+
+def span_basis_elements(alg, span):
+    """The certified RREF rows of every part of a `cdsw.core.IdealSpan`, as
+    elements over the weight-zero masks.  Column j of part i is read as
+    sum sign * e_m / |O| over its masks m (`span_columns`), |O| of them:
+    the element of that part whose coordinates are e_j."""
+    cols = span_columns(span)
+    out = []
+    for i, part in enumerate(span.parts):
+        for row in part.basis_rows():
+            out.append(ExtElement(alg, {
+                m: sign * c / len(cols[i, j])
+                for j, c in row.items() for m, sign in cols[i, j]}))
+    return out
 
 
 def canonical_ideal_span(ws, families, p, q, columns=None):

@@ -10,14 +10,17 @@ from hypothesis import given, strategies as st
 from chiralring.rootsystem import (build_root_system, chevalley_data,
                                    LIE_DATA_TYPES)
 from chiralring.cdsw import Workspace
-from chiralring.exactla import Subspace, ComponentTooLarge, WrongComponent
+from chiralring.exactla import (Subspace, ComponentTooLarge, WrongComponent,
+                                addmul)
 from chiralring.cdsw.core import (ideal_weight_zero, ideal_rows, relations,
                                   check_S_power, check_part_i, XX, XY, YY,
                                   OFFDIAGONAL_SPOT_CHECKS, _FAMILY_DEGREE)
 from chiralring.exterior import ExtElement, GrassmannAlgebra
+from chiralring.cdsw.hats import hat_generators, hat_monomials
 from chiralring.liemodule import invariant_basis_elements
 from conftest import (canonical_ideal_span, chevalley_generator_indices,
-                      eliminated_over, fraction_relations, swap_xy,
+                      eliminated_over, fraction_relations,
+                      span_basis_elements, span_columns, swap_xy,
                       use_seed_primes)
 
 
@@ -230,10 +233,8 @@ def test_full_component_agrees_with_weight_zero_slice(ws_sl3):
     assert full.contains(s2) == w0.contains(s2) == False
     h = ws_sl3.S.power(2).scale(3)
     assert full.contains(h) == w0.contains(h)
-    # every weight-zero echelon row of the slice lies in the full span
-    from chiralring.exterior import ExtElement
-    for row in w0.echelon.basis_rows():
-        el = ExtElement(ws_sl3.alg, {w0.columns[j]: c for j, c in row.items()})
+    # every weight-zero echelon row of each part lies in the full span
+    for el in span_basis_elements(ws_sl3.alg, w0):
         assert full.contains(el)
 
 
@@ -358,14 +359,14 @@ def test_cached_span_is_handed_out_as_a_copy(so5):
     """Growing a returned span leaves the next one returned unchanged."""
     ws = Workspace(so5)
     first = ideal_weight_zero(ws, (XX, YY), 2, 2)
-    rank, rows = first.rank, first.echelon.basis_rows()
+    rank, rows = first.rank, [part.basis_rows() for part in first.parts]
     assert 0 < rank < len(first.columns)
     first.insert_all(ExtElement(ws.alg, {m: Fraction(1)})
                      for m in first.columns)
     assert first.rank == len(first.columns)
     again = ideal_weight_zero(ws, (XX, YY), 2, 2)
     assert again.rank == rank
-    assert again.echelon.basis_rows() == rows
+    assert [part.basis_rows() for part in again.parts] == rows
 
 
 def test_span_cache_key_ignores_family_order(so5):
@@ -456,7 +457,9 @@ def _spans(full_k, half_k, half_off):
 
 
 # read off `Workspace.ideal_spans` after every check of the command line
-# on each algebra; G2 only up to k = 2
+# on each algebra; G2 only up to k = 2 (the command line runs G2's exterior
+# checks only under --g2-heavy, and the full-row oracle of its (3,3) and
+# larger spans takes minutes)
 _RANK2_SPANS = _spans(range(4), [0, 1, 2, 3, 4, 5, 7],
                       [(1, 2), (2, 1), (3, 4), (4, 3)])
 CHECKED_SPANS = [
@@ -468,40 +471,150 @@ CHECKED_SPANS = [
 ]
 
 
+def _hat_batches(ws, d):
+    """The hat-monomial batches c1 and c2/c3 insert into the (XX,YY) span
+    at (d,d): every monomial, and those with a hat of degree > 1; and
+    p_hat_1^d apart from the others, whose membership c2 reads at d = g."""
+    hats = hat_generators(ws, max_degree=d)
+    monos = dict(hat_monomials(ws, d, hats))
+    p1_power = monos.pop((d,) + (0,) * (len(hats) - 1))
+    others = list(monos.values())
+    return ([others + [p1_power],
+             [v for e, v in monos.items() if any(e[1:])]],
+            others, p1_power)
+
+
 @pytest.mark.parametrize("name, spans", CHECKED_SPANS,
                          ids=[name for name, _ in CHECKED_SPANS])
 def test_count_order_matches_canonical_order(request, name, spans):
-    """Each span the checks build, over its count-ordered columns, against
-    the same rows over the canonical columns: the same rank, S^k
-    membership and growth under the invariant basis."""
+    """Each span the checks build (split into the swap's two eigenspaces
+    at (k,k), in count order) against the same span from every row over
+    the canonical columns (one part): the same rank, S^k membership,
+    growth under the invariant basis, and on the (XX,YY) spans up to
+    (g,g) growth under c1's and c3's hat monomials, and c2's membership of
+    p_hat_1^g over the other hat monomials."""
     ws = request.getfixturevalue(name)
     for families, (p, q) in spans:
         got = ideal_weight_zero(ws, families, p, q)
         want = canonical_ideal_span(ws, families, p, q)
         why = (families, p, q)
         assert sorted(got.columns) == sorted(want.columns), why
+        assert len(got.parts) == (2 if p == q else 1), why
         assert got.rank == want.rank, why
         if p == q:
             sk = ws.S.power(p)
             assert got.contains(sk) == want.contains(sk), why
-        inv = invariant_basis_elements(ws.action, p, q)
-        assert got.insert_all(inv) == want.insert_all(inv), why
+        batches = [invariant_basis_elements(ws.action, p, q)]
+        if families == HALF and p == q and 0 < p <= ws.g:
+            hat_batches, others, p1_power = _hat_batches(ws, p)
+            batches += hat_batches
+            if p == ws.g:
+                g, w = got.copy(), want.copy()
+                g.insert_all(others)
+                w.insert_all(others)
+                assert g.contains(p1_power) == w.contains(p1_power), why
+        for batch in batches:
+            assert (got.copy().insert_all(batch)
+                    == want.copy().insert_all(batch)), why
+
+
+_ORACLES = {}
+
+
+@given(data=st.data())
+def test_split_membership_matches_oracle(ws_sl2, ws_sl3, ws_so5, data):
+    """Membership of random weight-zero elements, in the ideal or near it,
+    agrees between a two-part span and the one-part span of every row:
+    random sums of ideal rows, plus a random monomial or not."""
+    ws, k = data.draw(st.sampled_from(
+        [(ws_sl2, 1), (ws_sl2, 2), (ws_sl3, 2), (ws_so5, 2)]))
+    families = data.draw(st.sampled_from([FULL, HALF]))
+    key = (id(ws), families, k)
+    if key not in _ORACLES:
+        rows = list(ideal_rows(ws, families, k, k, ws.action.zero_weight))
+        _ORACLES[key] = rows, canonical_ideal_span(ws, families, k, k)
+    rows, oracle = _ORACLES[key]
+    span = ideal_weight_zero(ws, families, k, k)
+    assert len(span.parts) == 2
+    coeffs = st.integers(-3, 3).filter(bool)
+    # sl2 (1,1) has no (XX,YY) row
+    picked = data.draw(st.lists(st.tuples(st.sampled_from(rows), coeffs),
+                                max_size=4)) if rows else []
+    terms = {}
+    for row, c in picked:
+        addmul(terms, row.terms, c)
+    if data.draw(st.booleans()):
+        addmul(terms, {data.draw(st.sampled_from(span.columns)): 1},
+               data.draw(coeffs))
+    elem = ExtElement(ws.alg, terms)
+    assert span.contains(elem) == oracle.contains(elem)
+
+
+@pytest.mark.parametrize("key", LIE_DATA_TYPES, ids=lambda key: "%s%d" % key)
+def test_swap_maps_families_on_every_type(key):
+    """On every type with Chevalley data, the x<->y swap sends each XX
+    relation to the YY relation of the same index and fixes each XY one:
+    a two-part span leaves out the YY rows and half the XY rows on this."""
+    lie = chevalley_data(build_root_system(*key))
+    rels = relations(GrassmannAlgebra(lie.dim), lie)
+    for rxx, ryy in zip(rels.xx_relations, rels.yy_relations, strict=True):
+        assert swap_xy(rxx) == ryy
+    for rxy in rels.xy_relations:
+        assert swap_xy(rxy) == rxy
+
+
+def test_swap_unstable_batch_raises(ws_sl3):
+    """A two-part span refuses a batch whose span the swap does not keep
+    (its growth would count the swapped batch too), and is left unchanged;
+    the whole invariant basis, which the swap keeps, grows it as the
+    one-part span of every row grows."""
+    span = ideal_weight_zero(ws_sl3, FULL, 2, 2)
+    inv = invariant_basis_elements(ws_sl3.action, 2, 2)
+    unstable = [v for v in inv
+                if swap_xy(v) != v and swap_xy(v) != v.scale(-1)]
+    assert len(unstable) == 2
+    rank = span.rank
+    for v in unstable:
+        with pytest.raises(ValueError, match="not stable under the swap"):
+            span.insert_all([v])
+        assert span.rank == rank
+    want = canonical_ideal_span(ws_sl3, FULL, 2, 2).insert_all(inv)
+    assert span.insert_all(inv) == want
 
 
 def test_columns_ordered_by_row_count(ws_sl3):
-    """The columns of a span are the weight-zero masks by the number of
-    the span's rows touching each, fewest first, ties in canonical order."""
+    """The columns of each part of a (k,k) span are the swap orbits of the
+    weight-zero masks, by the number of the part's rows touching each,
+    fewest first, ties in canonical order; a fixed mask belongs to one
+    part only."""
     zero = ws_sl3.action.zero_weight
+    n = ws_sl3.alg.n
+    canonical = ws_sl3.action.weight_masks(2, 2, zero)
+    place = {m: i for i, m in enumerate(canonical)}
     for families in (FULL, HALF):
-        touched = Counter(m for row in ideal_rows(ws_sl3, families, 2, 2, zero)
-                          for m in row.terms)
-        canonical = ws_sl3.action.weight_masks(2, 2, zero)
-        place = {m: i for i, m in enumerate(canonical)}
-        cols = ideal_weight_zero(ws_sl3, families, 2, 2).columns
-        assert sorted(cols, key=place.get) == canonical
-        keys = [(touched[m], place[m]) for m in cols]
-        assert keys == sorted(keys)
-        assert touched[cols[0]] < touched[cols[-1]]
+        span = ideal_weight_zero(ws_sl3, families, 2, 2)
+        assert list(span.columns) == canonical
+        assert len(span.parts) == 2
+        vecs = [span.split(row) for row in ideal_rows(
+            ws_sl3, families, 2, 2, zero, swap_half=True)]
+        cols = span_columns(span)
+        for i, part in enumerate(span.parts):
+            orbits = {j: sorted((m for m, _ in masks), key=place.get)
+                      for (pi, j), masks in cols.items() if pi == i}
+            assert sorted(orbits) == list(range(part.width))
+            for orbit in orbits.values():
+                m = orbit[0]
+                sm = (m & ((1 << n) - 1)) << n | m >> n
+                assert sorted(orbit) == sorted({m, sm})
+            touched = Counter(j for vec in vecs for j in vec[i])
+            keys = [(touched[j], place[orbits[j][0]])
+                    for j in range(part.width)]
+            assert keys == sorted(keys)
+            assert keys[0][0] < keys[-1][0]
+        # at even k the fixed masks are +1 eigenvectors, not in part 1
+        fixed = [masks[0][0] for masks in cols.values() if len(masks) == 1]
+        assert fixed and all(span.place[1][span.orbit[m]] is None
+                             for m in fixed)
 
 
 @given(data=st.data())
@@ -521,10 +634,13 @@ def test_column_permutation_keeps_rank_and_membership(ws_sl2, ws_sl3,
 
 
 def test_b3_span_rref_fill():
-    """Count order halves the certified RREF of the B3 (2,2) span: 36,992
-    entries off the pivots, against 67,436 over canonical columns.  The
-    count is exact, so a change that undoes the order fails here."""
+    """The swap split and count order shrink the certified RREFs of the B3
+    (2,2) span: 23,764 entries off the pivots over its two parts, against
+    27,031 with each part over canonical columns, 36,992 unsplit in count
+    order and 67,436 unsplit over canonical columns.  The count is exact,
+    so a change that undoes the split or the order fails here."""
     ws = Workspace(chevalley_data(build_root_system("B", 3)))
     sub = ideal_weight_zero(ws, FULL, 2, 2)
     assert sub.rank == 514
-    assert sum(len(row) - 1 for row in sub.echelon.basis_rows()) <= 40000
+    assert sum(len(row) - 1 for part in sub.parts
+               for row in part.basis_rows()) <= 25000

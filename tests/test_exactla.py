@@ -321,6 +321,45 @@ def test_certificate_gives_up_after_its_primes(monkeypatch):
     assert ech.p == list(islice(exact_primes(), CERTIFICATE_PRIMES))[-1]
 
 
+def test_full_rank_stops_reducing(monkeypatch):
+    """An Echelon of known width stops reducing rows once its rank mod p
+    is the width, and certifies the identity RREF with no lift; a row
+    dependent mod the first prime only still takes the next prime."""
+    calls = {"reduce": 0, "lift": 0}
+    reduce, lift = Echelon._reduce, exactla._lift
+
+    def counting_reduce(self, u):
+        calls["reduce"] += 1
+        return reduce(self, u)
+
+    def counting_lift(table, m):
+        calls["lift"] += 1
+        return lift(table, m)
+
+    monkeypatch.setattr(Echelon, "_reduce", counting_reduce)
+    monkeypatch.setattr(exactla, "_lift", counting_lift)
+    rng = random.Random(17)
+    rows = [{j: v for j, v in enumerate(r) if v}
+            for r in _random_rows(rng, 30, 6, density=0.6)]
+    ech = Echelon(6)
+    ech.insert_all(rows)
+    assert ech.rank == 6
+    assert calls["reduce"] < len(rows) and calls["lift"] == 0
+    assert ech.basis_rows() == [{j: Fraction(1)} for j in range(6)]
+    assert all(ech.contains(r) for r in rows)
+    assert not ech.insert({0: 1}) and ech.rank == 6
+    oracle = FractionRREF()
+    for r in rows:
+        oracle.insert(r)
+    assert oracle.rank == 6
+
+    ech = Echelon(2)
+    for r in _unlucky(FIRST_PRIME)[0][0]:
+        ech.insert(r)
+    assert ech.rank == 2
+    assert ech.p == list(islice(exact_primes(), 2))[1]
+
+
 def _entries(first):
     """Rationals with small and large parts, denominators divisible by the
     first prime, and explicit zeros."""
