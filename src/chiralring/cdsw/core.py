@@ -106,8 +106,9 @@ class Workspace:
       x_a <-> y_a) when p == q and the families are closed under the swap.
       Checks grow the spans they are given, so each is handed out as a
       copy, which shares the certified RREFs until they grow;
-    - the half-mask weights of `ActionTable.weight_masks` and the bases of
-      `invariant_basis_elements`, in `action`."""
+    - the half-mask weights of `ActionTable.weight_masks` and the invariant
+      bases of `liemodule.invariants` (ExtElements over the weight-zero
+      masks, handed out by `invariant_basis_elements`), in `action`."""
 
     def __init__(self, lie):
         self.lie = lie
@@ -198,28 +199,30 @@ def ideal_rows(ws, families, p, q, weight, swap_half=False):
 
 
 class IdealSpan:
-    """A certified span in the weight-zero slice of the (p,q) component,
-    one `Echelon` per part.
+    """A certified span over the given masks, in one part or in the swap's
+    two eigenspaces, one `Echelon` per part; each part's certified RREF is
+    canonical for its column order.
 
-    columns: the weight-zero masks, in canonical order.  orbit maps each to
-    the number o of its orbit, or to ~o for the second mask of a pair;
-    place[i][o] is the column of orbit o in part i, None when the orbit is
-    not in part i.  Column j of part i of an element sums the coefficients
-    of the masks of its orbit, the second of a pair times signs[i].  One
-    part has an orbit per mask.  Two parts are the eigenspaces e = +1, -1
-    of the swap x_a <-> y_a at (k,k), which sends monomial m to s * sm,
-    s = (-1)**k: their orbits are the pairs {m, sm}, read as e_m + e*s*e_sm
+    columns: the masks, in any order; bidegree: the component, named in
+    WrongComponent messages.  orbit maps each mask to the number o of its
+    orbit, or to ~o for the second mask of a pair; place[i][o] is the
+    column of orbit o in part i, None when the orbit is not in part i.
+    Column j of part i of an element sums the coefficients of the masks of
+    its orbit, the second of a pair times signs[i].  With no swap there is
+    one part, with an orbit per mask: column j is columns[j].  swap = (n, s)
+    gives the eigenspaces e = +1, -1 of the swap x_a <-> y_a over n
+    generators per block, which sends monomial m to s * sm (s = (-1)**k at
+    (k,k)): their orbits are the pairs {m, sm}, read as e_m + e*s*e_sm
     (signs (s, -s)), and the fixed masks (m == sm), in the part with
     e*s = +1 only.  A swap-stable span is the sum of its projections, so
     rank and membership are the sum and the conjunction of the parts'."""
 
-    def __init__(self, columns, bidegree, orbit, place, signs):
+    def __init__(self, columns, bidegree, swap=None):
         self.columns = columns
         self.bidegree = bidegree
-        self.orbit = orbit
-        self.place = place
-        self.signs = signs
-        self.parts = [Echelon(len(cols) - cols.count(None)) for cols in place]
+        self.orbit, self.place, self.signs = _orbits(columns, swap)
+        self.parts = [Echelon(len(cols) - cols.count(None))
+                      for cols in self.place]
 
     @property
     def rank(self):
@@ -291,12 +294,13 @@ def _swapped(m, n):
     return (m & ((1 << n) - 1)) << n | m >> n
 
 
-def _orbits(masks, n=None, s=1):
-    """`IdealSpan` orbits of the weight-zero masks, and their columns in
-    each part in canonical order, as (orbit, place, signs): one part with
-    an orbit per mask when n is None, else the two eigenspaces of the swap
-    over n generators per block, whose sign on the masks is s.  Part 0 is
-    e = +1 and part 1 is e = -1; a fixed mask goes to e = s."""
+def _orbits(masks, swap=None):
+    """`IdealSpan` orbits of the masks, and their columns in each part in
+    the masks' order, as (orbit, place, signs): one part with an orbit per
+    mask when swap is None, else for swap = (n, s) the two eigenspaces of
+    the swap over n generators per block, whose sign on the masks is s.
+    Part 0 is e = +1 and part 1 is e = -1; a fixed mask goes to e = s."""
+    n, s = swap or (None, 1)
     fixed = (1 - s) // 2
     orbit, place, widths = {}, ([], []), [0, 0]
     for m in masks:
@@ -340,8 +344,8 @@ def ideal_weight_zero(ws, families, p, q, cap=None):
         split = p == q and {_SWAP[f] for f in families} == set(families)
         masks = ws.action.weight_masks(p, q, zero)
         # the swap's sign on a monomial of (k,k) is (-1)**(k*k)
-        swap = (ws.alg.n, (-1) ** p) if split else ()
-        span = IdealSpan(masks, (p, q), *_orbits(masks, *swap))
+        swap = (ws.alg.n, (-1) ** p) if split else None
+        span = IdealSpan(masks, (p, q), swap)
         rows = [span.split(row)
                 for row in ideal_rows(ws, families, p, q, zero, split)]
         for i, part in enumerate(span.parts):

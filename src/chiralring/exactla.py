@@ -14,26 +14,26 @@ echelon form (RREF) runs once, in decreasing pivot order, when the RREF is
 read.  An input row is first scaled to integers (its span does not
 change), so no prime ever has to invert a denominator.
 
-A batch (`Echelon.insert_all`, which `Subspace.insert_all` and
-`kernel_basis` go through) enters in descending leading column, ties in
-input order.  Pivots are then found from right to left, and a row never
+A batch (`Echelon.insert_all`, which `kernel_basis` and the parts of a
+`cdsw.core.IdealSpan` go through) enters in descending leading column,
+ties in input order.  Pivots are then found from right to left, and a row never
 has entries left of its pivot, so the rows stay reduced against each
 other: a new row's reduction rarely meets fill-in pivots, and the
 back-substitution has little to clear.  The order sets only the cost, and
-so does the order of a `Subspace`'s columns: the pivots and entries of the
-RREF depend on it, but rank, membership and `insert_all` growth do not.
+so does the order of the columns: the pivots and entries of the RREF
+depend on it, but rank, membership and `insert_all` growth do not.
 `cdsw.ideal_weight_zero` puts the columns that few rows touch first, so
 they take the pivots and the dense ones stay free; invariant kernels keep
 the canonical order, where count order multiplies their work.
 
-An `Echelon` that knows its width (the number of columns; every
-`Subspace` does) stops reducing rows once its rank mod p reaches it: the
-rank over Q is at least the rank mod p, so the certified RREF is then the
+An `Echelon` that knows its width (the number of columns; every span
+part does) stops reducing rows once its rank mod p reaches it: the rank
+over Q is at least the rank mod p, so the certified RREF is then the
 identity, with no lift.
 
-Every answer is certified.  An `Echelon` (and so every `Subspace` and
-`kernel_basis`) eliminates over one prime, lifts each RREF entry to Q by
-rational reconstruction and certifies the lift R in cleared-denominator
+Every answer is certified.  An `Echelon` (and so `kernel_basis`)
+eliminates over one prime, lifts each RREF entry to Q by rational
+reconstruction and certifies the lift R in cleared-denominator
 integers: every row inserted since the last certificate, and every row of
 the previous R, must equal sum over pivots of row[piv] * R_piv.  That puts
 the span of the rows inside the span of R, and the rank over Q is at least
@@ -43,10 +43,10 @@ prime that drops the rank), the rows are eliminated over the next prime
 and the residues of primes with the same pivots are combined by the
 Chinese remainder theorem, until the check passes; a certificate that
 still fails after CERTIFICATE_PRIMES primes raises CertificateFailure.
-Rank, `Subspace.insert_all` growth, membership, `basis_rows` and kernel
-vectors are read from a certified R only; the RREF of a row space is
-unique for its column order, so none of them depends on input order or on
-the primes used.
+Rank, `insert_all` growth, membership, `basis_rows` and kernel vectors
+are read from a certified R only; the RREF of a row space is unique for
+its column order, so none of them depends on input order or on the primes
+used.
 
 Every elimination takes the primes of `exact_primes()` in order.  The
 residues mod p and the lift are not held in full at the same time: the
@@ -457,58 +457,6 @@ def kernel_basis(rows, ncols):
             if j != piv:
                 basis[j][piv] = -c
     return list(basis.values())
-
-
-class Subspace:
-    """Certified span inside one bigraded component.
-
-    columns: tuple of monomial masks fixing the coordinatization, in any
-    order; the certified RREF is canonical for the given column order.
-    bidegree: the component, named in WrongComponent messages.  The span
-    is one certified Echelon.
-    """
-
-    def __init__(self, columns, bidegree):
-        self.columns = tuple(columns)
-        self.index = {m: i for i, m in enumerate(self.columns)}
-        self.bidegree = bidegree
-        self.echelon = Echelon(len(self.columns))
-
-    @property
-    def rank(self):
-        return self.echelon.rank
-
-    def coordinates(self, elem):
-        """Coordinate vector of elem.  A term outside the columns raises
-        WrongComponent, also when its bidegree is the ambient one (a
-        weight slice leaves out monomials of the component)."""
-        vec = {}
-        for m, c in elem.terms.items():
-            i = self.index.get(m)
-            if i is None:
-                raise WrongComponent(
-                    "monomial of bidegree %s outside the %d columns of %s"
-                    % (elem.alg.bidegree_of_mask(m), len(self.columns),
-                       self.bidegree))
-            vec[i] = c
-        return vec
-
-    def insert_all(self, elems):
-        """Insert the elements as one `Echelon.insert_all` batch; returns
-        how much the rank grew."""
-        before = self.rank
-        self.echelon.insert_all(self.coordinates(el) for el in elems)
-        return self.rank - before
-
-    def contains(self, elem):
-        """Membership of elem in the span."""
-        return self.echelon.contains(self.coordinates(elem))
-
-    def copy(self):
-        # columns and index are never changed in place
-        dup = copy.copy(self)
-        dup.echelon = self.echelon.copy()
-        return dup
 
 
 def guard_component(alg, p, q, cap=None):

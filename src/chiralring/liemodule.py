@@ -6,7 +6,7 @@ Weight slices of a component are listed one way only,
 `ActionTable.weight_masks`, which joins x-halves and y-halves by weight."""
 
 from .exterior import ExtElement, _bits
-from .exactla import Subspace, addmul, kernel_basis, guard_component
+from .exactla import Echelon, addmul, kernel_basis, guard_component
 
 
 class ActionTable:
@@ -108,8 +108,9 @@ class ActionTable:
 
 
 def invariants(action, p, q, cap=None):
-    """Invariant subspace of the (p,q) component, as an exact Subspace over
-    the weight-zero monomials of the component.
+    """The canonical invariant basis of the (p,q) component, in a new list:
+    the certified RREF rows of its kernel over the weight-zero monomials in
+    canonical order, as ExtElements.
 
     Invariant vectors have weight zero, so the kernel is computed on the
     weight-zero slice only (Cartan elements act as zero there), and the
@@ -128,23 +129,18 @@ def invariants(action, p, q, cap=None):
         for j, mask in enumerate(w0):
             for m2, v in action.act_mask(a, mask).items():
                 eqs.setdefault((a, m2), {})[j] = v
-    basis = kernel_basis(list(eqs.values()), len(w0))
-    sub = Subspace(w0, bidegree=(p, q))
-    sub.insert_all(ExtElement(alg, {w0[j]: c for j, c in vec.items()})
-                   for vec in basis)
-    return sub
+    ech = Echelon(len(w0))
+    ech.insert_all(kernel_basis(list(eqs.values()), len(w0)))
+    return [ExtElement(alg, {w0[j]: c for j, c in row.items()})
+            for row in ech.basis_rows()]
 
 
 def invariant_basis_elements(action, p, q, cap=None):
-    """The canonical invariant basis as ExtElements, in a new list.  Each
+    """The canonical invariant basis of `invariants`, in a new list.  Each
     (p, q) basis is computed once per action table; the cap is checked on
     every call, so a smaller cap refuses a basis that is already known."""
     guard_component(action.alg, p, q, cap=cap)
-    basis = action._invariant_bases.get((p, q))
-    if basis is None:
-        sub = invariants(action, p, q, cap)
-        columns = sub.columns
-        basis = action._invariant_bases[(p, q)] = [
-            ExtElement(action.alg, {columns[j]: c for j, c in row.items()})
-            for row in sub.echelon.basis_rows()]
-    return list(basis)
+    bases = action._invariant_bases
+    if (p, q) not in bases:
+        bases[p, q] = invariants(action, p, q, cap)
+    return list(bases[p, q])

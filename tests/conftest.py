@@ -7,10 +7,10 @@ from hypothesis import settings
 
 from chiralring.rootsystem import build_root_system, chevalley_data
 from chiralring.cdsw import Workspace
-from chiralring.cdsw.core import ideal_rows
+from chiralring.cdsw.core import IdealSpan, ideal_rows
 from chiralring.abideals import AbelianIdeal, is_abelian, is_ideal
 from chiralring import exactla
-from chiralring.exactla import Subspace, _is_prime, addmul, guard_component
+from chiralring.exactla import _is_prime, addmul, guard_component
 from chiralring.exterior import ExtElement, _bits, wedge_into
 
 # Property tests draw the same examples on every run, and none is failed for
@@ -242,7 +242,7 @@ def canonical_ideal_span(ws, families, p, q, columns=None):
     zero = ws.action.zero_weight
     if columns is None:
         columns = ws.action.weight_masks(p, q, zero)
-    sub = Subspace(columns, (p, q))
+    sub = IdealSpan(columns, (p, q))
     sub.insert_all(ideal_rows(ws, families, p, q, zero))
     return sub
 
@@ -276,7 +276,7 @@ def span(elements, component=None, columns=None, cap=None):
     """
     if columns is None:
         if not elements:
-            return Subspace((), component)
+            return IdealSpan((), component)
         alg = elements[0].alg
         p, q = component if component is not None else elements[0].bidegree()
         guard_component(alg, p, q, cap)
@@ -287,7 +287,7 @@ def span(elements, component=None, columns=None, cap=None):
                 and el.bidegree() != tuple(component)):
             raise InhomogeneousInput("element of bidegree %s in component %s"
                                      % (el.bidegree(), component))
-    sub = Subspace(columns, component)
+    sub = IdealSpan(columns, component)
     sub.insert_all(elements)
     return sub
 

@@ -10,11 +10,11 @@ from hypothesis import given, strategies as st
 from chiralring.rootsystem import (build_root_system, chevalley_data,
                                    LIE_DATA_TYPES)
 from chiralring.cdsw import Workspace
-from chiralring.exactla import (Subspace, ComponentTooLarge, WrongComponent,
-                                addmul)
-from chiralring.cdsw.core import (ideal_weight_zero, ideal_rows, relations,
-                                  check_S_power, check_part_i, XX, XY, YY,
-                                  OFFDIAGONAL_SPOT_CHECKS, _FAMILY_DEGREE)
+from chiralring.exactla import ComponentTooLarge, WrongComponent, addmul
+from chiralring.cdsw.core import (IdealSpan, ideal_weight_zero, ideal_rows,
+                                  relations, check_S_power, check_part_i,
+                                  XX, XY, YY, OFFDIAGONAL_SPOT_CHECKS,
+                                  _FAMILY_DEGREE)
 from chiralring.exterior import ExtElement, GrassmannAlgebra
 from chiralring.cdsw.hats import hat_generators, hat_monomials
 from chiralring.liemodule import invariant_basis_elements
@@ -37,7 +37,7 @@ def ideal_component(ws, families, p, q):
         for rel in ws.rels.family(fam):
             for m in alg.component_masks(p - dp, q - dq):
                 products.append(rel.wedge(ExtElement(alg, {m: Fraction(1)})))
-    sub = Subspace(alg.component_masks(p, q), bidegree=(p, q))
+    sub = IdealSpan(alg.component_masks(p, q), (p, q))
     sub.insert_all(products)
     return sub
 
@@ -75,7 +75,7 @@ def family_equivariance(ws, family):
     the families are adjoint copies."""
     rels = [r for r in ws.rels.family(family) if not r.is_zero()]
     p, q = _FAMILY_DEGREE[family]
-    sub = Subspace(ws.alg.component_masks(p, q), bidegree=(p, q))
+    sub = IdealSpan(ws.alg.component_masks(p, q), (p, q))
     sub.insert_all(rels)
     for r in rels:
         for a in chevalley_generator_indices(ws.lie):
@@ -413,7 +413,7 @@ def test_equivariance_of_ideal_spans(ws_sl2):
     from chiralring.exterior import ExtElement
     sub = ideal_component(ws_sl2, (XX, XY, YY), 2, 2)
     cols = sub.columns
-    for row in sub.echelon.basis_rows():
+    for row in sub.parts[0].basis_rows():
         el = ExtElement(ws_sl2.alg, {cols[j]: c for j, c in row.items()})
         for a in chevalley_generator_indices(ws_sl2.lie):
             img = ws_sl2.action.act(a, el)

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from chiralring import exactla
 from chiralring.exterior import ExtElement, GrassmannAlgebra
-from chiralring.exactla import (Echelon, FieldMode, Subspace,
-                                kernel_basis, guard_component,
-                                ComponentTooLarge, WrongComponent, _is_prime,
+from chiralring.cdsw.core import IdealSpan
+from chiralring.exactla import (Echelon, FieldMode, kernel_basis,
+                                guard_component, ComponentTooLarge,
+                                WrongComponent, _is_prime,
                                 exact_primes, rational_reconstruction,
                                 CertificateFailure, CERTIFICATE_PRIMES)
 from conftest import (FractionRREF, InhomogeneousInput, dense_rref,
@@ -99,7 +100,7 @@ def test_span_contains_and_reconstruction():
     sub2 = span([x1y1 + x2y2, x2y2], component=(1, 1))
     v = x1y1.scale(3) + x2y2.scale(5)
     assert sub2.contains(v)
-    rows = sub2.echelon.basis_rows()
+    rows = sub2.parts[0].basis_rows()
     cols = sub2.columns
     coords = {cols.index(m): c for m, c in v.terms.items()}
     recon = {}
@@ -195,10 +196,10 @@ def test_modular_prime_collapse_gives_exact_rank(monkeypatch):
     x1y1 = alg.x(0).wedge(alg.y(0))
     x2y2 = alg.x(1).wedge(alg.y(1))
     rows = [x1y1 + x2y2, x1y1 + x2y2.scale(1 + p1)]
-    sub = Subspace(alg.component_masks(1, 1), (1, 1))
+    sub = IdealSpan(alg.component_masks(1, 1), (1, 1))
     assert sub.insert_all(rows) == 2
     assert sub.contains(x1y1) and sub.contains(x2y2)
-    assert sub.echelon.p != p1
+    assert sub.parts[0].p != p1
 
 
 def test_kernel_basis():
@@ -433,14 +434,14 @@ def test_certified_exact_mode_matches_fraction_oracle(below, first, data):
         def elem(vec):
             return ExtElement(_ALG, {_COLUMNS[j]: c for j, c in vec.items()})
 
-        sub = Subspace(_COLUMNS[:ncols], (1, 1))
+        sub = IdealSpan(_COLUMNS[:ncols], (1, 1))
         staged = FractionRREF()
         for batch in (rows[:split], rows[split:]):
             want = sum(1 for r in batch if staged.insert(r))
             assert sub.insert_all(elem(r) for r in batch) == want
             for q in queries:
                 assert sub.contains(elem(q)) == staged.contains(q)
-        assert sub.echelon.basis_rows() == oracle.basis_rows()
+        assert sub.parts[0].basis_rows() == oracle.basis_rows()
 
 
 class _CountingEchelon(Echelon):
@@ -495,7 +496,7 @@ def test_batch_order_changes_no_answer(data):
 
 
 def test_batches_enter_by_descending_leading_column(monkeypatch):
-    """Subspace.insert_all and kernel_basis, and through them the ideal
+    """IdealSpan.insert_all and kernel_basis, and through them the ideal
     spans, the invariant kernels and the octonion derivation kernel, hand
     every Echelon its rows in non-increasing leading column."""
     from chiralring.cdsw import Workspace
@@ -516,7 +517,7 @@ def test_batches_enter_by_descending_leading_column(monkeypatch):
     rows = [{j: v for j, v in enumerate(r) if v}
             for r in _random_rows(rng, 12, 9)]
     kernel_basis(rows, 9)
-    sub = Subspace(_COLUMNS, (1, 1))
+    sub = IdealSpan(_COLUMNS, (1, 1))
     sub.insert_all(ExtElement(_ALG, {_COLUMNS[j]: c for j, c in r.items()})
                    for r in rows if r)
     derivation_basis()
