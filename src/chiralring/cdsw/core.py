@@ -7,17 +7,22 @@ All spanning vectors are weight vectors, so membership questions about
 weight-zero elements (S powers, invariants) are settled inside the
 weight-zero slice of the component.
 
-The swap x_a <-> y_a commutes with the action, sends each XX relation to
-the YY one of the same index and fixes each XY one.  So at (k,k) an ideal
-span whose families are closed under it is the sum of its parts in the
-swap's two eigenspaces, and `IdealSpan` eliminates each part as a
-certified span of half the size, from half of the rows.
+Two commuting involutions permute the weight-zero monomials up to sign and
+map each relation to plus or minus a relation.  The Chevalley involution
+x_a -> -x_sigma(a), y_a -> -y_sigma(a) (sigma exchanges e_alpha and
+f_alpha) sends relation c of each family to minus relation sigma(c) of the
+same family, so it keeps every ideal span.  The swap x_a <-> y_a sends
+each XX relation to the YY one of the same index and fixes each XY one, so
+it keeps the spans at (k,k) whose families are closed under it.  Such a
+span is the sum of its parts in the isotypic components of the group they
+generate, and `IdealSpan` eliminates each part as a certified span of a
+half or a quarter of the size, from a half or a quarter of the rows.
 """
 
 import copy
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from math import lcm
 
 from ..exterior import (GrassmannAlgebra, ExtElement, OddMatrix,
@@ -31,6 +36,18 @@ XX, XY, YY = "XX", "XY", "YY"
 _FAMILY_DEGREE = {XX: (2, 0), XY: (1, 1), YY: (0, 2)}
 # the family the swap x_a <-> y_a sends each family to
 _SWAP = {XX: YY, XY: XY, YY: XX}
+# the order of the families among the rows `ideal_rows` keeps
+_FAMILY_ORDER = {XX: 0, XY: 1, YY: 2}
+
+
+class Symmetry(namedtuple("Symmetry", "name image relation")):
+    """A signed involution of the x and y blocks that permutes the
+    monomials and the relations: image(m) is the image of monomial m as
+    (mask, sign), and relation(family, c) is the (family, index) of the
+    relation that relation c of the family is sent to, up to sign.  name
+    is what `IdealSpan.insert_all` calls it in a ValueError."""
+
+    __slots__ = ()
 
 
 class RelationSet:
@@ -92,7 +109,8 @@ def S_element(alg, lie):
 class Workspace:
     """Bundles one Lie algebra with its Grassmann algebra, action table,
     relation families and S.  The trace representation is fixed by the
-    type (`trace_label`).  What the checks derive from the algebra alone is
+    type (`trace_label`).  `chevalley` and `swap` are the `Symmetry`s that
+    split the ideal spans.  What the checks derive from the algebra alone is
     cached here and lives as long as the workspace:
 
     - the X, Y matrices and the powers of z = XY + YX: `z_powers` holds
@@ -102,11 +120,13 @@ class Workspace:
       (int terms, den), in `traces`, keyed by (function name, k);
     - the certified weight-zero ideal spans of `ideal_weight_zero`, in
       `ideal_spans`, keyed by (frozenset of families, p, q), each an
-      `IdealSpan` of one part, or of two (the eigenspaces of the swap
-      x_a <-> y_a) when p == q and the families are closed under the swap.
-      Checks grow the spans they are given, so each is handed out as a
-      copy, which shares the certified RREFs until they grow;
-    - the half-mask weights of `ActionTable.weight_masks` and the invariant
+      `IdealSpan` of the isotypic parts of `chevalley` (two parts), and of
+      `swap` too (four parts) when p == q and the families are closed
+      under the swap.  Checks grow the spans they are given, so each is
+      handed out as a copy, which shares the certified RREFs until they
+      grow;
+    - the half-mask weights of `ActionTable.weight_masks`, the half-mask
+      images of `ActionTable.chevalley_image` and the invariant
       bases of `liemodule.invariants` (ExtElements over the weight-zero
       masks, handed out by `invariant_basis_elements`), in `action`."""
 
@@ -122,6 +142,13 @@ class Workspace:
         self.z_powers = []
         self.traces = {}
         self.ideal_spans = {}
+        sigma = lie.chevalley_involution()
+        n = lie.dim
+        self.chevalley = Symmetry("the Chevalley involution",
+                                  self.action.chevalley_image,
+                                  lambda fam, c: (fam, sigma[c]))
+        self.swap = Symmetry("the swap x <-> y", lambda m: _swapped(m, n),
+                             lambda fam, c: (_SWAP[fam], c))
 
     def xy_matrices(self):
         """X = sum_a x_a rho(e^a) and Y likewise; dual-basis matrices make
@@ -161,34 +188,48 @@ class Workspace:
         return c
 
 
-def ideal_rows(ws, families, p, q, weight, swap_half=False):
+def ideal_rows(ws, families, p, q, weight, symmetries=()):
     """Spanning vectors r ^ m of the selected ideal families in the (p,q)
     component that have the given total weight.  Wedging r with one
     monomial m sends each term m1 of r to m1 | m or to nothing, one to one,
     so a row is r's coefficients, signed by `suffix_parity`, on new masks:
     no term ever collides or cancels.
 
-    swap_half leaves out the rows that are, up to sign, swaps x_a <-> y_a
-    of others: every YY row and each XY row r ^ m with swap(m) < m.  Their
-    projections onto the swap's eigenspaces are those of the rows kept."""
+    symmetries: commuting `Symmetry`s that keep the weight and the
+    families (the Chevalley involution negates weights, so it keeps weight
+    zero only).  Each sends a row to plus or minus a row, so the rows fall
+    into orbits of (family, relation index, mask) under the group they
+    generate, and the rows of an orbit have the same projections onto the
+    group's isotypic parts, up to sign.  One row per orbit is kept, the
+    least by family (XX < XY < YY), then relation index, then mask: with
+    the swap alone, no YY row and the XY rows r ^ m with m <= swap(m)."""
     alg, action = ws.alg, ws.action
+    group = range(1, 1 << len(symmetries))
     for fam in families:
         dp, dq = _FAMILY_DEGREE[fam]
         rp, rq = p - dp, q - dq
-        if rp < 0 or rq < 0 or swap_half and fam == YY:
+        if rp < 0 or rq < 0:
             continue
         slices = {}
-        for rel in ws.rels.family(fam):
+        for index, rel in enumerate(ws.rels.family(fam)):
             if rel.is_zero():
                 continue
+            label = _FAMILY_ORDER[fam], index
+            images = {g: _relation_image(symmetries, g, fam, index)
+                      for g in group}
+            if any(image < label for image in images.values()):
+                continue
+            # the group elements that fix the relation order its masks
+            fixing = tuple(g for g, image in images.items() if image == label)
             rw = action.mask_weight(next(iter(rel.terms)))
             need = tuple(w - r for w, r in zip(weight, rw))
-            masks = slices.get(need)
+            masks = slices.get((need, fixing))
             if masks is None:
-                masks = action.weight_masks(rp, rq, need)
-                if swap_half and fam == XY:
-                    masks = [m for m in masks if m <= _swapped(m, alg.n)]
-                slices[need] = masks
+                masks = [m for m in action.weight_masks(rp, rq, need)
+                         if not fixing or all(
+                             m <= image for g, image, _ in
+                             _images(symmetries, m) if g in fixing)]
+                slices[need, fixing] = masks
             terms = [(m1, suffix_parity(m1), c, -c)
                      for m1, c in rel.terms.items()]
             for m in masks:
@@ -199,28 +240,36 @@ def ideal_rows(ws, families, p, q, weight, swap_half=False):
 
 
 class IdealSpan:
-    """A certified span over the given masks, in one part or in the swap's
-    two eigenspaces, one `Echelon` per part; each part's certified RREF is
-    canonical for its column order.
+    """A certified span over the given masks, as the sum of its isotypic
+    parts under a group of signed monomial permutations, one `Echelon` per
+    part; each part's certified RREF is canonical for its column order.
 
     columns: the masks, in any order; bidegree: the component, named in
-    WrongComponent messages.  orbit maps each mask to the number o of its
-    orbit, or to ~o for the second mask of a pair; place[i][o] is the
-    column of orbit o in part i, None when the orbit is not in part i.
-    Column j of part i of an element sums the coefficients of the masks of
-    its orbit, the second of a pair times signs[i].  With no swap there is
-    one part, with an orbit per mask: column j is columns[j].  swap = (n, s)
-    gives the eigenspaces e = +1, -1 of the swap x_a <-> y_a over n
-    generators per block, which sends monomial m to s * sm (s = (-1)**k at
-    (k,k)): their orbits are the pairs {m, sm}, read as e_m + e*s*e_sm
-    (signs (s, -s)), and the fixed masks (m == sm), in the part with
-    e*s = +1 only.  A swap-stable span is the sum of its projections, so
-    rank and membership are the sum and the conjunction of the parts'."""
+    WrongComponent messages; symmetries: commuting `Symmetry`s, which must
+    keep the set of columns.  Group element g (bit k set for each factor
+    symmetries[k]) sends e_m to sign * e_gm, and part i is the isotypic
+    part of the character chi_i(g) = (-1)**|i & g|, the sign that
+    symmetries[k] takes on part i being -1 when bit k of i is set.  With
+    no symmetry there is one part, with an orbit per mask: column j is
+    columns[j].
 
-    def __init__(self, columns, bidegree, swap=None):
+    orbit maps each mask m to (o, signs): the number o of its orbit and
+    its sign in each part, 0 in the parts that do not hold the orbit;
+    place[i][o] is the column of orbit o in part i, None when part i does
+    not hold it.  Column j of part i of an element sums its coefficients on
+    the masks of the orbit, each times its sign in part i.  An orbit first
+    met at m0 reads m = g m0 (g m0 = sign * e_m) with sign chi_i(g) * sign:
+    the coordinate of the projection onto part i along the projection of
+    e_m0.  Part i holds the orbit when every g that fixes m0 does so with
+    the sign chi_i(g), and otherwise projects it to zero.  A span stable
+    under the symmetries is the sum of its projections, so rank and
+    membership are the sum and the conjunction of the parts'."""
+
+    def __init__(self, columns, bidegree, symmetries=()):
         self.columns = columns
         self.bidegree = bidegree
-        self.orbit, self.place, self.signs = _orbits(columns, swap)
+        self.symmetries = tuple(symmetries)
+        self.orbit, self.place = _orbits(columns, self.symmetries)
         self.parts = [Echelon(len(cols) - cols.count(None))
                       for cols in self.place]
 
@@ -234,21 +283,19 @@ class IdealSpan:
         when its bidegree is the ambient one (the slice leaves out
         monomials of the component)."""
         vecs = [{} for _ in self.parts]
-        parts = list(zip(vecs, self.place, self.signs))
+        parts = list(zip(vecs, self.place))
         for m, c in cleared(elem.terms).items():
-            o = self.orbit.get(m)
-            if o is None:
+            hit = self.orbit.get(m)
+            if hit is None:
                 raise WrongComponent(
                     "monomial of bidegree %s outside the %d columns of %s"
                     % (elem.alg.bidegree_of_mask(m), len(self.columns),
                        self.bidegree))
-            second = o < 0
-            if second:
-                o = ~o
-            for vec, place, sign in parts:
-                j = place[o]
-                if j is not None:
-                    vec[j] = vec.get(j, 0) + (sign * c if second else c)
+            o, signs = hit
+            for (vec, place), sign in zip(parts, signs):
+                if sign:
+                    j = place[o]
+                    vec[j] = vec.get(j, 0) + sign * c
         return [{j: c for j, c in vec.items() if c} for vec in vecs]
 
     def contains(self, elem):
@@ -258,28 +305,44 @@ class IdealSpan:
 
     def insert_all(self, elems):
         """Insert the elements as one `Echelon.insert_all` batch per part;
-        returns how much the rank grew.  Over two parts that growth is
-        dim(I + E + sE) - dim I, the growth by E only when span(E) is
-        stable under the swap s; a batch with some s(e) outside span(E)
-        raises ValueError."""
+        returns how much the rank grew.  Over several parts that growth is
+        dim(I + GE) - dim I, GE the span of the images of the batch E under
+        the group: the growth by E only when span(E) is stable under every
+        symmetry.  A batch with some image s(e) outside span(E) raises
+        ValueError, naming s, and leaves the span unchanged."""
         vecs = [self.split(el) for el in elems]
-        # a batch with no element in both parts is swap-stable
-        if len(self.parts) > 1 and any(all(vec) for vec in vecs):
-            offset = len(self.columns)
-
-            def joined(vec, e):
-                # the coordinates of the element, or of its swap for e = -1
-                return {**vec[0],
-                        **{offset + j: e * c for j, c in vec[1].items()}}
-            batch = Echelon()
-            batch.insert_all(joined(vec, 1) for vec in vecs)
-            if not all(batch.contains(joined(vec, -1)) for vec in vecs):
-                raise ValueError("the span of the batch at %s is not stable "
-                                 "under the swap x <-> y" % (self.bidegree,))
+        self._check_stable(vecs)
         before = self.rank
         for i, part in enumerate(self.parts):
             part.insert_all(vec[i] for vec in vecs if vec[i])
         return self.rank - before
+
+    def _check_stable(self, vecs):
+        """Raise ValueError unless the span of the elements, given by their
+        part vectors, is stable under each symmetry.  symmetries[k] acts on
+        part i as -1 when bit k of i is set, so it keeps each element whose
+        parts all agree on bit k; the others are checked in one elimination
+        over every part's coordinates side by side."""
+        offsets = list(accumulate((part.width for part in self.parts),
+                                  initial=0))
+
+        def joined(vec, flip):
+            # the coordinates of the element, or of its image under the
+            # symmetries in flip
+            return {offsets[i] + j: -c if (i & flip).bit_count() & 1 else c
+                    for i, part in enumerate(vec) for j, c in part.items()}
+        batch = None
+        for k, sym in enumerate(self.symmetries):
+            bit = 1 << k
+            if all(len({i & bit for i, part in enumerate(vec) if part}) < 2
+                   for vec in vecs):
+                continue
+            if batch is None:
+                batch = Echelon()
+                batch.insert_all(joined(vec, 0) for vec in vecs)
+            if not all(batch.contains(joined(vec, bit)) for vec in vecs):
+                raise ValueError("the span of the batch at %s is not stable "
+                                 "under %s" % (self.bidegree, sym.name))
 
     def copy(self):
         # columns, orbit and place are never changed in place
@@ -289,42 +352,74 @@ class IdealSpan:
 
 
 def _swapped(m, n):
-    """The mask of the swap x_a <-> y_a of monomial m, over n generators
-    per block."""
-    return (m & ((1 << n) - 1)) << n | m >> n
+    """The swap x_a <-> y_a of monomial m, over n generators per block, as
+    (mask, sign): it sends x_A y_B to y_A x_B = (-1)**(|A| |B|) x_B y_A."""
+    x, y = m & ((1 << n) - 1), m >> n
+    return x << n | y, -1 if x.bit_count() * y.bit_count() & 1 else 1
 
 
-def _orbits(masks, swap=None):
-    """`IdealSpan` orbits of the masks, and their columns in each part in
-    the masks' order, as (orbit, place, signs): one part with an orbit per
-    mask when swap is None, else for swap = (n, s) the two eigenspaces of
-    the swap over n generators per block, whose sign on the masks is s.
-    Part 0 is e = +1 and part 1 is e = -1; a fixed mask goes to e = s."""
-    n, s = swap or (None, 1)
-    fixed = (1 - s) // 2
-    orbit, place, widths = {}, ([], []), [0, 0]
-    for m in masks:
-        if m in orbit:
+def _images(symmetries, m):
+    """The images of monomial m under the group the symmetries generate,
+    as (g, mask, sign), the identity g = 0 first: element g is the product
+    of the symmetries[k] with bit k set in g."""
+    images = [(0, m, 1)]
+    for k, sym in enumerate(symmetries):
+        for g, m, s in list(images):
+            m, s2 = sym.image(m)
+            images.append((g | 1 << k, m, s * s2))
+    return images
+
+
+def _relation_image(symmetries, g, fam, c):
+    """The order key (family, index) of the relation that group element g
+    sends relation c of fam to, up to sign."""
+    for k, sym in enumerate(symmetries):
+        if g >> k & 1:
+            fam, c = sym.relation(fam, c)
+    return _FAMILY_ORDER[fam], c
+
+
+def _orbits(masks, symmetries):
+    """`IdealSpan` orbits of the masks under the group the symmetries
+    generate, and their columns in each part in the masks' order, as
+    (orbit, place)."""
+    size = 1 << len(symmetries)
+    # the sign of element g in each part, times +1 and times -1
+    chars = [{s: tuple(s * _character(i, g) for i in range(size))
+              for s in (1, -1)} for g in range(size)]
+    orbit, place, widths = {}, [[] for _ in range(size)], [0] * size
+    for m0 in masks:
+        if m0 in orbit:
             continue
-        o = orbit[m] = len(place[0])
-        sm = _swapped(m, n) if n else m
-        if sm != m:
-            orbit[sm] = ~o
+        images = _images(symmetries, m0)
+        fixing = [(g, s) for g, m, s in images[1:] if m == m0]
+        held = [not fixing or all(_character(i, g) == s for g, s in fixing)
+                for i in range(size)]
+        o = len(place[0])
+        # the first g that reaches m sets its signs
+        for g, m, s in reversed(images):
+            signs = chars[g][s]
+            if fixing:
+                signs = tuple(c if h else 0 for c, h in zip(signs, held))
+            orbit[m] = o, signs
         for i, cols in enumerate(place):
-            if sm != m or i == fixed:
-                cols.append(widths[i])
-                widths[i] += 1
-            else:
-                cols.append(None)
-    return (orbit, list(place), (s, -s)) if n else (orbit, [place[0]], (1,))
+            cols.append(widths[i] if held[i] else None)
+            widths[i] += held[i]
+    return orbit, place
+
+
+def _character(i, g):
+    """chi_i(g) = (-1)**|i & g|, the character of part i on element g."""
+    return -1 if (i & g).bit_count() & 1 else 1
 
 
 def ideal_weight_zero(ws, families, p, q, cap=None):
     """Weight-zero slice of the ideal span, as an `IdealSpan`.  Valid for
     membership of weight-zero elements because the spanning vectors are
-    weight-homogeneous.  At p == q, for families closed under the swap
-    x_a <-> y_a, its parts are the swap's two eigenspaces, eliminated from
-    the rows `ideal_rows` keeps under swap_half; otherwise it has one part.
+    weight-homogeneous.  Its symmetries are the Chevalley involution, which
+    keeps every family, and the swap x_a <-> y_a too when p == q and the
+    families are closed under the swap: two parts or four, eliminated from
+    the rows `ideal_rows` keeps under the same symmetries.
 
     Each part's columns are ordered by how many of its rows touch them,
     fewest first, ties in canonical order.  Sparse columns then take the
@@ -341,13 +436,13 @@ def ideal_weight_zero(ws, families, p, q, cap=None):
     span = ws.ideal_spans.get(key)
     if span is None:
         zero = ws.action.zero_weight
-        split = p == q and {_SWAP[f] for f in families} == set(families)
+        symmetries = (ws.chevalley,)
+        if p == q and {_SWAP[f] for f in families} == set(families):
+            symmetries += (ws.swap,)
         masks = ws.action.weight_masks(p, q, zero)
-        # the swap's sign on a monomial of (k,k) is (-1)**(k*k)
-        swap = (ws.alg.n, (-1) ** p) if split else None
-        span = IdealSpan(masks, (p, q), swap)
-        rows = [span.split(row)
-                for row in ideal_rows(ws, families, p, q, zero, split)]
+        span = IdealSpan(masks, (p, q), symmetries)
+        rows = [span.split(row) for row in ideal_rows(
+            ws, families, p, q, zero, symmetries)]
         for i, part in enumerate(span.parts):
             touched = Counter(chain.from_iterable(vec[i] for vec in rows))
             # a stable sort: equal counts keep the canonical order

@@ -15,13 +15,14 @@ read.  An input row is first scaled to integers (its span does not
 change), so no prime ever has to invert a denominator.
 
 A batch (`Echelon.insert_all`, which `kernel_basis` and the parts of a
-`cdsw.core.IdealSpan` go through) enters in descending leading column,
-ties in input order.  Pivots are then found from right to left, and a row never
-has entries left of its pivot, so the rows stay reduced against each
-other: a new row's reduction rarely meets fill-in pivots, and the
-back-substitution has little to clear.  The order sets only the cost, and
-so does the order of the columns: the pivots and entries of the RREF
-depend on it, but rank, membership and `insert_all` growth do not.
+`cdsw.core.IdealSpan`, up to four per span, go through) enters in
+descending leading column, ties in input order.  Pivots are then found
+from right to left, and a row never has entries left of its pivot, so
+the rows stay reduced against each other: a new row's reduction rarely
+meets fill-in pivots, and the back-substitution has little to clear.
+The order sets only the cost, and so does the order of the columns: the
+pivots and entries of the RREF depend on it, but rank, membership and
+`insert_all` growth do not.
 `cdsw.ideal_weight_zero` puts the columns that few rows touch first, so
 they take the pivots and the dense ones stay free; invariant kernels keep
 the canonical order, where count order multiplies their work.

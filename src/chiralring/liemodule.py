@@ -38,6 +38,10 @@ class ActionTable:
         self._y_halves = {}
         # invariant_basis_elements' canonical bases, keyed by (p, q)
         self._invariant_bases = {}
+        # chevalley_image's table: sigma on basis indices, and the image of
+        # each half-mask seen so far as (mask, sign), filled on first use
+        self._sigma = lie.chevalley_involution()
+        self._chevalley_halves = {}
 
     def generator_weight(self, bit):
         n = self.alg.n
@@ -82,6 +86,31 @@ class ActionTable:
         for mask, coeff in elem.terms.items():
             addmul(out, self.act_mask(a, mask), coeff)
         return ExtElement(self.alg, out)
+
+    def chevalley_image(self, mask):
+        """The Chevalley involution x_a -> -x_sigma(a), y_a -> -y_sigma(a)
+        of a monomial, as (mask, sign).  It keeps the x and y blocks, so the
+        image of mx | my is the image of mx joined with the image of my,
+        the signs multiplied; each half-mask is mapped once per action
+        table.  It negates every weight, so it keeps weight zero."""
+        n = self.alg.n
+        if mask >> 2 * n:
+            raise ValueError("the Chevalley involution is not defined on "
+                             "xi/eta")
+        mx, sx = self._chevalley_half(mask & ((1 << n) - 1))
+        my, sy = self._chevalley_half(mask >> n)
+        return mx | my << n, sx * sy
+
+    def _chevalley_half(self, half):
+        hit = self._chevalley_halves.get(half)
+        if hit is None:
+            images = [self._sigma[b] for b in _bits(half)]
+            # a sign per generator, and the inversions that sort the images
+            odd = len(images) + sum(a > b for i, a in enumerate(images)
+                                    for b in images[i + 1:])
+            image = sum(1 << b for b in images)
+            hit = self._chevalley_halves[half] = image, -1 if odd & 1 else 1
+        return hit
 
     def weight_masks(self, p, q, weight):
         """Monomial masks of bidegree (p,q) and the given weight, in

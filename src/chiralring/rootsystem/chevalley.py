@@ -83,6 +83,19 @@ class LieAlgebraData:
             return self.e_index(signed)
         return self.f_index(_neg(signed))
 
+    def chevalley_involution(self):
+        """sigma on basis indices, as a list: e_alpha <-> f_alpha, each h_i
+        fixed.  The Chevalley involution g_a -> -g_sigma(a) is an
+        automorphism: (R2) N(-u, -v) = -N(u, v) gives the brackets of two
+        root vectors, [e_alpha, f_alpha] = h_alpha gives [f_alpha, e_alpha]
+        = -h_alpha, and the roots of sigma(a) are those of a negated, so
+        struct[(sigma a, sigma b)] is struct[(a, b)] negated, on sigma(c)."""
+        nroots, rank = self.nroots, self.rank
+        shift = nroots + rank
+        return ([i + shift for i in range(nroots)]
+                + [nroots + i for i in range(rank)]
+                + list(range(nroots)))
+
     # ------------------------------------------------------------------
     # structure constants
 

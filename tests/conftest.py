@@ -210,13 +210,10 @@ def span_columns(span):
     column j of part i of an element is the sum of sign * coefficient over
     the listed masks."""
     out = {}
-    for m, o in span.orbit.items():
-        second = o < 0
-        o = ~o if second else o
-        for i, (place, sign) in enumerate(zip(span.place, span.signs)):
+    for m, (o, signs) in span.orbit.items():
+        for i, (place, sign) in enumerate(zip(span.place, signs)):
             if place[o] is not None:
-                out.setdefault((i, place[o]), []).append(
-                    (m, sign if second else 1))
+                out.setdefault((i, place[o]), []).append((m, sign))
     return out
 
 
@@ -340,6 +337,29 @@ def swap_xy(elem):
             return b - n
         return alg.eta_bit if b == alg.xi_bit else alg.xi_bit
 
+    return _relabelled(elem, image)
+
+
+def chevalley_xy(elem, lie):
+    """The Chevalley involution x_a -> -x_sigma(a), y_a -> -y_sigma(a) of
+    the x and y blocks, sigma = `lie.chevalley_involution()`: the
+    reference for `ActionTable.chevalley_image`."""
+    sigma = lie.chevalley_involution()
+    n = elem.alg.n
+
+    def image(b):
+        assert b < 2 * n, "xi/eta"
+        return sigma[b] if b < n else sigma[b - n] + n
+
+    # a sign per generator
+    return ExtElement(elem.alg, {
+        m: -c if m.bit_count() & 1 else c
+        for m, c in _relabelled(elem, image).terms.items()})
+
+
+def _relabelled(elem, image):
+    """The algebra map sending generator b to generator image(b), image a
+    permutation of the generators."""
     out = {}
     for m, c in elem.terms.items():
         # list the image generators in source order, then count the
@@ -353,9 +373,10 @@ def swap_xy(elem):
         m2 = 0
         for b in perm:
             m2 |= 1 << b
-        # the swap permutes monomials, so no two terms collide
+        # a permutation of generators permutes monomials, so no two terms
+        # collide
         out[m2] = sign * c
-    return ExtElement(alg, out)
+    return ExtElement(elem.alg, out)
 
 
 def matrix_trace(mat):

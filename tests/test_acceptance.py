@@ -220,7 +220,8 @@ def test_a3_s3_not_in_ideal():
     """S^(g-1) is not in I for A3 (g = 4), in the 5,081-column weight-zero
     slice of (3,3).  The verdict is the paper's; the rank was pinned over
     the canonical column order and one part, so it checks that neither the
-    count order of the columns nor the swap split changes the rank."""
+    count order of the columns nor the split by the Chevalley involution
+    and the swap changes the rank."""
     rep = check_S_power(_ws("A", 3), 3)
     assert rep["contained"] is False
     assert rep["ideal_rank"] == 4909
@@ -228,8 +229,8 @@ def test_a3_s3_not_in_ideal():
 
 @pytest.mark.slow
 @pytest.mark.skipif(os.environ.get("CHIRALRING_G2_HEAVY") != "1",
-                    reason="optional G2 run (S^3 about 4 s and S^4 about "
-                           "6 s on one core); enable with "
+                    reason="optional G2 run (S^3 about 2 s and S^4 about "
+                           "3 s on one core); enable with "
                            "CHIRALRING_G2_HEAVY=1")
 def test_criterion_3_optional_g2():
     ws = _ws("G", 2)
@@ -242,7 +243,8 @@ def test_criterion_3_optional_g2():
 def test_g2_s3_not_in_ideal():
     """S^(g-1) is not in I for G2 (g = 4), in the 3,922-column weight-zero
     slice of (3,3).  The verdict is the paper's; the rank is the one the
-    unsplit span gives, so it checks that the swap split changes no rank."""
+    unsplit span gives, so it checks that the split by the Chevalley
+    involution and the swap changes no rank."""
     rep = check_S_power(_ws("G", 2), 3)
     assert rep["contained"] is False
     assert rep["ideal_rank"] == 3818

@@ -19,7 +19,7 @@ from chiralring.exterior import ExtElement, GrassmannAlgebra
 from chiralring.cdsw.hats import hat_generators, hat_monomials
 from chiralring.liemodule import invariant_basis_elements
 from conftest import (canonical_ideal_span, chevalley_generator_indices,
-                      eliminated_over, fraction_relations,
+                      chevalley_xy, eliminated_over, fraction_relations,
                       span_basis_elements, span_columns, swap_xy,
                       use_seed_primes)
 
@@ -487,9 +487,10 @@ def _hat_batches(ws, d):
 @pytest.mark.parametrize("name, spans", CHECKED_SPANS,
                          ids=[name for name, _ in CHECKED_SPANS])
 def test_count_order_matches_canonical_order(request, name, spans):
-    """Each span the checks build (split into the swap's two eigenspaces
-    at (k,k), in count order) against the same span from every row over
-    the canonical columns (one part): the same rank, S^k membership,
+    """Each span the checks build (split into the isotypic parts of the
+    Chevalley involution, and of the swap x<->y too at (k,k), in count
+    order) against the same span from every row over the canonical
+    columns (one part): the same rank, S^k membership,
     growth under the invariant basis, and on the (XX,YY) spans up to
     (g,g) growth under c1's and c3's hat monomials, and c2's membership of
     p_hat_1^g over the other hat monomials."""
@@ -499,7 +500,7 @@ def test_count_order_matches_canonical_order(request, name, spans):
         want = canonical_ideal_span(ws, families, p, q)
         why = (families, p, q)
         assert sorted(got.columns) == sorted(want.columns), why
-        assert len(got.parts) == (2 if p == q else 1), why
+        assert len(got.parts) == (4 if p == q else 2), why
         assert got.rank == want.rank, why
         if p == q:
             sk = ws.S.power(p)
@@ -524,18 +525,22 @@ _ORACLES = {}
 @given(data=st.data())
 def test_split_membership_matches_oracle(ws_sl2, ws_sl3, ws_so5, data):
     """Membership of random weight-zero elements, in the ideal or near it,
-    agrees between a two-part span and the one-part span of every row:
-    random sums of ideal rows, plus a random monomial or not."""
-    ws, k = data.draw(st.sampled_from(
-        [(ws_sl2, 1), (ws_sl2, 2), (ws_sl3, 2), (ws_so5, 2)]))
+    agrees between a split span and the one-part span of every row: random
+    sums of ideal rows, plus a random monomial or not.  At (k,k) the span
+    has the four parts of the Chevalley involution and the swap x<->y; at
+    (2,1) and (1,2) the two of the Chevalley involution alone."""
+    ws, (p, q) = data.draw(st.sampled_from(
+        [(ws_sl2, (1, 1)), (ws_sl2, (2, 2)), (ws_sl3, (2, 2)),
+         (ws_so5, (2, 2)), (ws_sl3, (2, 1)), (ws_sl3, (1, 2)),
+         (ws_so5, (2, 1)), (ws_so5, (1, 2))]))
     families = data.draw(st.sampled_from([FULL, HALF]))
-    key = (id(ws), families, k)
+    key = (id(ws), families, p, q)
     if key not in _ORACLES:
-        rows = list(ideal_rows(ws, families, k, k, ws.action.zero_weight))
-        _ORACLES[key] = rows, canonical_ideal_span(ws, families, k, k)
+        rows = list(ideal_rows(ws, families, p, q, ws.action.zero_weight))
+        _ORACLES[key] = rows, canonical_ideal_span(ws, families, p, q)
     rows, oracle = _ORACLES[key]
-    span = ideal_weight_zero(ws, families, k, k)
-    assert len(span.parts) == 2
+    span = ideal_weight_zero(ws, families, p, q)
+    assert len(span.parts) == (4 if p == q else 2)
     coeffs = st.integers(-3, 3).filter(bool)
     # sl2 (1,1) has no (XX,YY) row
     picked = data.draw(st.lists(st.tuples(st.sampled_from(rows), coeffs),
@@ -563,58 +568,137 @@ def test_swap_maps_families_on_every_type(key):
         assert swap_xy(rxy) == rxy
 
 
+@pytest.mark.parametrize("key", LIE_DATA_TYPES, ids=lambda key: "%s%d" % key)
+def test_chevalley_involution_on_every_type(key):
+    """On every type with Chevalley data, sigma (e_alpha <-> f_alpha, h_i
+    fixed) is an involution, g_a -> -g_sigma(a) keeps the structure
+    constants and the Killing form, and the Chevalley involution of the
+    Grassmann algebra sends relation c of each family to minus relation
+    sigma(c): a span split by it keeps half of the rows.  Its mask map
+    agrees with the permutation-sign reference."""
+    lie = chevalley_data(build_root_system(*key))
+    sigma = lie.chevalley_involution()
+    n = lie.dim
+    for a in range(n):
+        root = lie.signed_root(a)
+        assert sigma[a] == (a if root is None else
+                            lie.root_vector_index(tuple(-c for c in root)))
+        assert sigma[sigma[a]] == a
+    for (a, b), comb in lie.struct.items():
+        assert lie.struct[sigma[a], sigma[b]] == {
+            sigma[c]: -v for c, v in comb.items()}
+    for a in range(n):
+        for b in range(n):
+            assert lie.form[sigma[a]][sigma[b]] == lie.form[a][b]
+    ws = Workspace(lie)
+    for fam in (XX, XY, YY):
+        rels = ws.rels.family(fam)
+        for c, rel in enumerate(rels):
+            assert chevalley_xy(rel, lie) == rels[sigma[c]].scale(-1)
+    for m in ws.action.weight_masks(2, 1, ws.action.zero_weight):
+        image, sign = ws.action.chevalley_image(m)
+        assert (chevalley_xy(ExtElement(ws.alg, {m: 1}), lie)
+                == ExtElement(ws.alg, {image: sign}))
+
+
 def test_swap_unstable_batch_raises(ws_sl3):
-    """A two-part span refuses a batch whose span the swap does not keep
-    (its growth would count the swapped batch too), and is left unchanged;
-    the whole invariant basis, which the swap keeps, grows it as the
-    one-part span of every row grows."""
+    """A four-part span refuses a batch whose span the swap does not keep
+    (its growth would count the swapped batch too), and is left unchanged:
+    v + omega(v) for an XX row v, which the Chevalley involution omega
+    keeps, and each of the two A2 (2,2) invariants that are not swap
+    eigenvectors; omega does not keep those either, and the guard names
+    the first symmetry that fails, omega.  The whole invariant basis,
+    which both keep, grows it as the one-part span of every row grows."""
     span = ideal_weight_zero(ws_sl3, FULL, 2, 2)
     inv = invariant_basis_elements(ws_sl3.action, 2, 2)
     unstable = [v for v in inv
                 if swap_xy(v) != v and swap_xy(v) != v.scale(-1)]
     assert len(unstable) == 2
+    row = next(ideal_rows(ws_sl3, (XX,), 2, 2, ws_sl3.action.zero_weight))
+    kept = row + chevalley_xy(row, ws_sl3.lie)
+    assert not kept.is_zero() and chevalley_xy(kept, ws_sl3.lie) == kept
     rank = span.rank
     for v in unstable:
-        with pytest.raises(ValueError, match="not stable under the swap"):
+        with pytest.raises(ValueError, match="not stable under the "
+                           "Chevalley involution"):
             span.insert_all([v])
         assert span.rank == rank
+    with pytest.raises(ValueError, match="not stable under the swap"):
+        span.insert_all([kept])
+    assert span.rank == rank
     want = canonical_ideal_span(ws_sl3, FULL, 2, 2).insert_all(inv)
     assert span.insert_all(inv) == want
 
 
+@pytest.mark.parametrize("families, p, q", [(FULL, 2, 1), ((XX,), 2, 2)])
+def test_chevalley_unstable_batch_raises(ws_sl3, families, p, q):
+    """A span split by the Chevalley involution alone (off the diagonal,
+    or families the swap does not keep) refuses a batch whose span the
+    involution does not keep, and is left unchanged: one ideal row r ^ m,
+    whose image is another row.  The whole invariant basis, which the
+    involution keeps, grows it as the one-part span of every row grows
+    (by 0 at (2,1), by 2 at (2,2) over the XX family)."""
+    lie = ws_sl3.lie
+    span = ideal_weight_zero(ws_sl3, families, p, q)
+    assert len(span.parts) == 2
+    row = next(r for r in ideal_rows(ws_sl3, families, p, q,
+                                     ws_sl3.action.zero_weight)
+               if chevalley_xy(r, lie) not in (r, r.scale(-1)))
+    rank = span.rank
+    with pytest.raises(ValueError,
+                       match="not stable under the Chevalley involution"):
+        span.insert_all([row])
+    assert span.rank == rank
+    inv = invariant_basis_elements(ws_sl3.action, p, q)
+    want = canonical_ideal_span(ws_sl3, families, p, q).insert_all(inv)
+    assert want == (0 if q == 1 else 2)
+    assert span.insert_all(inv) == want
+
+
 def test_columns_ordered_by_row_count(ws_sl3):
-    """The columns of each part of a (k,k) span are the swap orbits of the
-    weight-zero masks, by the number of the part's rows touching each,
-    fewest first, ties in canonical order; a fixed mask belongs to one
-    part only."""
-    zero = ws_sl3.action.zero_weight
-    n = ws_sl3.alg.n
+    """The columns of each part of a (k,k) span are orbits of the
+    weight-zero masks under the group of the Chevalley involution and the
+    swap, by the number of the part's rows touching each, fewest first,
+    ties in canonical order.  An orbit of size d is held by d of the four
+    parts (its span has dimension d and meets each part at most once), so
+    the parts' widths add up to the number of masks."""
+    lie, zero = ws_sl3.lie, ws_sl3.action.zero_weight
     canonical = ws_sl3.action.weight_masks(2, 2, zero)
     place = {m: i for i, m in enumerate(canonical)}
+
+    def mask_of(elem):
+        (m,) = elem.terms
+        return m
+
+    def group_orbit(m):
+        e = ExtElement(ws_sl3.alg, {m: 1})
+        return {mask_of(x) for x in (e, swap_xy(e), chevalley_xy(e, lie),
+                                     swap_xy(chevalley_xy(e, lie)))}
+
     for families in (FULL, HALF):
         span = ideal_weight_zero(ws_sl3, families, 2, 2)
         assert list(span.columns) == canonical
-        assert len(span.parts) == 2
+        assert len(span.parts) == 4
+        assert sum(part.width for part in span.parts) == len(canonical)
         vecs = [span.split(row) for row in ideal_rows(
-            ws_sl3, families, 2, 2, zero, swap_half=True)]
+            ws_sl3, families, 2, 2, zero, span.symmetries)]
         cols = span_columns(span)
+        holders = Counter()
         for i, part in enumerate(span.parts):
             orbits = {j: sorted((m for m, _ in masks), key=place.get)
                       for (pi, j), masks in cols.items() if pi == i}
             assert sorted(orbits) == list(range(part.width))
             for orbit in orbits.values():
-                m = orbit[0]
-                sm = (m & ((1 << n) - 1)) << n | m >> n
-                assert sorted(orbit) == sorted({m, sm})
+                assert set(orbit) == group_orbit(orbit[0])
+                holders[orbit[0]] += 1
             touched = Counter(j for vec in vecs for j in vec[i])
             keys = [(touched[j], place[orbits[j][0]])
                     for j in range(part.width)]
             assert keys == sorted(keys)
             assert keys[0][0] < keys[-1][0]
-        # at even k the fixed masks are +1 eigenvectors, not in part 1
-        fixed = [masks[0][0] for masks in cols.values() if len(masks) == 1]
-        assert fixed and all(span.place[1][span.orbit[m]] is None
-                             for m in fixed)
+        assert sorted(Counter(map(len, map(group_orbit, holders)))) == \
+            [1, 2, 4]
+        assert all(n == len(group_orbit(m)) for m, n in holders.items())
 
 
 @given(data=st.data())
@@ -634,13 +718,15 @@ def test_column_permutation_keeps_rank_and_membership(ws_sl2, ws_sl3,
 
 
 def test_b3_span_rref_fill():
-    """The swap split and count order shrink the certified RREFs of the B3
-    (2,2) span: 23,764 entries off the pivots over its two parts, against
-    27,031 with each part over canonical columns, 36,992 unsplit in count
-    order and 67,436 unsplit over canonical columns.  The count is exact,
-    so a change that undoes the split or the order fails here."""
+    """The split by the Chevalley involution and the swap, and count
+    order, shrink the certified RREFs of the B3 (2,2) span: 13,829 entries
+    off the pivots over its four parts, against 23,764 over the swap's two
+    parts alone, 27,031 with each of those over canonical columns, 36,992
+    unsplit in count order and 67,436 unsplit over canonical columns.  The
+    count is exact, so a change that undoes the split or the order fails
+    here."""
     ws = Workspace(chevalley_data(build_root_system("B", 3)))
     sub = ideal_weight_zero(ws, FULL, 2, 2)
     assert sub.rank == 514
     assert sum(len(row) - 1 for part in sub.parts
-               for row in part.basis_rows()) <= 25000
+               for row in part.basis_rows()) <= 15000

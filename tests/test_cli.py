@@ -111,11 +111,11 @@ def test_each_span_eliminated_once(tmp_path, monkeypatch):
     builds, workspaces = Counter(), []
     rows = core.ideal_rows
 
-    def counted(ws, families, p, q, weight, swap_half=False):
+    def counted(ws, families, p, q, weight, symmetries=()):
         if ws not in workspaces:
             workspaces.append(ws)
         builds[workspaces.index(ws), frozenset(families), p, q] += 1
-        return rows(ws, families, p, q, weight, swap_half)
+        return rows(ws, families, p, q, weight, symmetries)
 
     monkeypatch.setattr(core, "ideal_rows", counted)
     code, doc = _run_json(tmp_path, ["--algebra", "A", "2", "--checks", "all"])
