@@ -2,9 +2,9 @@
 
 Seeds for the simple-root sl2 triples come from the split matrix
 realizations (elementary matrices for sl, antidiagonal-form orthogonal and
-symplectic algebras, octonion derivations for G2).  Root vectors for
-non-simple roots are produced by the same extraspecial-pair recursion that
-defines the abstract basis:
+symplectic algebras, and a weight basis of the 7-dimensional module for
+G2).  Root vectors for non-simple roots are produced by the same
+extraspecial-pair recursion that defines the abstract basis:
 
     e_c = [e_a1, e_b1] / N(a1, b1),    f_c = -[f_a1, f_b1] / N(a1, b1),
 
@@ -26,9 +26,6 @@ class Representation:
         self.label = label
         self.dim_V = dim_V
         self.matrices = matrices  # one dim_V x dim_V matrix per basis index
-
-    def matrix(self, a):
-        return self.matrices[a]
 
 
 def _zeros(n):
@@ -106,6 +103,21 @@ def _so_even_seeds(rank):
     return dim, es, fs
 
 
+def _g2_seeds():
+    # basis v1..v7 of weights 2a1+a2, a1+a2, a1, 0, -a1, -a1-a2, -2a1-a2
+    # (a1 short)
+    def E(*entries):  # sum of c * E_ij, 1-based, E_ij sending v_j to v_i
+        m = _zeros(7)
+        for i, j, c in entries:
+            m[i - 1][j - 1] = Fraction(c)
+        return m
+    es = [E((1, 2, 1), (3, 4, 2), (4, 5, 2), (6, 7, 1)),
+          E((2, 3, 1), (5, 6, 1))]
+    fs = [E((2, 1, 1), (4, 3, 1), (5, 4, 1), (7, 6, 1)),
+          E((3, 2, 1), (6, 5, 1))]
+    return 7, es, fs
+
+
 def _vector_seeds(type_label, rank):
     if type_label == "A":
         return _sl_seeds(rank)
@@ -116,11 +128,7 @@ def _vector_seeds(type_label, rank):
     if type_label == "D":
         return _so_even_seeds(rank)
     if type_label == "G":
-        from .octonion import g2_seed_triples
-        triples = g2_seed_triples()
-        es = [t[0] for t in triples]
-        fs = [t[1] for t in triples]
-        return 7, es, fs
+        return _g2_seeds()
     raise UnsupportedType(type_label)
 
 

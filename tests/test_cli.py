@@ -143,6 +143,26 @@ def test_export_lie(tmp_path):
     assert run(["--checks", "roots", "--export-lie", str(out)]) == 2
 
 
+def test_export_lie_g2(tmp_path):
+    """G2 exports its 7-dimensional module: 14 matrices of size 7x7 with
+    exact p/q entries."""
+    out = tmp_path / "lie.json"
+    code = run(["--algebra", "G", "2", "--checks", "roots",
+                "--export-lie", str(out)])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    rep = doc["representations"]["fundamental-7"]
+    assert rep["dim"] == 7
+    assert len(rep["matrices"]) == doc["dim"] == 14
+    for m in rep["matrices"]:
+        assert len(m) == 7 and all(len(row) == 7 for row in m)
+        for row in m:
+            for v in row:
+                num, den = v.split("/")
+                assert int(den) > 0
+                int(num)
+
+
 def test_one_invariant_kernel_per_bidegree(tmp_path, monkeypatch):
     """Part (i), c1 and c2/c3 share each invariant basis of B2: one kernel
     per (action table, p, q) in an `--checks all` run."""

@@ -497,13 +497,12 @@ def test_batch_order_changes_no_answer(data):
 
 def test_batches_enter_by_descending_leading_column(monkeypatch):
     """IdealSpan.insert_all and kernel_basis, and through them the ideal
-    spans, the invariant kernels and the octonion derivation kernel, hand
-    every Echelon its rows in non-increasing leading column."""
+    spans and the invariant kernels, hand every Echelon its rows in
+    non-increasing leading column."""
     from chiralring.cdsw import Workspace
     from chiralring.cdsw.core import XX, XY, YY, ideal_weight_zero
     from chiralring.liemodule import invariants
     from chiralring.rootsystem import build_root_system, chevalley_data
-    from chiralring.rootsystem.octonion import derivation_basis
 
     leads = {}
     insert = Echelon.insert
@@ -520,7 +519,6 @@ def test_batches_enter_by_descending_leading_column(monkeypatch):
     sub = IdealSpan(_COLUMNS, (1, 1))
     sub.insert_all(ExtElement(_ALG, {_COLUMNS[j]: c for j, c in r.items()})
                    for r in rows if r)
-    derivation_basis()
     ws = Workspace(chevalley_data(build_root_system("A", 2)))
     ideal_weight_zero(ws, (XX, XY, YY), 2, 2)
     invariants(ws.action, 2, 2)

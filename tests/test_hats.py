@@ -169,6 +169,10 @@ def test_g2_degree_four_traces_pinned():
     ws = Workspace(chevalley_data(build_root_system("G", 2)))
     assert _digest(hat_trace(ws, 4).value) == [3260, "1cbc043add5402ff"]
     assert _digest(d_trace(ws, 4, "X")) == [6044, "674923ff6d27484d"]
+    # Tr(z^k) does not depend on the basis of the module
+    assert _digest(trace_z_power(ws, 2)) == [244, "1774be679962841d"]
+    assert _digest(trace_z_power(ws, 3)) == [0, "e3b0c44298fc1c14"]
+    assert _digest(trace_z_power(ws, 4)) == [12547, "7dd3c9f152de1989"]
 
 
 def test_prop_hat_traces_built_once_per_workspace(sl3, monkeypatch):

@@ -81,6 +81,16 @@ def test_cartan_matrices_diagonal():
                 assert m[r][r].denominator == 1
 
 
+def test_g2_module_in_weight_basis():
+    """The G2 seeds act on v1..v7 of weights 2a1+a2, a1+a2, a1, 0, -a1,
+    -a1-a2, -2a1-a2 (a1 short)."""
+    lie = chevalley_data(build_root_system("G", 2))
+    rep = representation(lie, "fundamental-7")
+    diag = [[rep.matrices[lie.h_index(i)][r][r] for r in range(7)]
+            for i in range(2)]
+    assert diag == [[1, -1, 2, 0, -2, 1, -1], [0, 1, -1, 0, 1, -1, 0]]
+
+
 def test_g2_trace_form_proportional():
     lie = chevalley_data(build_root_system("G", 2))
     rep = representation(lie, "fundamental-7")

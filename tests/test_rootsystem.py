@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import subprocess
@@ -12,9 +11,6 @@ from chiralring.rootsystem import (build_root_system, chevalley_data,
                                    representation, UnsupportedType,
                                    LIE_DATA_TYPES, lie_to_json_dict)
 from chiralring.rootsystem.chevalley import LieAlgebraData
-from chiralring.rootsystem.octonion import (derivation_basis,
-                                            derivation_equations,
-                                            multiplication_table)
 
 # (type, rank) -> (#positive roots, dual Coxeter, degrees)
 TABLE = {
@@ -198,19 +194,6 @@ def test_json_export_roundtrip(tmp_path):
         Fraction(int(num), int(den))
     mats = back["representations"]["vector"]["matrices"]
     assert len(mats) == 8 and len(mats[0]) == 3
-
-
-def test_derivation_equations_carry_no_zero_coefficient():
-    """Coefficients that cancel are dropped and identically zero equations
-    skipped; the derivation algebra they cut out is unchanged."""
-    eqs = derivation_equations(multiplication_table())
-    assert len(eqs) == 356
-    assert all(eq and all(eq.values()) for eq in eqs)
-    text = ";".join(str(c) for m in derivation_basis() for row in m
-                    for c in row)
-    # digest of the 14 basis matrices as computed before zeros were dropped
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
-        "a828de78b0e33bbd"
 
 
 def test_non_integral_structure_constant_raises(monkeypatch):
