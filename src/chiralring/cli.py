@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cached_property
 
 from .rootsystem import (build_root_system, chevalley_data, representation,
                          UnsupportedType, LIE_DATA_TYPES, COMBINATORIAL_TYPES,
@@ -27,16 +28,12 @@ CHECK_NAMES = ["roots", "abideals", "poincare", "cdsw-i", "cdsw-ii",
 _TRACE_TYPES = ("A", "B", "C", "G")   # trace powers generate the invariants
 
 
-def _has_lie_data(key):
-    return key in LIE_DATA_TYPES
-
-
 def _check_applicable(name, key):
     """None when the check can run; otherwise the reason it cannot."""
     t, r = key
     if name in ("roots", "abideals", "poincare"):
         return None
-    if not _has_lie_data(key):
+    if key not in LIE_DATA_TYPES:
         return "no Chevalley data for this type at desk scale"
     if name in ("prop-hat", "conj-c1", "conj-c23") and t not in _TRACE_TYPES:
         return "generating invariants are not all trace powers (Pfaffian)"
@@ -46,42 +43,33 @@ def _check_applicable(name, key):
 
 
 class CheckRunner:
-    def __init__(self, key, cap, g2_heavy):
+    """Runs the checks on one algebra.  Each `check_*` method returns a
+    report with a `pass` bool; `run` turns it into the `verdict`."""
+
+    def __init__(self, key, cap):
         self.key = key
         self.cap = cap
-        self.g2_heavy = g2_heavy
         self.rs = build_root_system(*key)
-        self._ws = None
-        self._ideals = None
 
-    @property
+    @cached_property
     def ws(self):
-        if self._ws is None:
-            self._ws = Workspace(chevalley_data(self.rs))
-        return self._ws
+        return Workspace(chevalley_data(self.rs))
 
-    @property
+    @cached_property
     def ideals(self):
-        if self._ideals is None:
-            self._ideals = abideals.enumerate_abelian_ideals(self.rs)
-        return self._ideals
-
-    def _gate_g2(self):
-        if self.key == ("G", 2) and not self.g2_heavy:
-            raise _Skipped("G2 exterior checks are heavy; enable with "
-                           "--g2-heavy")
+        return abideals.enumerate_abelian_ideals(self.rs)
 
     def run(self, name):
         reason = _check_applicable(name, self.key)
         if reason is not None:
             return {"verdict": "skipped", "reason": reason}
         try:
-            return getattr(self, "check_" + name.replace("-", "_"))()
-        except _Skipped as exc:
-            return {"verdict": "skipped", "reason": str(exc)}
+            rep = getattr(self, "check_" + name.replace("-", "_"))()
         except ComponentTooLarge as exc:
             return {"verdict": "skipped", "reason": "resource cap: %s" % exc,
                     "cap_hit": True}
+        rep["verdict"] = "pass" if rep.pop("pass") else "fail"
+        return rep
 
     # ------------------------------------------------------------------
 
@@ -99,7 +87,7 @@ class CheckRunner:
         rebuilt = type(rs)(rs.type_label, rs.rank)
         ok = ok and rebuilt.positive_roots == rs.positive_roots
         return {
-            "verdict": "pass" if ok else "fail",
+            "pass": ok,
             "positive_roots": len(rs.positive_roots),
             "dim": dim,
             "dual_coxeter": rs.dual_coxeter(),
@@ -114,7 +102,7 @@ class CheckRunner:
                       for a in ideals)
         hist = abideals.poincare_series(ideals)
         return {
-            "verdict": "pass" if ok and recheck else "fail",
+            "pass": ok and recheck,
             "count": len(ideals),
             "expected": 2 ** self.rs.rank,
             "dimension_histogram": hist,
@@ -122,78 +110,46 @@ class CheckRunner:
         }
 
     def check_poincare(self):
-        rep = abideals.check_prop_cox(self.rs, self.ideals)
-        rep["verdict"] = "pass" if rep.pop("pass") else "fail"
-        return rep
+        return abideals.check_prop_cox(self.rs, self.ideals)
 
-    def check_cdsw_ii(self):
-        self._gate_g2()
-        g = self.ws.g
-        res = check_S_power(self.ws, g, cap=self.cap)
-        verdict = "pass" if res["contained"] else "fail"
-        out = {"verdict": verdict, "k": g, "s_power_in_ideal": res["contained"],
-               "ideal_rank": res["ideal_rank"],
-               "trace_S_constant": self._trace_constant()}
-        if verdict == "fail":
-            out["witness"] = str(self.ws.S.power(g))
-        return out
-
-    def check_cdsw_iii(self):
-        self._gate_g2()
-        g = self.ws.g
-        res = check_S_power(self.ws, g - 1, cap=self.cap)
-        verdict = "pass" if not res["contained"] else "fail"
-        out = {"verdict": verdict, "k": g - 1,
+    def _s_power(self, k, expect_in):
+        """S^k against the full ideal at (k,k): pass when its membership
+        is `expect_in`, with S^k as the witness otherwise."""
+        res = check_S_power(self.ws, k, cap=self.cap)
+        rep = {"pass": res["contained"] == expect_in, "k": k,
                "s_power_in_ideal": res["contained"],
                "ideal_rank": res["ideal_rank"]}
-        if verdict == "fail":
-            out["witness"] = str(self.ws.S.power(g - 1))
-        return out
-
-    def _trace_constant(self):
-        c = self.ws.trace_S_constant()
-        return "%d/%d" % (c.numerator, c.denominator)
+        if not rep["pass"]:
+            rep["witness"] = str(self.ws.S.power(k))
+        return rep
 
     def check_cdsw_i(self):
-        self._gate_g2()
-        rep = check_part_i(self.ws, self.ws.g, self.cap)
-        rep["verdict"] = "pass" if rep.pop("pass") else "fail"
+        return check_part_i(self.ws, self.ws.g, self.cap)
+
+    def check_cdsw_ii(self):
+        rep = self._s_power(self.ws.g, True)
+        c = self.ws.trace_S_constant()
+        rep["trace_S_constant"] = "%d/%d" % (c.numerator, c.denominator)
         return rep
+
+    def check_cdsw_iii(self):
+        return self._s_power(self.ws.g - 1, False)
 
     def check_prop_hat(self):
-        self._gate_g2()
         degrees = trace_power_degrees(self.ws.lie)
-        pairs = [(k1, k2) for k1 in degrees for k2 in degrees if k1 <= k2]
-        runs = []
-        ok = True
-        for k1, k2 in pairs:
-            r = check_prop_hat(self.ws, k1, k2, self.cap)
-            ok = ok and r.pop("pass")
-            runs.append(r)
-        return {"verdict": "pass" if ok else "fail", "pairs": runs}
+        runs = [check_prop_hat(self.ws, k1, k2, self.cap)
+                for k1 in degrees for k2 in degrees if k1 <= k2]
+        return {"pass": all([r.pop("pass") for r in runs]), "pairs": runs}
 
     def check_conj_c1(self):
-        self._gate_g2()
         counts = abideals.poincare_series(self.ideals)
-        rep = check_conj_c1(self.ws, self.ws.g - 1, counts, self.cap)
-        rep["verdict"] = "pass" if rep.pop("pass") else "fail"
-        return rep
+        return check_conj_c1(self.ws, self.ws.g - 1, counts, self.cap)
 
     def check_conj_c23(self):
-        self._gate_g2()
-        rep = check_conj_c2_c3(self.ws, self.cap)
-        rep["verdict"] = "pass" if rep.pop("pass") else "fail"
-        return rep
+        return check_conj_c2_c3(self.ws, self.cap)
 
     def check_sln_remark(self):
-        n = self.key[1] + 1
-        rep = check_sln_remark(n, self.cap)
-        rep["verdict"] = "pass" if rep.pop("pass") else "fail"
-        return rep
-
-
-class _Skipped(Exception):
-    pass
+        return check_sln_remark(self.key[1] + 1, self.cap)
 
 
 def _parse_algebra(pair):
@@ -219,8 +175,6 @@ def build_parser():
     p.add_argument("--max-monomials", type=int, default=DEFAULT_MONOMIAL_CAP,
                    metavar="N", help="component-size cap, N >= 1")
     p.add_argument("--json", metavar="PATH", help="write the JSON report here")
-    p.add_argument("--g2-heavy", action="store_true",
-                   help="enable the large G2 exterior computations")
     p.add_argument("--export-lie", metavar="PATH",
                    help="export structure constants and representation "
                         "matrices of the selected algebra as JSON")
@@ -243,6 +197,10 @@ def run(argv=None):
             print("unknown checks: %s" % ", ".join(unknown), file=sys.stderr)
             print("known: %s" % ", ".join(CHECK_NAMES), file=sys.stderr)
             return 2
+        if not selected:
+            print("configuration error: --checks selects no check",
+                  file=sys.stderr)
+            return 2
     explicit_checks = args.checks != "all"
     if args.max_monomials < 1:
         print("configuration error: --max-monomials must be at least 1, "
@@ -259,7 +217,7 @@ def run(argv=None):
         return 2
 
     if args.export_lie:
-        if not args.algebra or not _has_lie_data(algebras[0]):
+        if not args.algebra or algebras[0] not in LIE_DATA_TYPES:
             print("--export-lie needs --algebra with Chevalley data",
                   file=sys.stderr)
             return 2
@@ -284,7 +242,7 @@ def run(argv=None):
     cap_blocked_explicit = False
 
     for key in algebras:
-        runner = CheckRunner(key, args.max_monomials, args.g2_heavy)
+        runner = CheckRunner(key, args.max_monomials)
         results = []
         for name in selected:
             t0 = time.perf_counter()

@@ -1,5 +1,3 @@
-import os
-
 import pytest
 
 from chiralring.rootsystem import build_root_system, chevalley_data
@@ -29,9 +27,6 @@ def test_peterson_count(key):
     assert len({a.indices for a in ideals}) == len(ideals)
 
 
-@pytest.mark.slow
-@pytest.mark.skipif(os.environ.get("CHIRALRING_E78") != "1",
-                    reason="E7/E8 behind a flag for runtime")
 @pytest.mark.parametrize("key", [("E", 7), ("E", 8)])
 def test_peterson_count_e78(key):
     rs = build_root_system(*key)

@@ -4,11 +4,8 @@ arithmetic throughout) and prints one pass/fail line.
 Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
-import os
 import time
 from fractions import Fraction
-
-import pytest
 
 from chiralring.rootsystem import build_root_system, chevalley_data
 from chiralring.rootsystem.reps import trace_power_degrees
@@ -227,11 +224,6 @@ def test_a3_s3_not_in_ideal():
     assert rep["ideal_rank"] == 4909
 
 
-@pytest.mark.slow
-@pytest.mark.skipif(os.environ.get("CHIRALRING_G2_HEAVY") != "1",
-                    reason="optional G2 run (S^3 about 2 s and S^4 about "
-                           "3 s on one core); enable with "
-                           "CHIRALRING_G2_HEAVY=1")
 def test_criterion_3_optional_g2():
     ws = _ws("G", 2)
     not_in = not check_S_power(ws, 3)["contained"]

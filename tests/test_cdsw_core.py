@@ -457,9 +457,8 @@ def _spans(full_k, half_k, half_off):
 
 
 # read off `Workspace.ideal_spans` after every check of the command line
-# on each algebra; G2 only up to k = 2 (the command line runs G2's exterior
-# checks only under --g2-heavy, and the full-row oracle of its (3,3) and
-# larger spans takes minutes)
+# on each algebra; G2 only up to k = 2 (the command line also builds its
+# (3,3) and (4,4) spans, but their full-row oracle takes minutes)
 _RANK2_SPANS = _spans(range(4), [0, 1, 2, 3, 4, 5, 7],
                       [(1, 2), (2, 1), (3, 4), (4, 3)])
 CHECKED_SPANS = [

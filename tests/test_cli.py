@@ -56,11 +56,59 @@ def test_g2_combinatorics(tmp_path):
     assert results[0]["count"] == 4
 
 
-def test_g2_heavy_gate(tmp_path):
+def test_g2_heavy_option_removed():
+    """The monomial cap is the one resource guard: --g2-heavy is unknown."""
+    assert run(["--algebra", "G", "2", "--g2-heavy"]) == 2
+
+
+def test_g2_cap_skips_c23(tmp_path):
+    """G2 runs every check the cap allows: c1 passes, and c2/c3, which
+    needs the (5,5) component, hits the default cap."""
     code, doc = _run_json(tmp_path, ["--algebra", "G", "2",
-                                     "--checks", "cdsw-ii"])
-    assert code == 0
-    assert doc["report"]["runs"][0]["results"][0]["verdict"] == "skipped"
+                                     "--checks", "conj-c1,conj-c23"])
+    assert code == 3
+    c1, c23 = doc["report"]["runs"][0]["results"]
+    assert c1["verdict"] == "pass"
+    assert c23["verdict"] == "skipped"
+    assert c23["cap_hit"]
+
+
+@pytest.mark.parametrize("checks", ["", ",", " , "])
+def test_empty_check_list_rejected(tmp_path, capsys, checks):
+    out = tmp_path / "report.json"
+    code = run(["--algebra", "A", "1", "--checks", checks,
+                "--json", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--checks" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_failed_check_reports_witness(tmp_path, capsys, monkeypatch):
+    """A wrong S-power membership fails cdsw-ii and cdsw-iii with S^k as
+    the witness, and the run exits 1."""
+    from chiralring import cli
+    inner = cli.check_S_power
+
+    def flipped(ws, k, mode=None, cap=None):
+        res = inner(ws, k, mode, cap)
+        return dict(res, contained=not res["contained"])
+
+    monkeypatch.setattr(cli, "check_S_power", flipped)
+    code, doc = _run_json(tmp_path, ["--algebra", "A", "1",
+                                     "--checks", "cdsw-ii,cdsw-iii"])
+    assert code == 1
+    assert doc["report"]["all_passed"] is False
+    ii, iii = doc["report"]["runs"][0]["results"]
+    assert (ii["k"], ii["s_power_in_ideal"]) == (2, False)
+    assert (iii["k"], iii["s_power_in_ideal"]) == (1, True)
+    out = capsys.readouterr().out
+    for res in (ii, iii):
+        assert res["verdict"] == "fail"
+        assert res["witness"]
+        assert "  witness: %s" % res["witness"] in out
+    assert "trace_S_constant" in ii and "trace_S_constant" not in iii
 
 
 def test_cap_hit_explicit_check_exit_code(tmp_path):
