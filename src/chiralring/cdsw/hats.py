@@ -15,7 +15,7 @@ they are nonzero, so they are checked as ideal memberships.
 from math import lcm
 
 from ..exterior import ExtElement, OddMatrix, swap_terms, wedge_into
-from ..exactla import addmul, guard_component
+from ..exactla import addmul
 from ..liemodule import invariant_basis_elements
 from ..rootsystem.reps import trace_power_degrees
 from .core import ideal_weight_zero, invariants_of_quotient, XX, XY, YY
@@ -168,7 +168,7 @@ def hat_monomials(ws, degree, hats):
     return out
 
 
-def check_prop_hat(ws, k1, k2, cap=None):
+def check_prop_hat(ws, k1, k2):
     """The three identities behind the product rule, as memberships in the
     span of the XX and YY families (their raw values are also reported):
 
@@ -180,14 +180,14 @@ def check_prop_hat(ws, k1, k2, cap=None):
     # guard the largest components touched before any trace expansion
     k = k1 + k2
     for d in (k1, k2, k - 1):
-        guard_component(ws.alg, d, d, cap)
+        ws.alg.guard(d, d)
 
     # every trace as (int terms, den); memberships do not depend on scale
     alg = ws.alg
     fz = _trace_z_power_ints(ws, k1)
     hz = _trace_z_power_ints(ws, k2)
     report["a_zero_literal"] = not fz[0]
-    sub = ideal_weight_zero(ws, (XX, YY), k1, k1, cap)
+    sub = ideal_weight_zero(ws, (XX, YY), k1, k1)
     report["a_in_ideal"] = sub.contains(ExtElement(alg, fz[0]))
 
     # dF(z)(Y) is the swap of dF(z)(X), as in `d_trace`
@@ -195,7 +195,7 @@ def check_prop_hat(ws, k1, k2, cap=None):
     dfy = swap_terms(dfx[0], alg.n), dfx[1]
     report["b_zero_literal"] = not dfx[0]
     report["b_in_ideal"] = not dfx[0] or all(
-        ideal_weight_zero(ws, (XX, YY), p, q, cap).contains(
+        ideal_weight_zero(ws, (XX, YY), p, q).contains(
             ExtElement(alg, el[0]))
         for el, (p, q) in ((dfx, (k1, k1 - 1)), (dfy, (k1 - 1, k1))))
 
@@ -208,7 +208,7 @@ def check_prop_hat(ws, k1, k2, cap=None):
     total = ExtElement(alg, _wedge_sum(
         ((hatf, hz), (fz, hath), (dfx, dhy), (dhx, dfy))))
     report["c_zero_literal"] = total.is_zero()
-    subc = ideal_weight_zero(ws, (XX, YY), k - 1, k - 1, cap)
+    subc = ideal_weight_zero(ws, (XX, YY), k - 1, k - 1)
     report["c_in_ideal"] = total.is_zero() or subc.contains(total)
     report["pass"] = report["a_in_ideal"] and report["b_in_ideal"] and \
         report["c_in_ideal"]
@@ -227,10 +227,10 @@ def _wedge_sum(pairs):
     return out
 
 
-def check_conj_c1(ws, up_to_d, ideal_counts, cap=None):
+def check_conj_c1(ws, up_to_d, ideal_counts):
     """dim E_(d,d) vs the span of hat monomials vs the abelian-ideal count,
     for d <= up_to_d."""
-    guard_component(ws.alg, up_to_d, up_to_d, cap)
+    ws.alg.guard(up_to_d, up_to_d)
     hats = hat_generators(ws, max_degree=up_to_d)
     rows = []
     ok = True
@@ -238,8 +238,8 @@ def check_conj_c1(ws, up_to_d, ideal_counts, cap=None):
         if d == 0:
             e_dim = p_dim = 1
         else:
-            e_dim = invariants_of_quotient(ws, d, d, (XX, YY), cap)
-            p_dim = ideal_weight_zero(ws, (XX, YY), d, d, cap).insert_all(
+            e_dim = invariants_of_quotient(ws, d, d, (XX, YY))
+            p_dim = ideal_weight_zero(ws, (XX, YY), d, d).insert_all(
                 val for _, val in hat_monomials(ws, d, hats))
         count = ideal_counts[d] if d < len(ideal_counts) else 0
         rows.append({"d": d, "dim_E": e_dim, "dim_P_span": p_dim,
@@ -248,7 +248,7 @@ def check_conj_c1(ws, up_to_d, ideal_counts, cap=None):
     return {"rep": ws.trace_label, "rows": rows, "pass": ok}
 
 
-def check_conj_c2_c3(ws, cap=None):
+def check_conj_c2_c3(ws):
     """c3: the invariants of the supercommutator ideal match the ideal
     generated by the hat elements of degree > 1, below the critical degree;
     every such hat element lies in that ideal.  c2: at the critical degree
@@ -257,7 +257,7 @@ def check_conj_c2_c3(ws, cap=None):
     g = ws.g
     # every component touched: (d,d) for d up to g and up to each hat degree
     top = max([g] + [k - 1 for k in trace_power_degrees(ws.lie)])
-    guard_component(ws.alg, top, top, cap)
+    ws.alg.guard(top, top)
     hats = hat_generators(ws)
     report = {"rep": ws.trace_label, "g": g, "per_degree": [],
               "hat_in_L": [], "pass": True}
@@ -266,20 +266,19 @@ def check_conj_c2_c3(ws, cap=None):
     # restricted to (XY) + (XX,YY)
     for h in hats[1:]:
         d = h.source_degree - 1
-        sub = ideal_weight_zero(ws, (XX, XY, YY), d, d, cap)
+        sub = ideal_weight_zero(ws, (XX, XY, YY), d, d)
         member = sub.contains(h.value)
         report["hat_in_L"].append({"k": h.source_degree, "in_ideal": member})
         report["pass"] = report["pass"] and member
 
     for d in range(g):
-        inv = invariant_basis_elements(ws.action, d, d, cap) if d else []
+        inv = invariant_basis_elements(ws.action, d, d) if d else []
         # dim(Inv cap W) = |inv| - growth, so the difference of the two
         # intersections is the difference of the two growths
-        dim_L = (ideal_weight_zero(ws, (XX, YY), d, d, cap).insert_all(inv)
-                 - ideal_weight_zero(ws, (XX, XY, YY), d, d, cap)
-                 .insert_all(inv))
+        dim_L = (ideal_weight_zero(ws, (XX, YY), d, d).insert_all(inv)
+                 - ideal_weight_zero(ws, (XX, XY, YY), d, d).insert_all(inv))
         # ideal generated by hats of degree > 1, inside E, at degree d
-        dim_gen = ideal_weight_zero(ws, (XX, YY), d, d, cap).insert_all(
+        dim_gen = ideal_weight_zero(ws, (XX, YY), d, d).insert_all(
             val for expo, val in hat_monomials(ws, d, hats) if any(expo[1:]))
         row = {"d": d, "dim_L": dim_L, "dim_hat_ideal": dim_gen,
                "match": dim_L == dim_gen}
@@ -290,7 +289,7 @@ def check_conj_c2_c3(ws, cap=None):
     # of the other hat monomials
     monos = dict(hat_monomials(ws, g, hats))
     p1_power = monos.pop((g,) + (0,) * (len(hats) - 1))
-    sub = ideal_weight_zero(ws, (XX, YY), g, g, cap)
+    sub = ideal_weight_zero(ws, (XX, YY), g, g)
     sub.insert_all(monos.values())
     relation = sub.contains(p1_power)
     report["c2_relation_with_p1_power"] = relation

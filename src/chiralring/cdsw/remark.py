@@ -12,7 +12,7 @@ the S-power vanishing for sl(n) falls out.
 from fractions import Fraction
 from math import factorial, lcm
 
-from ..exactla import addmul, guard_component
+from ..exactla import addmul
 from ..exterior import ExtElement, OddMatrix, wedge_into
 from .core import ideal_weight_zero, XX, XY, YY
 
@@ -174,10 +174,10 @@ def check_sln_remark(n, cap=None):
     if n < 2:
         raise ValueError("n in {2, 3} at desk scale")
     lie = chevalley_data(build_root_system("A", n - 1))
-    ws = Workspace(lie)
+    ws = Workspace(lie, cap)
     alg = ws.alg
     # the memberships below are at (n,n): guard it before any expansion
-    guard_component(alg, n, n, cap)
+    alg.guard(n, n)
     D, traces = z_traces(ws, n)
     lhs = traces[n]  # T_(n+1)
 
@@ -211,7 +211,7 @@ def check_sln_remark(n, cap=None):
 
     # memberships in the full defining ideal at (n,n): every piece except
     # the Tr(XY)^n term reduces into it, which forces S^n into the ideal
-    sub = ideal_weight_zero(ws, (XX, XY, YY), n, n, cap)
+    sub = ideal_weight_zero(ws, (XX, XY, YY), n, n)
     lhs_in_ideal = sub.contains(lhs_xieta)
     rest_in_ideal = sub.contains(rest)
     s_power_in_ideal = sub.contains(ExtElement(alg, trxy_n))

@@ -17,7 +17,7 @@ from .rootsystem import (build_root_system, chevalley_data, representation,
                          UnsupportedType, LIE_DATA_TYPES, COMBINATORIAL_TYPES,
                          lie_to_json_dict)
 from .rootsystem.reps import default_trace_label, trace_power_degrees
-from .exactla import ComponentTooLarge, DEFAULT_MONOMIAL_CAP
+from .exterior import ComponentTooLarge, DEFAULT_MONOMIAL_CAP
 from . import abideals
 from .cdsw import (Workspace, check_S_power, check_part_i, check_prop_hat,
                    check_conj_c1, check_conj_c2_c3, check_sln_remark)
@@ -53,7 +53,7 @@ class CheckRunner:
 
     @cached_property
     def ws(self):
-        return Workspace(chevalley_data(self.rs))
+        return Workspace(chevalley_data(self.rs), self.cap)
 
     @cached_property
     def ideals(self):
@@ -115,7 +115,7 @@ class CheckRunner:
     def _s_power(self, k, expect_in):
         """S^k against the full ideal at (k,k): pass when its membership
         is `expect_in`, with S^k as the witness otherwise."""
-        res = check_S_power(self.ws, k, cap=self.cap)
+        res = check_S_power(self.ws, k)
         rep = {"pass": res["contained"] == expect_in, "k": k,
                "s_power_in_ideal": res["contained"],
                "ideal_rank": res["ideal_rank"]}
@@ -124,7 +124,7 @@ class CheckRunner:
         return rep
 
     def check_cdsw_i(self):
-        return check_part_i(self.ws, self.ws.g, self.cap)
+        return check_part_i(self.ws, self.ws.g)
 
     def check_cdsw_ii(self):
         rep = self._s_power(self.ws.g, True)
@@ -137,16 +137,16 @@ class CheckRunner:
 
     def check_prop_hat(self):
         degrees = trace_power_degrees(self.ws.lie)
-        runs = [check_prop_hat(self.ws, k1, k2, self.cap)
+        runs = [check_prop_hat(self.ws, k1, k2)
                 for k1 in degrees for k2 in degrees if k1 <= k2]
         return {"pass": all([r.pop("pass") for r in runs]), "pairs": runs}
 
     def check_conj_c1(self):
         counts = abideals.poincare_series(self.ideals)
-        return check_conj_c1(self.ws, self.ws.g - 1, counts, self.cap)
+        return check_conj_c1(self.ws, self.ws.g - 1, counts)
 
     def check_conj_c23(self):
-        return check_conj_c2_c3(self.ws, self.cap)
+        return check_conj_c2_c3(self.ws)
 
     def check_sln_remark(self):
         return check_sln_remark(self.key[1] + 1, self.cap)
@@ -200,6 +200,11 @@ def run(argv=None):
         if not selected:
             print("configuration error: --checks selects no check",
                   file=sys.stderr)
+            return 2
+        repeated = [c for c in CHECK_NAMES if selected.count(c) > 1]
+        if repeated:
+            print("configuration error: --checks names %s more than once"
+                  % ", ".join(repeated), file=sys.stderr)
             return 2
     explicit_checks = args.checks != "all"
     if args.max_monomials < 1:

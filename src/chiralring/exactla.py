@@ -63,19 +63,9 @@ from math import gcd, isqrt
 import random
 
 
-class WrongComponent(ValueError):
-    pass
-
-
-class ComponentTooLarge(RuntimeError):
-    pass
-
-
 class CertificateFailure(RuntimeError):
     """No prime gave a certified RREF within CERTIFICATE_PRIMES tries."""
 
-
-DEFAULT_MONOMIAL_CAP = 2 * 10 ** 6
 
 # primes one certificate may take before it raises CertificateFailure; a
 # correct elimination needs a few, only a defect exhausts them
@@ -459,11 +449,3 @@ def kernel_basis(rows, ncols):
                 basis[j][piv] = -c
     return list(basis.values())
 
-
-def guard_component(alg, p, q, cap=None):
-    dim = alg.component_dim(p, q)
-    limit = DEFAULT_MONOMIAL_CAP if cap is None else cap
-    if dim > limit:
-        raise ComponentTooLarge("component (%d,%d) has %d monomials, cap %d"
-                                % (p, q, dim, limit))
-    return dim

@@ -15,10 +15,13 @@ denominator `den`, so matrix products run on ints; an entry or a trace
 becomes Fractions only when it leaves the matrix, and the `_ints` traces
 hand out (int terms, den) for callers that keep summing on ints.
 
-The swap x_a <-> y_a (`swap_terms`, `OddMatrix.swap`) is the algebra
-automorphism exchanging the two blocks: it sends x_A y_B to
+The swap x_a <-> y_a (`swap_mask`, `swap_terms`, `OddMatrix.swap`) is the
+algebra automorphism exchanging the two blocks: it sends x_A y_B to
 y_A x_B = (-1)**(|A| |B|) x_B y_A, so on bidegree (p,q) it relabels each
 monomial with the sign (-1)**(pq).
+
+The algebra owns the monomial cap, and `GrassmannAlgebra.guard(p, q)` is
+the one check against it; everything built over the algebra shares it.
 
 The product of disjoint monomials m1 ^ m2 is the monomial m1 | m2 times
 (-1)**k, where k counts the pairs of a generator of m1 above a generator
@@ -42,6 +45,17 @@ class SizeMismatch(ValueError):
     pass
 
 
+class WrongComponent(ValueError):
+    pass
+
+
+class ComponentTooLarge(RuntimeError):
+    pass
+
+
+DEFAULT_MONOMIAL_CAP = 2 * 10 ** 6
+
+
 def _bits(mask):
     while mask:
         low = mask & -mask
@@ -62,10 +76,12 @@ def suffix_parity(m):
 
 
 class GrassmannAlgebra:
-    """Context object fixing N (one odd generator block size per copy)."""
+    """Context object fixing N (one odd generator block size per copy) and
+    the monomial cap; cap None means DEFAULT_MONOMIAL_CAP."""
 
-    def __init__(self, n):
+    def __init__(self, n, cap=None):
         self.n = n
+        self.cap = DEFAULT_MONOMIAL_CAP if cap is None else cap
         self.xi_bit = 2 * n
         self.eta_bit = 2 * n + 1
         self._xmask = (1 << n) - 1
@@ -122,6 +138,14 @@ class GrassmannAlgebra:
         from math import comb
         return comb(self.n, p) * comb(self.n, q)
 
+    def guard(self, p, q):
+        """Raise ComponentTooLarge when the (p,q) component has more
+        monomials than the cap."""
+        dim = self.component_dim(p, q)
+        if dim > self.cap:
+            raise ComponentTooLarge("component (%d,%d) has %d monomials, "
+                                    "cap %d" % (p, q, dim, self.cap))
+
 
 def wedge_into(out, t1, t2):
     """out += t1 ^ t2 on terms dicts, in place; entries that cancel are
@@ -143,17 +167,23 @@ def wedge_into(out, t1, t2):
     return out
 
 
-def swap_terms(terms, n):
-    """The swap x_a <-> y_a of a terms dict over N = n generators per
-    block, with the sign (-1)**(pq) on each monomial of bidegree (p,q).
+def swap_mask(m, n):
+    """The swap x_a <-> y_a of monomial m over N = n generators per block,
+    as (mask, sign): it sends x_A y_B to y_A x_B = (-1)**(|A| |B|) x_B y_A.
     Masks with xi/eta bits raise ValueError."""
-    low = (1 << n) - 1
+    mx, my = m & ((1 << n) - 1), m >> n
+    if my >> n:
+        raise ValueError("the swap is not defined on xi/eta")
+    return mx << n | my, -1 if mx.bit_count() * my.bit_count() & 1 else 1
+
+
+def swap_terms(terms, n):
+    """The swap x_a <-> y_a of a terms dict, monomial by monomial
+    (`swap_mask`)."""
     out = {}
     for m, c in terms.items():
-        mx, my = m & low, m >> n
-        if my >> n:
-            raise ValueError("the swap is not defined on xi/eta")
-        out[mx << n | my] = -c if mx.bit_count() * my.bit_count() & 1 else c
+        m, s = swap_mask(m, n)
+        out[m] = -c if s < 0 else c
     return out
 
 

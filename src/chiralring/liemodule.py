@@ -6,7 +6,7 @@ Weight slices of a component are listed one way only,
 `ActionTable.weight_masks`, which joins x-halves and y-halves by weight."""
 
 from .exterior import ExtElement, _bits
-from .exactla import Echelon, addmul, kernel_basis, guard_component
+from .exactla import Echelon, addmul, kernel_basis
 
 
 class ActionTable:
@@ -136,7 +136,7 @@ class ActionTable:
         return out
 
 
-def invariants(action, p, q, cap=None):
+def invariants(action, p, q):
     """The canonical invariant basis of the (p,q) component, in a new list:
     the certified RREF rows of its kernel over the weight-zero monomials in
     canonical order, as ExtElements.
@@ -149,7 +149,7 @@ def invariants(action, p, q, cap=None):
     submodule and every f_i kills it too.
     """
     alg, lie = action.alg, action.lie
-    guard_component(alg, p, q, cap=cap)
+    alg.guard(p, q)
     w0 = action.weight_masks(p, q, action.zero_weight)
     gens = [lie.e_index(simple) for simple in lie.rs.simple_roots]
     # rows of the stacked equation system: one per (generator, image monomial)
@@ -164,12 +164,10 @@ def invariants(action, p, q, cap=None):
             for row in ech.basis_rows()]
 
 
-def invariant_basis_elements(action, p, q, cap=None):
+def invariant_basis_elements(action, p, q):
     """The canonical invariant basis of `invariants`, in a new list.  Each
-    (p, q) basis is computed once per action table; the cap is checked on
-    every call, so a smaller cap refuses a basis that is already known."""
-    guard_component(action.alg, p, q, cap=cap)
+    (p, q) basis is computed once per action table."""
     bases = action._invariant_bases
     if (p, q) not in bases:
-        bases[p, q] = invariants(action, p, q, cap)
+        bases[p, q] = invariants(action, p, q)
     return list(bases[p, q])

@@ -63,13 +63,9 @@ class LieAlgebraData:
                 + ["f%d" % (i + 1) for i in range(self.nroots)])
 
     def basis_weight(self, a):
-        """Weight of the basis element under the Cartan (a root tuple)."""
-        zero = (0,) * self.rank
-        if a < self.nroots:
-            return self.rs.positive_roots[a]
-        if a < self.nroots + self.rank:
-            return zero
-        return _neg(self.rs.positive_roots[a - self.nroots - self.rank])
+        """Weight of the basis element under the Cartan (a root tuple): its
+        signed root, zero on the Cartan."""
+        return self.signed_root(a) or (0,) * self.rank
 
     def signed_root(self, a):
         if a < self.nroots:

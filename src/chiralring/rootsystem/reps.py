@@ -67,40 +67,39 @@ def _sl_seeds(rank):
     return n, es, fs
 
 
-def _so_odd_seeds(rank):
-    # so(2n+1) preserving the antidiagonal form; sigma(i) = 2n - i
-    n = rank
+def _antidiag(dim, i, j):
+    """E_ij - E_sig(j)sig(i), sig(i) = dim - 1 - i: a root vector of the
+    algebra preserving an antidiagonal form."""
+    return _add(_unit(dim, i, j),
+                _scale(_unit(dim, dim - 1 - j, dim - 1 - i), -1))
+
+
+def _antidiag_seeds(dim, n, e_last, f_last):
+    """(dim, es, fs) for the simple roots eps_i - eps_(i+1), i < n - 1, as
+    `_antidiag` root vectors, then the last simple root's pair."""
+    return (dim, [_antidiag(dim, i, i + 1) for i in range(n - 1)] + [e_last],
+            [_antidiag(dim, i + 1, i) for i in range(n - 1)] + [f_last])
+
+
+def _so_odd_seeds(n):
+    # so(2n+1) preserving the antidiagonal form; sig(i) = 2n - i
     dim = 2 * n + 1
-    sig = lambda i: dim - 1 - i
-    def X(i, j):
-        return _add(_unit(dim, i, j), _scale(_unit(dim, sig(j), sig(i)), -1))
-    es = [X(i, i + 1) for i in range(n - 1)] + [X(n - 1, n)]
-    fs = [X(i + 1, i) for i in range(n - 1)] + [_scale(X(n, n - 1), 2)]
-    return dim, es, fs
+    return _antidiag_seeds(dim, n, _antidiag(dim, n - 1, n),
+                           _scale(_antidiag(dim, n, n - 1), 2))
 
 
-def _sp_seeds(rank):
-    # sp(2n) for the antidiagonal symplectic form; sigma(i) = 2n - 1 - i
-    n = rank
+def _sp_seeds(n):
+    # sp(2n) for the antidiagonal symplectic form; sig(i) = 2n - 1 - i
     dim = 2 * n
-    sig = lambda i: dim - 1 - i
-    def X(i, j):
-        return _add(_unit(dim, i, j), _scale(_unit(dim, sig(j), sig(i)), -1))
-    es = [X(i, i + 1) for i in range(n - 1)] + [_unit(dim, n - 1, n)]
-    fs = [X(i + 1, i) for i in range(n - 1)] + [_unit(dim, n, n - 1)]
-    return dim, es, fs
+    return _antidiag_seeds(dim, n, _unit(dim, n - 1, n), _unit(dim, n, n - 1))
 
 
-def _so_even_seeds(rank):
-    # so(2n), antidiagonal form; last simple root is eps_{n-1} + eps_n
-    n = rank
+def _so_even_seeds(n):
+    # so(2n), antidiagonal form; last simple root is eps_{n-1} + eps_n, on
+    # the columns n - 2 and sig(n - 1) = n
     dim = 2 * n
-    sig = lambda i: dim - 1 - i
-    def X(i, j):
-        return _add(_unit(dim, i, j), _scale(_unit(dim, sig(j), sig(i)), -1))
-    es = [X(i, i + 1) for i in range(n - 1)] + [X(n - 2, sig(n - 1))]
-    fs = [X(i + 1, i) for i in range(n - 1)] + [X(sig(n - 1), n - 2)]
-    return dim, es, fs
+    return _antidiag_seeds(dim, n, _antidiag(dim, n - 2, n),
+                           _antidiag(dim, n, n - 2))
 
 
 def _g2_seeds():
@@ -168,14 +167,6 @@ def _adjoint(lie):
     return mats
 
 
-_LABELS = {
-    "A": ("vector", "adjoint"),
-    "B": ("vector", "adjoint"),
-    "C": ("vector", "adjoint"),
-    "D": ("vector", "adjoint"),
-    "G": ("fundamental-7", "adjoint"),
-}
-
 _CACHE = {}
 
 
@@ -185,7 +176,7 @@ def representation(lie, label):
     key = (lie.rs.type_label, lie.rs.rank, label)
     if key in _CACHE:
         return _CACHE[key]
-    if label not in _LABELS.get(lie.rs.type_label, ()):
+    if label not in (default_trace_label(lie.rs.type_label), "adjoint"):
         raise UnsupportedRepresentation("%s for %s%d" %
                                         (label, lie.rs.type_label, lie.rank))
     if label == "adjoint":

@@ -10,7 +10,7 @@ from chiralring.cdsw import Workspace
 from chiralring.cdsw.core import IdealSpan, ideal_rows
 from chiralring.abideals import AbelianIdeal, is_abelian, is_ideal
 from chiralring import exactla
-from chiralring.exactla import _is_prime, addmul, guard_component
+from chiralring.exactla import _is_prime, addmul
 from chiralring.exterior import ExtElement, _bits, wedge_into
 
 # Property tests draw the same examples on every run, and none is failed for
@@ -264,19 +264,19 @@ def kernel_of(ech, ncols):
     return basis
 
 
-def span(elements, component=None, columns=None, cap=None):
+def span(elements, component=None, columns=None):
     """Certified span of homogeneous elements of one bidegree.
 
     component: (p, q); columns defaults to the full component monomial list
-    of the first element's algebra, and cap then guards its monomial count
-    (ComponentTooLarge).
+    of the first element's algebra, and the algebra's cap then guards its
+    monomial count (ComponentTooLarge).
     """
     if columns is None:
         if not elements:
             return IdealSpan((), component)
         alg = elements[0].alg
         p, q = component if component is not None else elements[0].bidegree()
-        guard_component(alg, p, q, cap)
+        alg.guard(p, q)
         columns = alg.component_masks(p, q)
         component = (p, q)
     for el in elements:

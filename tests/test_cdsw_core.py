@@ -10,12 +10,13 @@ from hypothesis import given, strategies as st
 from chiralring.rootsystem import (build_root_system, chevalley_data,
                                    LIE_DATA_TYPES)
 from chiralring.cdsw import Workspace
-from chiralring.exactla import ComponentTooLarge, WrongComponent, addmul
+from chiralring.exactla import addmul
 from chiralring.cdsw.core import (IdealSpan, ideal_weight_zero, ideal_rows,
                                   relations, check_S_power, check_part_i,
                                   XX, XY, YY, OFFDIAGONAL_SPOT_CHECKS,
                                   _FAMILY_DEGREE)
-from chiralring.exterior import ExtElement, GrassmannAlgebra
+from chiralring.exterior import (ComponentTooLarge, ExtElement,
+                                 GrassmannAlgebra, WrongComponent)
 from chiralring.cdsw.hats import hat_generators, hat_monomials
 from chiralring.liemodule import invariant_basis_elements
 from conftest import (canonical_ideal_span, chevalley_generator_indices,
@@ -350,9 +351,9 @@ def test_part_i_modular_matches_exact(monkeypatch, ws_sl3):
     assert got["pass"]
 
 
-def test_component_too_large_guard(ws_sl3):
+def test_component_too_large_guard(sl3):
     with pytest.raises(ComponentTooLarge):
-        check_S_power(ws_sl3, 3, cap=100)
+        check_S_power(Workspace(sl3, cap=100), 3)
 
 
 def test_cached_span_is_handed_out_as_a_copy(so5):
@@ -376,12 +377,15 @@ def test_span_cache_key_ignores_family_order(so5):
     assert list(ws.ideal_spans) == [(frozenset((XX, YY)), 2, 2)]
 
 
-def test_cached_span_still_refused_under_a_smaller_cap(so5):
-    ws = Workspace(so5)
-    ideal_weight_zero(ws, (XX, XY, YY), 2, 2)
-    assert ws.ideal_spans
+def test_workspace_cap_refuses_a_span_before_building_it(so5):
+    """The workspace's algebra holds the cap: a span over a larger
+    component is refused and nothing is cached; a smaller one is built."""
+    ws = Workspace(so5, cap=GrassmannAlgebra(so5.dim).component_dim(2, 2) - 1)
     with pytest.raises(ComponentTooLarge):
-        ideal_weight_zero(ws, (XX, XY, YY), 2, 2, cap=100)
+        ideal_weight_zero(ws, (XX, XY, YY), 2, 2)
+    assert not ws.ideal_spans
+    assert ideal_weight_zero(ws, (XX, XY, YY), 2, 1).rank > 0
+    assert list(ws.ideal_spans) == [(frozenset((XX, XY, YY)), 2, 1)]
 
 
 def test_cached_spans_die_with_their_workspace(so5):

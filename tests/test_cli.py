@@ -73,14 +73,17 @@ def test_g2_cap_skips_c23(tmp_path):
     assert c23["cap_hit"]
 
 
-@pytest.mark.parametrize("checks", ["", ",", " , "])
+@pytest.mark.parametrize("checks", ["", ",", " , ", "cdsw-ii,cdsw-ii"])
 def test_empty_check_list_rejected(tmp_path, capsys, checks):
+    """An empty check list, or one that names a check twice, is a
+    configuration error that names the check."""
     out = tmp_path / "report.json"
     code = run(["--algebra", "A", "1", "--checks", checks,
                 "--json", str(out)])
     assert code == 2
     captured = capsys.readouterr()
     assert "--checks" in captured.err
+    assert all(c in captured.err for c in checks.split(",") if c.strip())
     assert captured.out == ""
     assert not out.exists()
 
@@ -91,8 +94,8 @@ def test_failed_check_reports_witness(tmp_path, capsys, monkeypatch):
     from chiralring import cli
     inner = cli.check_S_power
 
-    def flipped(ws, k, mode=None, cap=None):
-        res = inner(ws, k, mode, cap)
+    def flipped(ws, k, mode=None):
+        res = inner(ws, k, mode)
         return dict(res, contained=not res["contained"])
 
     monkeypatch.setattr(cli, "check_S_power", flipped)
@@ -218,9 +221,9 @@ def test_one_invariant_kernel_per_bidegree(tmp_path, monkeypatch):
     kernels = Counter()
     inner = liemodule.invariants
 
-    def counting(action, p, q, cap=None):
+    def counting(action, p, q):
         kernels[(id(action), p, q)] += 1
-        return inner(action, p, q, cap)
+        return inner(action, p, q)
 
     monkeypatch.setattr(liemodule, "invariants", counting)
     code, doc = _run_json(tmp_path, ["--algebra", "B", "2", "--checks", "all"])

@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 from chiralring import exactla
 from chiralring.exterior import ExtElement, GrassmannAlgebra
 from chiralring.cdsw.core import IdealSpan
-from chiralring.exactla import (Echelon, FieldMode, kernel_basis,
-                                guard_component, ComponentTooLarge,
-                                WrongComponent, _is_prime,
+from chiralring.exterior import ComponentTooLarge, WrongComponent
+from chiralring.exactla import (Echelon, FieldMode, kernel_basis, _is_prime,
                                 exact_primes, rational_reconstruction,
                                 CertificateFailure, CERTIFICATE_PRIMES)
 from conftest import (FractionRREF, InhomogeneousInput, dense_rref,
@@ -134,15 +133,14 @@ def test_quotient_dim():
 
 
 def test_memory_guard():
-    alg = GrassmannAlgebra(14)
     with pytest.raises(ComponentTooLarge):
-        guard_component(alg, 5, 5, cap=10 ** 5)
-    # the cap guards what is built
-    columns = alg.component_masks(1, 1)
-    elements = [alg.x(0).wedge(alg.y(0))]
+        GrassmannAlgebra(14, cap=10 ** 5).guard(5, 5)
+    # the algebra's cap guards what is built: (1,1) has 14 * 14 monomials
+    small = GrassmannAlgebra(14, 14 * 14 - 1)
+    alg = GrassmannAlgebra(14, 14 * 14)
     with pytest.raises(ComponentTooLarge):
-        span(elements, component=(1, 1), cap=len(columns) - 1)
-    assert span(elements, component=(1, 1), cap=len(columns)).rank == 1
+        span([small.x(0).wedge(small.y(0))], component=(1, 1))
+    assert span([alg.x(0).wedge(alg.y(0))], component=(1, 1)).rank == 1
 
 
 def _mod(v, p):

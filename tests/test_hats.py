@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from chiralring.abideals import enumerate_abelian_ideals, poincare_series
-from chiralring.exterior import OddMatrix
+from chiralring.exterior import ComponentTooLarge, GrassmannAlgebra, OddMatrix
 from chiralring.rootsystem import build_root_system, chevalley_data
 from chiralring.cdsw import Workspace
 from chiralring.cdsw.core import (ideal_weight_zero, invariants_of_quotient,
@@ -192,6 +192,22 @@ def test_prop_hat_traces_built_once_per_workspace(sl3, monkeypatch):
         assert check_prop_hat(ws, *pair) == report
     for k in (2, 3):
         hat_trace(ws, k), trace_z_power(ws, k), d_trace(ws, k, "Y")
+
+
+@pytest.mark.parametrize("check, args, d", [
+    (check_prop_hat, (2, 3), 4),
+    (check_conj_c1, (2, [1, 2, 1]), 2),
+    (check_conj_c2_c3, (), 3),
+], ids=["prop-hat", "conj-c1", "conj-c23"])
+def test_hat_checks_guard_before_expanding(sl3, monkeypatch, check, args, d):
+    """A cap one below the largest component a check touches, (d,d) on
+    sl(3), refuses before any matrix product or trace is built."""
+    def refuse(self, other):
+        raise AssertionError("a matrix product before the cap check")
+    monkeypatch.setattr(OddMatrix, "matmul", refuse)
+    ws = Workspace(sl3, cap=GrassmannAlgebra(sl3.dim).component_dim(d, d) - 1)
+    with pytest.raises(ComponentTooLarge, match=r"\(%d,%d\)" % (d, d)):
+        check(ws, *args)
 
 
 def test_d_trace_in_ideal_not_zero(ws_sl3):

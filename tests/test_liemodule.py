@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chiralring.rootsystem import build_root_system, chevalley_data
-from chiralring.exterior import GrassmannAlgebra, ExtElement
+from chiralring.exterior import (ComponentTooLarge, GrassmannAlgebra,
+                                 ExtElement)
 from chiralring.liemodule import (ActionTable, invariants,
                                   invariant_basis_elements)
-from chiralring.exactla import ComponentTooLarge, Echelon, kernel_basis
+from chiralring.exactla import Echelon, kernel_basis
 from conftest import (random_element, casimir, casimir_matrix,
                       chevalley_generator_indices, kernel_of,
                       minimal_polynomial, span,
@@ -311,15 +312,16 @@ def test_invariant_basis_does_not_depend_on_row_order(key, d):
 
 
 def test_invariant_basis_cached_per_action_table(act_sl3, monkeypatch):
-    """One kernel per (p, q) and action table; each call gets a new list,
-    and the cap is checked also when the basis is known."""
+    """One kernel per (p, q) and action table, and each call gets a new
+    list; an action table over an algebra with a smaller cap refuses the
+    basis and keeps nothing."""
     from chiralring import liemodule
     calls = []
     inner = liemodule.invariants
 
-    def counting(action, p, q, cap=None):
+    def counting(action, p, q):
         calls.append((p, q))
-        return inner(action, p, q, cap)
+        return inner(action, p, q)
 
     monkeypatch.setattr(liemodule, "invariants", counting)
     act = ActionTable(act_sl3.alg, act_sl3.lie)
@@ -328,6 +330,8 @@ def test_invariant_basis_cached_per_action_table(act_sl3, monkeypatch):
     again = invariant_basis_elements(act, 2, 2)
     assert again == _invariant_basis_in_equation_order(act, 2, 2)
     assert len(again) == 3
-    with pytest.raises(ComponentTooLarge):
-        invariant_basis_elements(act, 2, 2, cap=10)
     assert calls == [(2, 2)]
+    small = ActionTable(GrassmannAlgebra(act.lie.dim, cap=10), act.lie)
+    with pytest.raises(ComponentTooLarge):
+        invariant_basis_elements(small, 2, 2)
+    assert not small._invariant_bases

@@ -6,8 +6,7 @@ import pytest
 from chiralring.cdsw import Workspace
 from chiralring.cdsw.remark import (Poly, newton_f, newton_ints,
                                     check_sln_remark, z_traces)
-from chiralring.exactla import ComponentTooLarge
-from chiralring.exterior import ExtElement, OddMatrix
+from chiralring.exterior import ComponentTooLarge, ExtElement, OddMatrix
 from chiralring.rootsystem import build_root_system, chevalley_data
 from conftest import eval_poly_grassmann, matrix_trace
 
