@@ -28,26 +28,30 @@ they take the pivots and the dense ones stay free; invariant kernels keep
 the canonical order, where count order multiplies their work.
 
 An `Echelon` that knows its width (the number of columns; every span
-part does) stops reducing rows once its rank mod p reaches it: the rank
-over Q is at least the rank mod p, so the certified RREF is then the
-identity, with no lift.
+part and `kernel_basis` do) stops reducing rows once its rank mod p
+reaches it: the rank over Q is at least the rank mod p, so the certified
+RREF is then the identity, and the kernel is empty, with no lift.
 
-Every answer is certified.  An `Echelon` (and so `kernel_basis`)
-eliminates over one prime, lifts each RREF entry to Q by rational
-reconstruction and certifies the lift R in cleared-denominator
-integers: every row inserted since the last certificate, and every row of
-the previous R, must equal sum over pivots of row[piv] * R_piv.  That puts
-the span of the rows inside the span of R, and the rank over Q is at least
-the rank mod p, so R is the canonical RREF over Q.  When reconstruction or
-the check fails (an entry beyond the one-prime bound of about 2**15, or a
-prime that drops the rank), the rows are eliminated over the next prime
-and the residues of primes with the same pivots are combined by the
-Chinese remainder theorem, until the check passes; a certificate that
-still fails after CERTIFICATE_PRIMES primes raises CertificateFailure.
-Rank, `insert_all` growth, membership, `basis_rows` and kernel vectors
-are read from a certified R only; the RREF of a row space is unique for
-its column order, so none of them depends on input order or on the primes
-used.
+Every answer is certified.  An elimination runs over one prime; the RREF
+it reads mod p is lifted to Q by rational reconstruction and checked in
+cleared-denominator integers.  An `Echelon` checks that every row
+inserted since the last certificate, and every row of the previous lift
+R, equals sum over pivots of row[piv] * R_piv: the rows' span lies in R's,
+and the rank over Q is at least the rank mod p, so R is the canonical
+RREF over Q.  `kernel_basis` eliminates its equation rows E mod p only,
+puts the kernel's vectors mod p (one per free column) in RREF and checks
+E.K = 0 for their lift K: K's span lies in the kernel over Q, of dimension
+at most the kernel's mod p, so K is the kernel's canonical RREF.  When
+reconstruction or the check fails (an entry beyond the one-prime bound of
+about 2**15, or a prime that drops the rank), the rows are eliminated over
+the next prime, and residues of primes with the same rank and pivots are
+combined by the Chinese remainder theorem, until the check passes; after
+CERTIFICATE_PRIMES primes it raises CertificateFailure.  When K does not
+lift, the kernel's vectors are lifted: if E kills them, they span the
+kernel over Q, and their residues give its RREF mod further primes with
+no new elimination.  Every answer is read from a certified lift; the RREF
+of a row space is unique for its column order, so none depends on input
+order or on the primes.
 
 Every elimination takes the primes of `exact_primes()` in order.  The
 residues mod p and the lift are not held in full at the same time: the
@@ -234,10 +238,33 @@ def _crt(table, m, rows, p):
     return out
 
 
-def _pivot_key(rows):
-    """Orders RREFs of one row space over different primes: a lucky prime
-    has the highest rank and, at equal rank, the earliest pivots."""
-    return len(rows), [-piv for piv in sorted(rows)]
+def _certified(tables, check):
+    """The first lift R that passes check(R), and the last prime combined.
+    tables yields (rank, residue table, p) over successive primes; a lucky
+    prime has the highest rank and, at equal rank, the earliest pivots of
+    its table.  The luckiest table is kept and tables of the same rank and
+    pivots are combined with it by CRT, for CERTIFICATE_PRIMES primes."""
+    best = None
+    for rank, rows, p in islice(tables, CERTIFICATE_PRIMES):
+        key = rank, [-piv for piv in sorted(rows)]
+        if best is None or key > best:
+            best, table, m, good = key, rows, p, p
+        elif key == best:
+            table, m, good = _crt(table, m, rows, p), m * p, p
+        lifted = _lift(table, m)
+        if lifted is not None:
+            if check(lifted):
+                return lifted, good
+            table = _residues(lifted, m)
+    raise CertificateFailure("no certified RREF after %d primes"
+                             % CERTIFICATE_PRIMES)
+
+
+def _fractions(rref):
+    """The rows of rref (as in _in_span) in pivot order, as Fractions,
+    pivot coefficient included."""
+    return [{piv: Fraction(1), **{j: Fraction(v, den) for j, v in row.items()}}
+            for piv, (row, den) in sorted(rref.items())]
 
 
 class FieldMode:
@@ -371,11 +398,21 @@ class Echelon:
                 addmul_mod(row, rows[j], p - row.pop(j), p)
         self._reduced = True
 
+    def _eliminations(self, batch):
+        """(rank, RREF, p) of the rows mod p, then, each time the next item
+        is asked for, of the int rows of batch over the next prime."""
+        while True:
+            self._back_substitute()
+            yield len(self.rows), self.rows, self.p
+            self._tries += 1
+            self.p = next(islice(exact_primes(), self._tries, None))
+            self._rows = {}
+            for u in batch:
+                self._adjoin(self._reduce(u))
+
     def _certify(self):
         """Lift the RREF mod p to Q and check it against the batch and the
-        previous certified RREF; until the check passes, eliminate the same
-        rows over the next prime and combine residues by CRT.  Raises
-        CertificateFailure after CERTIFICATE_PRIMES primes."""
+        previous certified RREF, over further primes until it passes."""
         if not self._batch:
             return
         if len(self.rows) == self.width:
@@ -385,31 +422,11 @@ class Echelon:
             return
         batch = self._batch + [{piv: den, **row}
                                for piv, (row, den) in self._rref.items()]
-        table, m = None, 1
-        for attempt in range(CERTIFICATE_PRIMES):
-            if attempt:
-                self._tries += 1
-                self.p = next(islice(exact_primes(), self._tries, None))
-                self._rows = {}
-                for u in batch:
-                    self._adjoin(self._reduce(u))
-            self._back_substitute()
-            rows, p = self.rows, self.p
-            if table is None or _pivot_key(rows) > _pivot_key(table):
-                table, m, good = rows, p, p
-            elif rows.keys() == table.keys():
-                table, m, good = _crt(table, m, rows, p), m * p, p
-            lifted = _lift(table, m)
-            if lifted is not None:
-                if all(_in_span(u, lifted) for u in batch):
-                    break
-                table = _residues(lifted, m)
-        else:
-            raise CertificateFailure("no certified RREF after %d primes"
-                                     % CERTIFICATE_PRIMES)
-        # R mod good is the RREF of the rows mod good
-        self._rref, self.p, self._rows = lifted, good, None
-        self._batch = []
+        # R mod p is the RREF of the rows mod p
+        self._rref, self.p = _certified(
+            self._eliminations(batch),
+            lambda rref: all(_in_span(u, rref) for u in batch))
+        self._rows, self._batch = None, []
 
     def contains(self, vec):
         self._certify()
@@ -419,9 +436,7 @@ class Echelon:
         """The certified RREF rows in pivot order, as Fractions, pivot
         coefficient included."""
         self._certify()
-        return [{piv: Fraction(1),
-                 **{j: Fraction(v, den) for j, v in row.items()}}
-                for piv, (row, den) in sorted(self._rref.items())]
+        return _fractions(self._rref)
 
     def copy(self):
         # batch rows and certified rows are never changed in place
@@ -432,20 +447,66 @@ class Echelon:
         return dup
 
 
-def kernel_basis(rows, ncols):
-    """Nullspace basis of the linear system given by equation rows (each a
-    dict over column indices 0..ncols-1), read from the certified RREF;
-    returns the canonical basis vectors as dicts, one per free column."""
-    ech = Echelon()
-    ech.insert_all(rows)
-    rref = ech.basis_rows()
-    pivots = {min(row) for row in rref}
-    basis = {free: {free: Fraction(1)} for free in range(ncols)
-             if free not in pivots}
-    for row in rref:
-        piv = min(row)
-        for j, c in row.items():
-            if j != piv:
-                basis[j][piv] = -c
-    return list(basis.values())
+def _kills(equations, rref):
+    """E.K = 0 in integers, for the int rows of equations and the rows of
+    rref (as in _in_span) times their den.  Row i of K is packed into one
+    int per column at bit b*i, with every |E.k_i| below 2**(b-1), so E.K
+    is zero exactly when E kills the packed vector."""
+    top = max((abs(v) for row, den in rref.values()
+               for v in (den, *row.values())), default=0)
+    b = (top * max((sum(map(abs, u.values())) for u in equations),
+                   default=0)).bit_length() + 1
+    packed = {}
+    for i, (piv, (row, den)) in enumerate(rref.items()):
+        for j, v in ((piv, den), *row.items()):
+            packed[j] = packed.get(j, 0) + (v << b * i)
+    return not any(sum(c * packed.get(j, 0) for j, c in u.items())
+                   for u in equations)
 
+
+def _free_vectors(pivots, ncols, p):
+    """The kernel's vectors mod p of an RREF mod p with the given rows, one
+    per free column f: e_f minus column f, as {f: entries but the 1}."""
+    free = {j: {} for j in range(ncols) if j not in pivots}
+    for piv, row in pivots.items():
+        for j, v in row.items():
+            free[j][piv] = p - v
+    return free
+
+
+def _kernel_mod(free, p):
+    """The RREF mod p of the vectors e_f + free[f], entered by descending
+    leading column as in `Echelon.insert_all`; free is emptied."""
+    kernel = Echelon()
+    kernel.p = p
+    for f in sorted(free, key=lambda f: min(free[f], default=f),
+                    reverse=True):
+        row = free.pop(f)
+        row[f] = 1
+        kernel._adjoin(kernel._reduce(row))
+    kernel._back_substitute()
+    return kernel.rows
+
+
+def kernel_basis(rows, ncols):
+    """The canonical basis of the nullspace of the equation rows E (dicts
+    over columns 0..ncols-1): the RREF rows of the kernel in pivot order,
+    as Fractions, pivot coefficient included, certified by E.K = 0."""
+    ech = Echelon(ncols)
+    ech.insert_all(rows)
+    equations = ech._batch
+
+    def tables():
+        for rank, pivots, p in ech._eliminations(equations):
+            yield rank, _kernel_mod(_free_vectors(pivots, ncols, p), p), p
+            # vectors that lift to Q and that E kills span the kernel over
+            # Q; their residues give every further table, with no new
+            # elimination (their denominators are below sqrt(p))
+            basis = _lift(_free_vectors(pivots, ncols, p), p)
+            if basis is not None and _kills(equations, basis):
+                pivots.clear()
+                for q in islice(exact_primes(), ech._tries + 1, None):
+                    yield rank, _kernel_mod(_residues(basis, q), q), q
+
+    rref, _ = _certified(tables(), lambda rref: _kills(equations, rref))
+    return _fractions(rref)

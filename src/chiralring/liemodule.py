@@ -6,7 +6,7 @@ Weight slices of a component are listed one way only,
 `ActionTable.weight_masks`, which joins x-halves and y-halves by weight."""
 
 from .exterior import ExtElement, _bits
-from .exactla import Echelon, addmul, kernel_basis
+from .exactla import addmul, kernel_basis
 
 
 class ActionTable:
@@ -139,29 +139,35 @@ class ActionTable:
 def invariants(action, p, q):
     """The canonical invariant basis of the (p,q) component, in a new list:
     the certified RREF rows of its kernel over the weight-zero monomials in
-    canonical order, as ExtElements.
+    canonical order, as ExtElements (`exactla.kernel_basis`).
 
     Invariant vectors have weight zero, so the kernel is computed on the
     weight-zero slice only (Cartan elements act as zero there), and the
     acting operators are the rank simple raising operators e_i alone: a
     weight-zero vector killed by every e_i is a highest-weight vector of
     weight 0 in a finite-dimensional module, so it spans a trivial
-    submodule and every f_i kills it too.
+    submodule and every f_i kills it too.  An e_i moves the x-half or the
+    y-half of a monomial, never both, so the image of mx | my joins the
+    images of its halves, which share no monomial; a y-half moves as the
+    x-half of the same indices, so each is acted on once per e_i.
     """
     alg, lie = action.alg, action.lie
     alg.guard(p, q)
     w0 = action.weight_masks(p, q, action.zero_weight)
-    gens = [lie.e_index(simple) for simple in lie.rs.simple_roots]
+    n = alg.n
+    low = (1 << n) - 1
+    halves = {half for mask in w0 for half in (mask & low, mask >> n)}
     # rows of the stacked equation system: one per (generator, image monomial)
     eqs = {}
-    for a in gens:
+    for a in [lie.e_index(simple) for simple in lie.rs.simple_roots]:
+        images = {half: action.act_mask(a, half) for half in halves}
         for j, mask in enumerate(w0):
-            for m2, v in action.act_mask(a, mask).items():
-                eqs.setdefault((a, m2), {})[j] = v
-    ech = Echelon(len(w0))
-    ech.insert_all(kernel_basis(list(eqs.values()), len(w0)))
+            mx, my = mask & low, mask >> n
+            for half, shift, rest in ((mx, 0, my << n), (my, n, mx)):
+                for m2, v in images[half].items():
+                    eqs.setdefault((a, m2 << shift | rest), {})[j] = v
     return [ExtElement(alg, {w0[j]: c for j, c in row.items()})
-            for row in ech.basis_rows()]
+            for row in kernel_basis(list(eqs.values()), len(w0))]
 
 
 def invariant_basis_elements(action, p, q):

@@ -259,17 +259,13 @@ def test_rational_reconstruction():
 
 
 def _oracle_kernel(rref, ncols):
-    """Canonical kernel basis read off a FractionRREF."""
-    basis = []
-    for free in range(ncols):
-        if free in rref.rows:
-            continue
-        vec = {free: Fraction(1)}
-        for piv, row in rref.rows.items():
-            if row.get(free):
-                vec[piv] = -row[free]
-        basis.append(vec)
-    return basis
+    """The RREF of the kernel of a FractionRREF's (or a certified Echelon's)
+    rows, by the FractionRREF oracle: the free-column vectors of
+    `kernel_of`, reduced once more."""
+    kernel = FractionRREF()
+    for vec in kernel_of(rref, ncols):
+        kernel.insert(vec)
+    return kernel.basis_rows()
 
 
 FIRST_PRIME = next(exact_primes())
@@ -318,6 +314,108 @@ def test_certificate_gives_up_after_its_primes(monkeypatch):
     with pytest.raises(CertificateFailure):
         ech.rank
     assert ech.p == list(islice(exact_primes(), CERTIFICATE_PRIMES))[-1]
+
+
+@pytest.mark.parametrize("tamper", ["_lift", "rational_reconstruction"])
+def test_kernel_rejects_a_wrong_lift(monkeypatch, tamper):
+    """A kernel lift over the first prime that has the right residues but
+    is wrong over Q (each numerator moved by den times the modulus) fails
+    E.K = 0; the next prime is combined with the first by CRT and the exact
+    kernel is certified."""
+    first = FIRST_PRIME
+    moduli = []
+    if tamper == "_lift":
+        lift = exactla._lift
+
+        def tampered(table, m):
+            moduli.append(m)
+            out = lift(table, m)
+            if out and m == first:
+                out = {piv: ({j: v + m * den for j, v in row.items()}, den)
+                       for piv, (row, den) in out.items()}
+            return out
+    else:
+        reconstruct = exactla.rational_reconstruction
+
+        def tampered(a, m):
+            moduli.append(m)
+            n, d = reconstruct(a, m)
+            return (n + m * d, d) if m == first else (n, d)
+    monkeypatch.setattr(exactla, tamper, tampered)
+    rows = [{0: Fraction(1), 1: Fraction(2)}, {2: Fraction(1)}]
+    assert kernel_basis(rows, 3) == [{0: Fraction(1), 1: Fraction(-1, 2)}]
+    second = list(islice(exact_primes(), 2))[1]
+    assert sorted(set(moduli)) == [first, first * second]
+
+
+def test_kernel_takes_next_prime_when_rank_drops(monkeypatch):
+    """Rows dependent mod the first prime only: the kernel mod that prime
+    is larger, so the lift of its RREF and the lift of its vectors both
+    fail E.K = 0, and the next prime, of higher rank, replaces it and gives
+    the exact kernel."""
+    moduli = []
+    lift = exactla._lift
+
+    def recording(table, m):
+        moduli.append(m)
+        return lift(table, m)
+
+    monkeypatch.setattr(exactla, "_lift", recording)
+    rows, why = _unlucky(FIRST_PRIME)[0]
+    oracle = FractionRREF()
+    for r in rows:
+        oracle.insert(r)
+    assert kernel_basis(rows, 3) == _oracle_kernel(oracle, 3) == [
+        {2: Fraction(1)}]
+    first, second = islice(exact_primes(), 2)
+    assert moduli == [first, first, second]
+
+
+def test_kernel_beyond_one_prime_eliminates_once(monkeypatch):
+    """A kernel whose RREF has denominators beyond the one-prime bound
+    (the determinant 39,999) while the equations' RREF has small entries:
+    the kernel's vectors lift over the first prime and E kills them, so
+    the second prime's table is read from them, the equations are reduced
+    once, and the CRT lift over both primes is the exact kernel."""
+    calls = {"reduce": 0}
+    moduli = []
+    reduce, lift = Echelon._reduce, exactla._lift
+
+    def counting_reduce(self, u):
+        calls["reduce"] += 1
+        return reduce(self, u)
+
+    def recording(table, m):
+        moduli.append(m)
+        return lift(table, m)
+
+    monkeypatch.setattr(Echelon, "_reduce", counting_reduce)
+    monkeypatch.setattr(exactla, "_lift", recording)
+    rows = [{0: 1, 2: 200, 3: 1}, {1: 1, 2: 1, 3: 200}]
+    oracle = FractionRREF()
+    for r in rows:
+        oracle.insert(r)
+    kernel = _oracle_kernel(oracle, 4)
+    assert max(v.denominator for row in kernel for v in row.values()) == 39999
+    assert kernel_basis(rows, 4) == kernel
+    first, second = islice(exact_primes(), 2)
+    assert moduli == [first, first, first * second]
+    # two equations once, and two kernel vectors over each prime
+    assert calls["reduce"] == 2 + 2 + 2
+
+
+def test_kernel_gives_up_after_its_primes(monkeypatch):
+    """Rows dependent mod each of the first CERTIFICATE_PRIMES primes: the
+    kernel is never certified and kernel_basis raises; one more prime
+    certifies it."""
+    big = 1
+    for p in islice(exact_primes(), CERTIFICATE_PRIMES):
+        big *= p
+    rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + big}]
+    with pytest.raises(CertificateFailure):
+        kernel_basis(rows, 3)
+    monkeypatch.setattr(exactla, "CERTIFICATE_PRIMES", CERTIFICATE_PRIMES + 1)
+    assert kernel_basis(rows, 3) == [{2: Fraction(1)}]
 
 
 def test_full_rank_stops_reducing(monkeypatch):
@@ -479,7 +577,7 @@ def test_batch_order_changes_no_answer(data):
     assert batched.grew == given_order.grew == batched.rank
     for q in queries + rows:
         assert batched.contains(q) == given_order.contains(q)
-    assert kernel_basis(rows, ncols) == kernel_of(given_order, ncols)
+    assert kernel_basis(rows, ncols) == _oracle_kernel(given_order, ncols)
 
     one_by_one, staged = Echelon(), _CountingEchelon()
     for batch in (rows[:split], rows[split:]):

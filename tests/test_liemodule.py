@@ -9,7 +9,7 @@ from chiralring.exterior import (ComponentTooLarge, GrassmannAlgebra,
                                  ExtElement)
 from chiralring.liemodule import (ActionTable, invariants,
                                   invariant_basis_elements)
-from chiralring.exactla import Echelon, kernel_basis
+from chiralring.exactla import Echelon
 from conftest import (random_element, casimir, casimir_matrix,
                       chevalley_generator_indices, kernel_of,
                       minimal_polynomial, span,
@@ -219,8 +219,10 @@ def test_invariants_from_raising_operators_match_both_directions(key):
             for j, mask in enumerate(w0):
                 for m2, v in act.act_mask(a, mask).items():
                     eqs.setdefault((a, m2), {})[j] = v
-    ref = Echelon(len(w0))
-    ref.insert_all(kernel_basis(list(eqs.values()), len(w0)))
+    # the two-elimination path: the equations' RREF, then its kernel's
+    equations, ref = Echelon(), Echelon(len(w0))
+    equations.insert_all(eqs.values())
+    ref.insert_all(kernel_of(equations, len(w0)))
     assert [ExtElement(act.alg, {w0[j]: c for j, c in row.items()})
             for row in ref.basis_rows()] == elems
     assert elems
@@ -309,6 +311,59 @@ def test_invariant_basis_does_not_depend_on_row_order(key, d):
     elems = invariant_basis_elements(act, d, d)
     assert elems
     assert elems == _invariant_basis_in_equation_order(act, d, d)
+
+
+@pytest.mark.parametrize("key, p, q", [
+    pytest.param(key, p, q, id="%s%d-%d,%d" % (*key, p, q))
+    for key in (("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G", 2))
+    for p, q in ((1, 0), (0, 2), (1, 1), (2, 1), (2, 2))] + [
+    pytest.param(("B", 2), 3, 3, id="B2-3,3"),
+    pytest.param(("G", 2), 3, 3, id="G2-3,3")])
+def test_invariants_match_two_elimination_path(key, p, q):
+    """`invariants` (the equations eliminated once, the kernel lifted and
+    certified by E.K = 0) against the equations' certified RREF followed by
+    the certified RREF of its kernel vectors, empty kernels included."""
+    lie = chevalley_data(build_root_system(*key))
+    act = ActionTable(GrassmannAlgebra(lie.dim), lie)
+    assert invariants(act, p, q) == _invariant_basis_in_equation_order(
+        act, p, q)
+
+
+def test_one_elimination_per_invariant_kernel(monkeypatch):
+    """One `invariants` call inserts at most (equations + m) rows per prime
+    tried (per kernel table mod p) and certifies no RREF: the equations are
+    eliminated once, and a second full-width elimination cannot come back
+    unnoticed."""
+    from chiralring import exactla, liemodule
+    calls = {"insert": 0, "tables": 0, "certify": 0}
+    equations = []
+    insert, kernel_mod = Echelon.insert, exactla._kernel_mod
+    kernel = liemodule.kernel_basis
+
+    def counting_insert(self, vec):
+        calls["insert"] += 1
+        return insert(self, vec)
+
+    def counting_kernel_mod(free, p):
+        calls["tables"] += 1
+        return kernel_mod(free, p)
+
+    def certify(self):
+        calls["certify"] += 1
+
+    def recording_kernel(rows, ncols):
+        equations.extend(rows)
+        return kernel(rows, ncols)
+
+    monkeypatch.setattr(Echelon, "insert", counting_insert)
+    monkeypatch.setattr(Echelon, "_certify", certify)
+    monkeypatch.setattr(exactla, "_kernel_mod", counting_kernel_mod)
+    monkeypatch.setattr(liemodule, "kernel_basis", recording_kernel)
+    lie = chevalley_data(build_root_system("G", 2))
+    basis = invariants(ActionTable(GrassmannAlgebra(lie.dim), lie), 3, 3)
+    assert len(basis) == 5 and calls["tables"] >= 1
+    assert calls["insert"] <= (len(equations) + 5) * calls["tables"]
+    assert calls["certify"] == 0
 
 
 def test_invariant_basis_cached_per_action_table(act_sl3, monkeypatch):
