@@ -1,11 +1,14 @@
 """The superscheme algebra: defining relations, the invariant element S,
 graded ideal components, and the S-power membership checks.
 
-Everything is computed inside bigraded components of the Grassmann algebra;
-quotients are represented by (span, residue) pairs, never by normal forms.
-All spanning vectors are weight vectors, so membership questions about
-weight-zero elements (S powers, invariants) are settled inside the
-weight-zero slice of the component.
+Everything is computed inside bigraded components of the Grassmann algebra.
+All spanning vectors are weight vectors, so questions about weight-zero
+elements (S powers, invariants) are settled inside the weight-zero slice
+of the component.  A span is eliminated once and never changes; the
+quotient by it is read through its normal form (`IdealSpan.normal_form`),
+a linear map whose kernel is the span: membership is a zero normal form,
+and the growth of the span by a batch is the rank of the batch's normal
+forms (`IdealSpan.quotient`).
 
 Two commuting involutions permute the weight-zero monomials up to sign and
 map each relation to plus or minus a relation.  The Chevalley involution
@@ -19,10 +22,9 @@ generate, and `IdealSpan` eliminates each part as a certified span of a
 half or a quarter of the size, from a half or a quarter of the rows.
 """
 
-import copy
 from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import chain
 from math import lcm
 
 from ..exterior import (GrassmannAlgebra, ExtElement, OddMatrix,
@@ -39,12 +41,11 @@ _SWAP = {XX: YY, XY: XY, YY: XX}
 _FAMILY_ORDER = {XX: 0, XY: 1, YY: 2}
 
 
-class Symmetry(namedtuple("Symmetry", "name image relation")):
+class Symmetry(namedtuple("Symmetry", "image relation")):
     """A signed involution of the x and y blocks that permutes the
     monomials and the relations: image(m) is the image of monomial m as
     (mask, sign), and relation(family, c) is the (family, index) of the
-    relation that relation c of the family is sent to, up to sign.  name
-    is what `IdealSpan.insert_all` calls it in a ValueError."""
+    relation that relation c of the family is sent to, up to sign."""
 
     __slots__ = ()
 
@@ -122,9 +123,9 @@ class Workspace:
       `ideal_spans`, keyed by (frozenset of families, p, q), each an
       `IdealSpan` of the isotypic parts of `chevalley` (two parts), and of
       `swap` too (four parts) when p == q and the families are closed
-      under the swap.  Checks grow the spans they are given, so each is
-      handed out as a copy, which shares the certified RREFs until they
-      grow;
+      under the swap.  A span never changes once built: checks read the
+      quotient through its normal form, so each call hands out the
+      cached span itself;
     - the half-mask weights of `ActionTable.weight_masks`, the half-mask
       images of `ActionTable.chevalley_image` and the invariant
       bases of `liemodule.invariants` (ExtElements over the weight-zero
@@ -144,10 +145,9 @@ class Workspace:
         self.ideal_spans = {}
         sigma = lie.chevalley_involution()
         n = lie.dim
-        self.chevalley = Symmetry("the Chevalley involution",
-                                  self.action.chevalley_image,
+        self.chevalley = Symmetry(self.action.chevalley_image,
                                   lambda fam, c: (fam, sigma[c]))
-        self.swap = Symmetry("the swap x <-> y", lambda m: swap_mask(m, n),
+        self.swap = Symmetry(lambda m: swap_mask(m, n),
                              lambda fam, c: (_SWAP[fam], c))
 
     def xy_matrices(self):
@@ -240,18 +240,19 @@ def ideal_rows(ws, families, p, q, weight, symmetries=()):
 
 
 class IdealSpan:
-    """A certified span over the given masks, as the sum of its isotypic
-    parts under a group of signed monomial permutations, one `Echelon` per
-    part; each part's certified RREF is canonical for its column order.
+    """The certified span of rows over the given masks, as the sum of its
+    isotypic parts under a group of signed monomial permutations, one
+    `Echelon` per part.  It is eliminated once, in the constructor, and
+    never changes.
 
     columns: the masks, in any order; bidegree: the component, named in
-    WrongComponent messages; symmetries: commuting `Symmetry`s, which must
-    keep the set of columns.  Group element g (bit k set for each factor
-    symmetries[k]) sends e_m to sign * e_gm, and part i is the isotypic
-    part of the character chi_i(g) = (-1)**|i & g|, the sign that
-    symmetries[k] takes on part i being -1 when bit k of i is set.  With
-    no symmetry there is one part, with an orbit per mask: column j is
-    columns[j].
+    WrongComponent messages; rows: elements over the masks, whose span
+    must be stable under the symmetries; symmetries: commuting
+    `Symmetry`s, which must keep the set of columns.  Group element g (bit
+    k set for each factor symmetries[k]) sends e_m to sign * e_gm, and
+    part i is the isotypic part of the character chi_i(g) = (-1)**|i & g|,
+    the sign that symmetries[k] takes on part i being -1 when bit k of i
+    is set.  With no symmetry there is one part, with an orbit per mask.
 
     orbit maps each mask m to (o, signs): the number o of its orbit and
     its sign in each part, 0 in the parts that do not hold the orbit;
@@ -263,15 +264,37 @@ class IdealSpan:
     e_m0.  Part i holds the orbit when every g that fixes m0 does so with
     the sign chi_i(g), and otherwise projects it to zero.  A span stable
     under the symmetries is the sum of its projections, so rank and
-    membership are the sum and the conjunction of the parts'."""
+    membership are the sum and the conjunction of the parts', and the
+    quotient by it is the sum of the parts' quotients.
 
-    def __init__(self, columns, bidegree, symmetries=()):
+    Each part's columns are ordered by how many of its rows touch them,
+    fewest first, ties in the order of the masks.  Sparse columns then
+    take the pivots and dense ones stay free, which shrinks the certified
+    RREFs.  Rank, membership and quotient ranks do not depend on the
+    column order; each part's certified RREF is canonical for its own."""
+
+    def __init__(self, columns, bidegree, rows, symmetries=()):
         self.columns = columns
         self.bidegree = bidegree
         self.symmetries = tuple(symmetries)
         self.orbit, self.place = _orbits(columns, self.symmetries)
-        self.parts = [Echelon(len(cols) - cols.count(None))
-                      for cols in self.place]
+        vecs = [self.split(row) for row in rows]
+        self.parts = []
+        for i, cols in enumerate(self.place):
+            width = len(cols) - cols.count(None)
+            touched = Counter(chain.from_iterable(vec[i] for vec in vecs))
+            # a stable sort: equal counts keep the order of the masks
+            order = sorted(range(width), key=touched.__getitem__)
+            new = dict(zip(order, range(width)))
+            self.place[i] = [None if j is None else new[j] for j in cols]
+            for vec in vecs:
+                vec[i] = {new[j]: c for j, c in vec[i].items()}
+            part = Echelon(width)
+            part.insert_all(vec[i] for vec in vecs if vec[i])
+            part.rank  # certifies the part, which drops its batch
+            for vec in vecs:
+                vec[i] = None
+            self.parts.append(part)
 
     @property
     def rank(self):
@@ -282,7 +305,7 @@ class IdealSpan:
         each part.  A term outside the columns raises WrongComponent, also
         when its bidegree is the ambient one (the slice leaves out
         monomials of the component)."""
-        vecs = [{} for _ in self.parts]
+        vecs = [{} for _ in self.place]
         parts = list(zip(vecs, self.place))
         for m, c in cleared(elem.terms).items():
             hit = self.orbit.get(m)
@@ -298,57 +321,34 @@ class IdealSpan:
                     vec[j] = vec.get(j, 0) + sign * c
         return [{j: c for j, c in vec.items() if c} for vec in vecs]
 
+    def normal_form(self, elem):
+        """(w, den): the normal form of elem, with its denominators
+        cleared, modulo the span, times den.  w is an int dict holding the
+        parts' normal forms side by side (part i at the sum of the widths
+        of the parts before it) over den, the lcm of their denominators.
+        The map is linear, and its kernel is the span: w is empty exactly
+        when elem lies in it."""
+        forms = [part.normal_form(vec)
+                 for part, vec in zip(self.parts, self.split(elem))]
+        den = lcm(*(d for _, d in forms))
+        out, offset = {}, 0
+        for part, (w, d) in zip(self.parts, forms):
+            out.update((offset + j, den // d * c) for j, c in w.items())
+            offset += part.width
+        return out, den
+
     def contains(self, elem):
         """Membership of elem in the span."""
-        return all(part.contains(vec)
-                   for part, vec in zip(self.parts, self.split(elem)))
+        return not self.normal_form(elem)[0]
 
-    def insert_all(self, elems):
-        """Insert the elements as one `Echelon.insert_all` batch per part;
-        returns how much the rank grew.  Over several parts that growth is
-        dim(I + GE) - dim I, GE the span of the images of the batch E under
-        the group: the growth by E only when span(E) is stable under every
-        symmetry.  A batch with some image s(e) outside span(E) raises
-        ValueError, naming s, and leaves the span unchanged."""
-        vecs = [self.split(el) for el in elems]
-        self._check_stable(vecs)
-        before = self.rank
-        for i, part in enumerate(self.parts):
-            part.insert_all(vec[i] for vec in vecs if vec[i])
-        return self.rank - before
-
-    def _check_stable(self, vecs):
-        """Raise ValueError unless the span of the elements, given by their
-        part vectors, is stable under each symmetry.  symmetries[k] acts on
-        part i as -1 when bit k of i is set, so it keeps each element whose
-        parts all agree on bit k; the others are checked in one elimination
-        over every part's coordinates side by side."""
-        offsets = list(accumulate((part.width for part in self.parts),
-                                  initial=0))
-
-        def joined(vec, flip):
-            # the coordinates of the element, or of its image under the
-            # symmetries in flip
-            return {offsets[i] + j: -c if (i & flip).bit_count() & 1 else c
-                    for i, part in enumerate(vec) for j, c in part.items()}
-        batch = None
-        for k, sym in enumerate(self.symmetries):
-            bit = 1 << k
-            if all(len({i & bit for i, part in enumerate(vec) if part}) < 2
-                   for vec in vecs):
-                continue
-            if batch is None:
-                batch = Echelon()
-                batch.insert_all(joined(vec, 0) for vec in vecs)
-            if not all(batch.contains(joined(vec, bit)) for vec in vecs):
-                raise ValueError("the span of the batch at %s is not stable "
-                                 "under %s" % (self.bidegree, sym.name))
-
-    def copy(self):
-        # columns, orbit and place are never changed in place
-        dup = copy.copy(self)
-        dup.parts = [part.copy() for part in self.parts]
-        return dup
+    def quotient(self, elems):
+        """The span of the elements' normal forms, one `Echelon` over the
+        parts' columns side by side: its rank is dim((I + span E)/I) for
+        the span I and any batch E, and it contains the normal form of t
+        exactly when t lies in I + span E."""
+        quot = Echelon(sum(part.width for part in self.parts))
+        quot.insert_all(w for w, _ in map(self.normal_form, elems) if w)
+        return quot
 
 
 def _images(symmetries, m):
@@ -414,16 +414,10 @@ def ideal_weight_zero(ws, families, p, q):
     families are closed under the swap: two parts or four, eliminated from
     the rows `ideal_rows` keeps under the same symmetries.
 
-    Each part's columns are ordered by how many of its rows touch them,
-    fewest first, ties in canonical order.  Sparse columns then take the
-    pivots and dense ones stay free, which shrinks the certified RREFs.
-    Rank, membership and `insert_all` growth do not depend on the column
-    order, only the RREFs do.
-
     The span is eliminated once per workspace and families set (in any
     order), after the algebra's cap has guarded the component, and kept
-    certified in `ws.ideal_spans`; each call returns a copy the caller may
-    grow."""
+    certified in `ws.ideal_spans`; every call returns that span itself,
+    which nothing changes."""
     key = (frozenset(families), p, q)
     span = ws.ideal_spans.get(key)
     if span is None:
@@ -432,25 +426,10 @@ def ideal_weight_zero(ws, families, p, q):
         symmetries = (ws.chevalley,)
         if p == q and {_SWAP[f] for f in families} == set(families):
             symmetries += (ws.swap,)
-        masks = ws.action.weight_masks(p, q, zero)
-        span = IdealSpan(masks, (p, q), symmetries)
-        rows = [span.split(row) for row in ideal_rows(
-            ws, families, p, q, zero, symmetries)]
-        for i, part in enumerate(span.parts):
-            touched = Counter(chain.from_iterable(vec[i] for vec in rows))
-            # a stable sort: equal counts keep the canonical order
-            order = sorted(range(part.width), key=touched.__getitem__)
-            new = dict(zip(order, range(part.width)))
-            span.place[i] = [None if j is None else new[j]
-                             for j in span.place[i]]
-            for vec in rows:
-                vec[i] = {new[j]: c for j, c in vec[i].items()}
-            part.insert_all(vec[i] for vec in rows if vec[i])
-            part.rank  # certifies the part, which drops its batch
-            for vec in rows:
-                vec[i] = None
-        ws.ideal_spans[key] = span
-    return span.copy()
+        span = ws.ideal_spans[key] = IdealSpan(
+            ws.action.weight_masks(p, q, zero), (p, q),
+            ideal_rows(ws, families, p, q, zero, symmetries), symmetries)
+    return span
 
 
 def check_S_power(ws, k, mode=None):
@@ -470,10 +449,13 @@ def check_S_power(ws, k, mode=None):
 def invariants_of_quotient(ws, p, q, families=(XX, XY, YY)):
     """dim of the invariants of the quotient by the selected ideal at
     (p,q), computed as invariants of the component modulo their overlap
-    with the ideal (taking invariants is exact here): the rank growth of
-    the ideal span when the invariant basis is adjoined."""
+    with the ideal (taking invariants is exact here): the rank of the
+    invariant basis in the quotient.  A span with no free column holds the
+    whole weight-zero slice, and the answer is 0 with no kernel."""
     sub = ideal_weight_zero(ws, families, p, q)
-    return sub.insert_all(invariant_basis_elements(ws.action, p, q))
+    if sub.rank == len(sub.columns):
+        return 0
+    return sub.quotient(invariant_basis_elements(ws.action, p, q)).rank
 
 
 # off-diagonal bidegrees where part (i) spot-checks that A^g vanishes

@@ -239,8 +239,8 @@ def check_conj_c1(ws, up_to_d, ideal_counts):
             e_dim = p_dim = 1
         else:
             e_dim = invariants_of_quotient(ws, d, d, (XX, YY))
-            p_dim = ideal_weight_zero(ws, (XX, YY), d, d).insert_all(
-                val for _, val in hat_monomials(ws, d, hats))
+            p_dim = ideal_weight_zero(ws, (XX, YY), d, d).quotient(
+                val for _, val in hat_monomials(ws, d, hats)).rank
         count = ideal_counts[d] if d < len(ideal_counts) else 0
         rows.append({"d": d, "dim_E": e_dim, "dim_P_span": p_dim,
                      "ideal_count": count})
@@ -275,11 +275,13 @@ def check_conj_c2_c3(ws):
         inv = invariant_basis_elements(ws.action, d, d) if d else []
         # dim(Inv cap W) = |inv| - growth, so the difference of the two
         # intersections is the difference of the two growths
-        dim_L = (ideal_weight_zero(ws, (XX, YY), d, d).insert_all(inv)
-                 - ideal_weight_zero(ws, (XX, XY, YY), d, d).insert_all(inv))
+        half, full = (ideal_weight_zero(ws, fams, d, d).quotient(inv).rank
+                      for fams in ((XX, YY), (XX, XY, YY)))
+        dim_L = half - full
         # ideal generated by hats of degree > 1, inside E, at degree d
-        dim_gen = ideal_weight_zero(ws, (XX, YY), d, d).insert_all(
-            val for expo, val in hat_monomials(ws, d, hats) if any(expo[1:]))
+        dim_gen = ideal_weight_zero(ws, (XX, YY), d, d).quotient(
+            val for expo, val in hat_monomials(ws, d, hats)
+            if any(expo[1:])).rank
         row = {"d": d, "dim_L": dim_L, "dim_hat_ideal": dim_gen,
                "match": dim_L == dim_gen}
         report["per_degree"].append(row)
@@ -290,8 +292,8 @@ def check_conj_c2_c3(ws):
     monos = dict(hat_monomials(ws, g, hats))
     p1_power = monos.pop((g,) + (0,) * (len(hats) - 1))
     sub = ideal_weight_zero(ws, (XX, YY), g, g)
-    sub.insert_all(monos.values())
-    relation = sub.contains(p1_power)
+    relation = sub.quotient(monos.values()).contains(
+        sub.normal_form(p1_power)[0])
     report["c2_relation_with_p1_power"] = relation
     report["pass"] = report["pass"] and relation
     return report

@@ -21,9 +21,8 @@ from right to left, and a row never has entries left of its pivot, so
 the rows stay reduced against each other: a new row's reduction rarely
 meets fill-in pivots, and the back-substitution has little to clear.
 The order sets only the cost, and so does the order of the columns: the
-pivots and entries of the RREF depend on it, but rank, membership and
-`insert_all` growth do not.
-`cdsw.ideal_weight_zero` puts the columns that few rows touch first, so
+pivots and entries of the RREF depend on it, but rank and membership do
+not.  `cdsw.core.IdealSpan` puts the columns that few rows touch first, so
 they take the pivots and the dense ones stay free; invariant kernels keep
 the canonical order, where count order multiplies their work.
 
@@ -31,6 +30,12 @@ An `Echelon` that knows its width (the number of columns; every span
 part and `kernel_basis` do) stops reducing rows once its rank mod p
 reaches it: the rank over Q is at least the rank mod p, so the certified
 RREF is then the identity, and the kernel is empty, with no lift.
+
+A certified RREF R defines the normal form nf(u) = u - sum over pivots of
+u[piv] * R_piv (`Echelon.normal_form`): a linear map, supported on the
+free columns, whose kernel is the span.  Membership is nf(u) = 0, and the
+rank of the normal forms of a batch is its growth modulo the span, so a
+certified span never has to grow to answer either.
 
 Every answer is certified.  An elimination runs over one prime; the RREF
 it reads mod p is lifted to Q by rational reconstruction and checked in
@@ -59,7 +64,6 @@ lift pops each residue row as it lifts it, and the residues are read back
 from R when next needed.
 """
 
-import copy
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import count, islice
@@ -171,28 +175,31 @@ def cleared(vec):
             for j, v in vec.items() if v}
 
 
-def _in_span(u, rref):
-    """Whether the int row u equals the sum over pivots of u[piv] * R_piv,
-    where R_piv = e_piv + row / den for rref[piv] = (row, den), row holding
-    the non-pivot entries times den: membership of u in the span of R."""
-    hits, rest, den = [], {}, 1
+def _normal_form(u, rref):
+    """(w, den): the normal form u - sum over pivots of u[piv] * R_piv of
+    the int row u, times den, where R_piv = e_piv + row / den_piv for
+    rref[piv] = (row, den_piv), row holding the non-pivot entries times
+    den_piv, and den is the lcm of the den_piv of the pivots u meets.  w is
+    an int dict on the free columns, and it is empty exactly when u lies
+    in the span of R; the map is linear, with that span as its kernel."""
+    hits, w, den = [], {}, 1
     for j, c in u.items():
         entry = rref.get(j)
         if entry is None:
-            rest[j] = c
+            w[j] = c
         else:
             hits.append((c, entry))
             if den % entry[1]:
                 den = den // gcd(den, entry[1]) * entry[1]
-    acc = {}
+    if den > 1:
+        w = {j: c * den for j, c in w.items()}
     for c, (row, d) in hits:
-        addmul(acc, row, c * (den // d))
-    addmul(acc, rest, -den)
-    return not acc
+        addmul(w, row, -c * (den // d))
+    return w, den
 
 
 def _residues(rref, m):
-    """The rows of rref (as in _in_span) mod m, pivot coefficient left
+    """The rows of rref (as in _normal_form) mod m, pivot coefficient left
     implicit; every denominator is prime to m."""
     out = {}
     for piv, (row, den) in rref.items():
@@ -204,9 +211,10 @@ def _residues(rref, m):
 
 def _lift(table, m):
     """The RREF residues mod m of table reconstructed in Q, each row as int
-    entries over its own denominator (as in _in_span).  Each residue row is
-    popped from table as it is lifted; when an entry has no reconstruction,
-    table gets every row's residues back and the result is None."""
+    entries over its own denominator (as in _normal_form).  Each residue
+    row is popped from table as it is lifted; when an entry has no
+    reconstruction, table gets every row's residues back and the result is
+    None."""
     lifted, cache = {}, {}
     while table:
         piv, row = table.popitem()
@@ -261,7 +269,7 @@ def _certified(tables, check):
 
 
 def _fractions(rref):
-    """The rows of rref (as in _in_span) in pivot order, as Fractions,
+    """The rows of rref (as in _normal_form) in pivot order, as Fractions,
     pivot coefficient included."""
     return [{piv: Fraction(1), **{j: Fraction(v, den) for j, v in row.items()}}
             for piv, (row, den) in sorted(rref.items())]
@@ -425,12 +433,17 @@ class Echelon:
         # R mod p is the RREF of the rows mod p
         self._rref, self.p = _certified(
             self._eliminations(batch),
-            lambda rref: all(_in_span(u, rref) for u in batch))
+            lambda rref: not any(_normal_form(u, rref)[0] for u in batch))
         self._rows, self._batch = None, []
 
-    def contains(self, vec):
+    def normal_form(self, vec):
+        """(w, den): the normal form of vec, its denominators cleared,
+        modulo the certified span, as in `_normal_form`."""
         self._certify()
-        return _in_span(cleared(vec), self._rref)
+        return _normal_form(cleared(vec), self._rref)
+
+    def contains(self, vec):
+        return not self.normal_form(vec)[0]
 
     def basis_rows(self):
         """The certified RREF rows in pivot order, as Fractions, pivot
@@ -438,19 +451,11 @@ class Echelon:
         self._certify()
         return _fractions(self._rref)
 
-    def copy(self):
-        # batch rows and certified rows are never changed in place
-        dup = copy.copy(self)
-        if self._rows is not None:
-            dup._rows = {piv: dict(row) for piv, row in self._rows.items()}
-        dup._batch = list(self._batch)
-        return dup
-
 
 def _kills(equations, rref):
     """E.K = 0 in integers, for the int rows of equations and the rows of
-    rref (as in _in_span) times their den.  Row i of K is packed into one
-    int per column at bit b*i, with every |E.k_i| below 2**(b-1), so E.K
+    rref (as in _normal_form) times their den.  Row i of K is packed into
+    one int per column at bit b*i, with every |E.k_i| below 2**(b-1), so E.K
     is zero exactly when E kills the packed vector."""
     top = max((abs(v) for row, den in rref.values()
                for v in (den, *row.values())), default=0)

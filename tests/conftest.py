@@ -239,9 +239,7 @@ def canonical_ideal_span(ws, families, p, q, columns=None):
     zero = ws.action.zero_weight
     if columns is None:
         columns = ws.action.weight_masks(p, q, zero)
-    sub = IdealSpan(columns, (p, q))
-    sub.insert_all(ideal_rows(ws, families, p, q, zero))
-    return sub
+    return IdealSpan(columns, (p, q), ideal_rows(ws, families, p, q, zero))
 
 
 class InhomogeneousInput(ValueError):
@@ -273,7 +271,7 @@ def span(elements, component=None, columns=None):
     """
     if columns is None:
         if not elements:
-            return IdealSpan((), component)
+            return IdealSpan((), component, ())
         alg = elements[0].alg
         p, q = component if component is not None else elements[0].bidegree()
         alg.guard(p, q)
@@ -284,9 +282,7 @@ def span(elements, component=None, columns=None):
                 and el.bidegree() != tuple(component)):
             raise InhomogeneousInput("element of bidegree %s in component %s"
                                      % (el.bidegree(), component))
-    sub = IdealSpan(columns, component)
-    sub.insert_all(elements)
-    return sub
+    return IdealSpan(columns, component, elements)
 
 
 def fraction_relations(alg, lie):

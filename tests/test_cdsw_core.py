@@ -12,12 +12,14 @@ from chiralring.rootsystem import (build_root_system, chevalley_data,
 from chiralring.cdsw import Workspace
 from chiralring.exactla import addmul
 from chiralring.cdsw.core import (IdealSpan, ideal_weight_zero, ideal_rows,
-                                  relations, check_S_power, check_part_i,
-                                  XX, XY, YY, OFFDIAGONAL_SPOT_CHECKS,
-                                  _FAMILY_DEGREE)
+                                  invariants_of_quotient, relations,
+                                  check_S_power, check_part_i, XX, XY, YY,
+                                  OFFDIAGONAL_SPOT_CHECKS, _FAMILY_DEGREE)
 from chiralring.exterior import (ComponentTooLarge, ExtElement,
                                  GrassmannAlgebra, WrongComponent)
-from chiralring.cdsw.hats import hat_generators, hat_monomials
+from chiralring.abideals import enumerate_abelian_ideals, poincare_series
+from chiralring.cdsw.hats import (check_conj_c1, check_conj_c2_c3,
+                                  hat_generators, hat_monomials)
 from chiralring.liemodule import invariant_basis_elements
 from conftest import (canonical_ideal_span, chevalley_generator_indices,
                       chevalley_xy, eliminated_over, fraction_relations,
@@ -38,9 +40,7 @@ def ideal_component(ws, families, p, q):
         for rel in ws.rels.family(fam):
             for m in alg.component_masks(p - dp, q - dq):
                 products.append(rel.wedge(ExtElement(alg, {m: Fraction(1)})))
-    sub = IdealSpan(alg.component_masks(p, q), (p, q))
-    sub.insert_all(products)
-    return sub
+    return IdealSpan(alg.component_masks(p, q), (p, q), products)
 
 
 def reference_ideal_rows(ws, families, p, q, weight):
@@ -76,8 +76,7 @@ def family_equivariance(ws, family):
     the families are adjoint copies."""
     rels = [r for r in ws.rels.family(family) if not r.is_zero()]
     p, q = _FAMILY_DEGREE[family]
-    sub = IdealSpan(ws.alg.component_masks(p, q), (p, q))
-    sub.insert_all(rels)
+    sub = IdealSpan(ws.alg.component_masks(p, q), (p, q), rels)
     for r in rels:
         for a in chevalley_generator_indices(ws.lie):
             img = ws.action.act(a, r)
@@ -356,16 +355,22 @@ def test_component_too_large_guard(sl3):
         check_S_power(Workspace(sl3, cap=100), 3)
 
 
-def test_cached_span_is_handed_out_as_a_copy(so5):
-    """Growing a returned span leaves the next one returned unchanged."""
+def test_cached_span_is_shared_and_unchanged(so5):
+    """Every call hands out the cached span itself, and no query changes
+    it: a quotient by every monomial of the slice (which fills it), normal
+    forms and memberships leave its rank and its parts' RREFs as they
+    were."""
     ws = Workspace(so5)
     first = ideal_weight_zero(ws, (XX, YY), 2, 2)
     rank, rows = first.rank, [part.basis_rows() for part in first.parts]
     assert 0 < rank < len(first.columns)
-    first.insert_all(ExtElement(ws.alg, {m: Fraction(1)})
-                     for m in first.columns)
-    assert first.rank == len(first.columns)
+    monomials = [ExtElement(ws.alg, {m: 1}) for m in first.columns]
+    quot = first.quotient(monomials)
+    assert rank + quot.rank == len(first.columns)
+    assert quot.contains(first.normal_form(ws.S.power(2))[0])
+    assert [first.contains(m) for m in monomials].count(False) > 0
     again = ideal_weight_zero(ws, (XX, YY), 2, 2)
+    assert again is first
     assert again.rank == rank
     assert [part.basis_rows() for part in again.parts] == rows
 
@@ -416,9 +421,7 @@ def test_equivariance_of_ideal_spans(ws_sl2):
     """Ideal component subspaces are stable under the generator actions."""
     from chiralring.exterior import ExtElement
     sub = ideal_component(ws_sl2, (XX, XY, YY), 2, 2)
-    cols = sub.columns
-    for row in sub.parts[0].basis_rows():
-        el = ExtElement(ws_sl2.alg, {cols[j]: c for j, c in row.items()})
+    for el in span_basis_elements(ws_sl2.alg, sub):
         for a in chevalley_generator_indices(ws_sl2.lie):
             img = ws_sl2.action.act(a, el)
             if not img.is_zero():
@@ -513,13 +516,13 @@ def test_count_order_matches_canonical_order(request, name, spans):
             hat_batches, others, p1_power = _hat_batches(ws, p)
             batches += hat_batches
             if p == ws.g:
-                g, w = got.copy(), want.copy()
-                g.insert_all(others)
-                w.insert_all(others)
-                assert g.contains(p1_power) == w.contains(p1_power), why
+                assert (got.quotient(others).contains(
+                            got.normal_form(p1_power)[0])
+                        == want.quotient(others).contains(
+                            want.normal_form(p1_power)[0])), why
         for batch in batches:
-            assert (got.copy().insert_all(batch)
-                    == want.copy().insert_all(batch)), why
+            assert (got.quotient(batch).rank
+                    == want.quotient(batch).rank), why
 
 
 _ORACLES = {}
@@ -527,15 +530,18 @@ _ORACLES = {}
 
 @given(data=st.data())
 def test_split_membership_matches_oracle(ws_sl2, ws_sl3, ws_so5, data):
-    """Membership of random weight-zero elements, in the ideal or near it,
-    agrees between a split span and the one-part span of every row: random
-    sums of ideal rows, plus a random monomial or not.  At (k,k) the span
-    has the four parts of the Chevalley involution and the swap x<->y; at
-    (2,1) and (1,2) the two of the Chevalley involution alone."""
-    ws, (p, q) = data.draw(st.sampled_from(
-        [(ws_sl2, (1, 1)), (ws_sl2, (2, 2)), (ws_sl3, (2, 2)),
-         (ws_so5, (2, 2)), (ws_sl3, (2, 1)), (ws_sl3, (1, 2)),
-         (ws_so5, (2, 1)), (ws_so5, (1, 2))]))
+    """A split span against the one-part span of every row, on random
+    weight-zero elements in the ideal or near it: random sums of ideal
+    rows, plus random monomials, which the parts' columns spread across
+    the parts.  At (k,k) the span has the four parts of the Chevalley
+    involution and the swap x<->y; at (2,1) and (1,2) the two of the
+    Chevalley involution alone.  They agree on membership; the quotient by
+    a random batch E has the rank of the oracle's growth by E, whatever
+    symmetry E lacks, and holds the normal form of an element exactly
+    when the grown oracle holds the element; and the normal form is
+    linear, once each is divided by its denominator."""
+    ws = data.draw(st.sampled_from([ws_sl2, ws_sl3, ws_so5]))
+    p, q = data.draw(st.sampled_from([(1, 1), (2, 2), (2, 1), (1, 2)]))
     families = data.draw(st.sampled_from([FULL, HALF]))
     key = (id(ws), families, p, q)
     if key not in _ORACLES:
@@ -545,17 +551,78 @@ def test_split_membership_matches_oracle(ws_sl2, ws_sl3, ws_so5, data):
     span = ideal_weight_zero(ws, families, p, q)
     assert len(span.parts) == (4 if p == q else 2)
     coeffs = st.integers(-3, 3).filter(bool)
-    # sl2 (1,1) has no (XX,YY) row
-    picked = data.draw(st.lists(st.tuples(st.sampled_from(rows), coeffs),
-                                max_size=4)) if rows else []
-    terms = {}
-    for row, c in picked:
-        addmul(terms, row.terms, c)
-    if data.draw(st.booleans()):
-        addmul(terms, {data.draw(st.sampled_from(span.columns)): 1},
-               data.draw(coeffs))
-    elem = ExtElement(ws.alg, terms)
+
+    def element():
+        # (1,1) has no (XX,YY) row
+        picked = data.draw(st.lists(st.tuples(st.sampled_from(rows), coeffs),
+                                    max_size=4)) if rows else []
+        picked += data.draw(st.lists(st.tuples(
+            st.sampled_from(span.columns).map(
+                lambda m: ExtElement(ws.alg, {m: 1})), coeffs), max_size=3))
+        terms = {}
+        for row, c in picked:
+            addmul(terms, row.terms, c)
+        return ExtElement(ws.alg, terms)
+
+    def normal_form(elem):
+        w, den = span.normal_form(elem)
+        return {j: Fraction(c, den) for j, c in w.items()}
+
+    elem = element()
     assert span.contains(elem) == oracle.contains(elem)
+    batch = [element() for _ in range(data.draw(st.integers(0, 3)))]
+    grown = IdealSpan(oracle.columns, (p, q), rows + batch)
+    quot = span.quotient(batch)
+    assert quot.rank == grown.rank - oracle.rank
+    assert quot.contains(span.normal_form(elem)[0]) == grown.contains(elem)
+    other, a, b = element(), data.draw(coeffs), data.draw(coeffs)
+    assert normal_form(elem.scale(a) + other.scale(b)) == addmul(
+        addmul({}, normal_form(elem), a), normal_form(other), b)
+
+
+def test_checks_leave_cached_spans_unchanged(so5):
+    """Part (i), c1 and c2/c3 on B2, run twice on one workspace: after the
+    second run every span cached after the first is the same object, with
+    the same rank and the same certified RREF in every part."""
+    ws = Workspace(so5)
+    counts = poincare_series(enumerate_abelian_ideals(so5.rs))
+
+    def run():
+        return (check_part_i(ws, ws.g), check_conj_c1(ws, ws.g - 1, counts),
+                check_conj_c2_c3(ws))
+
+    def snapshot():
+        return {key: (id(span), span.rank,
+                      [{piv: (dict(row), den)
+                        for piv, (row, den) in part._rref.items()}
+                       for part in span.parts])
+                for key, span in ws.ideal_spans.items()}
+
+    first = run()
+    before = snapshot()
+    assert len(before) > 10
+    assert run() == first
+    assert snapshot() == before
+
+
+def test_full_span_quotient_has_no_invariants(monkeypatch, so5):
+    """The B2 (XX,YY) span at (4,4) has rank 2,028, its number of columns:
+    it holds the whole weight-zero slice, so the quotient has no invariant
+    there, and no invariant kernel is computed to say so."""
+    from chiralring import liemodule
+    calls = []
+    kernel = liemodule.kernel_basis
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return kernel(rows, ncols)
+
+    monkeypatch.setattr(liemodule, "kernel_basis", counting)
+    ws = Workspace(so5)
+    span = ideal_weight_zero(ws, HALF, 4, 4)
+    assert span.rank == len(span.columns) == 2028
+    assert invariants_of_quotient(ws, 4, 4, HALF) == 0
+    assert not calls
 
 
 @pytest.mark.parametrize("key", LIE_DATA_TYPES, ids=lambda key: "%s%d" % key)
@@ -604,15 +671,17 @@ def test_chevalley_involution_on_every_type(key):
                 == ExtElement(ws.alg, {image: sign}))
 
 
-def test_swap_unstable_batch_raises(ws_sl3):
-    """A four-part span refuses a batch whose span the swap does not keep
-    (its growth would count the swapped batch too), and is left unchanged:
-    v + omega(v) for an XX row v, which the Chevalley involution omega
-    keeps, and each of the two A2 (2,2) invariants that are not swap
-    eigenvectors; omega does not keep those either, and the guard names
-    the first symmetry that fails, omega.  The whole invariant basis,
-    which both keep, grows it as the one-part span of every row grows."""
+def test_swap_unstable_batch_grows_as_oracle(ws_sl3):
+    """A four-part span grows by a batch whose span the swap does not keep
+    as the one-part span of every row does, and is left unchanged: the
+    quotient counts the batch alone, not its images under the group.  The
+    batches: v + omega(v) for an XX row v, which the Chevalley involution
+    omega keeps and the swap does not (by 0); each of the two A2 (2,2)
+    invariants that are not swap eigenvectors, and the pair; and the whole
+    invariant basis, which both keep.  Each invariant batch grows it by 1,
+    the dimension of A^g at (2,2) from part (i)."""
     span = ideal_weight_zero(ws_sl3, FULL, 2, 2)
+    oracle = canonical_ideal_span(ws_sl3, FULL, 2, 2)
     inv = invariant_basis_elements(ws_sl3.action, 2, 2)
     unstable = [v for v in inv
                 if swap_xy(v) != v and swap_xy(v) != v.scale(-1)]
@@ -621,41 +690,39 @@ def test_swap_unstable_batch_raises(ws_sl3):
     kept = row + chevalley_xy(row, ws_sl3.lie)
     assert not kept.is_zero() and chevalley_xy(kept, ws_sl3.lie) == kept
     rank = span.rank
-    for v in unstable:
-        with pytest.raises(ValueError, match="not stable under the "
-                           "Chevalley involution"):
-            span.insert_all([v])
-        assert span.rank == rank
-    with pytest.raises(ValueError, match="not stable under the swap"):
-        span.insert_all([kept])
+    batches = [[v] for v in unstable] + [unstable, [kept], inv]
+    growth = [span.quotient(batch).rank for batch in batches]
+    assert growth == [oracle.quotient(batch).rank for batch in batches]
+    assert growth == [1, 1, 1, 0, 1]
     assert span.rank == rank
-    want = canonical_ideal_span(ws_sl3, FULL, 2, 2).insert_all(inv)
-    assert span.insert_all(inv) == want
 
 
 @pytest.mark.parametrize("families, p, q", [(FULL, 2, 1), ((XX,), 2, 2)])
-def test_chevalley_unstable_batch_raises(ws_sl3, families, p, q):
+def test_chevalley_unstable_batch_grows_as_oracle(ws_sl3, families, p, q):
     """A span split by the Chevalley involution alone (off the diagonal,
-    or families the swap does not keep) refuses a batch whose span the
-    involution does not keep, and is left unchanged: one ideal row r ^ m,
-    whose image is another row.  The whole invariant basis, which the
-    involution keeps, grows it as the one-part span of every row grows
-    (by 0 at (2,1), by 2 at (2,2) over the XX family)."""
+    or families the swap does not keep) grows by a batch whose span the
+    involution does not keep as the one-part span of every row does, and
+    is left unchanged: one ideal row r ^ m, whose image is another row (by
+    0), a weight-zero monomial that the involution moves (by 0 or 1), and
+    the whole invariant basis (by 0 at (2,1), by 2 at (2,2) over the XX
+    family)."""
     lie = ws_sl3.lie
     span = ideal_weight_zero(ws_sl3, families, p, q)
+    oracle = canonical_ideal_span(ws_sl3, families, p, q)
     assert len(span.parts) == 2
     row = next(r for r in ideal_rows(ws_sl3, families, p, q,
                                      ws_sl3.action.zero_weight)
                if chevalley_xy(r, lie) not in (r, r.scale(-1)))
-    rank = span.rank
-    with pytest.raises(ValueError,
-                       match="not stable under the Chevalley involution"):
-        span.insert_all([row])
-    assert span.rank == rank
+    monomial = next(e for e in (ExtElement(ws_sl3.alg, {m: 1})
+                                for m in span.columns)
+                    if chevalley_xy(e, lie) not in (e, e.scale(-1)))
     inv = invariant_basis_elements(ws_sl3.action, p, q)
-    want = canonical_ideal_span(ws_sl3, families, p, q).insert_all(inv)
-    assert want == (0 if q == 1 else 2)
-    assert span.insert_all(inv) == want
+    rank = span.rank
+    batches = [[row], [monomial], [row, monomial], inv]
+    growth = [span.quotient(batch).rank for batch in batches]
+    assert growth == [oracle.quotient(batch).rank for batch in batches]
+    assert growth[0] == 0 and growth[3] == (0 if q == 1 else 2)
+    assert span.rank == rank
 
 
 def test_columns_ordered_by_row_count(ws_sl3):

@@ -99,9 +99,10 @@ def test_span_contains_and_reconstruction():
     sub2 = span([x1y1 + x2y2, x2y2], component=(1, 1))
     v = x1y1.scale(3) + x2y2.scale(5)
     assert sub2.contains(v)
+    # the RREF is read in the span's own column order, through place
     rows = sub2.parts[0].basis_rows()
     cols = sub2.columns
-    coords = {cols.index(m): c for m, c in v.terms.items()}
+    coords = {sub2.place[0][cols.index(m)]: c for m, c in v.terms.items()}
     recon = {}
     for row in rows:
         piv = min(row)
@@ -194,8 +195,8 @@ def test_modular_prime_collapse_gives_exact_rank(monkeypatch):
     x1y1 = alg.x(0).wedge(alg.y(0))
     x2y2 = alg.x(1).wedge(alg.y(1))
     rows = [x1y1 + x2y2, x1y1 + x2y2.scale(1 + p1)]
-    sub = IdealSpan(alg.component_masks(1, 1), (1, 1))
-    assert sub.insert_all(rows) == 2
+    sub = IdealSpan(alg.component_masks(1, 1), (1, 1), rows)
+    assert sub.rank == 2
     assert sub.contains(x1y1) and sub.contains(x2y2)
     assert sub.parts[0].p != p1
 
@@ -308,7 +309,7 @@ def test_exact_mode_takes_next_prime(monkeypatch, first, rows, why):
 def test_certificate_gives_up_after_its_primes(monkeypatch):
     """A certificate that can never pass raises instead of taking primes
     forever."""
-    monkeypatch.setattr(exactla, "_in_span", lambda u, rref: False)
+    monkeypatch.setattr(exactla, "_normal_form", lambda u, rref: ({0: 1}, 1))
     ech = Echelon()
     ech.insert({0: 1, 1: Fraction(2, 3)})
     with pytest.raises(CertificateFailure):
@@ -530,14 +531,24 @@ def test_certified_exact_mode_matches_fraction_oracle(below, first, data):
         def elem(vec):
             return ExtElement(_ALG, {_COLUMNS[j]: c for j, c in vec.items()})
 
-        sub = IdealSpan(_COLUMNS[:ncols], (1, 1))
+        # the span of the first batch, and its quotient by the second
+        first = IdealSpan(_COLUMNS[:ncols], (1, 1),
+                          [elem(r) for r in rows[:split]])
         staged = FractionRREF()
-        for batch in (rows[:split], rows[split:]):
-            want = sum(1 for r in batch if staged.insert(r))
-            assert sub.insert_all(elem(r) for r in batch) == want
-            for q in queries:
-                assert sub.contains(elem(q)) == staged.contains(q)
-        assert sub.parts[0].basis_rows() == oracle.basis_rows()
+        assert first.rank == sum(1 for r in rows[:split] if staged.insert(r))
+        for q in queries:
+            assert first.contains(elem(q)) == staged.contains(q)
+        grown = first.quotient(elem(r) for r in rows[split:])
+        assert grown.rank == sum(1 for r in rows[split:] if staged.insert(r))
+        for q in queries:
+            assert (grown.contains(first.normal_form(elem(q))[0])
+                    == staged.contains(q))
+        # a span's RREF is the canonical one in its own column order
+        sub = IdealSpan(_COLUMNS[:ncols], (1, 1), [elem(r) for r in rows])
+        order = FractionRREF()
+        for r in rows:
+            order.insert({sub.place[0][j]: c for j, c in r.items()})
+        assert sub.parts[0].basis_rows() == order.basis_rows()
 
 
 class _CountingEchelon(Echelon):
@@ -592,9 +603,9 @@ def test_batch_order_changes_no_answer(data):
 
 
 def test_batches_enter_by_descending_leading_column(monkeypatch):
-    """IdealSpan.insert_all and kernel_basis, and through them the ideal
-    spans and the invariant kernels, hand every Echelon its rows in
-    non-increasing leading column."""
+    """IdealSpan and kernel_basis, and through them the ideal spans and
+    the invariant kernels, hand every Echelon its rows in non-increasing
+    leading column."""
     from chiralring.cdsw import Workspace
     from chiralring.cdsw.core import XX, XY, YY, ideal_weight_zero
     from chiralring.liemodule import invariants
@@ -612,9 +623,9 @@ def test_batches_enter_by_descending_leading_column(monkeypatch):
     rows = [{j: v for j, v in enumerate(r) if v}
             for r in _random_rows(rng, 12, 9)]
     kernel_basis(rows, 9)
-    sub = IdealSpan(_COLUMNS, (1, 1))
-    sub.insert_all(ExtElement(_ALG, {_COLUMNS[j]: c for j, c in r.items()})
-                   for r in rows if r)
+    IdealSpan(_COLUMNS, (1, 1),
+              [ExtElement(_ALG, {_COLUMNS[j]: c for j, c in r.items()})
+               for r in rows if r])
     ws = Workspace(chevalley_data(build_root_system("A", 2)))
     ideal_weight_zero(ws, (XX, XY, YY), 2, 2)
     invariants(ws.action, 2, 2)

@@ -12,8 +12,7 @@ from chiralring.liemodule import (ActionTable, invariants,
 from chiralring.exactla import Echelon
 from conftest import (random_element, casimir, casimir_matrix,
                       chevalley_generator_indices, kernel_of,
-                      minimal_polynomial, span,
-                      _poly_divmod)
+                      minimal_polynomial, _poly_divmod)
 
 
 @pytest.fixture(scope="module")
@@ -192,9 +191,13 @@ def test_invariants_live_on_weight_zero_slice(act_sl3):
     # the basis is still the canonical RREF over the full component
     elems = invariant_basis_elements(act_sl3, 2, 2)
     assert elems == basis
-    full = span(elems, component=(2, 2))
-    assert [ExtElement(alg, {full.columns[j]: c for j, c in row.items()})
-            for row in full.parts[0].basis_rows()] == elems
+    columns = alg.component_masks(2, 2)
+    index = {m: j for j, m in enumerate(columns)}
+    full = Echelon()
+    for v in elems:
+        full.insert({index[m]: c for m, c in v.terms.items()})
+    assert [ExtElement(alg, {columns[j]: c for j, c in row.items()})
+            for row in full.basis_rows()] == elems
 
 
 def test_invariants_verified_and_killed_by_casimir(act_sl3):
