@@ -6,16 +6,17 @@ in-place kernel per field, `addmul(dst, src, c)` over Q and
 `addmul_mod(dst, src, c, p)` over GF(p): dst += c * src, dropping entries
 that cancel.
 
-All elimination runs over GF(p), in semi-echelon form (`Echelon`): a row
-keeps only its entries right of its pivot and is not cleared above pivots
-found after it; a reduction walks the pivots in increasing order (fill-in
-can bring in new ones), and the back-substitution to the reduced row
-echelon form (RREF) runs once, in decreasing pivot order, when the RREF is
-read.  An input row is first scaled to integers (its span does not
-change), so no prime ever has to invert a denominator.
+All elimination runs over GF(p), in one routine (`_eliminations`), in
+semi-echelon form: a row keeps only its entries right of its pivot and is
+not cleared above pivots found after it; a reduction walks the pivots in
+increasing order (fill-in can bring in new ones), and the
+back-substitution to the reduced row echelon form (RREF) runs once, in
+decreasing pivot order, at the end.  An input row is first scaled to
+integers (its span does not change), so no prime ever has to invert a
+denominator.
 
-A batch (`Echelon.insert_all`, which `kernel_basis` and the parts of a
-`cdsw.core.IdealSpan`, up to four per span, go through) enters in
+A batch (`Echelon.insert_all`, which the parts of a `cdsw.core.IdealSpan`,
+up to four per span, go through, and `kernel_basis`) enters in
 descending leading column, ties in input order.  Pivots are then found
 from right to left, and a row never has entries left of its pivot, so
 the rows stay reduced against each other: a new row's reduction rarely
@@ -26,7 +27,7 @@ not.  `cdsw.core.IdealSpan` puts the columns that few rows touch first, so
 they take the pivots and the dense ones stay free; invariant kernels keep
 the canonical order, where count order multiplies their work.
 
-An `Echelon` that knows its width (the number of columns; every span
+An elimination that knows its width (the number of columns; every span
 part and `kernel_basis` do) stops reducing rows once its rank mod p
 reaches it: the rank over Q is at least the rank mod p, so the certified
 RREF is then the identity, and the kernel is empty, with no lift.
@@ -39,14 +40,14 @@ certified span never has to grow to answer either.
 
 Every answer is certified.  An elimination runs over one prime; the RREF
 it reads mod p is lifted to Q by rational reconstruction and checked in
-cleared-denominator integers.  An `Echelon` checks that every row
-inserted since the last certificate, and every row of the previous lift
-R, equals sum over pivots of row[piv] * R_piv: the rows' span lies in R's,
-and the rank over Q is at least the rank mod p, so R is the canonical
-RREF over Q.  `kernel_basis` eliminates its equation rows E mod p only,
-puts the kernel's vectors mod p (one per free column) in RREF and checks
-E.K = 0 for their lift K: K's span lies in the kernel over Q, of dimension
-at most the kernel's mod p, so K is the kernel's canonical RREF.  When
+cleared-denominator integers.  An `Echelon` is certified by its first
+read, and never changes after it: every row inserted equals sum over
+pivots of row[piv] * R_piv for the lift R, so the rows' span lies in R's,
+and the rank over Q is at least the rank mod p, so R is the canonical RREF
+over Q.  `kernel_basis` eliminates its equation rows E mod p only, puts
+the kernel's vectors mod p (one per free column) in RREF and checks E.K =
+0 for their lift K: K's span lies in the kernel over Q, of dimension at
+most the kernel's mod p, so K is the kernel's canonical RREF.  When
 reconstruction or the check fails (an entry beyond the one-prime bound of
 about 2**15, or a prime that drops the rank), the rows are eliminated over
 the next prime, and residues of primes with the same rank and pivots are
@@ -60,13 +61,13 @@ order or on the primes.
 
 Every elimination takes the primes of `exact_primes()` in order.  The
 residues mod p and the lift are not held in full at the same time: the
-lift pops each residue row as it lifts it, and the residues are read back
-from R when next needed.
+lift pops each residue row as it lifts it, and a certified `Echelon`
+keeps only its lift.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import count, islice
+from itertools import chain, count, islice
 from math import gcd, isqrt
 import random
 
@@ -163,7 +164,10 @@ def rational_reconstruction(a, m):
 
 def cleared(vec):
     """vec times the lcm of its denominators: an int dict without zero
-    entries, spanning the same line."""
+    entries, spanning the same line.  A vec whose entries are all nonzero
+    ints is that dict already, and is handed back itself, not copied."""
+    if all(type(v) is int and v for v in vec.values()):
+        return vec
     den = 1
     for v in vec.values():
         d = v.denominator
@@ -299,142 +303,148 @@ class FieldMode:
         return cls(primes)
 
 
-class Echelon:
-    """Incremental semi-echelon form over GF(p); rank, contains and
-    basis_rows are answered from the certified RREF over Q.  The primes
-    are those of exact_primes(), in order.
+def _reduce(u, rows, p):
+    """Residue mod p of the int row u (left unchanged) against rows, which
+    maps each pivot to the residues of its row right of it, the pivot's 1
+    implicit; it has no entry in a pivot column."""
+    # entries are summed as plain ints and taken mod p only where a pivot
+    # is cleared and at the end, so a column never leaves the row and is
+    # queued at most once
+    row = dict(u)
+    get = row.get
+    heap = [j for j in row if j in rows]
+    heapify(heap)
+    while heap:
+        piv = heappop(heap)
+        c = row.pop(piv) % p
+        if not c:
+            continue
+        c = p - c
+        for j, v in rows[piv].items():
+            s = get(j)
+            if s is None:
+                row[j] = c * v
+                if j in rows:
+                    heappush(heap, j)
+            else:
+                row[j] = s + c * v
+    return {j: v for j, v in ((j, v % p) for j, v in row.items()) if v}
 
-    rows maps each pivot column to the residues of the row's entries right
-    of its pivot; the pivot coefficient is an implicit 1.  A row is cleared
-    above the pivots found after it only when the RREF is read.  A
-    certificate empties rows, and they are read back from the certified
-    RREF when next needed.
+
+def _adjoin(row, rows, p):
+    """Adjoin the reduced residue row to rows, scaled to pivot coefficient
+    1, if it is nonzero; returns whether it was."""
+    if not row:
+        return False
+    piv = min(row)
+    inv = pow(row.pop(piv), -1, p)
+    rows[piv] = {j: v * inv % p for j, v in row.items()}
+    return True
+
+
+def _back_substitute(rows, p):
+    """Clear each row above the pivots right of it, in decreasing pivot
+    order, so those rows are already cleared: rows, returned, is the RREF."""
+    for piv in sorted(rows, reverse=True):
+        row = rows[piv]
+        for j in [j for j in row if j in rows]:
+            addmul_mod(row, rows[j], p - row.pop(j), p)
+    return rows
+
+
+def _descending(vecs):
+    """vecs by descending leading column, ties in input order (see the
+    module docstring)."""
+    return sorted(vecs, key=lambda vec: min(vec, default=-1), reverse=True)
+
+
+def _eliminations(batch, width, primes):
+    """(rank, RREF, p) of the int rows of batch mod each of primes in turn,
+    the RREF as in `_reduce`; the rows stop being reduced once the rank
+    reaches width (None: unknown)."""
+    for p in primes:
+        rows = {}
+        for u in batch:
+            if len(rows) == width:
+                break
+            _adjoin(_reduce(u, rows, p), rows, p)
+        yield len(rows), _back_substitute(rows, p), p
+
+
+class Echelon:
+    """A span over Q, loaded by `insert`/`insert_all` and certified by its
+    first read (`rank`, `normal_form`, `contains`, `basis_rows`); after
+    that it never changes, and `insert` and `reduce` raise ValueError.
+
+    Each row inserted is reduced at once mod p, the first prime of
+    exact_primes() (as in `_reduce`), and kept in the batch.  The first
+    read certifies the RREF of the rows mod p, eliminating the batch again
+    over further primes when it has to, and keeps only the lift; p is then
+    the last prime that went into it.  After a CertificateFailure p is
+    still the first prime.
     """
 
     def __init__(self, width=None):
         self.width = width  # the number of columns, when known
-        self._tries = 0  # primes given up so far
         self.p = next(exact_primes())
-        self._rows = {}  # None: the certified RREF mod p, not read back yet
-        self._reduced = True  # rows are the RREF mod p
-        # the int rows inserted since the certified RREF, and that RREF as
-        # {pivot: (non-pivot entries times den, den)}
+        self._rows = {}
         self._batch = []
-        self._rref = {}
+        # the certified RREF as {pivot: (non-pivot entries times den, den)},
+        # None until the first read
+        self._rref = None
 
-    @property
-    def rows(self):
-        if self._rows is None:
-            self._rows = _residues(self._rref, self.p)
-        return self._rows
+    def _loading(self):
+        if self._rref is not None:
+            raise ValueError("a certified Echelon never changes")
 
     @property
     def rank(self):
         self._certify()
         return len(self._rref)
 
-    def _reduce(self, u):
-        """Residue mod p of the int row u against the rows, walking pivots
-        in increasing order; it has no entry in a pivot column."""
-        p, rows = self.p, self.rows
-        # entries are summed as plain ints and taken mod p only where a
-        # pivot is cleared and at the end, so a column never leaves the row
-        # and is queued at most once
-        row = dict(u)
-        get = row.get
-        heap = [j for j in row if j in rows]
-        heapify(heap)
-        while heap:
-            piv = heappop(heap)
-            c = row.pop(piv) % p
-            if not c:
-                continue
-            c = p - c
-            for j, v in rows[piv].items():
-                s = get(j)
-                if s is None:
-                    row[j] = c * v
-                    if j in rows:
-                        heappush(heap, j)
-                else:
-                    row[j] = s + c * v
-        return {j: v for j, v in ((j, v % p) for j, v in row.items()) if v}
-
-    def _adjoin(self, row):
-        """Adjoin a reduced residue as a new row if nonzero."""
-        if not row:
-            return False
-        p = self.p
-        piv = min(row)
-        inv = pow(row.pop(piv), -1, p)
-        self.rows[piv] = {j: v * inv % p for j, v in row.items()}
-        self._reduced = False
-        return True
-
     def reduce(self, vec):
         """Residue of vec mod p against the rows (vec unchanged)."""
-        return self._reduce(cleared(vec))
+        self._loading()
+        return _reduce(cleared(vec), self._rows, self.p)
 
     def insert(self, vec):
         """Reduce vec and adjoin the residue if nonzero.  Returns True when
         the rank over GF(p) grew; the rank over Q is read from `rank`,
         which certifies it.  At full rank mod p, vec is in the span and is
-        not even reduced."""
-        if len(self.rows) == self.width:
+        not even reduced.  A vec whose entries are all nonzero ints is kept
+        as it is, not copied (`cleared`), so the caller leaves it alone."""
+        self._loading()
+        rows = self._rows
+        if len(rows) == self.width:
             return False
         u = cleared(vec)
         self._batch.append(u)
-        return self._adjoin(self._reduce(u))
+        return _adjoin(_reduce(u, rows, self.p), rows, self.p)
 
     def insert_all(self, vecs):
         """Insert a batch, each row through `insert`, by descending leading
         column (ties in input order) so that the rows stay reduced (see
         the module docstring); no answer depends on the order."""
-        for vec in sorted(vecs, key=lambda vec: min(vec, default=-1),
-                          reverse=True):
+        for vec in _descending(vecs):
             self.insert(vec)
 
-    def _back_substitute(self):
-        """Clear each row above the pivots right of it, in decreasing pivot
-        order, so those rows are already cleared: rows becomes the RREF."""
-        if self._reduced:
-            return
-        rows, p = self.rows, self.p
-        for piv in sorted(rows, reverse=True):
-            row = rows[piv]
-            for j in [j for j in row if j in rows]:
-                addmul_mod(row, rows[j], p - row.pop(j), p)
-        self._reduced = True
-
-    def _eliminations(self, batch):
-        """(rank, RREF, p) of the rows mod p, then, each time the next item
-        is asked for, of the int rows of batch over the next prime."""
-        while True:
-            self._back_substitute()
-            yield len(self.rows), self.rows, self.p
-            self._tries += 1
-            self.p = next(islice(exact_primes(), self._tries, None))
-            self._rows = {}
-            for u in batch:
-                self._adjoin(self._reduce(u))
-
     def _certify(self):
-        """Lift the RREF mod p to Q and check it against the batch and the
-        previous certified RREF, over further primes until it passes."""
-        if not self._batch:
+        """Lift the RREF mod p to Q and check it against the batch, over
+        further primes until it passes; the rows and the batch go."""
+        if self._rref is not None:
             return
-        if len(self.rows) == self.width:
+        rows, batch, width = self._rows, self._batch, self.width
+        if len(rows) == width:
             # full rank mod p, so over Q too: R is the identity
-            self._rref = {j: ({}, 1) for j in range(self.width)}
-            self._rows, self._batch = None, []
-            return
-        batch = self._batch + [{piv: den, **row}
-                               for piv, (row, den) in self._rref.items()]
-        # R mod p is the RREF of the rows mod p
-        self._rref, self.p = _certified(
-            self._eliminations(batch),
-            lambda rref: not any(_normal_form(u, rref)[0] for u in batch))
-        self._rows, self._batch = None, []
+            self._rref = {j: ({}, 1) for j in range(width)}
+        else:
+            tables = chain(
+                [(len(rows), _back_substitute(rows, self.p), self.p)],
+                _eliminations(batch, width, islice(exact_primes(), 1, None)))
+            self._rref, self.p = _certified(
+                tables,
+                lambda rref: not any(_normal_form(u, rref)[0] for u in batch))
+        self._rows = self._batch = None
 
     def normal_form(self, vec):
         """(w, den): the normal form of vec, its denominators cleared,
@@ -480,29 +490,22 @@ def _free_vectors(pivots, ncols, p):
 
 
 def _kernel_mod(free, p):
-    """The RREF mod p of the vectors e_f + free[f], entered by descending
-    leading column as in `Echelon.insert_all`; free is emptied."""
-    kernel = Echelon()
-    kernel.p = p
-    for f in sorted(free, key=lambda f: min(free[f], default=f),
-                    reverse=True):
-        row = free.pop(f)
+    """The RREF mod p of the vectors e_f + free[f] (free[f] gains the 1),
+    entered by descending leading column."""
+    for f, row in free.items():
         row[f] = 1
-        kernel._adjoin(kernel._reduce(row))
-    kernel._back_substitute()
-    return kernel.rows
+    return next(_eliminations(_descending(free.values()), None, (p,)))[1]
 
 
 def kernel_basis(rows, ncols):
     """The canonical basis of the nullspace of the equation rows E (dicts
     over columns 0..ncols-1): the RREF rows of the kernel in pivot order,
     as Fractions, pivot coefficient included, certified by E.K = 0."""
-    ech = Echelon(ncols)
-    ech.insert_all(rows)
-    equations = ech._batch
+    equations = _descending(map(cleared, rows))
 
     def tables():
-        for rank, pivots, p in ech._eliminations(equations):
+        for tries, (rank, pivots, p) in enumerate(
+                _eliminations(equations, ncols, exact_primes())):
             yield rank, _kernel_mod(_free_vectors(pivots, ncols, p), p), p
             # vectors that lift to Q and that E kills span the kernel over
             # Q; their residues give every further table, with no new
@@ -510,7 +513,7 @@ def kernel_basis(rows, ncols):
             basis = _lift(_free_vectors(pivots, ncols, p), p)
             if basis is not None and _kills(equations, basis):
                 pivots.clear()
-                for q in islice(exact_primes(), ech._tries + 1, None):
+                for q in islice(exact_primes(), tries + 1, None):
                     yield rank, _kernel_mod(_residues(basis, q), q), q
 
     rref, _ = _certified(tables(), lambda rref: _kills(equations, rref))

@@ -20,6 +20,7 @@ both are integral); only the inverse form `form_inv` is rational.
 
 from fractions import Fraction
 
+from ..exactla import Echelon
 from .roots import UnsupportedType, LIE_DATA_TYPES
 
 
@@ -228,21 +229,14 @@ def _integral(x, what):
 
 
 def _invert(matrix):
-    """Inverse of an invertible square matrix, as Fractions.  The matrices
-    inverted here are sparse, so the row operations skip zero entries."""
+    """Inverse of an invertible square matrix, as Fractions: the right half
+    of the certified RREF of [matrix | 1], whose left half is 1."""
     n = len(matrix)
-    aug = [list(row) + [int(i == j) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1, aug[col][col])
-        aug[col] = prow = [v * inv if v else 0 for v in aug[col]]
-        for r in range(n):
-            c = aug[r][col]
-            if r != col and c:
-                aug[r] = [v - c * w if w else v for v, w in zip(aug[r], prow)]
-    return [[Fraction(v) for v in row[n:]] for row in aug]
+    ech = Echelon(2 * n)
+    ech.insert_all({**{j: v for j, v in enumerate(row) if v}, n + i: 1}
+                   for i, row in enumerate(matrix))
+    return [[row.get(n + j, Fraction(0)) for j in range(n)]
+            for row in ech.basis_rows()]
 
 
 _CACHE = {}

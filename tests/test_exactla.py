@@ -52,7 +52,8 @@ def test_reechelonizing_is_noop():
     again = Echelon()
     for row in ech.basis_rows():
         again.insert(row)
-    assert again.rows == ech.rows
+    assert again.basis_rows() == ech.basis_rows()
+    assert again.rank == ech.rank
 
 
 def test_contains_every_input():
@@ -144,16 +145,10 @@ def test_memory_guard():
     assert span([alg.x(0).wedge(alg.y(0))], component=(1, 1)).rank == 1
 
 
-def _mod(v, p):
-    v = Fraction(v)
-    return v.numerator * pow(v.denominator, -1, p) % p
-
-
 def test_modular_rank_matches_exact(monkeypatch):
     """Elimination over two primes drawn from a seed, then those of
-    exact_primes(), gives the rank and RREF of the Fraction reference, and
-    the residues read back from the certified RREF are its image mod the
-    prime that certified it."""
+    exact_primes(), gives the rank and RREF of the Fraction reference,
+    certified over the first of them."""
     rng = random.Random(12)
     for _ in range(20):
         rows = _random_rows(rng, 8, 6)
@@ -168,11 +163,7 @@ def test_modular_rank_matches_exact(monkeypatch):
             ech.insert({j: v for j, v in enumerate(r) if v})
         assert ech.rank == oracle.rank
         assert ech.basis_rows() == oracle.basis_rows()
-        p = first[0]
-        assert ech.p == p
-        assert ech.rows == {min(row): {j: _mod(v, p) for j, v in row.items()
-                                       if j != min(row)}
-                            for row in oracle.basis_rows()}
+        assert ech.p == first[0]
 
 
 def test_modular_membership_with_fractions():
@@ -307,14 +298,27 @@ def test_exact_mode_takes_next_prime(monkeypatch, first, rows, why):
 
 
 def test_certificate_gives_up_after_its_primes(monkeypatch):
-    """A certificate that can never pass raises instead of taking primes
-    forever."""
+    """A certificate that can never pass raises after CERTIFICATE_PRIMES
+    primes instead of taking primes forever.  p names the prime the
+    certified RREF came from, so with none it is still the first prime,
+    the one the rows were loaded over."""
+    primes = []
+    eliminations = exactla._eliminations
+
+    def recording(batch, width, primes_):
+        for table in eliminations(batch, width, primes_):
+            primes.append(table[2])
+            yield table
+
     monkeypatch.setattr(exactla, "_normal_form", lambda u, rref: ({0: 1}, 1))
+    monkeypatch.setattr(exactla, "_eliminations", recording)
     ech = Echelon()
     ech.insert({0: 1, 1: Fraction(2, 3)})
     with pytest.raises(CertificateFailure):
         ech.rank
-    assert ech.p == list(islice(exact_primes(), CERTIFICATE_PRIMES))[-1]
+    # the first prime's table is the one loaded, the rest are eliminated
+    assert primes == list(islice(exact_primes(), 1, CERTIFICATE_PRIMES))
+    assert ech.p == next(exact_primes())
 
 
 @pytest.mark.parametrize("tamper", ["_lift", "rational_reconstruction"])
@@ -380,17 +384,17 @@ def test_kernel_beyond_one_prime_eliminates_once(monkeypatch):
     once, and the CRT lift over both primes is the exact kernel."""
     calls = {"reduce": 0}
     moduli = []
-    reduce, lift = Echelon._reduce, exactla._lift
+    reduce, lift = exactla._reduce, exactla._lift
 
-    def counting_reduce(self, u):
+    def counting_reduce(u, rows, p):
         calls["reduce"] += 1
-        return reduce(self, u)
+        return reduce(u, rows, p)
 
     def recording(table, m):
         moduli.append(m)
         return lift(table, m)
 
-    monkeypatch.setattr(Echelon, "_reduce", counting_reduce)
+    monkeypatch.setattr(exactla, "_reduce", counting_reduce)
     monkeypatch.setattr(exactla, "_lift", recording)
     rows = [{0: 1, 2: 200, 3: 1}, {1: 1, 2: 1, 3: 200}]
     oracle = FractionRREF()
@@ -422,19 +426,20 @@ def test_kernel_gives_up_after_its_primes(monkeypatch):
 def test_full_rank_stops_reducing(monkeypatch):
     """An Echelon of known width stops reducing rows once its rank mod p
     is the width, and certifies the identity RREF with no lift; a row
-    dependent mod the first prime only still takes the next prime."""
+    dependent mod the first prime only still takes the next prime.  Once
+    read, it takes no further row."""
     calls = {"reduce": 0, "lift": 0}
-    reduce, lift = Echelon._reduce, exactla._lift
+    reduce, lift = exactla._reduce, exactla._lift
 
-    def counting_reduce(self, u):
+    def counting_reduce(u, rows, p):
         calls["reduce"] += 1
-        return reduce(self, u)
+        return reduce(u, rows, p)
 
     def counting_lift(table, m):
         calls["lift"] += 1
         return lift(table, m)
 
-    monkeypatch.setattr(Echelon, "_reduce", counting_reduce)
+    monkeypatch.setattr(exactla, "_reduce", counting_reduce)
     monkeypatch.setattr(exactla, "_lift", counting_lift)
     rng = random.Random(17)
     rows = [{j: v for j, v in enumerate(r) if v}
@@ -445,7 +450,9 @@ def test_full_rank_stops_reducing(monkeypatch):
     assert calls["reduce"] < len(rows) and calls["lift"] == 0
     assert ech.basis_rows() == [{j: Fraction(1)} for j in range(6)]
     assert all(ech.contains(r) for r in rows)
-    assert not ech.insert({0: 1}) and ech.rank == 6
+    with pytest.raises(ValueError):
+        ech.insert({0: 1})
+    assert ech.rank == 6
     oracle = FractionRREF()
     for r in rows:
         oracle.insert(r)
@@ -456,6 +463,38 @@ def test_full_rank_stops_reducing(monkeypatch):
         ech.insert(r)
     assert ech.rank == 2
     assert ech.p == list(islice(exact_primes(), 2))[1]
+
+
+_READS = {
+    "rank": lambda ech: ech.rank,
+    "normal_form": lambda ech: ech.normal_form({3: 1}),
+    "contains": lambda ech: ech.contains({0: 1}),
+    "basis_rows": lambda ech: ech.basis_rows(),
+}
+
+
+@pytest.mark.parametrize("read", sorted(_READS))
+def test_certified_echelon_never_changes(read):
+    """Whichever read comes first certifies the Echelon; after it insert,
+    insert_all and reduce raise ValueError and leave its rank, RREF and
+    memberships as they were."""
+    rows = [{0: 1, 1: 2}, {1: Fraction(1, 3), 2: 1}, {0: 2, 1: 6, 2: 6}]
+    queries = rows + [{3: 1}, {0: 1}, {0: 3, 1: Fraction(16, 3), 2: -2}]
+    ech = Echelon(4)
+    ech.insert_all(rows)
+    _READS[read](ech)
+
+    def answers():
+        return (ech.rank, ech.basis_rows(),
+                [ech.contains(q) for q in queries])
+
+    before = answers()
+    assert before[0] == 2
+    assert before[2] == [True, True, True, False, False, True]
+    for change in (ech.insert, ech.reduce, lambda v: ech.insert_all([v])):
+        with pytest.raises(ValueError):
+            change({3: 1})
+    assert answers() == before
 
 
 def _entries(first):
@@ -572,8 +611,9 @@ _SMALL = (st.integers(-5, 5).filter(bool).map(Fraction)
 def test_batch_order_changes_no_answer(data):
     """insert_all (descending leading column) against inserting the same
     random sparse rational rows one by one in their given order: the same
-    RREF, rank, membership, two-batch growth and kernel, and as many
-    inserts that grew as the rank."""
+    RREF, rank, membership and kernel, and as many inserts that grew as the
+    rank.  Two batches into one Echelon give the same RREF, and the growth
+    by the second is the rank of the first's quotient by it."""
     ncols = data.draw(st.integers(1, 8))
     row = st.dictionaries(st.integers(0, ncols - 1), _SMALL, max_size=ncols)
     rows = data.draw(st.lists(row, max_size=10))
@@ -590,35 +630,42 @@ def test_batch_order_changes_no_answer(data):
         assert batched.contains(q) == given_order.contains(q)
     assert kernel_basis(rows, ncols) == _oracle_kernel(given_order, ncols)
 
-    one_by_one, staged = Echelon(), _CountingEchelon()
-    for batch in (rows[:split], rows[split:]):
-        before = one_by_one.rank
-        for r in batch:
-            one_by_one.insert(r)
-        want = one_by_one.rank - before
-        before = staged.rank
-        staged.insert_all(batch)
-        assert staged.rank - before == want
+    head, staged = Echelon(), _CountingEchelon()
+    for r in rows[:split]:
+        head.insert(r)
+    staged.insert_all(rows[:split])
+    staged.insert_all(rows[split:])
+    assert staged.basis_rows() == batched.basis_rows()
     assert staged.grew == staged.rank == batched.rank
+
+    def elem(vec):
+        return ExtElement(_ALG, {_COLUMNS[j]: c for j, c in vec.items()})
+
+    first = IdealSpan(_COLUMNS[:ncols], (1, 1), map(elem, rows[:split]))
+    assert first.rank == head.rank
+    grown = first.quotient(map(elem, rows[split:]))
+    assert grown.rank == staged.rank - head.rank
 
 
 def test_batches_enter_by_descending_leading_column(monkeypatch):
     """IdealSpan and kernel_basis, and through them the ideal spans and
-    the invariant kernels, hand every Echelon its rows in non-increasing
-    leading column."""
+    the invariant kernels, hand every elimination its rows in
+    non-increasing leading column: the rows that one residue table mod p
+    reduces come in that order."""
     from chiralring.cdsw import Workspace
     from chiralring.cdsw.core import XX, XY, YY, ideal_weight_zero
     from chiralring.liemodule import invariants
     from chiralring.rootsystem import build_root_system, chevalley_data
 
     leads = {}
-    insert = Echelon.insert
+    reduce = exactla._reduce
 
-    def recording(self, vec):
-        leads.setdefault(self, []).append(min(vec, default=-1))
-        return insert(self, vec)
+    def recording(u, rows, p):
+        # the table is kept, so that no later table takes its id
+        leads.setdefault(id(rows), (rows, []))[1].append(min(u, default=-1))
+        return reduce(u, rows, p)
 
-    monkeypatch.setattr(Echelon, "insert", recording)
+    monkeypatch.setattr(exactla, "_reduce", recording)
     rng = random.Random(16)
     rows = [{j: v for j, v in enumerate(r) if v}
             for r in _random_rows(rng, 12, 9)]
@@ -631,5 +678,5 @@ def test_batches_enter_by_descending_leading_column(monkeypatch):
     invariants(ws.action, 2, 2)
     # the kernels and spans above, each with rows to order
     assert len(leads) >= 6
-    for seq in leads.values():
+    for _, seq in leads.values():
         assert seq == sorted(seq, reverse=True)

@@ -333,40 +333,35 @@ def test_invariants_match_two_elimination_path(key, p, q):
 
 
 def test_one_elimination_per_invariant_kernel(monkeypatch):
-    """One `invariants` call inserts at most (equations + m) rows per prime
-    tried (per kernel table mod p) and certifies no RREF: the equations are
-    eliminated once, and a second full-width elimination cannot come back
-    unnoticed."""
+    """One `invariants` call reduces at most (equations + m) rows per prime
+    tried (per kernel table mod p): the equations are eliminated once, and
+    a second full-width elimination, such as a certified Echelon over the
+    equations, cannot come back unnoticed."""
     from chiralring import exactla, liemodule
-    calls = {"insert": 0, "tables": 0, "certify": 0}
+    calls = {"reduce": 0, "tables": 0}
     equations = []
-    insert, kernel_mod = Echelon.insert, exactla._kernel_mod
+    reduce, kernel_mod = exactla._reduce, exactla._kernel_mod
     kernel = liemodule.kernel_basis
 
-    def counting_insert(self, vec):
-        calls["insert"] += 1
-        return insert(self, vec)
+    def counting_reduce(u, rows, p):
+        calls["reduce"] += 1
+        return reduce(u, rows, p)
 
     def counting_kernel_mod(free, p):
         calls["tables"] += 1
         return kernel_mod(free, p)
 
-    def certify(self):
-        calls["certify"] += 1
-
     def recording_kernel(rows, ncols):
         equations.extend(rows)
         return kernel(rows, ncols)
 
-    monkeypatch.setattr(Echelon, "insert", counting_insert)
-    monkeypatch.setattr(Echelon, "_certify", certify)
+    monkeypatch.setattr(exactla, "_reduce", counting_reduce)
     monkeypatch.setattr(exactla, "_kernel_mod", counting_kernel_mod)
     monkeypatch.setattr(liemodule, "kernel_basis", recording_kernel)
     lie = chevalley_data(build_root_system("G", 2))
     basis = invariants(ActionTable(GrassmannAlgebra(lie.dim), lie), 3, 3)
     assert len(basis) == 5 and calls["tables"] >= 1
-    assert calls["insert"] <= (len(equations) + 5) * calls["tables"]
-    assert calls["certify"] == 0
+    assert calls["reduce"] <= (len(equations) + 5) * calls["tables"]
 
 
 def test_invariant_basis_cached_per_action_table(act_sl3, monkeypatch):
