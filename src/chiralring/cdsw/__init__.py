@@ -1,13 +1,13 @@
 from .core import (Workspace, RelationSet, relations, S_element,
                    check_S_power, check_part_i)
-from .hats import (HatElement, hat_trace, check_prop_hat,
+from .hats import (HatElement, hat_trace, check_prop_hat, guard_prop_hat,
                    check_conj_c1, check_conj_c2_c3)
-from .remark import NewtonPolynomial, newton_f, check_sln_remark
+from .remark import newton_f, check_sln_remark
 
 __all__ = [
     "Workspace", "RelationSet", "relations", "S_element",
     "check_S_power", "check_part_i",
-    "HatElement", "hat_trace", "check_prop_hat",
+    "HatElement", "hat_trace", "check_prop_hat", "guard_prop_hat",
     "check_conj_c1", "check_conj_c2_c3",
-    "NewtonPolynomial", "newton_f", "check_sln_remark",
+    "newton_f", "check_sln_remark",
 ]

@@ -12,9 +12,11 @@ vanish in the quotient by the XX and YY families; as raw Grassmann elements
 they are nonzero, so they are checked as ideal memberships.
 """
 
+from itertools import product
 from math import lcm
 
-from ..exterior import ExtElement, OddMatrix, swap_terms, wedge_into
+from ..exterior import (ExtElement, OddMatrix, even_monomial,
+                        power_trace_ints, swap_terms, wedge_into)
 from ..exactla import addmul
 from ..liemodule import invariant_basis_elements
 from ..rootsystem.reps import trace_power_degrees
@@ -62,13 +64,9 @@ def _per_workspace(build):
 
 @_per_workspace
 def _trace_z_power_ints(ws, k):
-    """Tr(z^k) as (int terms, den): Tr(z^h . z^h) from `trace_square_ints`
-    for k = 2h, Tr(z^h . z^(h+1)) from the diagonal for k = 2h+1."""
-    h = k // 2
-    pows = _z_powers(ws, k - h)
-    if k == 2 * h:
-        return pows[h].trace_square_ints()
-    return pows[h].trace_product_ints(pows[k - h])
+    """Tr(z^k) as (int terms, den), from z^floor(k/2) and z^ceil(k/2)
+    (`power_trace_ints`)."""
+    return power_trace_ints(_z_powers(ws, k - k // 2), k)
 
 
 def trace_z_power(ws, k):
@@ -136,36 +134,28 @@ def hat_trace(ws, k):
                                               *_hat_trace_ints(ws, k)))
 
 
-def hat_generators(ws, max_degree=None):
-    """One hat element per generating invariant degree of the type; only
-    those of hat-degree <= max_degree when given."""
-    degrees = trace_power_degrees(ws.lie)
-    if max_degree is not None:
-        degrees = [k for k in degrees if k - 1 <= max_degree]
-    return [hat_trace(ws, k) for k in degrees]
+def hat_monomials(ws, degree, degrees):
+    """Every product of the hats of Tr_V(w^k), k in degrees, of total
+    hat-degree `degree`, as (exponent tuple, ExtElement) pairs with the
+    exponents in lexicographic order.  Each product is built once on the
+    int traces `_hat_trace_ints` (`even_monomial`), so it is the exact
+    product times a positive int, the product of its factors'
+    denominators; the ranks and memberships the checks read do not depend
+    on that scale."""
+    factors = [_hat_trace_ints(ws, k)[0] for k in degrees]
+    hat_degrees = [k - 1 for k in degrees]
+    memo = {}
+    return [(e, ExtElement(ws.alg, even_monomial(e, factors, memo)))
+            for e in product(*(range(degree // h + 1) for h in hat_degrees))
+            if sum(x * h for x, h in zip(e, hat_degrees)) == degree]
 
 
-def hat_monomials(ws, degree, hats):
-    """All products of the given hat elements of total hat-degree `degree`,
-    as (exponent tuple, ExtElement) pairs.  Hat elements have even total
-    degree, so the product order is immaterial."""
-    degs = [h.source_degree - 1 for h in hats]
-    out = []
-
-    def rec(i, remaining, expo):
-        if i == len(hats):
-            if remaining == 0:
-                val = ws.alg.one()
-                for j, e in enumerate(expo):
-                    for _ in range(e):
-                        val = val.wedge(hats[j].value)
-                out.append((tuple(expo), val))
-            return
-        for e in range(remaining // degs[i] + 1):
-            rec(i + 1, remaining - e * degs[i], expo + [e])
-
-    rec(0, degree, [])
-    return out
+def guard_prop_hat(ws, k1, k2):
+    """Raise ComponentTooLarge, before any trace is expanded, when a
+    component `check_prop_hat(ws, k1, k2)` touches is over the cap: the
+    largest are (k1,k1), (k2,k2) and (k1+k2-1, k1+k2-1)."""
+    for d in (k1, k2, k1 + k2 - 1):
+        ws.alg.guard(d, d)
 
 
 def check_prop_hat(ws, k1, k2):
@@ -176,11 +166,9 @@ def check_prop_hat(ws, k1, k2):
       (b)  dF(z)(X) and dF(z)(Y) lie in the ideal;
       (c)  the Leibniz expansion of hat(F H) lies in the ideal.
     """
+    guard_prop_hat(ws, k1, k2)
     report = {"k1": k1, "k2": k2, "rep": ws.trace_label}
-    # guard the largest components touched before any trace expansion
     k = k1 + k2
-    for d in (k1, k2, k - 1):
-        ws.alg.guard(d, d)
 
     # every trace as (int terms, den); memberships do not depend on scale
     alg = ws.alg
@@ -231,7 +219,7 @@ def check_conj_c1(ws, up_to_d, ideal_counts):
     """dim E_(d,d) vs the span of hat monomials vs the abelian-ideal count,
     for d <= up_to_d."""
     ws.alg.guard(up_to_d, up_to_d)
-    hats = hat_generators(ws, max_degree=up_to_d)
+    degrees = [k for k in trace_power_degrees(ws.lie) if k - 1 <= up_to_d]
     rows = []
     ok = True
     for d in range(up_to_d + 1):
@@ -240,7 +228,7 @@ def check_conj_c1(ws, up_to_d, ideal_counts):
         else:
             e_dim = invariants_of_quotient(ws, d, d, (XX, YY))
             p_dim = ideal_weight_zero(ws, (XX, YY), d, d).quotient(
-                val for _, val in hat_monomials(ws, d, hats)).rank
+                val for _, val in hat_monomials(ws, d, degrees)).rank
         count = ideal_counts[d] if d < len(ideal_counts) else 0
         rows.append({"d": d, "dim_E": e_dim, "dim_P_span": p_dim,
                      "ideal_count": count})
@@ -255,20 +243,19 @@ def check_conj_c2_c3(ws):
     g there is a relation among hat monomials with a nonzero coefficient on
     the g-th power of the quadratic one."""
     g = ws.g
+    degrees = trace_power_degrees(ws.lie)
     # every component touched: (d,d) for d up to g and up to each hat degree
-    top = max([g] + [k - 1 for k in trace_power_degrees(ws.lie)])
+    top = max([g] + [k - 1 for k in degrees])
     ws.alg.guard(top, top)
-    hats = hat_generators(ws)
     report = {"rep": ws.trace_label, "g": g, "per_degree": [],
               "hat_in_L": [], "pass": True}
 
     # p_hat_i in L for i >= 2: membership in the span of all three families
     # restricted to (XY) + (XX,YY)
-    for h in hats[1:]:
-        d = h.source_degree - 1
-        sub = ideal_weight_zero(ws, (XX, XY, YY), d, d)
-        member = sub.contains(h.value)
-        report["hat_in_L"].append({"k": h.source_degree, "in_ideal": member})
+    for k in degrees[1:]:
+        sub = ideal_weight_zero(ws, (XX, XY, YY), k - 1, k - 1)
+        member = sub.contains(ExtElement(ws.alg, _hat_trace_ints(ws, k)[0]))
+        report["hat_in_L"].append({"k": k, "in_ideal": member})
         report["pass"] = report["pass"] and member
 
     for d in range(g):
@@ -280,7 +267,7 @@ def check_conj_c2_c3(ws):
         dim_L = half - full
         # ideal generated by hats of degree > 1, inside E, at degree d
         dim_gen = ideal_weight_zero(ws, (XX, YY), d, d).quotient(
-            val for expo, val in hat_monomials(ws, d, hats)
+            val for expo, val in hat_monomials(ws, d, degrees)
             if any(expo[1:])).rank
         row = {"d": d, "dim_L": dim_L, "dim_hat_ideal": dim_gen,
                "match": dim_L == dim_gen}
@@ -289,8 +276,8 @@ def check_conj_c2_c3(ws):
 
     # c2 at degree g: the pure power of the quadratic hat against the span
     # of the other hat monomials
-    monos = dict(hat_monomials(ws, g, hats))
-    p1_power = monos.pop((g,) + (0,) * (len(hats) - 1))
+    monos = dict(hat_monomials(ws, g, degrees))
+    p1_power = monos.pop((g,) + (0,) * (len(degrees) - 1))
     sub = ideal_weight_zero(ws, (XX, YY), g, g)
     relation = sub.quotient(monos.values()).contains(
         sub.normal_form(p1_power)[0])

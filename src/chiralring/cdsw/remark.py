@@ -13,77 +13,19 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from ..exactla import addmul
-from ..exterior import ExtElement, OddMatrix, wedge_into
+from ..exterior import ExtElement, OddMatrix, even_monomial, power_trace_ints
 from .core import ideal_weight_zero, XX, XY, YY
 
 
-class Poly:
-    """Multivariate polynomial: {exponent tuple: Fraction}."""
-
-    def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        self.terms = dict(terms or {})
-
-    @classmethod
-    def var(cls, nvars, i, c=1):
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): Fraction(c)})
-
-    @classmethod
-    def const(cls, nvars, c):
-        c = Fraction(c)
-        return cls(nvars, {(0,) * nvars: c} if c else {})
-
-    def __add__(self, other):
-        return Poly(self.nvars, addmul(dict(self.terms), other.terms))
-
-    def __sub__(self, other):
-        return Poly(self.nvars, addmul(dict(self.terms), other.terms, -1))
-
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return Poly(self.nvars)
-        return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Poly(self.nvars, out)
-
-    def coefficient(self, expo):
-        return self.terms.get(tuple(expo), Fraction(0))
-
-
-class NewtonPolynomial:
-    def __init__(self, n, poly):
-        self.n = n
-        self.poly = poly
-
-    def leading_power_coefficient(self):
-        """Coefficient of y_1^(n+1); absolute value 1/n!."""
-        e = [0] * self.n
-        e[0] = self.n + 1
-        return self.poly.coefficient(e)
-
-    def mixed_coefficient(self):
-        """Coefficient of y_1^(n-1) y_2 (whenever n >= 2)."""
-        e = [0] * self.n
-        e[0] = self.n - 1
-        e[1] = 1
-        return self.poly.coefficient(e)
+def _times_y(poly, i):
+    """y_i poly, on an {exponent tuple: coefficient} dict: each exponent of
+    y_i goes up by one."""
+    return {e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in poly.items()}
 
 
 def newton_f(n):
-    """f_n with y_{n+1} = f_n(y_1..y_n) for power sums of n variables.
+    """f_n with y_{n+1} = f_n(y_1..y_n) for power sums of n variables, as
+    {exponent tuple: Fraction}.
 
     Newton's identities give the elementary symmetric polynomials in terms
     of power sums, E_k = (1/k) sum_{i=1..k} (-1)^(i-1) E_{k-i} y_i, and then
@@ -91,73 +33,56 @@ def newton_f(n):
     on n variables."""
     if n < 1:
         raise ValueError("n >= 1")
-    y = [Poly.var(n, i) for i in range(n)]
-    E = [Poly.const(n, 1)]
+    E = [{(0,) * n: Fraction(1)}]
     for k in range(1, n + 1):
-        acc = Poly(n)
+        acc = {}
         for i in range(1, k + 1):
-            term = E[k - i] * y[i - 1]
-            acc = acc + (term if i % 2 == 1 else term.scale(-1))
-        E.append(acc.scale(Fraction(1, k)))
-    f = Poly(n)
+            addmul(acc, _times_y(E[k - i], i - 1), (-1) ** (i - 1))
+        E.append({e: c / k for e, c in acc.items()})
+    f = {}
     for i in range(1, n + 1):
-        term = E[i] * y[n - i]   # p_{n+1-i}
-        f = f + (term if i % 2 == 1 else term.scale(-1))
-    for e in f.terms:
+        addmul(f, _times_y(E[i], n - i), (-1) ** (i - 1))  # E_i p_(n+1-i)
+    for e in f:
         if sum(i * x for i, x in enumerate(e, 1)) != n + 1:
             raise AssertionError("monomial %s of f_%d has weight other than "
                                  "%d" % (e, n, n + 1))
-    np = NewtonPolynomial(n, f)
-    lead = np.leading_power_coefficient()
+    lead = f.get(_leading(n), 0)
     if abs(lead) != Fraction(1, factorial(n)):
         raise AssertionError("leading power coefficient %s, expected "
                              "+-1/%d!" % (lead, n))
-    return np
+    return f
+
+
+def _leading(n):
+    """The exponent of y_1^(n+1), whose coefficient in f_n is +-1/n!."""
+    return (n + 1,) + (0,) * (n - 1)
 
 
 def newton_ints(poly, traces, monomials):
-    """L times poly at the traces, as (L, int terms): L is the lcm of the
-    coefficients' denominators.  `monomials` maps exponent tuples to the
-    int products prod_i traces[i]^e_i already built, starting from
-    {(0,...,0): {0: 1}}; each missing one is built from a smaller one
-    (the highest variable taken off) and kept.  The traces are even, so the
-    order of the factors is immaterial."""
-    L = lcm(*(c.denominator for c in poly.terms.values()))
+    """L times poly ({exponent tuple: Fraction}) at the traces, as
+    (L, int terms): L is the lcm of the coefficients' denominators.  The
+    products prod_i traces[i]^e_i are built by `even_monomial`, which keeps
+    them in `monomials`."""
+    L = lcm(*(c.denominator for c in poly.values()))
     total = {}
-    for e, c in poly.terms.items():
-        addmul(total, _monomial(e, traces, monomials),
+    for e, c in poly.items():
+        addmul(total, even_monomial(e, traces, monomials),
                c.numerator * (L // c.denominator))
     return L, total
 
 
-def _monomial(e, traces, monomials):
-    val = monomials.get(e)
-    if val is None:
-        i = max(j for j, x in enumerate(e) if x)
-        smaller = e[:i] + (e[i] - 1,) + e[i + 1:]
-        val = monomials[e] = wedge_into(
-            {}, _monomial(smaller, traces, monomials), traces[i])
-    return val
-
-
 def z_traces(ws, n):
     """(D, [T_1, ..., T_(n+1)]) for Z = XY + xi X + eta Y: D = den(Z) and
-    T_k = D^k Tr(Z^k) as int terms.  Z has even entries, so
-    Tr(Z^k) = Tr(Z^floor(k/2) . Z^ceil(k/2)) by trace cyclicity, and powers
-    up to Z^ceil((n+1)/2) suffice; Z^h has the denominator D^h."""
+    T_k = D^k Tr(Z^k) as int terms.  Z has even entries, so powers up to
+    Z^ceil((n+1)/2) suffice (`power_trace_ints`); Z^h has the denominator
+    D^h."""
     alg = ws.alg
     X, Y = ws.xy_matrices()
     Z = X.matmul(Y) + X.scale_left(alg.xi()) + Y.scale_left(alg.eta())
     pows = [OddMatrix.identity(alg, Z.size), Z]
     while len(pows) <= (n + 2) // 2:
         pows.append(pows[-1].matmul(Z))
-    traces = []
-    for k in range(1, n + 2):
-        h = k // 2
-        terms, _ = (pows[h].trace_square_ints() if k == 2 * h
-                    else pows[h].trace_product_ints(pows[k - h]))
-        traces.append(terms)
-    return Z.den, traces
+    return Z.den, [power_trace_ints(pows, k)[0] for k in range(1, n + 2)]
 
 
 def check_sln_remark(n, cap=None):
@@ -181,27 +106,24 @@ def check_sln_remark(n, cap=None):
     D, traces = z_traces(ws, n)
     lhs = traces[n]  # T_(n+1)
 
-    np_ = newton_f(n)
-    monomials = {(0,) * n: {0: 1}}
-    L, rhs = newton_ints(np_.poly, traces[:n], monomials)
+    f = newton_f(n)
+    monomials = {}
+    L, rhs = newton_ints(f, traces[:n], monomials)
     identity = ({m: L * c for m, c in lhs.items()} == rhs)
 
-    q_star = np_.mixed_coefficient()
+    e_star = (n - 1, 1) + (0,) * (n - 2)  # y_1^(n-1) y_2
+    q_star = f[e_star]
     c = -2 * q_star
 
     # D Tr(XY): the terms of T_1 = D Tr(Z) without xi or eta
     trxy = {m: v for m, v in traces[0].items() if not m >> alg.xi_bit}
-    trxy_n = trxy
-    for _ in range(n - 1):
-        trxy_n = wedge_into({}, trxy_n, trxy)
+    trxy_n = even_monomial((n,), [trxy], {})
 
     # xi-eta parts: the distinguished monomial y1^(n-1) y2 contributes
     # exactly c * Tr(XY)^n; on ints, L q_star T_1^(n-1) T_2 against
     # L c D times D^n Tr(XY)^n
-    e_star = [0] * n
-    e_star[0], e_star[1] = n - 1, 1
     Lq = L // q_star.denominator * q_star.numerator
-    star_term = {m: Lq * v for m, v in monomials[tuple(e_star)].items()}
+    star_term = {m: Lq * v for m, v in monomials[e_star].items()}
     star_matches = (ExtElement(alg, star_term).extract_xi_eta()
                     == ExtElement(alg, {m: -2 * Lq * D * v
                                         for m, v in trxy_n.items()}))
@@ -219,7 +141,7 @@ def check_sln_remark(n, cap=None):
     report = {
         "n": n,
         "identity_holds": identity,
-        "y1_power_coefficient": str(np_.leading_power_coefficient()),
+        "y1_power_coefficient": str(f[_leading(n)]),
         "y1n1_y2_coefficient": str(q_star),
         "trxy_coefficient": str(c),
         "star_term_is_c_trxy_n": star_matches,

@@ -20,7 +20,8 @@ from .rootsystem.reps import default_trace_label, trace_power_degrees
 from .exterior import ComponentTooLarge, DEFAULT_MONOMIAL_CAP
 from . import abideals
 from .cdsw import (Workspace, check_S_power, check_part_i, check_prop_hat,
-                   check_conj_c1, check_conj_c2_c3, check_sln_remark)
+                   guard_prop_hat, check_conj_c1, check_conj_c2_c3,
+                   check_sln_remark)
 
 CHECK_NAMES = ["roots", "abideals", "poincare", "cdsw-i", "cdsw-ii",
                "cdsw-iii", "prop-hat", "conj-c1", "conj-c23", "sln-remark"]
@@ -137,8 +138,11 @@ class CheckRunner:
 
     def check_prop_hat(self):
         degrees = trace_power_degrees(self.ws.lie)
-        runs = [check_prop_hat(self.ws, k1, k2)
-                for k1 in degrees for k2 in degrees if k1 <= k2]
+        pairs = [(k1, k2) for k1 in degrees for k2 in degrees if k1 <= k2]
+        # every pair is guarded before any pair is expanded
+        for pair in pairs:
+            guard_prop_hat(self.ws, *pair)
+        runs = [check_prop_hat(self.ws, *pair) for pair in pairs]
         return {"pass": all([r.pop("pass") for r in runs]), "pairs": runs}
 
     def check_conj_c1(self):

@@ -33,6 +33,9 @@ then one `&` and one popcount per pair, at any number of generators.
 Sums accumulate in place on terms dicts: `addmul` (from exactla) adds a
 scaled element and `wedge_into(out, t1, t2)` adds a product, so a matrix
 entry or a trace is summed into one dict rather than copied per addend.
+Products of even elements (traces, hats) are built by `even_monomial`,
+each from a smaller one, and `power_trace_ints` takes Tr(M^k) from two
+half powers of M.
 """
 
 from fractions import Fraction
@@ -165,6 +168,26 @@ def wedge_into(out, t1, t2):
             else:
                 out.pop(m, None)
     return out
+
+
+def even_monomial(e, factors, memo):
+    """prod_i factors[i]^e_i on terms dicts of even elements, whose order
+    is immaterial.  memo maps exponent tuples to the products already
+    built; a missing one is built from a smaller one (one factor of the
+    highest index taken off) and kept, so each product is built once.  The
+    result is shared through memo: callers must not change it."""
+    val = memo.get(e)
+    if val is None:
+        used = [i for i, x in enumerate(e) if x]
+        if not used:
+            val = {0: 1}
+        else:
+            i = used[-1]
+            smaller = e[:i] + (e[i] - 1,) + e[i + 1:]
+            val = wedge_into({}, even_monomial(smaller, factors, memo),
+                             factors[i])
+        memo[e] = val
+    return val
 
 
 def swap_mask(m, n):
@@ -391,6 +414,17 @@ class OddMatrix:
         return OddMatrix._of(self.alg, [[wedge_into({}, e, t) for t in row]
                                         for row in self.entries],
                              self.den * den)
+
+
+def power_trace_ints(pows, k):
+    """Tr(M^k) for a matrix M with even entries, as (int terms, den), from
+    pows[h] = M^h for h up to ceil(k/2): by trace cyclicity Tr(M^k) =
+    Tr(M^floor(k/2) . M^ceil(k/2)), and `trace_square_ints` halves the
+    products when k is even."""
+    h = k // 2
+    if k == 2 * h:
+        return pows[h].trace_square_ints()
+    return pows[h].trace_product_ints(pows[k - h])
 
 
 def _common_den(terms_dicts):

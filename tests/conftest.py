@@ -385,10 +385,11 @@ def matrix_trace(mat):
 
 
 def eval_poly_grassmann(poly, values, alg):
-    """Reference evaluation of a `remark.Poly` at even Grassmann elements,
-    over Fractions, every monomial wedged out from the constant 1."""
+    """Reference evaluation of a polynomial {exponent tuple: coefficient}
+    (such as `remark.newton_f`) at even Grassmann elements, over Fractions,
+    every monomial wedged out from the constant 1."""
     total = {}
-    for e, c in poly.terms.items():
+    for e, c in poly.items():
         term = alg.one()
         for i, k in enumerate(e):
             for _ in range(k):

@@ -224,6 +224,16 @@ def test_a3_s3_not_in_ideal():
     assert rep["ideal_rank"] == 4909
 
 
+def test_a3_s4_in_ideal():
+    """S^g is in I for A3 (g = 4), in the 34,323-column weight-zero slice
+    of (4,4), under the default monomial cap.  The verdict is the paper's;
+    the rank 34,318 is the one this code computes, pinned so that a change
+    to the split or the column order that moves it shows."""
+    rep = check_S_power(_ws("A", 3), 4)
+    assert rep["contained"] is True
+    assert rep["ideal_rank"] == 34318
+
+
 def test_criterion_3_optional_g2():
     ws = _ws("G", 2)
     not_in = not check_S_power(ws, 3)["contained"]

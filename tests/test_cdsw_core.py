@@ -19,8 +19,9 @@ from chiralring.exterior import (ComponentTooLarge, ExtElement,
                                  GrassmannAlgebra, WrongComponent)
 from chiralring.abideals import enumerate_abelian_ideals, poincare_series
 from chiralring.cdsw.hats import (check_conj_c1, check_conj_c2_c3,
-                                  hat_generators, hat_monomials)
+                                  hat_monomials)
 from chiralring.liemodule import invariant_basis_elements
+from chiralring.rootsystem.reps import trace_power_degrees
 from conftest import (canonical_ideal_span, chevalley_generator_indices,
                       chevalley_xy, eliminated_over, fraction_relations,
                       span_basis_elements, span_columns, swap_xy,
@@ -481,9 +482,9 @@ def _hat_batches(ws, d):
     """The hat-monomial batches c1 and c2/c3 insert into the (XX,YY) span
     at (d,d): every monomial, and those with a hat of degree > 1; and
     p_hat_1^d apart from the others, whose membership c2 reads at d = g."""
-    hats = hat_generators(ws, max_degree=d)
-    monos = dict(hat_monomials(ws, d, hats))
-    p1_power = monos.pop((d,) + (0,) * (len(hats) - 1))
+    degrees = [k for k in trace_power_degrees(ws.lie) if k - 1 <= d]
+    monos = dict(hat_monomials(ws, d, degrees))
+    p1_power = monos.pop((d,) + (0,) * (len(degrees) - 1))
     others = list(monos.values())
     return ([others + [p1_power],
              [v for e, v in monos.items() if any(e[1:])]],

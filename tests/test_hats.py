@@ -1,18 +1,21 @@
 import hashlib
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from chiralring.abideals import enumerate_abelian_ideals, poincare_series
-from chiralring.exterior import ComponentTooLarge, GrassmannAlgebra, OddMatrix
+from chiralring.exterior import (ComponentTooLarge, DEFAULT_MONOMIAL_CAP,
+                                 GrassmannAlgebra, OddMatrix)
 from chiralring.rootsystem import build_root_system, chevalley_data
 from chiralring.cdsw import Workspace
 from chiralring.cdsw.core import (ideal_weight_zero, invariants_of_quotient,
                                   XX, YY)
-from chiralring.cdsw.hats import (hat_trace, hat_generators, hat_monomials,
-                                  trace_z_power, d_trace, check_prop_hat,
-                                  check_conj_c1, check_conj_c2_c3,
-                                  z_matrix)
+from chiralring.cdsw.hats import (hat_trace, hat_monomials, trace_z_power,
+                                  d_trace, check_prop_hat, check_conj_c1,
+                                  check_conj_c2_c3, z_matrix, _hat_trace_ints)
+from chiralring.cli import CheckRunner
+from chiralring.rootsystem.reps import trace_power_degrees
 from conftest import (chevalley_generator_indices, eliminated_over,
                       matrix_trace, use_seed_primes)
 
@@ -26,7 +29,8 @@ def test_hat_bidegrees(ws_sl3):
 
 def test_hats_invariant(ws_sl2, ws_sl3, ws_so5):
     for ws in (ws_sl2, ws_sl3, ws_so5):
-        for h in hat_generators(ws):
+        for k in trace_power_degrees(ws.lie):
+            h = hat_trace(ws, k)
             for a in chevalley_generator_indices(ws.lie):
                 assert ws.action.act(a, h.value).is_zero()
 
@@ -248,10 +252,67 @@ def test_dim_E_matches_ideal_counts(ws_sl2, ws_sl3, ws_so5):
 
 
 def test_hat_monomials_enumeration(ws_sl3):
-    monos = hat_monomials(ws_sl3, 3, hat_generators(ws_sl3))
-    expos = {e for e, _ in monos}
-    # generators of hat-degrees 1 and 2: monomials of degree 3
-    assert expos == {(3, 0), (1, 1)}
+    monos = hat_monomials(ws_sl3, 3, trace_power_degrees(ws_sl3.lie))
+    # generators of hat-degrees 1 and 2: monomials of degree 3, in
+    # lexicographic order
+    assert [e for e, _ in monos] == [(1, 1), (3, 0)]
+
+
+def _hat_monomials_by_wedges(ws, degree, degrees):
+    """Reference hat monomials over Fractions: {exponent tuple: product},
+    each product of the exact hat elements wedged out from 1."""
+    hats = [hat_trace(ws, k).value for k in degrees]
+    out = {}
+
+    def rec(i, remaining, expo):
+        if i == len(hats):
+            if remaining == 0:
+                val = ws.alg.one()
+                for h, e in zip(hats, expo):
+                    for _ in range(e):
+                        val = val.wedge(h)
+                out[tuple(expo)] = val
+            return
+        for e in range(remaining // (degrees[i] - 1) + 1):
+            rec(i + 1, remaining - e * (degrees[i] - 1), expo + [e])
+
+    rec(0, degree, [])
+    return out
+
+
+@pytest.mark.parametrize("fixture", ["ws_sl3", "ws_so5", "ws_sp4"])
+def test_hat_monomials_match_fraction_products(request, fixture):
+    """The int hat monomials against the products of the exact hat
+    elements, for every degree d <= g: the same exponents, and each int
+    product is the exact one times prod_k den_k^e_k > 0, den_k the
+    denominator of the int hat trace of degree k."""
+    ws = request.getfixturevalue(fixture)
+    degrees = trace_power_degrees(ws.lie)
+    dens = [_hat_trace_ints(ws, k)[1] for k in degrees]
+    for d in range(ws.g + 1):
+        want = _hat_monomials_by_wedges(ws, d, degrees)
+        got = dict(hat_monomials(ws, d, degrees))
+        assert set(got) == set(want), d
+        for e, val in got.items():
+            scale = prod(den ** x for den, x in zip(dens, e))
+            assert scale > 0
+            assert val == want[e].scale(scale), (d, e)
+            assert all(type(c) is int for c in val.terms.values())
+
+
+def test_g2_prop_hat_guards_every_pair_first(monkeypatch):
+    """G2's pairs (2,2), (2,6), (6,6) under the default cap: (2,6) touches
+    (6,6), which is over it, so the check is refused before the (2,2) pair
+    builds any matrix product, with the reason of the first pair refused."""
+    runner = CheckRunner(("G", 2), DEFAULT_MONOMIAL_CAP)
+    runner.ws  # the workspace itself builds no product
+
+    def refuse(self, other):
+        raise AssertionError("a matrix product before the cap check")
+    monkeypatch.setattr(OddMatrix, "matmul", refuse)
+    rep = runner.run("prop-hat")
+    assert rep["verdict"] == "skipped" and rep["cap_hit"]
+    assert "component (6,6) has 9018009 monomials" in rep["reason"]
 
 
 def test_conj_c1(ws_sl2, ws_sl3):

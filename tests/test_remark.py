@@ -1,74 +1,55 @@
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import factorial, prod
 
 import pytest
 
 from chiralring.cdsw import Workspace
-from chiralring.cdsw.remark import (Poly, newton_f, newton_ints,
-                                    check_sln_remark, z_traces)
+from chiralring.cdsw.remark import (newton_f, newton_ints, check_sln_remark,
+                                    z_traces)
 from chiralring.exterior import ComponentTooLarge, ExtElement, OddMatrix
 from chiralring.rootsystem import build_root_system, chevalley_data
 from conftest import eval_poly_grassmann, matrix_trace
 
 
-def _power_sums_oracle(n, top):
-    """Power sums p_1..p_top of n symbolic variables, as polynomials in the
-    variables themselves (independent route to the defining identity)."""
-    sums = []
-    for k in range(1, top + 1):
-        terms = {}
-        for i in range(n):
-            e = [0] * n
-            e[i] = k
-            terms[tuple(e)] = Fraction(1)
-        sums.append(Poly(n, terms))
-    return sums
-
-
-def _compose(f, args, nvars):
-    """Substitute args (polynomials) into f."""
-    out = Poly(nvars)
-    for e, c in f.terms.items():
-        term = Poly.const(nvars, c)
-        for i, k in enumerate(e):
-            for _ in range(k):
-                term = term * args[i]
-        out = out + term
-    return out
+def _evaluate(poly, values):
+    """poly ({exponent tuple: coefficient}) at the given numbers."""
+    return sum(c * prod(v ** x for v, x in zip(values, e))
+               for e, c in poly.items())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_defining_identity_on_power_sums(n):
-    """y_{n+1} = f_n(y_1..y_n) holds identically for power sums of n
-    variables."""
+    """f_n(p_1(t), ..., p_n(t)) = p_(n+1)(t) for the power sums p_k(t) =
+    sum_i t_i^k of n variables, at every point of {0, ..., n+1}^n.  The
+    difference is a polynomial in t of degree at most n+1 in each variable
+    (f_n has weight n+1), and it vanishes on a grid of n+2 values per
+    variable, so it is zero: the identity holds exactly."""
     f = newton_f(n)
-    ps = _power_sums_oracle(n, n + 1)
-    lhs = ps[n]
-    rhs = _compose(f.poly, ps[:n], n)
-    assert lhs.terms == rhs.terms
+    for t in product(range(n + 2), repeat=n):
+        sums = [sum(x ** k for x in t) for k in range(1, n + 2)]
+        assert _evaluate(f, sums[:n]) == sums[n], t
 
 
 def test_f1_f2_f3_exact():
-    assert newton_f(1).poly.terms == {(2,): Fraction(1)}
-    assert newton_f(2).poly.terms == {(1, 1): Fraction(3, 2),
-                                      (3, 0): Fraction(-1, 2)}
-    f3 = newton_f(3)
+    assert newton_f(1) == {(2,): Fraction(1)}
+    assert newton_f(2) == {(1, 1): Fraction(3, 2), (3, 0): Fraction(-1, 2)}
     # p_4 = (1/6)p1^4 - p1^2 p2 + (1/2)p2^2 + (4/3)p1 p3
-    assert f3.poly.terms == {(4, 0, 0): Fraction(1, 6),
-                             (2, 1, 0): Fraction(-1),
-                             (0, 2, 0): Fraction(1, 2),
-                             (1, 0, 1): Fraction(4, 3)}
+    assert newton_f(3) == {(4, 0, 0): Fraction(1, 6),
+                           (2, 1, 0): Fraction(-1),
+                           (0, 2, 0): Fraction(1, 2),
+                           (1, 0, 1): Fraction(4, 3)}
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_leading_coefficient_magnitude(n):
     f = newton_f(n)
-    lead = f.leading_power_coefficient()
+    lead = f[(n + 1,) + (0,) * (n - 1)]
     assert abs(lead) == Fraction(1, factorial(n))
     # observed sign pattern: (-1)^(n+1); only nonvanishing matters downstream
     assert lead == Fraction((-1) ** (n + 1), factorial(n))
     if n >= 2:
-        assert f.mixed_coefficient() != 0
+        assert f[(n - 1, 1) + (0,) * (n - 2)] != 0
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -119,7 +100,7 @@ def test_xi_eta_part_of_trace_z_square(ws_sl2):
 def test_newton_f_monomials_have_weight_n_plus_one(n):
     """sum_i i e_i = n+1 on every monomial of f_n, so on traces
     T_i = D^i Tr(Z^i) every monomial carries the same factor D^(n+1)."""
-    for e in newton_f(n).poly.terms:
+    for e in newton_f(n):
         assert sum(i * x for i, x in enumerate(e, 1)) == n + 1, e
 
 
@@ -140,9 +121,9 @@ def test_int_evaluation_matches_fraction_oracle(n):
         power = power.matmul(Z)
     f = newton_f(n)
     e_star = (n - 1, 1) + (0,) * (n - 2)
-    star = Poly(n, {e_star: f.mixed_coefficient()})
-    monomials = {(0,) * n: {0: 1}}
-    for poly in (f.poly, star):
+    star = {e_star: f[e_star]}
+    monomials = {}
+    for poly in (f, star):
         L, val = newton_ints(poly, traces[:n], monomials)
         want = eval_poly_grassmann(poly, exact[:n], alg)
         assert ExtElement(alg, val) == want.scale(L * D ** (n + 1))

@@ -229,7 +229,8 @@ stub.rs = bad
 print(raises(bad.dual_coxeter),
       raises(stub.coroot, bad.simple_roots[0]),
       raises(remark.newton_f, 2) is False)
-remark.NewtonPolynomial.leading_power_coefficient = lambda self: 1
+# a wrong n! makes the true leading coefficient of f_2, -1/2, fail the check
+remark.factorial = lambda n: 7
 LieAlgebraData.N = lambda self, u, v: Fraction(1, 2)
 print(raises(remark.newton_f, 2),
       raises(LieAlgebraData, build_root_system("A", 2)))
