@@ -17,11 +17,11 @@ from .rootsystem import (build_root_system, chevalley_data, representation,
                          UnsupportedType, LIE_DATA_TYPES, COMBINATORIAL_TYPES,
                          lie_to_json_dict)
 from .rootsystem.reps import default_trace_label, trace_power_degrees
-from .exterior import ComponentTooLarge, DEFAULT_MONOMIAL_CAP
+from .exterior import ComponentTooLarge, DEFAULT_MONOMIAL_CAP, ExtElement
 from . import abideals
 from .cdsw import (Workspace, check_S_power, check_part_i, check_prop_hat,
                    guard_prop_hat, check_conj_c1, check_conj_c2_c3,
-                   check_sln_remark)
+                   check_sln_remark, s_power_ints)
 
 CHECK_NAMES = ["roots", "abideals", "poincare", "cdsw-i", "cdsw-ii",
                "cdsw-iii", "prop-hat", "conj-c1", "conj-c23", "sln-remark"]
@@ -121,7 +121,8 @@ class CheckRunner:
                "s_power_in_ideal": res["contained"],
                "ideal_rank": res["ideal_rank"]}
         if not rep["pass"]:
-            rep["witness"] = str(self.ws.S.power(k))
+            rep["witness"] = str(ExtElement.from_ints(
+                self.ws.alg, *s_power_ints(self.ws, k)))
         return rep
 
     def check_cdsw_i(self):

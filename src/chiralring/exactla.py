@@ -48,16 +48,17 @@ over Q.  `kernel_basis` eliminates its equation rows E mod p only, puts
 the kernel's vectors mod p (one per free column) in RREF and checks E.K =
 0 for their lift K: K's span lies in the kernel over Q, of dimension at
 most the kernel's mod p, so K is the kernel's canonical RREF.  When
-reconstruction or the check fails (an entry beyond the one-prime bound of
-about 2**15, or a prime that drops the rank), the rows are eliminated over
-the next prime, and residues of primes with the same rank and pivots are
-combined by the Chinese remainder theorem, until the check passes; after
-CERTIFICATE_PRIMES primes it raises CertificateFailure.  When K does not
-lift, the kernel's vectors are lifted: if E kills them, they span the
-kernel over Q, and their residues give its RREF mod further primes with
-no new elimination.  Every answer is read from a certified lift; the RREF
-of a row space is unique for its column order, so none depends on input
-order or on the primes.
+reconstruction or the check fails (an entry beyond the one-prime bound
+sqrt(p/2), about 23,170 for the primes below 2**30, or a prime that drops
+the rank), the rows are eliminated over the next prime, and residues of
+primes with the same rank and pivots are combined by the Chinese
+remainder theorem, until the check passes; after CERTIFICATE_PRIMES
+primes it raises CertificateFailure.  When K does not lift, the kernel's
+vectors are lifted: if E kills them, they span the kernel over Q, and
+their residues give its RREF mod further primes with no new elimination.
+Every answer is read from a certified lift; the RREF of a row space is
+unique for its column order, so none depends on input order or on the
+primes.
 
 Every elimination takes the primes of `exact_primes()` in order.  The
 residues mod p and the lift are not held in full at the same time: the
@@ -129,15 +130,18 @@ def addmul_mod(dst, src, c, p):
     return dst
 
 
+# every prime an elimination takes is below this bound
+PRIME_BOUND = 1 << 30
 _PRIMES = []  # the primes exact_primes() has found so far, in order
 
 
 def exact_primes():
-    """The primes an elimination takes, in order: the primes below 2**31,
-    largest first.  Each is tested once per process."""
+    """The primes an elimination takes, in order: the primes below
+    PRIME_BOUND = 2**30, largest first, so each residue mod p is one
+    30-bit CPython digit.  Each is tested once per process."""
     for i in count():
         if i == len(_PRIMES):
-            p = (_PRIMES[-1] if _PRIMES else 1 << 31) - 1
+            p = (_PRIMES[-1] if _PRIMES else PRIME_BOUND) - 1
             while not _is_prime(p):
                 p -= 1
             _PRIMES.append(p)

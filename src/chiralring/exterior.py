@@ -33,7 +33,7 @@ then one `&` and one popcount per pair, at any number of generators.
 Sums accumulate in place on terms dicts: `addmul` (from exactla) adds a
 scaled element and `wedge_into(out, t1, t2)` adds a product, so a matrix
 entry or a trace is summed into one dict rather than copied per addend.
-Products of even elements (traces, hats) are built by `even_monomial`,
+Products of even elements (traces, hats, S^k) are built by `even_monomial`,
 each from a smaller one, and `power_trace_ints` takes Tr(M^k) from two
 half powers of M.
 """
@@ -275,12 +275,6 @@ class ExtElement:
 
     def wedge(self, other):
         return ExtElement(self.alg, wedge_into({}, self.terms, other.terms))
-
-    def power(self, k):
-        r = self.alg.one()
-        for _ in range(k):
-            r = r.wedge(self)
-        return r
 
     def bidegree(self):
         """The common bidegree of all terms, or None if mixed or zero."""

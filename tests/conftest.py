@@ -85,6 +85,15 @@ def random_element(alg, rng, nterms=4, maxdeg=2):
     return ExtElement(alg, {m: c for m, c in terms.items() if c})
 
 
+def power(elem, k):
+    """elem^k over Fractions, wedged out from the constant 1: the
+    reference for the library's int S powers (`cdsw.core.s_power_ints`)."""
+    r = elem.alg.one()
+    for _ in range(k):
+        r = r.wedge(elem)
+    return r
+
+
 def dense_rref(rows, ncols):
     """Textbook dense reduced row echelon form over Fractions; independent
     of the sparse implementation.  Returns (matrix, pivot columns)."""
@@ -177,7 +186,9 @@ def primes_below(n, first=()):
 
 
 def seed_primes(seed, count):
-    """count distinct primes in [2**30, 2**31) drawn from seed."""
+    """count distinct primes in [2**30, 2**31) drawn from seed: two CPython
+    digits wide, above every prime of exactla.exact_primes(), so a stand-in
+    that takes them first never takes one of them twice."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -191,7 +202,8 @@ def use_seed_primes(monkeypatch, seed):
     """Make every elimination first take two primes drawn from seed;
     returns those primes."""
     first = seed_primes(seed, 2)
-    monkeypatch.setattr(exactla, "exact_primes", primes_below(1 << 31, first))
+    monkeypatch.setattr(exactla, "exact_primes",
+                        primes_below(exactla.PRIME_BOUND, first))
     assert exactla.Echelon().p == first[0]
     return first
 

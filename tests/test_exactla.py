@@ -11,7 +11,8 @@ from chiralring.cdsw.core import IdealSpan
 from chiralring.exterior import ComponentTooLarge, WrongComponent
 from chiralring.exactla import (Echelon, FieldMode, kernel_basis, _is_prime,
                                 exact_primes, rational_reconstruction,
-                                CertificateFailure, CERTIFICATE_PRIMES)
+                                CertificateFailure, CERTIFICATE_PRIMES,
+                                PRIME_BOUND)
 from conftest import (FractionRREF, InhomogeneousInput, dense_rref,
                       kernel_of, minimal_polynomial, primes_below,
                       seed_primes, span)
@@ -157,7 +158,7 @@ def test_modular_rank_matches_exact(monkeypatch):
             oracle.insert({j: v for j, v in enumerate(r) if v})
         first = seed_primes(rng.randint(0, 10 ** 6), 2)
         monkeypatch.setattr(exactla, "exact_primes",
-                            primes_below(1 << 31, first))
+                            primes_below(PRIME_BOUND, first))
         ech = Echelon()
         for r in rows:
             ech.insert({j: v for j, v in enumerate(r) if v})
@@ -182,7 +183,8 @@ def test_modular_prime_collapse_gives_exact_rank(monkeypatch):
     further prime and gives the exact rank, growth and membership."""
     alg = GrassmannAlgebra(3)
     p1 = seed_primes(3, 1)[0]
-    monkeypatch.setattr(exactla, "exact_primes", primes_below(1 << 31, [p1]))
+    monkeypatch.setattr(exactla, "exact_primes",
+                        primes_below(PRIME_BOUND, [p1]))
     x1y1 = alg.x(0).wedge(alg.y(0))
     x2y2 = alg.x(1).wedge(alg.y(1))
     rows = [x1y1 + x2y2, x1y1 + x2y2.scale(1 + p1)]
@@ -237,6 +239,17 @@ def test_random_prime():
     assert FieldMode.exact().primes == ()
 
 
+def test_exact_primes_are_one_digit():
+    """Every prime a certificate may take is below 2**30, one CPython digit,
+    and they come largest first, each once."""
+    primes = list(islice(exact_primes(), CERTIFICATE_PRIMES))
+    assert PRIME_BOUND == 1 << 30
+    assert all(_is_prime(p) and p < 1 << 30 for p in primes)
+    assert primes == sorted(set(primes), reverse=True)
+    assert primes == list(islice(primes_below(PRIME_BOUND)(),
+                                 CERTIFICATE_PRIMES))
+
+
 def test_rational_reconstruction():
     m = 2 ** 31 - 1
     for n, d in ((0, 1), (5, 1), (-1, 1), (1449, 54), (-32767, 32765)):
@@ -285,7 +298,8 @@ def test_exact_mode_takes_next_prime(monkeypatch, first, rows, why):
     """Each case fails its first certificate, over the first prime of
     exact_primes() (a stand-in that takes the given primes first); the
     answer must still be the exact RREF, certified with the second prime."""
-    monkeypatch.setattr(exactla, "exact_primes", primes_below(1 << 31, first))
+    monkeypatch.setattr(exactla, "exact_primes",
+                        primes_below(PRIME_BOUND, first))
     ech = Echelon()
     for r in rows:
         ech.insert(r)
@@ -542,8 +556,9 @@ _COLUMNS = _ALG.component_masks(1, 1)
 
 @pytest.mark.parametrize("below, first", [
     pytest.param(1 << 31, (), id="primes-below-2^31"),
+    pytest.param(1 << 30, (), id="primes-below-2^30"),
     pytest.param(1 << 15, (), id="primes-below-2^15"),
-    pytest.param(1 << 31, (GIVEN_PRIME,), id="given-prime")])
+    pytest.param(PRIME_BOUND, (GIVEN_PRIME,), id="given-prime")])
 @settings(max_examples=60)
 @given(data=st.data())
 def test_certified_exact_mode_matches_fraction_oracle(below, first, data):

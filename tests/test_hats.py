@@ -17,7 +17,7 @@ from chiralring.cdsw.hats import (hat_trace, hat_monomials, trace_z_power,
 from chiralring.cli import CheckRunner
 from chiralring.rootsystem.reps import trace_power_degrees
 from conftest import (chevalley_generator_indices, eliminated_over,
-                      matrix_trace, use_seed_primes)
+                      matrix_trace, power, use_seed_primes)
 
 
 def test_hat_bidegrees(ws_sl3):
@@ -56,7 +56,7 @@ def test_sl3_hat_cubic_independent_of_S_squared(ws_sl3):
     (2,2) quotient by the XX and YY families."""
     from chiralring.exactla import Echelon
     h3 = hat_trace(ws_sl3, 3).value
-    s2 = ws_sl3.S.power(2)
+    s2 = power(ws_sl3.S, 2)
     cols = {m: i for i, m in enumerate(sorted(set(h3.terms) | set(s2.terms)))}
     ech = Echelon()
     ech.insert({cols[m]: c for m, c in h3.terms.items()})

@@ -1,18 +1,22 @@
 """Products of even Grassmann elements in the checks run on int terms,
-built by `exterior.even_monomial`: the hat and sl(n) modules use no
-Fraction-valued `ExtElement.wedge` or `ExtElement.power`."""
+built by `exterior.even_monomial`: the hat and sl(n) modules, the S-power
+checks and the CLI's witness use no Fraction-valued `ExtElement.wedge` or
+`ExtElement.power`."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-CDSW = Path(__file__).resolve().parents[1] / "src" / "chiralring" / "cdsw"
+SRC = Path(__file__).resolve().parents[1] / "src" / "chiralring"
 
 
-@pytest.mark.parametrize("module", ["hats.py", "remark.py"])
+@pytest.mark.parametrize("module", [
+    pytest.param(module, id=Path(module).name)
+    for module in ("cdsw/hats.py", "cdsw/remark.py", "cdsw/core.py",
+                   "cli.py")])
 def test_no_fraction_products(module):
-    path = CDSW / module
+    path = SRC / module
     tree = ast.parse(path.read_text(), str(path))
     uses = [(node.lineno, node.attr) for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
