@@ -28,7 +28,7 @@ from itertools import chain
 from math import lcm
 
 from ..exterior import (GrassmannAlgebra, ExtElement, OddMatrix,
-                        WrongComponent, even_monomial, suffix_parity,
+                        WrongComponent, memo_power, suffix_parity,
                         swap_mask, wedge_into)
 from ..exactla import Echelon, addmul, cleared
 from ..liemodule import ActionTable, invariant_basis_elements
@@ -124,9 +124,10 @@ class Workspace:
       trace of degree k needs a higher power (see `cdsw.hats`);
     - the traces of `cdsw.hats` (Tr(z^k), dF(z)(X) and hat of degree k) as
       (int terms, den), in `traces`, keyed by (function name, k);
-    - S as (int terms, D) in `s_ints`, and the powers of its terms that
-      `s_power_ints` built, in `s_powers` (keyed by (k,)): each S^k is
-      built once and shared by the S-power checks and the CLI's witness;
+    - S as D * S on int terms over `s_den` = D, and the powers (D * S)^k
+      that `s_power` built, in `s_powers` (indexed by k, from 1 and D * S):
+      each S^k is built once and shared by the S-power checks and the
+      CLI's witness;
     - the certified weight-zero ideal spans of `ideal_weight_zero`, in
       `ideal_spans`, keyed by (frozenset of families, p, q), each an
       `IdealSpan` of the isotypic parts of `chevalley` (two parts), and of
@@ -144,9 +145,9 @@ class Workspace:
         self.alg = GrassmannAlgebra(lie.dim, cap)
         self.action = ActionTable(self.alg, lie)
         self.rels = relations(self.alg, lie)
-        self.s_ints = S_ints(lie)
-        self.S = ExtElement.from_ints(self.alg, *self.s_ints)
-        self.s_powers = {}
+        terms, self.s_den = S_ints(lie)
+        self.s_powers = [ExtElement(self.alg, {0: 1}),
+                         ExtElement(self.alg, terms)]
         self.g = lie.dual_coxeter
         self.trace_label = default_trace_label(lie.rs.type_label)
         self._xy = None
@@ -191,9 +192,10 @@ class Workspace:
         """c with Tr_V(XY) = c * S; the Dynkin-index factor."""
         X, Y = self.xy_matrices()
         t = X.trace_product(Y)
-        mask, coeff = next(iter(self.S.terms.items()))
+        S = ExtElement.from_ints(self.alg, self.s_powers[1].terms, self.s_den)
+        mask, coeff = next(iter(S.terms.items()))
         c = t.terms.get(mask, Fraction(0)) / coeff
-        if t != self.S.scale(c):
+        if t != S.scale(c):
             raise AssertionError("Tr(XY) is not proportional to S")
         return c
 
@@ -442,13 +444,12 @@ def ideal_weight_zero(ws, families, p, q):
     return span
 
 
-def s_power_ints(ws, k):
-    """S^k as (int terms, D**k), built by `even_monomial` on the int terms
-    of D * S (`ws.s_ints`) and shared through its memo `ws.s_powers`:
-    callers must not change the terms.  Membership does not depend on the
-    scale D**k, and `IdealSpan.split` takes the terms without a copy."""
-    terms, den = ws.s_ints
-    return even_monomial((k,), (terms,), ws.s_powers), den ** k
+def s_power(ws, k):
+    """(D * S)^k on int terms, D = ws.s_den, so S^k is its terms over D**k;
+    built by `memo_power` and shared through ws.s_powers: callers must not
+    change it.  Membership does not depend on the scale D**k, and
+    `IdealSpan.split` takes the int terms without a copy."""
+    return memo_power(ws.s_powers, k)
 
 
 def check_S_power(ws, k, mode=None):
@@ -457,10 +458,9 @@ def check_S_power(ws, k, mode=None):
     a `FieldMode` third, and the parameter goes when the benchmark next
     changes."""
     sub = ideal_weight_zero(ws, (XX, XY, YY), k, k)
-    sk = ExtElement(ws.alg, s_power_ints(ws, k)[0])
     return {
         "k": k,
-        "contained": sub.contains(sk),
+        "contained": sub.contains(s_power(ws, k)),
         "ideal_rank": sub.rank,
     }
 
@@ -490,8 +490,7 @@ def check_part_i(ws, up_to_k):
             diag.append({"k": 0, "dim": 1, "s_power_dim": 1, "match": True})
             continue
         sub = ideal_weight_zero(ws, (XX, XY, YY), k, k)
-        sk = ExtElement(ws.alg, s_power_ints(ws, k)[0])
-        s_dim = 0 if sub.contains(sk) else 1
+        s_dim = 0 if sub.contains(s_power(ws, k)) else 1
         dim = invariants_of_quotient(ws, k, k)
         diag.append({
             "k": k,

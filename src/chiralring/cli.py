@@ -21,7 +21,8 @@ from .exterior import ComponentTooLarge, DEFAULT_MONOMIAL_CAP, ExtElement
 from . import abideals
 from .cdsw import (Workspace, check_S_power, check_part_i, check_prop_hat,
                    guard_prop_hat, check_conj_c1, check_conj_c2_c3,
-                   check_sln_remark, s_power_ints)
+                   check_sln_remark)
+from .cdsw.core import s_power
 
 CHECK_NAMES = ["roots", "abideals", "poincare", "cdsw-i", "cdsw-ii",
                "cdsw-iii", "prop-hat", "conj-c1", "conj-c23", "sln-remark"]
@@ -121,8 +122,9 @@ class CheckRunner:
                "s_power_in_ideal": res["contained"],
                "ideal_rank": res["ideal_rank"]}
         if not rep["pass"]:
+            sk = s_power(self.ws, k)
             rep["witness"] = str(ExtElement.from_ints(
-                self.ws.alg, *s_power_ints(self.ws, k)))
+                self.ws.alg, sk.terms, self.ws.s_den ** k))
         return rep
 
     def check_cdsw_i(self):

@@ -33,9 +33,10 @@ then one `&` and one popcount per pair, at any number of generators.
 Sums accumulate in place on terms dicts: `addmul` (from exactla) adds a
 scaled element and `wedge_into(out, t1, t2)` adds a product, so a matrix
 entry or a trace is summed into one dict rather than copied per addend.
-Products of even elements (traces, hats, S^k) are built by `even_monomial`,
-each from a smaller one, and `power_trace_ints` takes Tr(M^k) from two
-half powers of M.
+Products of even elements (traces, hats) are built by `even_monomial`,
+each from a smaller one, the powers of one even element (S^k) by
+`memo_power`, each from the one before, and `power_trace_ints` takes
+Tr(M^k) from two half powers of M.
 """
 
 from fractions import Fraction
@@ -188,6 +189,16 @@ def even_monomial(e, factors, memo):
                              factors[i])
         memo[e] = val
     return val
+
+
+def memo_power(pows, k):
+    """e^k for an even ExtElement e, given pows = [1, e, e^2, ...], the
+    powers built so far: each missing one is `ExtElement.wedge` of the one
+    before and e, appended to pows, so each power is built once.  The
+    result is shared through pows: callers must not change it."""
+    while len(pows) <= k:
+        pows.append(pows[-1].wedge(pows[1]))
+    return pows[k]
 
 
 def swap_mask(m, n):

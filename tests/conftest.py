@@ -85,9 +85,19 @@ def random_element(alg, rng, nterms=4, maxdeg=2):
     return ExtElement(alg, {m: c for m, c in terms.items() if c})
 
 
+def fraction_S(ws):
+    """S = sum_a x_a y^a over the form-dual basis, over Fractions from
+    Binv = lie.form_inv: the reference for the workspace's int D * S."""
+    lie = ws.lie
+    n = lie.dim
+    return ExtElement(ws.alg, {(1 << a) | (1 << (b + n)): c
+                               for a in range(n)
+                               for b, c in enumerate(lie.form_inv[a]) if c})
+
+
 def power(elem, k):
     """elem^k over Fractions, wedged out from the constant 1: the
-    reference for the library's int S powers (`cdsw.core.s_power_ints`)."""
+    reference for the library's int S powers (`cdsw.core.s_power`)."""
     r = elem.alg.one()
     for _ in range(k):
         r = r.wedge(elem)

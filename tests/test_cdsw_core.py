@@ -14,7 +14,7 @@ from chiralring.exactla import addmul
 from chiralring import exterior
 from chiralring.cdsw.core import (IdealSpan, ideal_weight_zero, ideal_rows,
                                   invariants_of_quotient, relations,
-                                  check_S_power, check_part_i, s_power_ints,
+                                  check_S_power, check_part_i, s_power,
                                   XX, XY, YY, OFFDIAGONAL_SPOT_CHECKS,
                                   _FAMILY_DEGREE)
 from chiralring.exterior import (ComponentTooLarge, ExtElement,
@@ -26,7 +26,8 @@ from chiralring.liemodule import invariant_basis_elements
 from chiralring.rootsystem.reps import trace_power_degrees
 from conftest import (canonical_ideal_span, chevalley_generator_indices,
                       chevalley_xy, eliminated_over, fraction_relations,
-                      power, span_basis_elements, span_columns, swap_xy,
+                      fraction_S, power, span_basis_elements, span_columns,
+                      swap_xy,
                       use_seed_primes)
 
 
@@ -71,7 +72,8 @@ def swap_membership_invariance(ws, k):
     S-power verdicts are invariant under it; checked by recomputation."""
     direct = check_S_power(ws, k)
     sub = ideal_weight_zero(ws, (XX, XY, YY), k, k)
-    return direct["contained"] == sub.contains(swap_xy(power(ws.S, k)))
+    sk = power(fraction_S(ws), k)
+    return direct["contained"] == sub.contains(swap_xy(sk))
 
 
 def family_equivariance(ws, family):
@@ -134,9 +136,10 @@ def test_rho_image_cross_check(ws_sl2, ws_sl3):
 
 def test_S_invariance_and_bidegree(ws_sl2, ws_sl3, ws_so5):
     for ws in (ws_sl2, ws_sl3, ws_so5):
-        assert ws.S.bidegree() == (1, 1)
+        S = ws.s_powers[1]
+        assert S.bidegree() == (1, 1)
         for a in range(ws.lie.dim):
-            assert ws.action.act(a, ws.S).is_zero()
+            assert ws.action.act(a, S).is_zero()
 
 
 def test_trace_proportionality_constants(ws_sl2, ws_sl3, ws_so5):
@@ -162,7 +165,7 @@ def test_trace_representation_fixed_by_type(key, label, size, constant):
 
 def test_S_not_in_relation_span(ws_sl2):
     sub = ideal_component(ws_sl2, (XX, XY, YY), 1, 1)
-    assert not sub.contains(ws_sl2.S)
+    assert not sub.contains(fraction_S(ws_sl2))
 
 
 def test_sl2_S_powers(ws_sl2):
@@ -180,7 +183,7 @@ def test_weight_zero_slice_rejects_term_of_nonzero_weight(ws_sl3):
     weight-zero slice, which cannot decide membership, so it raises
     instead of answering "not in I"."""
     sub = ideal_weight_zero(ws_sl3, (XX, XY, YY), 3, 3)
-    s3 = power(ws_sl3.S, 3)
+    s3 = power(fraction_S(ws_sl3), 3)
     assert sub.contains(s3)
     action = ws_sl3.action
     mask = next(m for m in ws_sl3.alg.component_masks(3, 3)
@@ -210,24 +213,19 @@ def test_sp4_matches_so5():
 def test_int_S_powers_match_fraction_powers(label):
     """The workspace's int S^k, for every k <= g, is D**k times the
     Fraction power of S = sum_a x_a y^a over the form-dual basis."""
-    lie = chevalley_data(build_root_system(label[0], int(label[1:])))
-    ws = Workspace(lie)
-    n = lie.dim
-    S = ExtElement(ws.alg, {(1 << a) | (1 << (b + n)): c
-                            for a in range(n)
-                            for b, c in enumerate(lie.form_inv[a]) if c})
-    assert ws.S == S
-    _, den = ws.s_ints
+    ws = Workspace(chevalley_data(build_root_system(label[0],
+                                                    int(label[1:]))))
+    S, den = fraction_S(ws), ws.s_den
     for k in range(ws.g + 1):
-        terms, scale = s_power_ints(ws, k)
-        assert scale == den ** k
-        assert all(type(c) is int and c for c in terms.values())
-        assert ExtElement(ws.alg, terms) == power(S, k).scale(scale)
+        sk = s_power(ws, k)
+        assert all(type(c) is int and c for c in sk.terms.values())
+        assert sk == power(S, k).scale(den ** k)
 
 
 def test_S_powers_built_once_per_workspace(so5, monkeypatch):
-    """check_part_i builds S^1 .. S^g once each; check_S_power on the same
-    workspace then builds no product: its span and S^g are cached."""
+    """check_part_i builds S^2 .. S^g once each from S; check_S_power on
+    the same workspace then builds no product: its span and S^g are
+    cached."""
     calls = []
     wedge_into = exterior.wedge_into
 
@@ -237,17 +235,18 @@ def test_S_powers_built_once_per_workspace(so5, monkeypatch):
 
     monkeypatch.setattr(exterior, "wedge_into", counting)
     ws = Workspace(so5)
+    S = ws.s_powers[1]
     calls.clear()
     assert check_part_i(ws, 3)["pass"]
-    assert sorted(ws.s_powers) == [(0,), (1,), (2,), (3,)]
-    assert sum(t2 is ws.s_ints[0] for t2 in calls) == 3
+    assert len(ws.s_powers) == 4
+    assert sum(t2 is S.terms for t2 in calls) == 2
     calls.clear()
     assert check_S_power(ws, 3)["contained"] is True
     assert calls == []
 
 
 def test_component_of_S_power_is_homogeneous(ws_sl2):
-    s2 = power(ws_sl2.S, 2)
+    s2 = power(fraction_S(ws_sl2), 2)
     assert s2.component(2, 2) == s2
     assert s2.component(1, 1).is_zero()
     assert s2.bidegree() == (2, 2)
@@ -272,9 +271,9 @@ def test_full_component_agrees_with_weight_zero_slice(ws_sl3):
     from chiralring.cdsw.core import ideal_weight_zero
     full = ideal_component(ws_sl3, (XX, XY, YY), 2, 2)
     w0 = ideal_weight_zero(ws_sl3, (XX, XY, YY), 2, 2)
-    s2 = power(ws_sl3.S, 2)
+    s2 = power(fraction_S(ws_sl3), 2)
     assert full.contains(s2) == w0.contains(s2) == False
-    h = power(ws_sl3.S, 2).scale(3)
+    h = power(fraction_S(ws_sl3), 2).scale(3)
     assert full.contains(h) == w0.contains(h)
     # every weight-zero echelon row of each part lies in the full span
     for el in span_basis_elements(ws_sl3.alg, w0):
@@ -410,7 +409,7 @@ def test_cached_span_is_shared_and_unchanged(so5):
     monomials = [ExtElement(ws.alg, {m: 1}) for m in first.columns]
     quot = first.quotient(monomials)
     assert rank + quot.rank == len(first.columns)
-    assert quot.contains(first.normal_form(power(ws.S, 2))[0])
+    assert quot.contains(first.normal_form(power(fraction_S(ws), 2))[0])
     assert [first.contains(m) for m in monomials].count(False) > 0
     again = ideal_weight_zero(ws, (XX, YY), 2, 2)
     assert again is first
@@ -552,7 +551,7 @@ def test_count_order_matches_canonical_order(request, name, spans):
         assert len(got.parts) == (4 if p == q else 2), why
         assert got.rank == want.rank, why
         if p == q:
-            sk = power(ws.S, p)
+            sk = power(fraction_S(ws), p)
             assert got.contains(sk) == want.contains(sk), why
         batches = [invariant_basis_elements(ws.action, p, q)]
         if families == HALF and p == q and 0 < p <= ws.g:
@@ -825,7 +824,7 @@ def test_column_permutation_keeps_rank_and_membership(ws_sl2, ws_sl3,
     cached = ideal_weight_zero(ws, families, k, k)
     cols = data.draw(st.permutations(cached.columns))
     sub = canonical_ideal_span(ws, families, k, k, cols)
-    sk = power(ws.S, k)
+    sk = power(fraction_S(ws), k)
     assert sub.rank == cached.rank
     assert sub.contains(sk) == cached.contains(sk)
 

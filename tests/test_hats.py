@@ -17,7 +17,8 @@ from chiralring.cdsw.hats import (hat_trace, hat_monomials, trace_z_power,
 from chiralring.cli import CheckRunner
 from chiralring.rootsystem.reps import trace_power_degrees
 from conftest import (chevalley_generator_indices, eliminated_over,
-                      matrix_trace, power, use_seed_primes)
+                      matrix_trace, fraction_S, power,
+                      use_seed_primes)
 
 
 def test_hat_bidegrees(ws_sl3):
@@ -39,10 +40,11 @@ def test_hat_quadratic_is_multiple_of_S(ws_sl2, ws_sl3, ws_so5):
     expected = {3: Fraction(1, 2), 8: Fraction(1, 3), 10: Fraction(2, 3)}
     for ws in (ws_sl2, ws_sl3, ws_so5):
         h2 = hat_trace(ws, 2)
-        mask, coeff = next(iter(ws.S.terms.items()))
+        S = fraction_S(ws)
+        mask, coeff = next(iter(S.terms.items()))
         ratio = h2.value.terms.get(mask, Fraction(0)) / coeff
         assert ratio != 0
-        assert h2.value == ws.S.scale(ratio)
+        assert h2.value == S.scale(ratio)
         assert ratio == 2 * ws.trace_S_constant()
 
 
@@ -56,7 +58,7 @@ def test_sl3_hat_cubic_independent_of_S_squared(ws_sl3):
     (2,2) quotient by the XX and YY families."""
     from chiralring.exactla import Echelon
     h3 = hat_trace(ws_sl3, 3).value
-    s2 = power(ws_sl3.S, 2)
+    s2 = power(fraction_S(ws_sl3), 2)
     cols = {m: i for i, m in enumerate(sorted(set(h3.terms) | set(s2.terms)))}
     ech = Echelon()
     ech.insert({cols[m]: c for m, c in h3.terms.items()})

@@ -1,7 +1,8 @@
-"""Products of even Grassmann elements in the checks run on int terms,
-built by `exterior.even_monomial`: the hat and sl(n) modules, the S-power
-checks and the CLI's witness use no Fraction-valued `ExtElement.wedge` or
-`ExtElement.power`."""
+"""Products of even Grassmann elements in the checks run on int terms and
+are built in `exterior`: traces and hats by `even_monomial`, the powers of
+S by `memo_power`.  The hat and sl(n) modules, the S-power checks and the
+CLI's witness call no `ExtElement.wedge` or `ExtElement.power` of their
+own."""
 
 import ast
 from pathlib import Path
