@@ -30,8 +30,8 @@ from math import lcm
 from ..exterior import (GrassmannAlgebra, ExtElement, OddMatrix,
                         WrongComponent, memo_power, suffix_parity,
                         swap_mask, wedge_into)
-from ..exactla import Echelon, addmul, cleared
-from ..liemodule import ActionTable, invariant_basis_elements
+from ..exactla import Echelon, addmul
+from ..liemodule import ActionTable, invariant_basis
 from ..rootsystem.reps import representation, default_trace_label
 
 XX, XY, YY = "XX", "XY", "YY"
@@ -137,8 +137,8 @@ class Workspace:
       cached span itself;
     - the half-mask weights of `ActionTable.weight_masks`, the half-mask
       images of `ActionTable.chevalley_image` and the invariant
-      bases of `liemodule.invariants` (ExtElements over the weight-zero
-      masks, handed out by `invariant_basis_elements`), in `action`."""
+      bases of `liemodule.invariant_basis` ((int terms, den) over the
+      weight-zero masks), in `action`."""
 
     def __init__(self, lie, cap=None):
         self.lie = lie
@@ -202,10 +202,10 @@ class Workspace:
 
 def ideal_rows(ws, families, p, q, weight, symmetries=()):
     """Spanning vectors r ^ m of the selected ideal families in the (p,q)
-    component that have the given total weight.  Wedging r with one
-    monomial m sends each term m1 of r to m1 | m or to nothing, one to one,
-    so a row is r's coefficients, signed by `suffix_parity`, on new masks:
-    no term ever collides or cancels.
+    component that have the given total weight, as int terms dicts.
+    Wedging r with one monomial m sends each term m1 of r to m1 | m or to
+    nothing, one to one, so a row is r's coefficients, signed by
+    `suffix_parity`, on new masks: no term ever collides or cancels.
 
     symmetries: commuting `Symmetry`s that keep the weight and the
     families (the Chevalley involution negates weights, so it keeps weight
@@ -215,7 +215,7 @@ def ideal_rows(ws, families, p, q, weight, symmetries=()):
     group's isotypic parts, up to sign.  One row per orbit is kept, the
     least by family (XX < XY < YY), then relation index, then mask: with
     the swap alone, no YY row and the XY rows r ^ m with m <= swap(m)."""
-    alg, action = ws.alg, ws.action
+    action = ws.action
     group = range(1, 1 << len(symmetries))
     for fam in families:
         dp, dq = _FAMILY_DEGREE[fam]
@@ -248,7 +248,7 @@ def ideal_rows(ws, families, p, q, weight, symmetries=()):
                 row = {m1 | m: n if (p1 & m).bit_count() & 1 else c
                        for m1, p1, c, n in terms if not m1 & m}
                 if row:
-                    yield ExtElement(alg, row)
+                    yield row
 
 
 class IdealSpan:
@@ -258,7 +258,7 @@ class IdealSpan:
     never changes.
 
     columns: the masks, in any order; bidegree: the component, named in
-    WrongComponent messages; rows: elements over the masks, whose span
+    WrongComponent messages; rows: terms dicts over the masks, whose span
     must be stable under the symmetries; symmetries: commuting
     `Symmetry`s, which must keep the set of columns.  Group element g (bit
     k set for each factor symmetries[k]) sends e_m to sign * e_gm, and
@@ -312,20 +312,20 @@ class IdealSpan:
     def rank(self):
         return sum(part.rank for part in self.parts)
 
-    def split(self, elem):
-        """The coordinate vector of elem, with its denominators cleared, in
-        each part.  A term outside the columns raises WrongComponent, also
-        when its bidegree is the ambient one (the slice leaves out
-        monomials of the component)."""
+    def split(self, terms):
+        """The coordinate vector of the terms dict in each part, its
+        denominators left to the parts' `Echelon`s, which clear them.  A
+        term outside the columns raises WrongComponent, also when its
+        bidegree is the ambient one (the slice leaves out monomials of the
+        component)."""
         vecs = [{} for _ in self.place]
         parts = list(zip(vecs, self.place))
-        for m, c in cleared(elem.terms).items():
+        for m, c in terms.items():
             hit = self.orbit.get(m)
             if hit is None:
                 raise WrongComponent(
-                    "monomial of bidegree %s outside the %d columns of %s"
-                    % (elem.alg.bidegree_of_mask(m), len(self.columns),
-                       self.bidegree))
+                    "monomial mask %d outside the %d columns of %s"
+                    % (m, len(self.columns), self.bidegree))
             o, signs = hit
             for (vec, place), sign in zip(parts, signs):
                 if sign:
@@ -333,15 +333,14 @@ class IdealSpan:
                     vec[j] = vec.get(j, 0) + sign * c
         return [{j: c for j, c in vec.items() if c} for vec in vecs]
 
-    def normal_form(self, elem):
-        """(w, den): the normal form of elem, with its denominators
-        cleared, modulo the span, times den.  w is an int dict holding the
-        parts' normal forms side by side (part i at the sum of the widths
-        of the parts before it) over den, the lcm of their denominators.
-        The map is linear, and its kernel is the span: w is empty exactly
-        when elem lies in it."""
+    def normal_form(self, terms):
+        """(w, den): the normal form of the terms dict modulo the span,
+        times den.  w is an int dict holding the parts' normal forms side
+        by side (part i at the sum of the widths of the parts before it)
+        over den, the lcm of their denominators.  The map is linear, and
+        its kernel is the span: w is empty exactly when terms lies in it."""
         forms = [part.normal_form(vec)
-                 for part, vec in zip(self.parts, self.split(elem))]
+                 for part, vec in zip(self.parts, self.split(terms))]
         den = lcm(*(d for _, d in forms))
         out, offset = {}, 0
         for part, (w, d) in zip(self.parts, forms):
@@ -349,17 +348,17 @@ class IdealSpan:
             offset += part.width
         return out, den
 
-    def contains(self, elem):
-        """Membership of elem in the span."""
-        return not self.normal_form(elem)[0]
+    def contains(self, terms):
+        """Membership of the terms dict in the span."""
+        return not self.normal_form(terms)[0]
 
-    def quotient(self, elems):
-        """The span of the elements' normal forms, one `Echelon` over the
-        parts' columns side by side: its rank is dim((I + span E)/I) for
-        the span I and any batch E, and it contains the normal form of t
-        exactly when t lies in I + span E."""
+    def quotient(self, batch):
+        """The span of the normal forms of a batch of terms dicts, one
+        `Echelon` over the parts' columns side by side: its rank is
+        dim((I + span E)/I) for the span I and any batch E, and it contains
+        the normal form of t exactly when t lies in I + span E."""
         quot = Echelon(sum(part.width for part in self.parts))
-        quot.insert_all(w for w, _ in map(self.normal_form, elems) if w)
+        quot.insert_all(w for w, _ in map(self.normal_form, batch) if w)
         return quot
 
 
@@ -448,7 +447,7 @@ def s_power(ws, k):
     """(D * S)^k on int terms, D = ws.s_den, so S^k is its terms over D**k;
     built by `memo_power` and shared through ws.s_powers: callers must not
     change it.  Membership does not depend on the scale D**k, and
-    `IdealSpan.split` takes the int terms without a copy."""
+    `IdealSpan` reads the int terms without a copy."""
     return memo_power(ws.s_powers, k)
 
 
@@ -460,7 +459,7 @@ def check_S_power(ws, k, mode=None):
     sub = ideal_weight_zero(ws, (XX, XY, YY), k, k)
     return {
         "k": k,
-        "contained": sub.contains(s_power(ws, k)),
+        "contained": sub.contains(s_power(ws, k).terms),
         "ideal_rank": sub.rank,
     }
 
@@ -474,7 +473,8 @@ def invariants_of_quotient(ws, p, q, families=(XX, XY, YY)):
     sub = ideal_weight_zero(ws, families, p, q)
     if sub.rank == len(sub.columns):
         return 0
-    return sub.quotient(invariant_basis_elements(ws.action, p, q)).rank
+    return sub.quotient(
+        terms for terms, _ in invariant_basis(ws.action, p, q)).rank
 
 
 # off-diagonal bidegrees where part (i) spot-checks that A^g vanishes
@@ -490,7 +490,7 @@ def check_part_i(ws, up_to_k):
             diag.append({"k": 0, "dim": 1, "s_power_dim": 1, "match": True})
             continue
         sub = ideal_weight_zero(ws, (XX, XY, YY), k, k)
-        s_dim = 0 if sub.contains(s_power(ws, k)) else 1
+        s_dim = 0 if sub.contains(s_power(ws, k).terms) else 1
         dim = invariants_of_quotient(ws, k, k)
         diag.append({
             "k": k,

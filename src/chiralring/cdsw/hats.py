@@ -18,7 +18,7 @@ from math import lcm
 from ..exterior import (ExtElement, OddMatrix, even_monomial,
                         power_trace_ints, swap_terms, wedge_into)
 from ..exactla import addmul
-from ..liemodule import invariant_basis_elements
+from ..liemodule import invariant_basis
 from ..rootsystem.reps import trace_power_degrees
 from .core import ideal_weight_zero, invariants_of_quotient, XX, XY, YY
 
@@ -136,7 +136,7 @@ def hat_trace(ws, k):
 
 def hat_monomials(ws, degree, degrees):
     """Every product of the hats of Tr_V(w^k), k in degrees, of total
-    hat-degree `degree`, as (exponent tuple, ExtElement) pairs with the
+    hat-degree `degree`, as (exponent tuple, int terms) pairs with the
     exponents in lexicographic order.  Each product is built once on the
     int traces `_hat_trace_ints` (`even_monomial`), so it is the exact
     product times a positive int, the product of its factors'
@@ -145,7 +145,7 @@ def hat_monomials(ws, degree, degrees):
     factors = [_hat_trace_ints(ws, k)[0] for k in degrees]
     hat_degrees = [k - 1 for k in degrees]
     memo = {}
-    return [(e, ExtElement(ws.alg, even_monomial(e, factors, memo)))
+    return [(e, even_monomial(e, factors, memo))
             for e in product(*(range(degree // h + 1) for h in hat_degrees))
             if sum(x * h for x, h in zip(e, hat_degrees)) == degree]
 
@@ -176,15 +176,14 @@ def check_prop_hat(ws, k1, k2):
     hz = _trace_z_power_ints(ws, k2)
     report["a_zero_literal"] = not fz[0]
     sub = ideal_weight_zero(ws, (XX, YY), k1, k1)
-    report["a_in_ideal"] = sub.contains(ExtElement(alg, fz[0]))
+    report["a_in_ideal"] = sub.contains(fz[0])
 
     # dF(z)(Y) is the swap of dF(z)(X), as in `d_trace`
     dfx = _d_trace_ints(ws, k1)
     dfy = swap_terms(dfx[0], alg.n), dfx[1]
     report["b_zero_literal"] = not dfx[0]
     report["b_in_ideal"] = not dfx[0] or all(
-        ideal_weight_zero(ws, (XX, YY), p, q).contains(
-            ExtElement(alg, el[0]))
+        ideal_weight_zero(ws, (XX, YY), p, q).contains(el[0])
         for el, (p, q) in ((dfx, (k1, k1 - 1)), (dfy, (k1 - 1, k1))))
 
     # Leibniz expansion of hat(FH) at z = {X,Y}, on ints over one
@@ -193,11 +192,10 @@ def check_prop_hat(ws, k1, k2):
     dhy = swap_terms(dhx[0], alg.n), dhx[1]
     hatf = _hat_trace_ints(ws, k1)
     hath = _hat_trace_ints(ws, k2)
-    total = ExtElement(alg, _wedge_sum(
-        ((hatf, hz), (fz, hath), (dfx, dhy), (dhx, dfy))))
-    report["c_zero_literal"] = total.is_zero()
+    total = _wedge_sum(((hatf, hz), (fz, hath), (dfx, dhy), (dhx, dfy)))
+    report["c_zero_literal"] = not total
     subc = ideal_weight_zero(ws, (XX, YY), k - 1, k - 1)
-    report["c_in_ideal"] = total.is_zero() or subc.contains(total)
+    report["c_in_ideal"] = not total or subc.contains(total)
     report["pass"] = report["a_in_ideal"] and report["b_in_ideal"] and \
         report["c_in_ideal"]
     return report
@@ -254,12 +252,12 @@ def check_conj_c2_c3(ws):
     # restricted to (XY) + (XX,YY)
     for k in degrees[1:]:
         sub = ideal_weight_zero(ws, (XX, XY, YY), k - 1, k - 1)
-        member = sub.contains(ExtElement(ws.alg, _hat_trace_ints(ws, k)[0]))
+        member = sub.contains(_hat_trace_ints(ws, k)[0])
         report["hat_in_L"].append({"k": k, "in_ideal": member})
         report["pass"] = report["pass"] and member
 
     for d in range(g):
-        inv = invariant_basis_elements(ws.action, d, d) if d else []
+        inv = [t for t, _ in invariant_basis(ws.action, d, d)] if d else []
         # dim(Inv cap W) = |inv| - growth, so the difference of the two
         # intersections is the difference of the two growths
         half, full = (ideal_weight_zero(ws, fams, d, d).quotient(inv).rank

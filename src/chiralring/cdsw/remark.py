@@ -13,7 +13,8 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from ..exactla import addmul
-from ..exterior import ExtElement, OddMatrix, even_monomial, power_trace_ints
+from ..exterior import (OddMatrix, even_monomial, extract_xi_eta,
+                        power_trace_ints)
 from .core import ideal_weight_zero, XX, XY, YY
 
 
@@ -124,19 +125,18 @@ def check_sln_remark(n, cap=None):
     # L c D times D^n Tr(XY)^n
     Lq = L // q_star.denominator * q_star.numerator
     star_term = {m: Lq * v for m, v in monomials[e_star].items()}
-    star_matches = (ExtElement(alg, star_term).extract_xi_eta()
-                    == ExtElement(alg, {m: -2 * Lq * D * v
-                                        for m, v in trxy_n.items()}))
+    star_matches = (extract_xi_eta(alg, star_term)
+                    == {m: -2 * Lq * D * v for m, v in trxy_n.items()})
 
-    rest = ExtElement(alg, addmul(dict(rhs), star_term, -1)).extract_xi_eta()
-    lhs_xieta = ExtElement(alg, lhs).extract_xi_eta()
+    rest = extract_xi_eta(alg, addmul(dict(rhs), star_term, -1))
+    lhs_xieta = extract_xi_eta(alg, lhs)
 
     # memberships in the full defining ideal at (n,n): every piece except
     # the Tr(XY)^n term reduces into it, which forces S^n into the ideal
     sub = ideal_weight_zero(ws, (XX, XY, YY), n, n)
     lhs_in_ideal = sub.contains(lhs_xieta)
     rest_in_ideal = sub.contains(rest)
-    s_power_in_ideal = sub.contains(ExtElement(alg, trxy_n))
+    s_power_in_ideal = sub.contains(trxy_n)
 
     report = {
         "n": n,

@@ -58,7 +58,9 @@ vectors are lifted: if E kills them, they span the kernel over Q, and
 their residues give its RREF mod further primes with no new elimination.
 Every answer is read from a certified lift; the RREF of a row space is
 unique for its column order, so none depends on input order or on the
-primes.
+primes.  A certified RREF stays on ints, each row over its own
+denominator (as in `_normal_form`): `kernel_basis` returns it so, and only
+`Echelon.basis_rows` hands it out as Fractions.
 
 Every elimination takes the primes of `exact_primes()` in order.  The
 residues mod p and the lift are not held in full at the same time: the
@@ -166,17 +168,23 @@ def rational_reconstruction(a, m):
     return r1, s1
 
 
+def _den(vec):
+    """The lcm of the denominators of vec's entries."""
+    den = 1
+    for v in vec.values():
+        d = v.denominator
+        if den % d:
+            den = den // gcd(den, d) * d
+    return den
+
+
 def cleared(vec):
     """vec times the lcm of its denominators: an int dict without zero
     entries, spanning the same line.  A vec whose entries are all nonzero
     ints is that dict already, and is handed back itself, not copied."""
     if all(type(v) is int and v for v in vec.values()):
         return vec
-    den = 1
-    for v in vec.values():
-        d = v.denominator
-        if den % d:
-            den = den // gcd(den, d) * d
+    den = _den(vec)
     if den == 1:
         return {j: v.numerator for j, v in vec.items() if v}
     return {j: v.numerator * (den // v.denominator)
@@ -451,10 +459,14 @@ class Echelon:
         self._rows = self._batch = None
 
     def normal_form(self, vec):
-        """(w, den): the normal form of vec, its denominators cleared,
-        modulo the certified span, as in `_normal_form`."""
+        """(w, den): the normal form of vec modulo the certified span,
+        times den, w an int dict (as in `_normal_form`): vec's
+        denominators are cleared, and den holds their lcm too, so the map
+        is linear on rational vectors as well."""
         self._certify()
-        return _normal_form(cleared(vec), self._rref)
+        u = cleared(vec)
+        w, den = _normal_form(u, self._rref)
+        return w, den if u is vec else den * _den(vec)
 
     def contains(self, vec):
         return not self.normal_form(vec)[0]
@@ -503,8 +515,8 @@ def _kernel_mod(free, p):
 
 def kernel_basis(rows, ncols):
     """The canonical basis of the nullspace of the equation rows E (dicts
-    over columns 0..ncols-1): the RREF rows of the kernel in pivot order,
-    as Fractions, pivot coefficient included, certified by E.K = 0."""
+    over columns 0..ncols-1): the RREF of the kernel, certified by E.K = 0,
+    as {pivot: (int row, den)} in pivot order (as in _normal_form)."""
     equations = _descending(map(cleared, rows))
 
     def tables():
@@ -521,4 +533,4 @@ def kernel_basis(rows, ncols):
                     yield rank, _kernel_mod(_residues(basis, q), q), q
 
     rref, _ = _certified(tables(), lambda rref: _kills(equations, rref))
-    return _fractions(rref)
+    return {piv: rref[piv] for piv in sorted(rref)}

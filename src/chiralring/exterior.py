@@ -6,14 +6,18 @@ A monomial is a subset of the generators, stored as a Python int bitmask
 over the fixed order: x-block (bits 0..N-1), y-block (bits N..2N-1),
 xi (bit 2N), eta (bit 2N+1).  ExtElement coefficients are exact
 rationals: ints where the value is integral by construction (the relation
-families, the action's images, the ideal rows), Fractions otherwise;
-elements never store zero coefficients.  Bidegree: an x-generator counts
-(1,0), a y-generator (0,1), xi counts (1,0) and eta (0,1).
+families, the powers of S), Fractions otherwise (the public traces of
+`cdsw.hats`, `liemodule.invariant_basis_elements`); elements never store
+zero coefficients.  The checks themselves run on int terms dicts
+{mask: int}, and the spans of `cdsw.core.IdealSpan` take them.  Bidegree:
+an x-generator counts (1,0), a y-generator (0,1), xi counts (1,0) and eta
+(0,1).
 
 An OddMatrix holds its entries as int coefficients over one shared
-denominator `den`, so matrix products run on ints; an entry or a trace
-becomes Fractions only when it leaves the matrix, and the `_ints` traces
-hand out (int terms, den) for callers that keep summing on ints.
+denominator `den`, so matrix products run on ints; a trace becomes
+Fractions only when it leaves the matrix (`trace_product`), and the
+`_ints` traces hand out (int terms, den) for callers that keep summing on
+ints.
 
 The swap x_a <-> y_a (`swap_mask`, `swap_terms`, `OddMatrix.swap`) is the
 algebra automorphism exchanging the two blocks: it sends x_A y_B to
@@ -90,22 +94,6 @@ class GrassmannAlgebra:
         self.eta_bit = 2 * n + 1
         self._xmask = (1 << n) - 1
         self._ymask = self._xmask << n
-
-    def zero(self):
-        return ExtElement(self, {})
-
-    def scalar(self, c):
-        c = Fraction(c)
-        return ExtElement(self, {0: c} if c else {})
-
-    def one(self):
-        return self.scalar(1)
-
-    def x(self, i):
-        return ExtElement(self, {1 << i: Fraction(1)})
-
-    def y(self, i):
-        return ExtElement(self, {1 << (self.n + i): Fraction(1)})
 
     def xi(self):
         return ExtElement(self, {1 << self.xi_bit: Fraction(1)})
@@ -201,6 +189,14 @@ def memo_power(pows, k):
     return pows[k]
 
 
+def extract_xi_eta(alg, terms):
+    """The coefficient of xi^eta in a terms dict: the terms holding both,
+    the two bits stripped.  Moving the trailing xi^eta pair to the front
+    crosses an even number of odd generators, so no sign appears."""
+    both = (1 << alg.xi_bit) | (1 << alg.eta_bit)
+    return {m ^ both: c for m, c in terms.items() if m & both == both}
+
+
 def swap_mask(m, n):
     """The swap x_a <-> y_a of monomial m over N = n generators per block,
     as (mask, sign): it sends x_A y_B to y_A x_B = (-1)**(|A| |B|) x_B y_A.
@@ -261,11 +257,9 @@ class ExtElement:
         r = self.__eq__(other)
         return NotImplemented if r is NotImplemented else (not r)
 
+    # perfbench/tracer.py wraps __add__ by name and fails without it
     def __add__(self, other):
         return ExtElement(self.alg, addmul(dict(self.terms), other.terms))
-
-    def __sub__(self, other):
-        return ExtElement(self.alg, addmul(dict(self.terms), other.terms, -1))
 
     def __neg__(self):
         return ExtElement(self.alg, {m: -c for m, c in self.terms.items()})
@@ -276,41 +270,8 @@ class ExtElement:
             return ExtElement(self.alg, {})
         return ExtElement(self.alg, {m: c * v for m, v in self.terms.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, ExtElement):
-            return self.wedge(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def wedge(self, other):
         return ExtElement(self.alg, wedge_into({}, self.terms, other.terms))
-
-    def bidegree(self):
-        """The common bidegree of all terms, or None if mixed or zero."""
-        deg = None
-        for m in self.terms:
-            d = self.alg.bidegree_of_mask(m)
-            if deg is None:
-                deg = d
-            elif d != deg:
-                return None
-        return deg
-
-    def component(self, p, q):
-        alg = self.alg
-        return ExtElement(alg, {m: c for m, c in self.terms.items()
-                                if alg.bidegree_of_mask(m) == (p, q)})
-
-    def extract_xi_eta(self):
-        """Coefficient of xi^eta: keeps monomials containing both, strips the
-        two bits.  Moving the trailing xi^eta pair to the front crosses an
-        even number of odd generators, so no sign appears."""
-        alg = self.alg
-        both = (1 << alg.xi_bit) | (1 << alg.eta_bit)
-        return ExtElement(alg, {m ^ both: c for m, c in self.terms.items()
-                                if m & both == both})
 
     def __str__(self):
         if not self.terms:
@@ -330,7 +291,7 @@ class OddMatrix:
     dicts over one shared positive denominator `den`; products keep
     Grassmann signs because entry multiplication is the wedge.  Rationals
     appear only at the boundary: the constructor takes ExtElements, and
-    `entry` and `trace_product` return them; `trace_product_ints` and
+    `trace_product` returns one; `trace_product_ints` and
     `trace_square_ints` return (int terms, den) instead."""
 
     def __init__(self, alg, entries):
@@ -353,10 +314,6 @@ class OddMatrix:
     def identity(cls, alg, m):
         return cls._of(alg, [[{0: 1} if i == j else {} for j in range(m)]
                              for i in range(m)], 1)
-
-    def entry(self, i, j):
-        """Entry (i, j) as an exact ExtElement."""
-        return ExtElement.from_ints(self.alg, self.entries[i][j], self.den)
 
     def _check_size(self, other):
         if self.size != other.size:

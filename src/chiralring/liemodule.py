@@ -5,8 +5,10 @@ invariant subspaces of bigraded components.
 Weight slices of a component are listed one way only,
 `ActionTable.weight_masks`, which joins x-halves and y-halves by weight."""
 
+from itertools import chain
+
 from .exterior import ExtElement, _bits
-from .exactla import addmul, kernel_basis
+from .exactla import kernel_basis
 
 
 class ActionTable:
@@ -36,7 +38,7 @@ class ActionTable:
         # by p, and the y-halves of (0,q) grouped by weight, keyed by q
         self._x_halves = {}
         self._y_halves = {}
-        # invariant_basis_elements' canonical bases, keyed by (p, q)
+        # invariant_basis's canonical bases, keyed by (p, q)
         self._invariant_bases = {}
         # chevalley_image's table: sigma on basis indices, and the image of
         # each half-mask seen so far as (mask, sign), filled on first use
@@ -80,12 +82,6 @@ class ActionTable:
                 else:
                     out.pop(m2, None)
         return out
-
-    def act(self, a, elem):
-        out = {}
-        for mask, coeff in elem.terms.items():
-            addmul(out, self.act_mask(a, mask), coeff)
-        return ExtElement(self.alg, out)
 
     def chevalley_image(self, mask):
         """The Chevalley involution x_a -> -x_sigma(a), y_a -> -y_sigma(a)
@@ -139,7 +135,8 @@ class ActionTable:
 def invariants(action, p, q):
     """The canonical invariant basis of the (p,q) component, in a new list:
     the certified RREF rows of its kernel over the weight-zero monomials in
-    canonical order, as ExtElements (`exactla.kernel_basis`).
+    canonical order (`exactla.kernel_basis`), each as (int terms, den), the
+    terms den times the row, so the pivot's entry is den.
 
     Invariant vectors have weight zero, so the kernel is computed on the
     weight-zero slice only (Cartan elements act as zero there), and the
@@ -166,14 +163,24 @@ def invariants(action, p, q):
             for half, shift, rest in ((mx, 0, my << n), (my, n, mx)):
                 for m2, v in images[half].items():
                     eqs.setdefault((a, m2 << shift | rest), {})[j] = v
-    return [ExtElement(alg, {w0[j]: c for j, c in row.items()})
-            for row in kernel_basis(list(eqs.values()), len(w0))]
+    return [({w0[j]: c for j, c in chain([(piv, den)], row.items())}, den)
+            for piv, (row, den) in kernel_basis(list(eqs.values()),
+                                                len(w0)).items()]
+
+
+def invariant_basis(action, p, q):
+    """The canonical invariant basis of `invariants`, computed once per
+    action table and (p, q) and shared: callers must not change it."""
+    bases = action._invariant_bases
+    basis = bases.get((p, q))
+    if basis is None:
+        basis = bases[p, q] = invariants(action, p, q)
+    return basis
 
 
 def invariant_basis_elements(action, p, q):
-    """The canonical invariant basis of `invariants`, in a new list.  Each
-    (p, q) basis is computed once per action table."""
-    bases = action._invariant_bases
-    if (p, q) not in bases:
-        bases[p, q] = invariants(action, p, q)
-    return list(bases[p, q])
+    """The canonical invariant basis of `invariants` as ExtElements over
+    Fractions, in a new list: the rational values, for callers outside the
+    package.  The checks read the int terms of `invariant_basis`."""
+    return [ExtElement.from_ints(action.alg, terms, den)
+            for terms, den in invariant_basis(action, p, q)]

@@ -11,7 +11,8 @@ from chiralring.cdsw.core import IdealSpan, ideal_rows
 from chiralring.abideals import AbelianIdeal, is_abelian, is_ideal
 from chiralring import exactla
 from chiralring.exactla import _is_prime, addmul
-from chiralring.exterior import ExtElement, _bits, wedge_into
+from chiralring.exterior import (ExtElement, _bits, extract_xi_eta,
+                                 wedge_into)
 
 # Property tests draw the same examples on every run, and none is failed for
 # its time: the suite runs on small shared hosts.
@@ -85,6 +86,60 @@ def random_element(alg, rng, nterms=4, maxdeg=2):
     return ExtElement(alg, {m: c for m, c in terms.items() if c})
 
 
+def gen_x(alg, i):
+    """The generator x_i as an element."""
+    return ExtElement(alg, {1 << i: Fraction(1)})
+
+
+def gen_y(alg, i):
+    """The generator y_i as an element."""
+    return ExtElement(alg, {1 << (alg.n + i): Fraction(1)})
+
+
+def scalar(alg, c):
+    """The constant c as an element (no term when c is 0)."""
+    c = Fraction(c)
+    return ExtElement(alg, {0: c} if c else {})
+
+
+def sub(a, b):
+    """a - b of two elements."""
+    return ExtElement(a.alg, addmul(dict(a.terms), b.terms, -1))
+
+
+def bidegree(elem):
+    """The common bidegree of all terms of elem, or None if mixed or
+    zero."""
+    degs = {elem.alg.bidegree_of_mask(m) for m in elem.terms}
+    return degs.pop() if len(degs) == 1 else None
+
+
+def component(elem, p, q):
+    """The terms of elem of bidegree (p,q)."""
+    alg = elem.alg
+    return ExtElement(alg, {m: c for m, c in elem.terms.items()
+                            if alg.bidegree_of_mask(m) == (p, q)})
+
+
+def xi_eta(elem):
+    """The coefficient of xi^eta in elem (`exterior.extract_xi_eta`)."""
+    return ExtElement(elem.alg, extract_xi_eta(elem.alg, elem.terms))
+
+
+def entry(mat, i, j):
+    """Entry (i, j) of an OddMatrix as an exact element."""
+    return ExtElement.from_ints(mat.alg, mat.entries[i][j], mat.den)
+
+
+def act_on(action, a, elem):
+    """The even derivation of Lie basis element a applied to elem, term by
+    term through `ActionTable.act_mask`."""
+    out = {}
+    for mask, coeff in elem.terms.items():
+        addmul(out, action.act_mask(a, mask), coeff)
+    return ExtElement(action.alg, out)
+
+
 def fraction_S(ws):
     """S = sum_a x_a y^a over the form-dual basis, over Fractions from
     Binv = lie.form_inv: the reference for the workspace's int D * S."""
@@ -98,7 +153,7 @@ def fraction_S(ws):
 def power(elem, k):
     """elem^k over Fractions, wedged out from the constant 1: the
     reference for the library's int S powers (`cdsw.core.s_power`)."""
-    r = elem.alg.one()
+    r = scalar(elem.alg, 1)
     for _ in range(k):
         r = r.wedge(elem)
     return r
@@ -295,16 +350,16 @@ def span(elements, component=None, columns=None):
         if not elements:
             return IdealSpan((), component, ())
         alg = elements[0].alg
-        p, q = component if component is not None else elements[0].bidegree()
+        p, q = component if component is not None else bidegree(elements[0])
         alg.guard(p, q)
         columns = alg.component_masks(p, q)
         component = (p, q)
     for el in elements:
         if (component is not None and el.terms
-                and el.bidegree() != tuple(component)):
+                and bidegree(el) != tuple(component)):
             raise InhomogeneousInput("element of bidegree %s in component %s"
-                                     % (el.bidegree(), component))
-    return IdealSpan(columns, component, elements)
+                                     % (bidegree(el), component))
+    return IdealSpan(columns, component, [el.terms for el in elements])
 
 
 def fraction_relations(alg, lie):
@@ -338,8 +393,8 @@ def casimir(action, elem):
         inner = {}
         for b, c in enumerate(lie.form_inv[a]):
             if c:
-                addmul(inner, action.act(b, elem).terms, c)
-        addmul(out, action.act(a, ExtElement(action.alg, inner)).terms)
+                addmul(inner, act_on(action, b, elem).terms, c)
+        addmul(out, act_on(action, a, ExtElement(action.alg, inner)).terms)
     return ExtElement(action.alg, out)
 
 
@@ -412,7 +467,7 @@ def eval_poly_grassmann(poly, values, alg):
     every monomial wedged out from the constant 1."""
     total = {}
     for e, c in poly.items():
-        term = alg.one()
+        term = scalar(alg, 1)
         for i, k in enumerate(e):
             for _ in range(k):
                 term = term.wedge(values[i])

@@ -16,7 +16,7 @@ from chiralring.cdsw.core import (IdealSpan, ideal_weight_zero, ideal_rows,
                                   invariants_of_quotient, relations,
                                   check_S_power, check_part_i, s_power,
                                   XX, XY, YY, OFFDIAGONAL_SPOT_CHECKS,
-                                  _FAMILY_DEGREE)
+                                  _FAMILY_DEGREE, _images)
 from chiralring.exterior import (ComponentTooLarge, ExtElement,
                                  GrassmannAlgebra, WrongComponent)
 from chiralring.abideals import enumerate_abelian_ideals, poincare_series
@@ -24,10 +24,10 @@ from chiralring.cdsw.hats import (check_conj_c1, check_conj_c2_c3,
                                   hat_monomials)
 from chiralring.liemodule import invariant_basis_elements
 from chiralring.rootsystem.reps import trace_power_degrees
-from conftest import (canonical_ideal_span, chevalley_generator_indices,
-                      chevalley_xy, eliminated_over, fraction_relations,
-                      fraction_S, power, span_basis_elements, span_columns,
-                      swap_xy,
+from conftest import (act_on, bidegree, canonical_ideal_span,
+                      chevalley_generator_indices, chevalley_xy, component,
+                      eliminated_over, entry, fraction_relations, fraction_S,
+                      power, span_basis_elements, span_columns, swap_xy,
                       use_seed_primes)
 
 
@@ -43,7 +43,8 @@ def ideal_component(ws, families, p, q):
             continue
         for rel in ws.rels.family(fam):
             for m in alg.component_masks(p - dp, q - dq):
-                products.append(rel.wedge(ExtElement(alg, {m: Fraction(1)})))
+                products.append(
+                    rel.wedge(ExtElement(alg, {m: Fraction(1)})).terms)
     return IdealSpan(alg.component_masks(p, q), (p, q), products)
 
 
@@ -73,19 +74,20 @@ def swap_membership_invariance(ws, k):
     direct = check_S_power(ws, k)
     sub = ideal_weight_zero(ws, (XX, XY, YY), k, k)
     sk = power(fraction_S(ws), k)
-    return direct["contained"] == sub.contains(swap_xy(sk))
+    return direct["contained"] == sub.contains(swap_xy(sk).terms)
 
 
 def family_equivariance(ws, family):
-    """Every act(a, r) for r in a relation family stays in the family span:
+    """Every act_on(a, r) for r in a relation family stays in the family span:
     the families are adjoint copies."""
     rels = [r for r in ws.rels.family(family) if not r.is_zero()]
     p, q = _FAMILY_DEGREE[family]
-    sub = IdealSpan(ws.alg.component_masks(p, q), (p, q), rels)
+    sub = IdealSpan(ws.alg.component_masks(p, q), (p, q),
+                    [r.terms for r in rels])
     for r in rels:
         for a in chevalley_generator_indices(ws.lie):
-            img = ws.action.act(a, r)
-            if not img.is_zero() and not sub.contains(img):
+            img = act_on(ws.action, a, r)
+            if not img.is_zero() and not sub.contains(img.terms):
                 return False
     return True
 
@@ -93,11 +95,11 @@ def family_equivariance(ws, family):
 def test_relation_counts_and_degrees(ws_sl2):
     rels = ws_sl2.rels
     for rel in rels.xx_relations:
-        assert rel.is_zero() or rel.bidegree() == (2, 0)
+        assert rel.is_zero() or bidegree(rel) == (2, 0)
     for rel in rels.xy_relations:
-        assert rel.is_zero() or rel.bidegree() == (1, 1)
+        assert rel.is_zero() or bidegree(rel) == (1, 1)
     for rel in rels.yy_relations:
-        assert rel.is_zero() or rel.bidegree() == (0, 2)
+        assert rel.is_zero() or bidegree(rel) == (0, 2)
 
 
 def test_sl2_relation_ranks(ws_sl2):
@@ -129,17 +131,17 @@ def test_rho_image_cross_check(ws_sl2, ws_sl3):
             sub = ideal_component(ws, (fam,), p, q)
             for i in range(mat.size):
                 for j in range(mat.size):
-                    e = mat.entry(i, j)
+                    e = entry(mat, i, j)
                     if not e.is_zero():
-                        assert sub.contains(e)
+                        assert sub.contains(e.terms)
 
 
 def test_S_invariance_and_bidegree(ws_sl2, ws_sl3, ws_so5):
     for ws in (ws_sl2, ws_sl3, ws_so5):
         S = ws.s_powers[1]
-        assert S.bidegree() == (1, 1)
+        assert bidegree(S) == (1, 1)
         for a in range(ws.lie.dim):
-            assert ws.action.act(a, S).is_zero()
+            assert act_on(ws.action, a, S).is_zero()
 
 
 def test_trace_proportionality_constants(ws_sl2, ws_sl3, ws_so5):
@@ -165,7 +167,7 @@ def test_trace_representation_fixed_by_type(key, label, size, constant):
 
 def test_S_not_in_relation_span(ws_sl2):
     sub = ideal_component(ws_sl2, (XX, XY, YY), 1, 1)
-    assert not sub.contains(fraction_S(ws_sl2))
+    assert not sub.contains(fraction_S(ws_sl2).terms)
 
 
 def test_sl2_S_powers(ws_sl2):
@@ -184,12 +186,12 @@ def test_weight_zero_slice_rejects_term_of_nonzero_weight(ws_sl3):
     instead of answering "not in I"."""
     sub = ideal_weight_zero(ws_sl3, (XX, XY, YY), 3, 3)
     s3 = power(fraction_S(ws_sl3), 3)
-    assert sub.contains(s3)
+    assert sub.contains(s3.terms)
     action = ws_sl3.action
     mask = next(m for m in ws_sl3.alg.component_masks(3, 3)
                 if action.mask_weight(m) != action.zero_weight)
     with pytest.raises(WrongComponent):
-        sub.contains(s3 + ExtElement(ws_sl3.alg, {mask: Fraction(1)}))
+        sub.contains((s3 + ExtElement(ws_sl3.alg, {mask: Fraction(1)})).terms)
 
 
 def test_so5_S_powers(ws_so5):
@@ -247,9 +249,9 @@ def test_S_powers_built_once_per_workspace(so5, monkeypatch):
 
 def test_component_of_S_power_is_homogeneous(ws_sl2):
     s2 = power(fraction_S(ws_sl2), 2)
-    assert s2.component(2, 2) == s2
-    assert s2.component(1, 1).is_zero()
-    assert s2.bidegree() == (2, 2)
+    assert component(s2, 2, 2) == s2
+    assert component(s2, 1, 1).is_zero()
+    assert bidegree(s2) == (2, 2)
 
 
 def test_regression_ideal_ranks(ws_sl2, ws_sl3):
@@ -271,13 +273,13 @@ def test_full_component_agrees_with_weight_zero_slice(ws_sl3):
     from chiralring.cdsw.core import ideal_weight_zero
     full = ideal_component(ws_sl3, (XX, XY, YY), 2, 2)
     w0 = ideal_weight_zero(ws_sl3, (XX, XY, YY), 2, 2)
-    s2 = power(fraction_S(ws_sl3), 2)
+    s2 = power(fraction_S(ws_sl3), 2).terms
     assert full.contains(s2) == w0.contains(s2) == False
-    h = power(fraction_S(ws_sl3), 2).scale(3)
+    h = power(fraction_S(ws_sl3), 2).scale(3).terms
     assert full.contains(h) == w0.contains(h)
     # every weight-zero echelon row of each part lies in the full span
     for el in span_basis_elements(ws_sl3.alg, w0):
-        assert full.contains(el)
+        assert full.contains(el.terms)
 
 
 def test_part_i_sl2(ws_sl2):
@@ -357,7 +359,7 @@ def test_algebra_data_are_plain_ints(key):
         assert all(ints(rel.terms.values()) for rel in ws.rels.family(fam))
     rows = list(ideal_rows(ws, (XX, XY, YY), 2, 2, action.zero_weight))
     assert rows
-    assert all(ints(row.terms.values()) for row in rows)
+    assert all(ints(row.values()) for row in rows)
 
 
 def test_modular_exact_agreement(monkeypatch, ws_sl2, ws_sl3, ws_so5):
@@ -406,10 +408,11 @@ def test_cached_span_is_shared_and_unchanged(so5):
     first = ideal_weight_zero(ws, (XX, YY), 2, 2)
     rank, rows = first.rank, [part.basis_rows() for part in first.parts]
     assert 0 < rank < len(first.columns)
-    monomials = [ExtElement(ws.alg, {m: 1}) for m in first.columns]
+    monomials = [{m: 1} for m in first.columns]
     quot = first.quotient(monomials)
     assert rank + quot.rank == len(first.columns)
-    assert quot.contains(first.normal_form(power(fraction_S(ws), 2))[0])
+    assert quot.contains(
+        first.normal_form(power(fraction_S(ws), 2).terms)[0])
     assert [first.contains(m) for m in monomials].count(False) > 0
     again = ideal_weight_zero(ws, (XX, YY), 2, 2)
     assert again is first
@@ -465,9 +468,9 @@ def test_equivariance_of_ideal_spans(ws_sl2):
     sub = ideal_component(ws_sl2, (XX, XY, YY), 2, 2)
     for el in span_basis_elements(ws_sl2.alg, sub):
         for a in chevalley_generator_indices(ws_sl2.lie):
-            img = ws_sl2.action.act(a, el)
+            img = act_on(ws_sl2.action, a, el)
             if not img.is_zero():
-                assert sub.contains(img)
+                assert sub.contains(img.terms)
 
 
 @pytest.fixture(scope="module", params=[("A", 2), ("B", 2), ("G", 2)],
@@ -487,7 +490,7 @@ def test_ideal_rows_match_wedge_reference(ws_rank2, p, q):
         for families in ((XX,), (XY,), (YY,), (XX, XY, YY)):
             got = list(ideal_rows(ws, families, p, q, weight))
             want = reference_ideal_rows(ws, families, p, q, weight)
-            assert [r.terms for r in got] == [r.terms for r in want]
+            assert got == [r.terms for r in want]
             assert bool(got) == (families != (YY,) or (p, q) != (2, 1))
 
 
@@ -551,9 +554,10 @@ def test_count_order_matches_canonical_order(request, name, spans):
         assert len(got.parts) == (4 if p == q else 2), why
         assert got.rank == want.rank, why
         if p == q:
-            sk = power(fraction_S(ws), p)
+            sk = power(fraction_S(ws), p).terms
             assert got.contains(sk) == want.contains(sk), why
-        batches = [invariant_basis_elements(ws.action, p, q)]
+        batches = [[e.terms for e in
+                    invariant_basis_elements(ws.action, p, q)]]
         if families == HALF and p == q and 0 < p <= ws.g:
             hat_batches, others, p1_power = _hat_batches(ws, p)
             batches += hat_batches
@@ -599,12 +603,12 @@ def test_split_membership_matches_oracle(ws_sl2, ws_sl3, ws_so5, data):
         picked = data.draw(st.lists(st.tuples(st.sampled_from(rows), coeffs),
                                     max_size=4)) if rows else []
         picked += data.draw(st.lists(st.tuples(
-            st.sampled_from(span.columns).map(
-                lambda m: ExtElement(ws.alg, {m: 1})), coeffs), max_size=3))
+            st.sampled_from(span.columns).map(lambda m: {m: 1}), coeffs),
+            max_size=3))
         terms = {}
         for row, c in picked:
-            addmul(terms, row.terms, c)
-        return ExtElement(ws.alg, terms)
+            addmul(terms, row, c)
+        return terms
 
     def normal_form(elem):
         w, den = span.normal_form(elem)
@@ -618,8 +622,67 @@ def test_split_membership_matches_oracle(ws_sl2, ws_sl3, ws_so5, data):
     assert quot.rank == grown.rank - oracle.rank
     assert quot.contains(span.normal_form(elem)[0]) == grown.contains(elem)
     other, a, b = element(), data.draw(coeffs), data.draw(coeffs)
-    assert normal_form(elem.scale(a) + other.scale(b)) == addmul(
+    assert normal_form(addmul(addmul({}, elem, a), other, b)) == addmul(
         addmul({}, normal_form(elem), a), normal_form(other), b)
+
+
+@given(data=st.data())
+def test_span_answers_do_not_depend_on_scale(ws_sl3, data):
+    """A span of random int rows over the A2 (1,1) weight-zero masks,
+    closed under the Chevalley involution and the swap (four parts), gives
+    the same rank, memberships and quotient ranks for the int terms, for
+    the same terms as Fractions over a random denominator, and for a
+    positive multiple of them, drawn per row and per element.  `split`
+    hands the terms on as they are, and each part's Echelon clears them on
+    its own."""
+    symmetries = (ws_sl3.chevalley, ws_sl3.swap)
+    columns = ws_sl3.action.weight_masks(1, 1, ws_sl3.action.zero_weight)
+    terms = st.dictionaries(st.sampled_from(columns),
+                            st.sampled_from([-6, -4, -3, -2, -1, 1, 2, 3,
+                                             4, 6]),
+                            min_size=1, max_size=4)
+
+    def closed(row):
+        images = {}
+        for m, c in row.items():
+            for g, image, sign in _images(symmetries, m):
+                images.setdefault(g, {})[image] = sign * c
+        return list(images.values())
+
+    rows = [r for row in data.draw(st.lists(terms, max_size=3))
+            for r in closed(row)]
+    # some elements are combinations of others, so the quotient is not
+    # generically of full rank
+    elems = data.draw(st.lists(terms, min_size=1, max_size=3))
+    for cs in data.draw(st.lists(st.lists(st.integers(-2, 2),
+                                          min_size=len(elems),
+                                          max_size=len(elems)),
+                                 max_size=2)):
+        combo = {}
+        for c, e in zip(cs, elems):
+            addmul(combo, e, c)
+        elems.append(combo)
+
+    def over(ts):
+        dens = data.draw(st.lists(st.sampled_from([2, 3, 4, 6, 12, 60]),
+                                  min_size=len(ts), max_size=len(ts)))
+        return [{m: Fraction(c, den) for m, c in t.items()}
+                for t, den in zip(ts, dens)]
+
+    def times(ts):
+        ks = data.draw(st.lists(st.integers(1, 60), min_size=len(ts),
+                                max_size=len(ts)))
+        return [{m: k * c for m, c in t.items()} for t, k in zip(ts, ks)]
+
+    def answers(rows, elems):
+        span = IdealSpan(columns, (1, 1), rows, symmetries)
+        assert len(span.parts) == 4
+        return (span.rank, [span.contains(e) for e in elems],
+                span.quotient(elems).rank)
+
+    want = answers(rows, elems)
+    assert answers(over(rows), over(elems)) == want
+    assert answers(times(rows), times(elems)) == want
 
 
 def test_checks_leave_cached_spans_unchanged(so5):
@@ -728,11 +791,13 @@ def test_swap_unstable_batch_grows_as_oracle(ws_sl3):
     unstable = [v for v in inv
                 if swap_xy(v) != v and swap_xy(v) != v.scale(-1)]
     assert len(unstable) == 2
-    row = next(ideal_rows(ws_sl3, (XX,), 2, 2, ws_sl3.action.zero_weight))
+    row = ExtElement(ws_sl3.alg, next(
+        ideal_rows(ws_sl3, (XX,), 2, 2, ws_sl3.action.zero_weight)))
     kept = row + chevalley_xy(row, ws_sl3.lie)
     assert not kept.is_zero() and chevalley_xy(kept, ws_sl3.lie) == kept
     rank = span.rank
-    batches = [[v] for v in unstable] + [unstable, [kept], inv]
+    batches = [[v.terms for v in batch]
+               for batch in [[v] for v in unstable] + [unstable, [kept], inv]]
     growth = [span.quotient(batch).rank for batch in batches]
     assert growth == [oracle.quotient(batch).rank for batch in batches]
     assert growth == [1, 1, 1, 0, 1]
@@ -752,15 +817,16 @@ def test_chevalley_unstable_batch_grows_as_oracle(ws_sl3, families, p, q):
     span = ideal_weight_zero(ws_sl3, families, p, q)
     oracle = canonical_ideal_span(ws_sl3, families, p, q)
     assert len(span.parts) == 2
-    row = next(r for r in ideal_rows(ws_sl3, families, p, q,
-                                     ws_sl3.action.zero_weight)
+    row = next(r for r in (ExtElement(ws_sl3.alg, t) for t in ideal_rows(
+                   ws_sl3, families, p, q, ws_sl3.action.zero_weight))
                if chevalley_xy(r, lie) not in (r, r.scale(-1)))
     monomial = next(e for e in (ExtElement(ws_sl3.alg, {m: 1})
                                 for m in span.columns)
                     if chevalley_xy(e, lie) not in (e, e.scale(-1)))
     inv = invariant_basis_elements(ws_sl3.action, p, q)
     rank = span.rank
-    batches = [[row], [monomial], [row, monomial], inv]
+    batches = [[v.terms for v in batch]
+               for batch in ([row], [monomial], [row, monomial], inv)]
     growth = [span.quotient(batch).rank for batch in batches]
     assert growth == [oracle.quotient(batch).rank for batch in batches]
     assert growth[0] == 0 and growth[3] == (0 if q == 1 else 2)
@@ -824,7 +890,7 @@ def test_column_permutation_keeps_rank_and_membership(ws_sl2, ws_sl3,
     cached = ideal_weight_zero(ws, families, k, k)
     cols = data.draw(st.permutations(cached.columns))
     sub = canonical_ideal_span(ws, families, k, k, cols)
-    sk = power(fraction_S(ws), k)
+    sk = power(fraction_S(ws), k).terms
     assert sub.rank == cached.rank
     assert sub.contains(sk) == cached.contains(sk)
 

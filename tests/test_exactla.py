@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chiralring import exactla
-from chiralring.exterior import ExtElement, GrassmannAlgebra
+from chiralring.exterior import GrassmannAlgebra
 from chiralring.cdsw.core import IdealSpan
 from chiralring.exterior import ComponentTooLarge, WrongComponent
 from chiralring.exactla import (Echelon, FieldMode, kernel_basis, _is_prime,
-                                exact_primes, rational_reconstruction,
+                                _fractions, exact_primes,
+                                rational_reconstruction,
                                 CertificateFailure, CERTIFICATE_PRIMES,
                                 PRIME_BOUND)
-from conftest import (FractionRREF, InhomogeneousInput, dense_rref,
-                      kernel_of, minimal_polynomial, primes_below,
-                      seed_primes, span)
+from conftest import (dense_rref, FractionRREF, gen_x, gen_y,
+                      InhomogeneousInput, kernel_of, minimal_polynomial,
+                      primes_below, seed_primes, span)
 
 
 def _random_rows(rng, nrows, ncols, density=0.4):
@@ -69,7 +70,7 @@ def test_contains_every_input():
         elements.append(ExtElement(alg, {m: c for m, c in terms.items() if c}))
     sub = span(elements, component=(1, 1))
     for el in elements:
-        assert sub.contains(el)
+        assert sub.contains(el.terms)
 
 
 def test_rank_independent_of_order():
@@ -89,18 +90,18 @@ def test_rank_independent_of_order():
 
 def test_span_contains_and_reconstruction():
     alg = GrassmannAlgebra(3)
-    x1y1 = alg.x(0).wedge(alg.y(0))
-    x2y2 = alg.x(1).wedge(alg.y(1))
+    x1y1 = gen_x(alg, 0).wedge(gen_y(alg, 0))
+    x2y2 = gen_x(alg, 1).wedge(gen_y(alg, 1))
     sub = span([x1y1, x1y1.scale(2)], component=(1, 1))
     assert sub.rank == 1
-    assert sub.contains(x1y1)
-    assert not sub.contains(x2y2)
+    assert sub.contains(x1y1.terms)
+    assert not sub.contains(x2y2.terms)
     empty = span([], component=(1, 1), columns=alg.component_masks(1, 1))
     assert empty.rank == 0
     # reconstruction: reduce-to-zero implies an exact combination exists
     sub2 = span([x1y1 + x2y2, x2y2], component=(1, 1))
     v = x1y1.scale(3) + x2y2.scale(5)
-    assert sub2.contains(v)
+    assert sub2.contains(v.terms)
     # the RREF is read in the span's own column order, through place
     rows = sub2.parts[0].basis_rows()
     cols = sub2.columns
@@ -116,21 +117,22 @@ def test_span_contains_and_reconstruction():
 
 def test_span_rejects_inhomogeneous():
     alg = GrassmannAlgebra(3)
-    bad = alg.x(0).wedge(alg.y(0)) + alg.x(0).wedge(alg.x(1))
+    bad = (gen_x(alg, 0).wedge(gen_y(alg, 0))
+           + gen_x(alg, 0).wedge(gen_x(alg, 1)))
     with pytest.raises(InhomogeneousInput):
         span([bad], component=(1, 1), columns=alg.component_masks(1, 1))
 
 
 def test_wrong_component():
     alg = GrassmannAlgebra(3)
-    sub = span([alg.x(0).wedge(alg.y(0))], component=(1, 1))
+    sub = span([gen_x(alg, 0).wedge(gen_y(alg, 0))], component=(1, 1))
     with pytest.raises(WrongComponent):
-        sub.contains(alg.x(0).wedge(alg.x(1)))
+        sub.contains(gen_x(alg, 0).wedge(gen_x(alg, 1)).terms)
 
 
 def test_quotient_dim():
     alg = GrassmannAlgebra(3)
-    elements = [alg.x(i).wedge(alg.y(i)) for i in range(3)]
+    elements = [gen_x(alg, i).wedge(gen_y(alg, i)) for i in range(3)]
     sub = span(elements, component=(1, 1))
     assert sub.rank == 3
 
@@ -142,8 +144,9 @@ def test_memory_guard():
     small = GrassmannAlgebra(14, 14 * 14 - 1)
     alg = GrassmannAlgebra(14, 14 * 14)
     with pytest.raises(ComponentTooLarge):
-        span([small.x(0).wedge(small.y(0))], component=(1, 1))
-    assert span([alg.x(0).wedge(alg.y(0))], component=(1, 1)).rank == 1
+        span([gen_x(small, 0).wedge(gen_y(small, 0))], component=(1, 1))
+    assert span([gen_x(alg, 0).wedge(gen_y(alg, 0))],
+                component=(1, 1)).rank == 1
 
 
 def test_modular_rank_matches_exact(monkeypatch):
@@ -171,11 +174,11 @@ def test_modular_membership_with_fractions():
     """Rows and queries with fractional coefficients: denominators are
     cleared before the elimination mod p, so membership is exact."""
     alg = GrassmannAlgebra(3)
-    x1y1 = alg.x(0).wedge(alg.y(0)).scale(Fraction(2, 3))
-    queries = [x1y1.scale(Fraction(7, 11)), alg.x(1).wedge(alg.y(1)),
-               x1y1 + alg.x(1).wedge(alg.y(1))]
+    x1y1 = gen_x(alg, 0).wedge(gen_y(alg, 0)).scale(Fraction(2, 3))
+    queries = [x1y1.scale(Fraction(7, 11)), gen_x(alg, 1).wedge(gen_y(alg, 1)),
+               x1y1 + gen_x(alg, 1).wedge(gen_y(alg, 1))]
     sub = span([x1y1], component=(1, 1))
-    assert [sub.contains(q) for q in queries] == [True, False, False]
+    assert [sub.contains(q.terms) for q in queries] == [True, False, False]
 
 
 def test_modular_prime_collapse_gives_exact_rank(monkeypatch):
@@ -185,19 +188,19 @@ def test_modular_prime_collapse_gives_exact_rank(monkeypatch):
     p1 = seed_primes(3, 1)[0]
     monkeypatch.setattr(exactla, "exact_primes",
                         primes_below(PRIME_BOUND, [p1]))
-    x1y1 = alg.x(0).wedge(alg.y(0))
-    x2y2 = alg.x(1).wedge(alg.y(1))
+    x1y1 = gen_x(alg, 0).wedge(gen_y(alg, 0))
+    x2y2 = gen_x(alg, 1).wedge(gen_y(alg, 1))
     rows = [x1y1 + x2y2, x1y1 + x2y2.scale(1 + p1)]
-    sub = IdealSpan(alg.component_masks(1, 1), (1, 1), rows)
+    sub = IdealSpan(alg.component_masks(1, 1), (1, 1), [r.terms for r in rows])
     assert sub.rank == 2
-    assert sub.contains(x1y1) and sub.contains(x2y2)
+    assert sub.contains(x1y1.terms) and sub.contains(x2y2.terms)
     assert sub.parts[0].p != p1
 
 
 def test_kernel_basis():
     # kernel of [[1,2,0],[0,0,1]] is spanned by (-2,1,0)
     rows = [{0: Fraction(1), 1: Fraction(2)}, {2: Fraction(1)}]
-    basis = kernel_basis(rows, 3)
+    basis = _fractions(kernel_basis(rows, 3))
     assert len(basis) == 1
     vec = basis[0]
     for row in rows:
@@ -210,7 +213,7 @@ def test_kernel_random_dimension():
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
         rows = _random_rows(rng, nrows, ncols)
         sparse = [{j: v for j, v in enumerate(r) if v} for r in rows]
-        basis = kernel_basis(sparse, ncols)
+        basis = _fractions(kernel_basis(sparse, ncols))
         _, pivots = dense_rref(rows, ncols)
         assert len(basis) == ncols - len(pivots)
         for vec in basis:
@@ -362,7 +365,8 @@ def test_kernel_rejects_a_wrong_lift(monkeypatch, tamper):
             return (n + m * d, d) if m == first else (n, d)
     monkeypatch.setattr(exactla, tamper, tampered)
     rows = [{0: Fraction(1), 1: Fraction(2)}, {2: Fraction(1)}]
-    assert kernel_basis(rows, 3) == [{0: Fraction(1), 1: Fraction(-1, 2)}]
+    assert _fractions(kernel_basis(rows, 3)) == [
+        {0: Fraction(1), 1: Fraction(-1, 2)}]
     second = list(islice(exact_primes(), 2))[1]
     assert sorted(set(moduli)) == [first, first * second]
 
@@ -384,7 +388,7 @@ def test_kernel_takes_next_prime_when_rank_drops(monkeypatch):
     oracle = FractionRREF()
     for r in rows:
         oracle.insert(r)
-    assert kernel_basis(rows, 3) == _oracle_kernel(oracle, 3) == [
+    assert _fractions(kernel_basis(rows, 3)) == _oracle_kernel(oracle, 3) == [
         {2: Fraction(1)}]
     first, second = islice(exact_primes(), 2)
     assert moduli == [first, first, second]
@@ -416,7 +420,7 @@ def test_kernel_beyond_one_prime_eliminates_once(monkeypatch):
         oracle.insert(r)
     kernel = _oracle_kernel(oracle, 4)
     assert max(v.denominator for row in kernel for v in row.values()) == 39999
-    assert kernel_basis(rows, 4) == kernel
+    assert _fractions(kernel_basis(rows, 4)) == kernel
     first, second = islice(exact_primes(), 2)
     assert moduli == [first, first, first * second]
     # two equations once, and two kernel vectors over each prime
@@ -434,7 +438,7 @@ def test_kernel_gives_up_after_its_primes(monkeypatch):
     with pytest.raises(CertificateFailure):
         kernel_basis(rows, 3)
     monkeypatch.setattr(exactla, "CERTIFICATE_PRIMES", CERTIFICATE_PRIMES + 1)
-    assert kernel_basis(rows, 3) == [{2: Fraction(1)}]
+    assert _fractions(kernel_basis(rows, 3)) == [{2: Fraction(1)}]
 
 
 def test_full_rank_stops_reducing(monkeypatch):
@@ -578,12 +582,13 @@ def test_certified_exact_mode_matches_fraction_oracle(below, first, data):
             ech.insert(r)
         assert ech.basis_rows() == oracle.basis_rows()
         assert ech.rank == oracle.rank
-        assert kernel_basis(rows, ncols) == _oracle_kernel(oracle, ncols)
+        assert (_fractions(kernel_basis(rows, ncols))
+                == _oracle_kernel(oracle, ncols))
         for q in queries + rows:
             assert ech.contains(q) == oracle.contains(q)
 
         def elem(vec):
-            return ExtElement(_ALG, {_COLUMNS[j]: c for j, c in vec.items()})
+            return {_COLUMNS[j]: c for j, c in vec.items()}
 
         # the span of the first batch, and its quotient by the second
         first = IdealSpan(_COLUMNS[:ncols], (1, 1),
@@ -643,7 +648,8 @@ def test_batch_order_changes_no_answer(data):
     assert batched.grew == given_order.grew == batched.rank
     for q in queries + rows:
         assert batched.contains(q) == given_order.contains(q)
-    assert kernel_basis(rows, ncols) == _oracle_kernel(given_order, ncols)
+    assert (_fractions(kernel_basis(rows, ncols))
+            == _oracle_kernel(given_order, ncols))
 
     head, staged = Echelon(), _CountingEchelon()
     for r in rows[:split]:
@@ -654,7 +660,7 @@ def test_batch_order_changes_no_answer(data):
     assert staged.grew == staged.rank == batched.rank
 
     def elem(vec):
-        return ExtElement(_ALG, {_COLUMNS[j]: c for j, c in vec.items()})
+        return {_COLUMNS[j]: c for j, c in vec.items()}
 
     first = IdealSpan(_COLUMNS[:ncols], (1, 1), map(elem, rows[:split]))
     assert first.rank == head.rank
@@ -686,8 +692,7 @@ def test_batches_enter_by_descending_leading_column(monkeypatch):
             for r in _random_rows(rng, 12, 9)]
     kernel_basis(rows, 9)
     IdealSpan(_COLUMNS, (1, 1),
-              [ExtElement(_ALG, {_COLUMNS[j]: c for j, c in r.items()})
-               for r in rows if r])
+              [{_COLUMNS[j]: c for j, c in r.items()} for r in rows if r])
     ws = Workspace(chevalley_data(build_root_system("A", 2)))
     ideal_weight_zero(ws, (XX, XY, YY), 2, 2)
     invariants(ws.action, 2, 2)

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from chiralring.exterior import (GrassmannAlgebra, ExtElement, OddMatrix,
                                  SizeMismatch, suffix_parity, swap_terms,
                                  term_key, wedge_into)
-from conftest import matrix_trace, random_element, swap_xy
+from conftest import (bidegree, component, entry, gen_x, gen_y, matrix_trace,
+                      random_element, scalar, sub, swap_xy, xi_eta)
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +46,7 @@ def _to_model(el):
 
 def test_generator_squares_and_anticommute():
     alg = GrassmannAlgebra(4)
-    x1, x2 = alg.x(0), alg.x(1)
+    x1, x2 = gen_x(alg, 0), gen_x(alg, 1)
     assert x1.wedge(x1).is_zero()
     assert x1.wedge(x2) == x2.wedge(x1).scale(-1)
 
@@ -53,10 +54,10 @@ def test_generator_squares_and_anticommute():
 def test_spec_example_mixed_product():
     # (x1 + y1)(x1 - y1) = -2 x1^y1
     alg = GrassmannAlgebra(2)
-    u = alg.x(0) + alg.y(0)
-    v = alg.x(0) - alg.y(0)
+    u = gen_x(alg, 0) + gen_y(alg, 0)
+    v = sub(gen_x(alg, 0), gen_y(alg, 0))
     prod = u.wedge(v)
-    expected = alg.x(0).wedge(alg.y(0)).scale(-2)
+    expected = gen_x(alg, 0).wedge(gen_y(alg, 0)).scale(-2)
     assert prod == expected
 
 
@@ -127,42 +128,43 @@ def test_graded_commutativity():
 
 def test_bidegree_additive():
     alg = GrassmannAlgebra(4)
-    u = alg.x(0).wedge(alg.y(1))
-    v = alg.x(2)
-    assert u.bidegree() == (1, 1)
-    assert u.wedge(v).bidegree() == (2, 1)
-    assert alg.xi().bidegree() == (1, 0)
-    assert alg.eta().bidegree() == (0, 1)
-    assert alg.xi().wedge(alg.y(0)).bidegree() == (1, 1)
+    u = gen_x(alg, 0).wedge(gen_y(alg, 1))
+    v = gen_x(alg, 2)
+    assert bidegree(u) == (1, 1)
+    assert bidegree(u.wedge(v)) == (2, 1)
+    assert bidegree(alg.xi()) == (1, 0)
+    assert bidegree(alg.eta()) == (0, 1)
+    assert bidegree(alg.xi().wedge(gen_y(alg, 0))) == (1, 1)
 
 
 def test_component_extraction():
     alg = GrassmannAlgebra(3)
-    u = alg.x(0).wedge(alg.y(0)) + alg.x(0).wedge(alg.x(1))
-    assert u.component(1, 1) == alg.x(0).wedge(alg.y(0))
-    assert u.component(2, 0) == alg.x(0).wedge(alg.x(1))
-    assert u.component(0, 2).is_zero()
+    u = gen_x(alg, 0).wedge(gen_y(alg, 0)) + gen_x(alg, 0).wedge(gen_x(alg, 1))
+    assert component(u, 1, 1) == gen_x(alg, 0).wedge(gen_y(alg, 0))
+    assert component(u, 2, 0) == gen_x(alg, 0).wedge(gen_x(alg, 1))
+    assert component(u, 0, 2).is_zero()
 
 
 def test_extract_xi_eta():
     alg = GrassmannAlgebra(3)
-    assert alg.xi().wedge(alg.eta()).extract_xi_eta() == alg.one()
-    assert alg.eta().wedge(alg.xi()).extract_xi_eta() == alg.scalar(-1)
-    assert alg.x(0).extract_xi_eta().is_zero()
-    u = alg.x(0).wedge(alg.xi()).wedge(alg.eta())
-    assert u.extract_xi_eta() == alg.x(0)
+    assert xi_eta(alg.xi().wedge(alg.eta())) == scalar(alg, 1)
+    assert xi_eta(alg.eta().wedge(alg.xi())) == scalar(alg, -1)
+    assert xi_eta(gen_x(alg, 0)).is_zero()
+    u = gen_x(alg, 0).wedge(alg.xi()).wedge(alg.eta())
+    assert xi_eta(u) == gen_x(alg, 0)
     # xi-only and eta-only terms are dropped
-    v = alg.x(0).wedge(alg.xi()) + alg.y(1).wedge(alg.eta())
-    assert v.extract_xi_eta().is_zero()
+    v = gen_x(alg, 0).wedge(alg.xi()) + gen_y(alg, 1).wedge(alg.eta())
+    assert xi_eta(v).is_zero()
 
 
 def test_serialization_golden():
     alg = GrassmannAlgebra(4)
-    assert str(alg.zero()) == "0"
-    assert str(alg.scalar(Fraction(-7, 3))) == "-7/3"
-    el = alg.x(0).wedge(alg.y(2)).scale(-2)
+    assert str(scalar(alg, 0)) == "0"
+    assert str(scalar(alg, Fraction(-7, 3))) == "-7/3"
+    el = gen_x(alg, 0).wedge(gen_y(alg, 2)).scale(-2)
     assert str(el) == "-2 x1^y3"
-    el2 = alg.x(1) + alg.x(0).wedge(alg.y(2)).scale(Fraction(1, 2))
+    el2 = gen_x(alg, 1) + gen_x(alg, 0).wedge(gen_y(alg, 2)).scale(
+        Fraction(1, 2))
     assert str(el2) == "1/2 x1^y3 + 1 x2"
     assert str(alg.xi().wedge(alg.eta())) == "1 xi^eta"
 
@@ -175,14 +177,14 @@ def test_swap_involution():
         v = random_element(alg, rng)
         assert swap_xy(swap_xy(u)) == u
         assert swap_xy(u.wedge(v)) == swap_xy(u).wedge(swap_xy(v))
-    assert swap_xy(alg.x(0)) == alg.y(0)
+    assert swap_xy(gen_x(alg, 0)) == gen_y(alg, 0)
     assert swap_xy(alg.xi()) == alg.eta()
 
 
 def test_oddmatrix_trace_identity():
     alg = GrassmannAlgebra(2)
     ident = OddMatrix.identity(alg, 3)
-    assert matrix_trace(ident) == alg.scalar(3)
+    assert matrix_trace(ident) == scalar(alg, 3)
 
 
 def test_oddmatrix_matmul_associative():
@@ -198,7 +200,7 @@ def test_oddmatrix_matmul_associative():
         rhs = a.matmul(b.matmul(c))
         for i in range(size):
             for j in range(size):
-                assert lhs.entry(i, j) == rhs.entry(i, j)
+                assert entry(lhs, i, j) == entry(rhs, i, j)
 
 
 def test_oddmatrix_trace_cyclicity_graded():
@@ -242,8 +244,8 @@ def _model_entry(a, b, i, j):
     """Entry (i, j) of the product a . b by the model, over Fractions."""
     want = {}
     for k in range(a.size):
-        for key, c in _model_mul(_to_model(a.entry(i, k)),
-                                 _to_model(b.entry(k, j))).items():
+        for key, c in _model_mul(_to_model(entry(a, i, k)),
+                                 _to_model(entry(b, k, j))).items():
             want[key] = want.get(key, 0) + c
     return {key: c for key, c in want.items() if c}
 
@@ -255,7 +257,7 @@ def test_matmul_entries_match_model(pair):
     prod = a.matmul(b)
     for i in range(a.size):
         for j in range(a.size):
-            assert _to_model(prod.entry(i, j)) == _model_entry(a, b, i, j)
+            assert _to_model(entry(prod, i, j)) == _model_entry(a, b, i, j)
 
 
 # entries with denominators 1..6, so each matrix has its own shared
@@ -288,13 +290,13 @@ def test_integer_entries_match_fraction_arithmetic(case):
     left = a.scale_left(elem)
     for i in range(a.size):
         for j in range(a.size):
-            assert a.entry(i, j) == rows_a[i][j]
+            assert entry(a, i, j) == rows_a[i][j]
             assert all(type(c) is int for c in prod.entries[i][j].values())
-            assert _to_model(prod.entry(i, j)) == _model_entry(a, b, i, j)
-            assert total.entry(i, j) == rows_a[i][j] + rows_b[i][j]
-            assert total7.entry(i, j) == \
+            assert _to_model(entry(prod, i, j)) == _model_entry(a, b, i, j)
+            assert entry(total, i, j) == rows_a[i][j] + rows_b[i][j]
+            assert entry(total7, i, j) == \
                 rows_a[i][j] + rows_b[i][j].scale(Fraction(1, 7))
-            assert left.entry(i, j) == elem.wedge(rows_a[i][j])
+            assert entry(left, i, j) == elem.wedge(rows_a[i][j])
     assert a.trace_product(b) == matrix_trace(prod)
     assert b.trace_product(a) == matrix_trace(b.matmul(a))
 
@@ -357,7 +359,7 @@ def test_swap_refuses_xi_eta():
     alg = GrassmannAlgebra(2)
     for aux in (alg.xi(), alg.eta()):
         with pytest.raises(ValueError):
-            swap_terms(alg.x(0).wedge(aux).terms, alg.n)
+            swap_terms(gen_x(alg, 0).wedge(aux).terms, alg.n)
 
 
 # entries of even total degree, which commute with each other
@@ -400,8 +402,8 @@ def test_matrix_swap_is_entrywise(case):
     prod, sprod = a.matmul(b).swap(), sa.matmul(b.swap())
     for i in range(a.size):
         for j in range(a.size):
-            assert sa.entry(i, j) == swap_xy(rows_a[i][j])
-            assert prod.entry(i, j) == sprod.entry(i, j)
+            assert entry(sa, i, j) == swap_xy(rows_a[i][j])
+            assert entry(prod, i, j) == entry(sprod, i, j)
 
 
 def test_size_mismatch():

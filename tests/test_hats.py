@@ -16,16 +16,16 @@ from chiralring.cdsw.hats import (hat_trace, hat_monomials, trace_z_power,
                                   check_conj_c2_c3, z_matrix, _hat_trace_ints)
 from chiralring.cli import CheckRunner
 from chiralring.rootsystem.reps import trace_power_degrees
-from conftest import (chevalley_generator_indices, eliminated_over,
-                      matrix_trace, fraction_S, power,
-                      use_seed_primes)
+from conftest import (act_on, bidegree, chevalley_generator_indices,
+                      eliminated_over, entry, fraction_S, matrix_trace, power,
+                      scalar, use_seed_primes)
 
 
 def test_hat_bidegrees(ws_sl3):
     for k in (2, 3):
         h = hat_trace(ws_sl3, k)
         assert h.degree_pair == (k - 1, k - 1)
-        assert h.value.is_zero() or h.value.bidegree() == (k - 1, k - 1)
+        assert h.value.is_zero() or bidegree(h.value) == (k - 1, k - 1)
 
 
 def test_hats_invariant(ws_sl2, ws_sl3, ws_so5):
@@ -33,7 +33,7 @@ def test_hats_invariant(ws_sl2, ws_sl3, ws_so5):
         for k in trace_power_degrees(ws.lie):
             h = hat_trace(ws, k)
             for a in chevalley_generator_indices(ws.lie):
-                assert ws.action.act(a, h.value).is_zero()
+                assert act_on(ws.action, a, h.value).is_zero()
 
 
 def test_hat_quadratic_is_multiple_of_S(ws_sl2, ws_sl3, ws_so5):
@@ -76,7 +76,7 @@ def test_trace_z_square_not_literally_zero(ws_sl2, ws_sl3):
         if nterms is not None:
             assert len(fz.terms) == nterms
         sub = ideal_weight_zero(ws, (XX, YY), 2, 2)
-        assert sub.contains(fz)
+        assert sub.contains(fz.terms)
 
 
 def _z_powers_by_products(ws, top):
@@ -96,7 +96,7 @@ def _d_trace_by_products(ws, k):
     pows = _z_powers_by_products(ws, k - 1)
     out = {}
     for arg, A in (("X", X), ("Y", Y)):
-        total = ws.alg.zero()
+        total = scalar(ws.alg, 0)
         for i in range(k):
             total = total + matrix_trace(
                 pows[i].matmul(A).matmul(pows[k - 1 - i]))
@@ -110,7 +110,7 @@ def _hat_trace_by_products(ws, k):
     swap; each trace is read from the diagonal of the last product."""
     X, Y = ws.xy_matrices()
     pows = _z_powers_by_products(ws, k - 2)
-    total = ws.alg.zero()
+    total = scalar(ws.alg, 0)
     for i in range(k - 1):
         prod = pows[i].matmul(X).matmul(pows[k - 2 - i])
         total = total + prod.trace_product(Y)
@@ -148,7 +148,7 @@ def test_y_chain_is_swapped_x_chain(request, fixture):
         xz, yz = X.matmul(zj).swap(), Y.matmul(zj)
         for a in range(X.size):
             for b in range(X.size):
-                assert xz.entry(a, b) == yz.entry(a, b), (j, a, b)
+                assert entry(xz, a, b) == entry(yz, a, b), (j, a, b)
 
 
 def test_degree_k_traces_build_powers_up_to_half_k(sl3):
@@ -219,7 +219,7 @@ def test_hat_checks_guard_before_expanding(sl3, monkeypatch, check, args, d):
 def test_d_trace_in_ideal_not_zero(ws_sl3):
     el = d_trace(ws_sl3, 3, "X")
     assert not el.is_zero()
-    assert el.bidegree() == (3, 2)
+    assert bidegree(el) == (3, 2)
 
 
 @pytest.mark.parametrize("pair", [(2, 2), (2, 3), (3, 3)])
@@ -269,7 +269,7 @@ def _hat_monomials_by_wedges(ws, degree, degrees):
     def rec(i, remaining, expo):
         if i == len(hats):
             if remaining == 0:
-                val = ws.alg.one()
+                val = scalar(ws.alg, 1)
                 for h, e in zip(hats, expo):
                     for _ in range(e):
                         val = val.wedge(h)
@@ -298,8 +298,8 @@ def test_hat_monomials_match_fraction_products(request, fixture):
         for e, val in got.items():
             scale = prod(den ** x for den, x in zip(dens, e))
             assert scale > 0
-            assert val == want[e].scale(scale), (d, e)
-            assert all(type(c) is int for c in val.terms.values())
+            assert val == want[e].scale(scale).terms, (d, e)
+            assert all(type(c) is int for c in val.values())
 
 
 def test_g2_prop_hat_guards_every_pair_first(monkeypatch):
@@ -386,4 +386,4 @@ def test_off_diagonal_invariants_vanish_in_double_quotient(ws_sl2, ws_sl3):
             if not inv:
                 continue
             sub = ideal_weight_zero(ws, (XX, YY), p, q)
-            assert sub.quotient(inv).rank == 0, (p, q)
+            assert sub.quotient(v.terms for v in inv).rank == 0, (p, q)

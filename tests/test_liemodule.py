@@ -9,10 +9,11 @@ from chiralring.exterior import (ComponentTooLarge, GrassmannAlgebra,
                                  ExtElement)
 from chiralring.liemodule import (ActionTable, invariants,
                                   invariant_basis_elements)
-from chiralring.exactla import Echelon
-from conftest import (random_element, casimir, casimir_matrix,
-                      chevalley_generator_indices, kernel_of,
-                      minimal_polynomial, _poly_divmod)
+from chiralring.exactla import Echelon, _fractions
+from conftest import (act_on, casimir, casimir_matrix,
+                      chevalley_generator_indices, gen_x, gen_y, kernel_of,
+                      minimal_polynomial, _poly_divmod, random_element, scalar,
+                      sub)
 
 
 @pytest.fixture(scope="module")
@@ -35,15 +36,16 @@ def test_cartan_weight_scaling(act_sl2):
     # h on a root generator scales by the pairing with the coroot
     e_idx = lie.e_index(lie.rs.simple_roots[0])
     h_idx = lie.h_index(0)
-    assert act_sl2.act(h_idx, alg.x(e_idx)) == alg.x(e_idx).scale(2)
-    assert act_sl2.act(h_idx, alg.y(e_idx)) == alg.y(e_idx).scale(2)
+    for gen in (gen_x, gen_y):
+        assert (act_on(act_sl2, h_idx, gen(alg, e_idx))
+                == gen(alg, e_idx).scale(2))
 
 
 def test_scalars_killed(act_sl2):
     for a in range(act_sl2.lie.dim):
-        assert act_sl2.act(a, act_sl2.alg.one()).is_zero()
-        assert act_sl2.act(a, act_sl2.alg.xi()).is_zero()
-        assert act_sl2.act(a, act_sl2.alg.eta()).is_zero()
+        assert act_on(act_sl2, a, scalar(act_sl2.alg, 1)).is_zero()
+        assert act_on(act_sl2, a, act_sl2.alg.xi()).is_zero()
+        assert act_on(act_sl2, a, act_sl2.alg.eta()).is_zero()
 
 
 def test_leibniz_random(act_sl3):
@@ -54,8 +56,9 @@ def test_leibniz_random(act_sl3):
         u = random_element(alg, rng, nterms=3, maxdeg=2)
         v = random_element(alg, rng, nterms=3, maxdeg=2)
         for a in gens:
-            lhs = act_sl3.act(a, u.wedge(v))
-            rhs = act_sl3.act(a, u).wedge(v) + u.wedge(act_sl3.act(a, v))
+            lhs = act_on(act_sl3, a, u.wedge(v))
+            rhs = (act_on(act_sl3, a, u).wedge(v)
+                   + u.wedge(act_on(act_sl3, a, v)))
             assert lhs == rhs
 
 
@@ -66,20 +69,20 @@ def test_bracket_compatibility_on_monomials(act_sl2):
         for b in range(lie.dim):
             for mask in masks:
                 m = ExtElement(alg, {mask: Fraction(1)})
-                lhs = act_sl2.act(a, act_sl2.act(b, m)) \
-                    - act_sl2.act(b, act_sl2.act(a, m))
-                rhs = alg.zero()
+                lhs = sub(act_on(act_sl2, a, act_on(act_sl2, b, m)),
+                          act_on(act_sl2, b, act_on(act_sl2, a, m)))
+                rhs = scalar(alg, 0)
                 for c, v in lie.bracket(a, b).items():
-                    rhs = rhs + act_sl2.act(c, m).scale(v)
+                    rhs = rhs + act_on(act_sl2, c, m).scale(v)
                 assert lhs == rhs
 
 
 def test_casimir_identity_on_generators(act_sl3):
     alg = act_sl3.alg
     for b in range(act_sl3.lie.dim):
-        assert casimir(act_sl3, alg.x(b)) == alg.x(b)
-        assert casimir(act_sl3, alg.y(b)) == alg.y(b)
-    assert casimir(act_sl3, alg.one()).is_zero()
+        assert casimir(act_sl3, gen_x(alg, b)) == gen_x(alg, b)
+        assert casimir(act_sl3, gen_y(alg, b)) == gen_y(alg, b)
+    assert casimir(act_sl3, scalar(alg, 1)).is_zero()
 
 
 def test_casimir_commutes_with_action(act_sl2):
@@ -87,8 +90,8 @@ def test_casimir_commutes_with_action(act_sl2):
     for _ in range(10):
         u = random_element(act_sl2.alg, rng)
         for a in range(act_sl2.lie.dim):
-            assert casimir(act_sl2, act_sl2.act(a, u)) == \
-                act_sl2.act(a, casimir(act_sl2, u))
+            assert casimir(act_sl2, act_on(act_sl2, a, u)) == \
+                act_on(act_sl2, a, casimir(act_sl2, u))
 
 
 def test_invariant_dimensions_sl2(act_sl2):
@@ -187,10 +190,10 @@ def test_invariants_live_on_weight_zero_slice(act_sl3):
     alg = act_sl3.alg
     basis = invariants(act_sl3, 2, 2)
     w0 = set(act_sl3.weight_masks(2, 2, act_sl3.zero_weight))
-    assert basis and all(set(v.terms) <= w0 for v in basis)
+    assert basis and all(set(terms) <= w0 for terms, _ in basis)
     # the basis is still the canonical RREF over the full component
     elems = invariant_basis_elements(act_sl3, 2, 2)
-    assert elems == basis
+    assert elems == [ExtElement.from_ints(alg, *v) for v in basis]
     columns = alg.component_masks(2, 2)
     index = {m: j for j, m in enumerate(columns)}
     full = Echelon()
@@ -204,7 +207,7 @@ def test_invariants_verified_and_killed_by_casimir(act_sl3):
     for (p, q) in [(1, 1), (2, 2), (0, 3)]:
         for v in invariant_basis_elements(act_sl3, p, q):
             for a in range(act_sl3.lie.dim):
-                assert act_sl3.act(a, v).is_zero()
+                assert act_on(act_sl3, a, v).is_zero()
             assert casimir(act_sl3, v).is_zero()
 
 
@@ -231,7 +234,7 @@ def test_invariants_from_raising_operators_match_both_directions(key):
     assert elems
     for v in elems:
         for a in range(lie.dim):
-            assert act.act(a, v).is_zero()
+            assert act_on(act, a, v).is_zero()
 
 
 def _casimir_eigenvalues_on_wedge(act, d):
@@ -322,14 +325,33 @@ def test_invariant_basis_does_not_depend_on_row_order(key, d):
     for p, q in ((1, 0), (0, 2), (1, 1), (2, 1), (2, 2))] + [
     pytest.param(("B", 2), 3, 3, id="B2-3,3"),
     pytest.param(("G", 2), 3, 3, id="G2-3,3")])
-def test_invariants_match_two_elimination_path(key, p, q):
+def test_invariants_match_two_elimination_path(key, p, q, monkeypatch):
     """`invariants` (the equations eliminated once, the kernel lifted and
     certified by E.K = 0) against the equations' certified RREF followed by
-    the certified RREF of its kernel vectors, empty kernels included."""
+    the certified RREF of its kernel vectors, empty kernels included: each
+    vector is int terms over a den, den on the pivot.  Its Fraction form
+    `invariant_basis_elements` is `_fractions` of the kernel's int RREF,
+    column j read as the weight-zero mask w0[j]."""
+    from chiralring import liemodule
+    kernels = []
+    kernel = liemodule.kernel_basis
+
+    def recording(rows, ncols):
+        kernels.append(kernel(rows, ncols))
+        return kernels[-1]
+
+    monkeypatch.setattr(liemodule, "kernel_basis", recording)
     lie = chevalley_data(build_root_system(*key))
     act = ActionTable(GrassmannAlgebra(lie.dim), lie)
-    assert invariants(act, p, q) == _invariant_basis_in_equation_order(
-        act, p, q)
+    basis = invariants(act, p, q)
+    assert all(type(c) is int for terms, _ in basis for c in terms.values())
+    assert all(next(iter(terms.values())) == den for terms, den in basis)
+    assert ([ExtElement.from_ints(act.alg, *v) for v in basis]
+            == _invariant_basis_in_equation_order(act, p, q))
+    w0 = act.weight_masks(p, q, act.zero_weight)
+    assert invariant_basis_elements(act, p, q) == [
+        ExtElement(act.alg, {w0[j]: c for j, c in row.items()})
+        for row in _fractions(kernels[-1])]
 
 
 def test_one_elimination_per_invariant_kernel(monkeypatch):

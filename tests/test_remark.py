@@ -9,7 +9,8 @@ from chiralring.cdsw.remark import (newton_f, newton_ints, check_sln_remark,
                                     z_traces)
 from chiralring.exterior import ComponentTooLarge, ExtElement, OddMatrix
 from chiralring.rootsystem import build_root_system, chevalley_data
-from conftest import eval_poly_grassmann, matrix_trace
+from conftest import (bidegree, component, eval_poly_grassmann, matrix_trace,
+                      sub, xi_eta)
 
 
 def _evaluate(poly, values):
@@ -86,14 +87,14 @@ def test_xi_eta_part_of_trace_z_square(ws_sl2):
     Z = X.matmul(Y) + X.scale_left(alg.xi()) + Y.scale_left(alg.eta())
     tz2 = matrix_trace(Z.matmul(Z))
     trxy = matrix_trace(X.matmul(Y))
-    assert tz2.extract_xi_eta() == trxy.scale(-2)
+    assert xi_eta(tz2) == trxy.scale(-2)
     # Tr Z itself carries no auxiliary variables: the matrices are traceless
     assert matrix_trace(Z) == trxy
     # the xi-eta part sits in the diagonal (2,2) slot; the xi-only and
     # eta-only cross terms sit off-diagonal at (3,1) and (1,3)
-    assert tz2.extract_xi_eta().bidegree() == (1, 1)
-    offdiag = tz2 - tz2.component(2, 2)
-    assert offdiag.component(3, 1) + offdiag.component(1, 3) == offdiag
+    assert bidegree(xi_eta(tz2)) == (1, 1)
+    offdiag = sub(tz2, component(tz2, 2, 2))
+    assert component(offdiag, 3, 1) + component(offdiag, 1, 3) == offdiag
 
 
 @pytest.mark.parametrize("n", range(1, 7))
