@@ -30,7 +30,7 @@ from math import lcm
 from ..exterior import (GrassmannAlgebra, ExtElement, OddMatrix,
                         WrongComponent, memo_power, suffix_parity,
                         swap_mask, wedge_into)
-from ..exactla import Echelon, addmul
+from ..exactla import Echelon, addmul, peel
 from ..liemodule import ActionTable, invariant_basis
 from ..rootsystem.reps import representation, default_trace_label
 
@@ -123,7 +123,9 @@ class Workspace:
       z^0 .. z^ceil(k/2) for the largest degree k traced so far, and no
       trace of degree k needs a higher power (see `cdsw.hats`);
     - the traces of `cdsw.hats` (Tr(z^k), dF(z)(X) and hat of degree k) as
-      (int terms, den), in `traces`, keyed by (function name, k);
+      (int terms, den), in `traces`, keyed by (function name, k), and the
+      products of hats that `hat_monomials` built, one memo per degrees
+      tuple, keyed by ("hat_monomials", degrees);
     - S as D * S on int terms over `s_den` = D, and the powers (D * S)^k
       that `s_power` built, in `s_powers` (indexed by k, from 1 and D * S):
       each S^k is built once and shared by the S-power checks and the
@@ -132,9 +134,10 @@ class Workspace:
       `ideal_spans`, keyed by (frozenset of families, p, q), each an
       `IdealSpan` of the isotypic parts of `chevalley` (two parts), and of
       `swap` too (four parts) when p == q and the families are closed
-      under the swap.  A span never changes once built: checks read the
-      quotient through its normal form, so each call hands out the
-      cached span itself;
+      under the swap; a part its rows are proven to fill (`IdealSpan`)
+      is built with no elimination.  A span never changes once built:
+      checks read the quotient through its normal form, so each call
+      hands out the cached span itself;
     - the half-mask weights of `ActionTable.weight_masks`, the half-mask
       images of `ActionTable.chevalley_image` and the invariant
       bases of `liemodule.invariant_basis` ((int terms, den) over the
@@ -279,11 +282,16 @@ class IdealSpan:
     membership are the sum and the conjunction of the parts', and the
     quotient by it is the sum of the parts' quotients.
 
-    Each part's columns are ordered by how many of its rows touch them,
-    fewest first, ties in the order of the masks.  Sparse columns then
-    take the pivots and dense ones stay free, which shrinks the certified
-    RREFs.  Rank, membership and quotient ranks do not depend on the
-    column order; each part's certified RREF is canonical for its own."""
+    A part with at least as many rows as columns is first peeled
+    (`exactla.peel`): when its rows take every column, its rank over Q is
+    its width, and it is the certified identity `Echelon.identity` over
+    the columns in the order of the masks, with no reduction.  Every other
+    part is eliminated, its columns ordered by how many of its rows touch
+    them, fewest first, ties in the order of the masks.  Sparse columns
+    then take the pivots and dense ones stay free, which shrinks the
+    certified RREFs.  Rank, membership and quotient ranks do not depend on
+    the column order; each part's certified RREF is canonical for its
+    own."""
 
     def __init__(self, columns, bidegree, rows, symmetries=()):
         self.columns = columns
@@ -294,18 +302,22 @@ class IdealSpan:
         self.parts = []
         for i, cols in enumerate(self.place):
             width = len(cols) - cols.count(None)
-            touched = Counter(chain.from_iterable(vec[i] for vec in vecs))
+            batch = [vec[i] for vec in vecs if vec[i]]
+            for vec in vecs:
+                vec[i] = None
+            if len(batch) >= width and peel(batch, width) == width:
+                self.parts.append(Echelon.identity(width))
+                continue
+            touched = Counter(chain.from_iterable(batch))
             # a stable sort: equal counts keep the order of the masks
             order = sorted(range(width), key=touched.__getitem__)
             new = dict(zip(order, range(width)))
             self.place[i] = [None if j is None else new[j] for j in cols]
-            for vec in vecs:
-                vec[i] = {new[j]: c for j, c in vec[i].items()}
+            for r, row in enumerate(batch):
+                batch[r] = {new[j]: c for j, c in row.items()}
             part = Echelon(width)
-            part.insert_all(vec[i] for vec in vecs if vec[i])
+            part.insert_all(batch)
             part.rank  # certifies the part, which drops its batch
-            for vec in vecs:
-                vec[i] = None
             self.parts.append(part)
 
     @property
@@ -483,7 +495,12 @@ OFFDIAGONAL_SPOT_CHECKS = ((1, 0), (0, 2), (2, 1))
 
 def check_part_i(ws, up_to_k):
     """dim A^g at (k,k) for k <= up_to_k, its match with the image of S^k,
-    and off-diagonal vanishing spot checks."""
+    and off-diagonal vanishing spot checks.  Every component it builds a
+    span or kernel over is guarded before any is built, so a component
+    over the cap raises ComponentTooLarge with nothing built."""
+    for p, q in [(k, k) for k in range(1, up_to_k + 1)] + list(
+            OFFDIAGONAL_SPOT_CHECKS):
+        ws.alg.guard(p, q)
     diag = []
     for k in range(up_to_k + 1):
         if k == 0:

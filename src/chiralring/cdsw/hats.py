@@ -141,10 +141,12 @@ def hat_monomials(ws, degree, degrees):
     int traces `_hat_trace_ints` (`even_monomial`), so it is the exact
     product times a positive int, the product of its factors'
     denominators; the ranks and memberships the checks read do not depend
-    on that scale."""
+    on that scale.  The products are kept in ws.traces, one memo per
+    degrees tuple, so each is built once per workspace and shared: callers
+    must not change them."""
     factors = [_hat_trace_ints(ws, k)[0] for k in degrees]
     hat_degrees = [k - 1 for k in degrees]
-    memo = {}
+    memo = ws.traces.setdefault(("hat_monomials", tuple(degrees)), {})
     return [(e, even_monomial(e, factors, memo))
             for e in product(*(range(degree // h + 1) for h in hat_degrees))
             if sum(x * h for x, h in zip(e, hat_degrees)) == degree]

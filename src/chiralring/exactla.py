@@ -30,7 +30,20 @@ the canonical order, where count order multiplies their work.
 An elimination that knows its width (the number of columns; every span
 part and `kernel_basis` do) stops reducing rows once its rank mod p
 reaches it: the rank over Q is at least the rank mod p, so the certified
-RREF is then the identity, and the kernel is empty, with no lift.
+RREF is then the identity, and the kernel is empty, with no lift.  Most
+rows of a span the ideal fills reduce to zero before that, so a span part
+is first offered to a proof of full rank that reduces nothing: `peel`
+takes, while some row has exactly one column not yet taken, that column.
+Every other entry of a row taken lies on a column taken before it, so the
+rows taken, in the order taken, form a square lower-triangular submatrix
+whose diagonal entries are nonzero ints.  Its determinant, their
+product, is nonzero over Q itself, not only mod some prime, so those
+rows are independent over Q: peeling reads only which entries are
+nonzero, never their values, and when it takes every column the rank over
+Q is the width.  The certified span is then `Echelon.identity`, with no
+reduction, no prime and no lift.  The set of columns taken is the one
+closure of the rows (a column a row could take stays takeable as others
+are taken), so the outcome does not depend on the row order.
 
 A certified RREF R defines the normal form nf(u) = u - sum over pivots of
 u[piv] * R_piv (`Echelon.normal_form`): a linear map, supported on the
@@ -370,6 +383,41 @@ def _descending(vecs):
     return sorted(vecs, key=lambda vec: min(vec, default=-1), reverse=True)
 
 
+def peel(rows, width):
+    """The number of columns that peeling the rows takes: while some row
+    has exactly one column not yet taken, that column is taken.  rows:
+    dicts over the columns 0..width-1 without zero entries (as `cleared`
+    gives).  Peeling stops once every column is taken; otherwise it
+    reaches the one closure, whatever the order of the rows.
+
+    Each row taken has nonzero entries only on its own column and on
+    columns taken before it, so the rows taken, in the order taken, form
+    a lower-triangular square submatrix with a nonzero diagonal: the
+    number of columns taken is at most the rank over Q, and it proves the
+    rank is width when it equals it (see the module docstring)."""
+    touching = [[] for _ in range(width)]
+    left = []  # each row's columns not yet taken
+    for r, row in enumerate(rows):
+        left.append(len(row))
+        for j in row:
+            touching[j].append(r)
+    taken = [False] * width
+    ready = [r for r, n in enumerate(left) if n == 1]
+    done = 0
+    while ready and done < width:
+        r = ready.pop()
+        if left[r] != 1:  # another row took its last column
+            continue
+        j = next(j for j in rows[r] if not taken[j])
+        taken[j] = True
+        done += 1
+        for s in touching[j]:
+            left[s] -= 1
+            if left[s] == 1:
+                ready.append(s)
+    return done
+
+
 def _eliminations(batch, width, primes):
     """(rank, RREF, p) of the int rows of batch mod each of primes in turn,
     the RREF as in `_reduce`; the rows stop being reduced once the rank
@@ -381,6 +429,12 @@ def _eliminations(batch, width, primes):
                 break
             _adjoin(_reduce(u, rows, p), rows, p)
         yield len(rows), _back_substitute(rows, p), p
+
+
+def _identity(width):
+    """The identity RREF over width columns (as in _normal_form); its rows
+    share one empty dict, which nothing changes."""
+    return dict.fromkeys(range(width), ({}, 1))
 
 
 class Echelon:
@@ -404,6 +458,16 @@ class Echelon:
         # the certified RREF as {pivot: (non-pivot entries times den, den)},
         # None until the first read
         self._rref = None
+
+    @classmethod
+    def identity(cls, width):
+        """The certified span of all width columns, whose RREF is the
+        identity: what a proof of full rank (`peel`) gives, with no row
+        inserted."""
+        ech = cls(width)
+        ech._rref = _identity(width)
+        ech._rows = ech._batch = None
+        return ech
 
     def _loading(self):
         if self._rref is not None:
@@ -448,7 +512,7 @@ class Echelon:
         rows, batch, width = self._rows, self._batch, self.width
         if len(rows) == width:
             # full rank mod p, so over Q too: R is the identity
-            self._rref = {j: ({}, 1) for j in range(width)}
+            self._rref = _identity(width)
         else:
             tables = chain(
                 [(len(rows), _back_substitute(rows, self.p), self.p)],

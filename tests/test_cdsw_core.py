@@ -11,7 +11,7 @@ from chiralring.rootsystem import (build_root_system, chevalley_data,
                                    LIE_DATA_TYPES)
 from chiralring.cdsw import Workspace
 from chiralring.exactla import addmul
-from chiralring import exterior
+from chiralring import exactla, exterior
 from chiralring.cdsw.core import (IdealSpan, ideal_weight_zero, ideal_rows,
                                   invariants_of_quotient, relations,
                                   check_S_power, check_part_i, s_power,
@@ -22,7 +22,7 @@ from chiralring.exterior import (ComponentTooLarge, ExtElement,
 from chiralring.abideals import enumerate_abelian_ideals, poincare_series
 from chiralring.cdsw.hats import (check_conj_c1, check_conj_c2_c3,
                                   hat_monomials)
-from chiralring.liemodule import invariant_basis_elements
+from chiralring.liemodule import invariant_basis, invariant_basis_elements
 from chiralring.rootsystem.reps import trace_power_degrees
 from conftest import (act_on, bidegree, canonical_ideal_span,
                       chevalley_generator_indices, chevalley_xy, component,
@@ -436,6 +436,19 @@ def test_workspace_cap_refuses_a_span_before_building_it(so5):
     assert not ws.ideal_spans
     assert ideal_weight_zero(ws, (XX, XY, YY), 2, 1).rank > 0
     assert list(ws.ideal_spans) == [(frozenset((XX, XY, YY)), 2, 1)]
+
+
+@pytest.mark.parametrize("up_to_k, top", [(3, (3, 3)), (1, (2, 1))])
+def test_part_i_guards_every_component_before_building(sl3, up_to_k, top):
+    """A workspace capped just below the largest component part (i) builds
+    over, the top (k,k) or, at up_to_k = 1, the (2,1) spot check: it is
+    refused before any span or invariant kernel is built."""
+    cap = GrassmannAlgebra(sl3.dim).component_dim(*top) - 1
+    ws = Workspace(sl3, cap=cap)
+    with pytest.raises(ComponentTooLarge, match=r"\(%d,%d\)" % top):
+        check_part_i(ws, up_to_k)
+    assert not ws.ideal_spans
+    assert not ws.action._invariant_bases
 
 
 def test_cached_spans_die_with_their_workspace(so5):
@@ -893,6 +906,59 @@ def test_column_permutation_keeps_rank_and_membership(ws_sl2, ws_sl3,
     sk = power(fraction_S(ws), k).terms
     assert sub.rank == cached.rank
     assert sub.contains(sk) == cached.contains(sk)
+
+
+def _reduce_calls_per_part(monkeypatch, build):
+    """(result of build(), the number of `exactla._reduce` calls each
+    Echelon made, in the order the Echelons were made)."""
+    calls = []
+    reduce, init = exactla._reduce, exactla.Echelon.__init__
+
+    def counting_init(self, width=None):
+        calls.append(0)
+        init(self, width)
+
+    def counting_reduce(u, rows, p):
+        calls[-1] += 1
+        return reduce(u, rows, p)
+
+    monkeypatch.setattr(exactla.Echelon, "__init__", counting_init)
+    monkeypatch.setattr(exactla, "_reduce", counting_reduce)
+    result = build()
+    monkeypatch.undo()
+    return result, calls
+
+
+@pytest.mark.parametrize("name, proven", [
+    ("sl3", [54, 64, 86, 40]),
+    ("so5", [172, 200, 146]),
+    ("sp4", [172, 200, 146]),
+])
+def test_full_rank_parts_are_proven_by_peeling(request, monkeypatch, name,
+                                               proven):
+    """At (3,3) = (g,g) the ideal fills these parts; peeling their rows
+    proves it, so they are built with no reduction at all: all four parts
+    of A2, and on B2 and C2 the parts of width 172, 200 and 146 (the part
+    of width 238 has rank 234 and is eliminated).  Rank, S^3 membership
+    and quotient ranks equal those of the one-part span over canonical
+    columns."""
+    ws = Workspace(request.getfixturevalue(name))
+    span, calls = _reduce_calls_per_part(
+        monkeypatch, lambda: ideal_weight_zero(ws, FULL, 3, 3))
+    assert len(calls) == len(span.parts) == 4
+    assert [part.width for part, n in zip(span.parts, calls)
+            if n == 0] == proven
+    assert all(part.rank == part.width for part, n in zip(span.parts, calls)
+               if n == 0)
+    want = canonical_ideal_span(ws, FULL, 3, 3)
+    assert span.rank == want.rank
+    sk = s_power(ws, 3).terms
+    assert span.contains(sk) == want.contains(sk) is True
+    batches = [[t for t, _ in invariant_basis(ws.action, 3, 3)],
+               [{m: 1} for m in want.columns]]
+    for batch in batches:
+        assert span.quotient(batch).rank == want.quotient(batch).rank
+    assert span.quotient(batches[1]).rank == len(want.columns) - want.rank
 
 
 def test_b3_span_rref_fill():

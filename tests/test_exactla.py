@@ -483,6 +483,83 @@ def test_full_rank_stops_reducing(monkeypatch):
     assert ech.p == list(islice(exact_primes(), 2))[1]
 
 
+def _planted(rng, width, cols, extra):
+    """Rows lower-triangular over the columns cols, in that order, each
+    with a nonzero entry on its own column and random ints (zeros
+    included) on the columns before it, then `extra` random rows over all
+    width columns; shuffled, with explicit zero entries."""
+    rows = [{**{c: rng.randint(-3, 3) for c in cols[:i]},
+             col: rng.choice([-2, -1, 1, 2, 5])} for i, col in enumerate(cols)]
+    rows += [{j: rng.randint(-3, 3) for j in range(width)
+              if rng.random() < 0.3} for _ in range(extra)]
+    rng.shuffle(rows)
+    return rows
+
+
+@st.composite
+def _peel_system(draw):
+    """(width, rows, planted): random sparse rows over width columns, with
+    explicit zero entries, among which rows lower-triangular over the
+    first `planted` columns of a random permutation, each nonzero on its
+    own column (see `_planted`)."""
+    width = draw(st.integers(1, 8))
+    planted = draw(st.integers(0, width))
+    cols = draw(st.permutations(range(width)))[:planted]
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    rows = _planted(rng, width, cols, draw(st.integers(0, 4)))
+    entry = st.one_of(st.integers(-3, 3),
+                      st.builds(Fraction, st.integers(-3, 3),
+                                st.integers(1, 4)))
+    rows += draw(st.lists(st.dictionaries(st.integers(0, width - 1), entry,
+                                          max_size=3), max_size=6))
+    return width, draw(st.permutations(rows)), planted
+
+
+@settings(max_examples=300)
+@given(system=_peel_system())
+def test_peeling_never_takes_more_than_the_rank(system):
+    """The columns peeling takes, against the Fraction RREF of the rows:
+    never more than the rank, and every column only at rank width.  The
+    planted triangular block is always taken, whatever the other rows.
+    Explicit zero entries are dropped by `cleared` first: an entry that
+    is zero must not count as a column of its row."""
+    width, rows, planted = system
+    rows = [exactla.cleared(r) for r in rows]
+    assert all(all(r.values()) for r in rows)
+    oracle = FractionRREF()
+    for r in rows:
+        oracle.insert(r)
+    taken = exactla.peel([r for r in rows if r], width)
+    assert planted <= taken <= oracle.rank
+    if taken == width:
+        assert oracle.rank == width
+
+
+def test_peeling_takes_a_planted_transversal():
+    """40 rows triangular over a permutation of 40 columns, with 30
+    random rows and zeros mixed in: peeling takes every column, so the
+    span has rank 40 and its certified RREF is the identity, as the
+    elimination finds."""
+    rng = random.Random(5)
+    cols = list(range(40))
+    rng.shuffle(cols)
+    rows = [exactla.cleared(r) for r in _planted(rng, 40, cols, 30)]
+    assert exactla.peel([r for r in rows if r], 40) == 40
+    ech = Echelon(40)
+    ech.insert_all(rows)
+    proven = Echelon.identity(40)
+    assert proven.rank == ech.rank == 40
+    assert proven.basis_rows() == ech.basis_rows() == \
+        [{j: Fraction(1)} for j in range(40)]
+    assert all(proven.contains(r) for r in rows)
+    with pytest.raises(ValueError):
+        proven.insert({0: 1})
+    # without the one-column row, every row has two columns left: peeling
+    # takes none, although the rank is 39
+    stuck = [dict.fromkeys(cols[:i + 1], 1) for i in range(1, 40)]
+    assert exactla.peel(stuck, 40) == 0
+
+
 _READS = {
     "rank": lambda ech: ech.rank,
     "normal_form": lambda ech: ech.normal_form({3: 1}),

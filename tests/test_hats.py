@@ -1,10 +1,13 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
 import pytest
 
 from chiralring.abideals import enumerate_abelian_ideals, poincare_series
+from chiralring import exterior
+from chiralring.cdsw import hats
 from chiralring.exterior import (ComponentTooLarge, DEFAULT_MONOMIAL_CAP,
                                  GrassmannAlgebra, OddMatrix)
 from chiralring.rootsystem import build_root_system, chevalley_data
@@ -300,6 +303,30 @@ def test_hat_monomials_match_fraction_products(request, fixture):
             assert scale > 0
             assert val == want[e].scale(scale).terms, (d, e)
             assert all(type(c) is int for c in val.values())
+
+
+def test_hat_monomials_built_once_per_workspace(sp4, monkeypatch):
+    """check_conj_c2_c3 on C2 reads the hat monomials of degrees 0, 1 and
+    g = 3 over one degrees tuple: each of the 5 exponent tuples is built
+    once, and a second run on the same workspace builds none."""
+    built = Counter()
+    build = exterior.even_monomial
+
+    def counting(e, factors, memo):
+        if e not in memo:
+            built[e] += 1
+        return build(e, factors, memo)
+
+    # even_monomial recurses through the module global
+    monkeypatch.setattr(exterior, "even_monomial", counting)
+    monkeypatch.setattr(hats, "even_monomial", counting)
+    ws = Workspace(sp4)
+    first = check_conj_c2_c3(ws)
+    assert first["pass"]
+    assert len(built) == 5 and set(built.values()) == {1}
+    again = dict(built)
+    assert check_conj_c2_c3(ws) == first
+    assert built == again
 
 
 def test_g2_prop_hat_guards_every_pair_first(monkeypatch):
