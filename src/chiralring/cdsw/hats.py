@@ -18,7 +18,6 @@ from math import lcm
 from ..exterior import (ExtElement, OddMatrix, even_monomial,
                         power_trace_ints, swap_terms, wedge_into)
 from ..exactla import addmul
-from ..liemodule import invariant_basis
 from ..rootsystem.reps import trace_power_degrees
 from .core import ideal_weight_zero, invariants_of_quotient, XX, XY, YY
 
@@ -259,12 +258,10 @@ def check_conj_c2_c3(ws):
         report["pass"] = report["pass"] and member
 
     for d in range(g):
-        inv = [t for t, _ in invariant_basis(ws.action, d, d)] if d else []
-        # dim(Inv cap W) = |inv| - growth, so the difference of the two
-        # intersections is the difference of the two growths
-        half, full = (ideal_weight_zero(ws, fams, d, d).quotient(inv).rank
-                      for fams in ((XX, YY), (XX, XY, YY)))
-        dim_L = half - full
+        # dim(Inv cap W) = dim Inv - dim (R/W)^g, so the difference of the
+        # two intersections is that of the two quotients' invariants
+        dim_L = (invariants_of_quotient(ws, d, d, (XX, YY))
+                 - invariants_of_quotient(ws, d, d, (XX, XY, YY)))
         # ideal generated by hats of degree > 1, inside E, at degree d
         dim_gen = ideal_weight_zero(ws, (XX, YY), d, d).quotient(
             val for expo, val in hat_monomials(ws, d, degrees)

@@ -439,8 +439,9 @@ def _identity(width):
 
 class Echelon:
     """A span over Q, loaded by `insert`/`insert_all` and certified by its
-    first read (`rank`, `normal_form`, `contains`, `basis_rows`); after
-    that it never changes, and `insert` and `reduce` raise ValueError.
+    first read (`rank`, `normal_form`, `contains`, `free_columns`,
+    `basis_rows`); after that it never changes, and `insert` and `reduce`
+    raise ValueError.
 
     Each row inserted is reduced at once mod p, the first prime of
     exact_primes() (as in `_reduce`), and kept in the batch.  The first
@@ -534,6 +535,12 @@ class Echelon:
 
     def contains(self, vec):
         return not self.normal_form(vec)[0]
+
+    def free_columns(self):
+        """The columns 0..width-1 that are no pivot of the certified RREF,
+        in increasing order: where every normal form lies."""
+        self._certify()
+        return [j for j in range(self.width) if j not in self._rref]
 
     def basis_rows(self):
         """The certified RREF rows in pivot order, as Fractions, pivot

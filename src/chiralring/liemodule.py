@@ -1,14 +1,23 @@
 """The Lie algebra action on the Grassmann algebra over two copies of the
-adjoint module, extended as even derivations; weight bookkeeping and
-invariant subspaces of bigraded components.
+adjoint module, extended as even derivations; weight bookkeeping, the
+Casimir on weight zero, and invariant subspaces of bigraded components.
 
 Weight slices of a component are listed one way only,
 `ActionTable.weight_masks`, which joins x-halves and y-halves by weight."""
 
 from itertools import chain
+from math import lcm
 
 from .exterior import ExtElement, _bits
-from .exactla import kernel_basis
+from .exactla import addmul, kernel_basis
+
+
+def form_dual(lie):
+    """(dual, D): the rows of D * Binv as int dicts {b: entry} without
+    zeros, D the lcm of the denominators of Binv = lie.form_inv."""
+    den = lcm(*(v.denominator for row in lie.form_inv for v in row))
+    return [{b: v.numerator * (den // v.denominator)
+             for b, v in enumerate(row) if v} for row in lie.form_inv], den
 
 
 class ActionTable:
@@ -44,6 +53,9 @@ class ActionTable:
         # each half-mask seen so far as (mask, sign), filled on first use
         self._sigma = lie.chevalley_involution()
         self._chevalley_halves = {}
+        # casimir's table, filled on first use: (a, [(b, entry)]) for the
+        # rows a of D * Binv with an entry off the Cartan
+        self._casimir = None
 
     def generator_weight(self, bit):
         n = self.alg.n
@@ -81,6 +93,35 @@ class ActionTable:
                     out[m2] = s
                 else:
                     out.pop(m2, None)
+        return out
+
+    def casimir(self, terms):
+        """D * Omega of a weight-zero int terms dict, as a new int terms
+        dict: Omega = sum_ab Binv_ab act(a) act(b), the Casimir of the form
+        (it commutes with the action, and acts on a nontrivial irreducible
+        module by a nonzero scalar), with D * Binv on ints as in
+        `form_dual`.  A Cartan element acts on weight zero as zero, so the
+        inner factors b of the Cartan are skipped: the row of a root vector
+        keeps its one root entry, and a Cartan row none."""
+        if self._casimir is None:
+            dual, _ = form_dual(self.lie)
+            root = self.lie.signed_root
+            pairs = [(a, [(b, v) for b, v in row.items() if root(b)])
+                     for a, row in enumerate(dual)]
+            self._casimir = [(a, row) for a, row in pairs if row]
+
+        def act(a, terms):
+            out = {}
+            for m, c in terms.items():
+                addmul(out, self.act_mask(a, m), c)
+            return out
+
+        out = {}
+        for a, row in self._casimir:
+            inner = {}
+            for b, v in row:
+                addmul(inner, act(b, terms), v)
+            addmul(out, act(a, inner))
         return out
 
     def chevalley_image(self, mask):
