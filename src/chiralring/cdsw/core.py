@@ -51,28 +51,19 @@ class Symmetry(namedtuple("Symmetry", "image relation")):
     __slots__ = ()
 
 
-class RelationSet:
-    """The three families generating the defining ideal, one element per
-    basis index: the canonical adjoint copies in bidegrees (2,0), (1,1) and
-    (0,2) (components of {X,X}, {X,Y}, {Y,Y})."""
+def relations(lie):
+    """The three families generating the defining ideal, as
+    {XX: [...], XY: [...], YY: [...]}, one int terms dict per basis index
+    c: the canonical adjoint copies in bidegrees (2,0), (1,1) and (0,2)
+    (components of {X,X}, {X,Y}, {Y,Y}).
 
-    def __init__(self, xx, xy, yy):
-        self.xx_relations = xx
-        self.xy_relations = xy
-        self.yy_relations = yy
-
-    def family(self, name):
-        return {XX: self.xx_relations, XY: self.xy_relations,
-                YY: self.yy_relations}[name]
-
-
-def relations(alg, lie):
-    """The structure-constant contraction sum_ab f_ab^c g_a g_b, taken in
-    the form-dual coordinates g^a = sum_b Binv_ab g_b.  In dual coordinates
-    the three families are the components of the supercommutators of the
-    equivariant matrices X, Y, so each family spans the canonical adjoint
-    copy and is stable under the action table (the same contraction on the
-    plain coordinates is not, away from orthonormal bases).
+    Relation c is the structure-constant contraction sum_ab f_ab^c g_a g_b,
+    taken in the form-dual coordinates g^a = sum_b Binv_ab g_b.  In dual
+    coordinates the three families are the components of the
+    supercommutators of the equivariant matrices X, Y, so each family
+    spans the canonical adjoint copy and is stable under the action table
+    (the same contraction on the plain coordinates is not, away from
+    orthonormal bases).
 
     The dual coordinates are taken with D * Binv, D the lcm of Binv's
     denominators, so every coefficient is an int: each relation is D**2
@@ -89,8 +80,7 @@ def relations(alg, lie):
             uv = wedge_into({}, u, v)
             for c, coeff in comb.items():
                 addmul(fam[c], uv, coeff)
-    xx, xy, yy = ([ExtElement(alg, t) for t in fam] for fam in (xx, xy, yy))
-    return RelationSet(xx, xy, yy)
+    return {XX: xx, XY: xy, YY: yy}
 
 
 def S_ints(lie):
@@ -106,12 +96,15 @@ def S_ints(lie):
 class Workspace:
     """Bundles one Lie algebra with its Grassmann algebra, action table,
     relation families and S; the Grassmann algebra holds the monomial cap
-    (None: the default).  The trace representation is fixed by the
-    type (`trace_label`).  `chevalley` and `swap` are the `Symmetry`s that
-    split the ideal spans.  What the checks derive from the algebra alone is
-    cached here and lives as long as the workspace:
+    (None: the default).  The engine's inputs are int terms: the families
+    of `relations` in `rels`, keyed by XX, XY and YY, S over `s_den`, and
+    X and Y over one denominator (`xy_matrices`).  The trace
+    representation is fixed by the type (`trace_label`).  `chevalley` and
+    `swap` are the `Symmetry`s that split the ideal spans.  What the checks
+    derive from the algebra alone is cached here and lives as long as the
+    workspace:
 
-    - the X, Y matrices and the powers of z = XY + YX: `z_powers` holds
+    - the OddMatrices X, Y and the powers of z = XY + YX: `z_powers` holds
       z^0 .. z^ceil(k/2) for the largest degree k traced so far, and no
       trace of degree k needs a higher power (see `cdsw.hats`);
     - the traces of `cdsw.hats` (Tr(z^k), dF(z)(X) and hat of degree k) as
@@ -142,7 +135,7 @@ class Workspace:
         self.lie = lie
         self.alg = GrassmannAlgebra(lie.dim, cap)
         self.action = ActionTable(self.alg, lie)
-        self.rels = relations(self.alg, lie)
+        self.rels = relations(lie)
         terms, self.s_den = S_ints(lie)
         self.s_powers = [ExtElement(self.alg, {0: 1}),
                          ExtElement(self.alg, terms)]
@@ -160,42 +153,45 @@ class Workspace:
                              lambda fam, c: (_SWAP[fam], c))
 
     def xy_matrices(self):
-        """X = sum_a x_a rho(e^a) and Y likewise; dual-basis matrices make
-        the traces invariant under the action table."""
+        """X = sum_a x_a rho(e^a) and Y likewise, e^a = sum_b Binv_ab e_b
+        the form-dual basis; dual-basis matrices make the traces invariant
+        under the action table.  On ints: the rows of D * Binv
+        (`form_dual`) against r * rho(e_b), r the lcm of the
+        representation's denominators, give OddMatrices over D * r."""
         if self._xy is not None:
             return self._xy
         rep = representation(self.lie, self.trace_label)
-        lie, alg = self.lie, self.alg
-        dual = []
-        for a in range(lie.dim):
-            m = [[Fraction(0)] * rep.dim_V for _ in range(rep.dim_V)]
-            for b, c in enumerate(lie.form_inv[a]):
-                if c:
-                    mb = rep.matrices[b]
-                    for i in range(rep.dim_V):
-                        for j in range(rep.dim_V):
-                            m[i][j] += c * mb[i][j]
-            dual.append(m)
-        def matrix(shift):
-            return OddMatrix(alg, [[ExtElement(alg, {
-                1 << (a + shift): dual[a][i][j]
-                for a in range(lie.dim) if dual[a][i][j]})
-                for j in range(rep.dim_V)] for i in range(rep.dim_V)])
+        dual, den = form_dual(self.lie)
+        r = lcm(*(v.denominator for mat in rep.matrices
+                  for row in mat for v in row))
+        rho = [[[v.numerator * (r // v.denominator) for v in row]
+                for row in mat] for mat in rep.matrices]
+        size = range(rep.dim_V)
+        # D * r * rho(e^a) for each a, as int matrices
+        mats = [[[sum(c * rho[b][i][j] for b, c in row.items())
+                  for j in size] for i in size] for row in dual]
 
-        X, Y = matrix(0), matrix(lie.dim)
-        self._xy = (X, Y)
+        def matrix(shift):
+            return OddMatrix(self.alg, [[{
+                1 << (a + shift): m[i][j] for a, m in enumerate(mats)
+                if m[i][j]} for j in size] for i in size], den * r)
+
+        self._xy = (matrix(0), matrix(self.lie.dim))
         return self._xy
 
     def trace_S_constant(self):
-        """c with Tr_V(XY) = c * S; the Dynkin-index factor."""
+        """c with Tr_V(XY) = c * S; the Dynkin-index factor.  On ints,
+        Tr(XY) is t / d (`trace_product_ints`) and S is s / D: they are
+        proportional when t and s have the same monomials and
+        t[m] s[m0] = t[m0] s[m] on each, and then c = t[m0] D / (d s[m0])."""
         X, Y = self.xy_matrices()
-        t = X.trace_product(Y)
-        S = ExtElement.from_ints(self.alg, self.s_powers[1].terms, self.s_den)
-        mask, coeff = next(iter(S.terms.items()))
-        c = t.terms.get(mask, Fraction(0)) / coeff
-        if t != S.scale(c):
+        t, d = X.trace_product_ints(Y)
+        s = self.s_powers[1].terms
+        m0 = next(iter(s))
+        if t.keys() != s.keys() or any(t[m] * s[m0] != t[m0] * c
+                                       for m, c in s.items()):
             raise AssertionError("Tr(XY) is not proportional to S")
-        return c
+        return Fraction(t[m0] * self.s_den, d * s[m0])
 
 
 def ideal_rows(ws, families, p, q, weight, symmetries=()):
@@ -221,8 +217,8 @@ def ideal_rows(ws, families, p, q, weight, symmetries=()):
         if rp < 0 or rq < 0:
             continue
         slices = {}
-        for index, rel in enumerate(ws.rels.family(fam)):
-            if rel.is_zero():
+        for index, rel in enumerate(ws.rels[fam]):
+            if not rel:
                 continue
             label = _FAMILY_ORDER[fam], index
             images = {g: _relation_image(symmetries, g, fam, index)
@@ -231,7 +227,7 @@ def ideal_rows(ws, families, p, q, weight, symmetries=()):
                 continue
             # the group elements that fix the relation order its masks
             fixing = tuple(g for g, image in images.items() if image == label)
-            rw = action.mask_weight(next(iter(rel.terms)))
+            rw = action.mask_weight(next(iter(rel)))
             need = tuple(w - r for w, r in zip(weight, rw))
             masks = slices.get((need, fixing))
             if masks is None:
@@ -241,7 +237,7 @@ def ideal_rows(ws, families, p, q, weight, symmetries=()):
                              _images(symmetries, m) if g in fixing)]
                 slices[need, fixing] = masks
             terms = [(m1, suffix_parity(m1), c, -c)
-                     for m1, c in rel.terms.items()]
+                     for m1, c in rel.items()]
             for m in masks:
                 row = {m1 | m: n if (p1 & m).bit_count() & 1 else c
                        for m1, p1, c, n in terms if not m1 & m}

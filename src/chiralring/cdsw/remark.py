@@ -79,7 +79,8 @@ def z_traces(ws, n):
     D^h."""
     alg = ws.alg
     X, Y = ws.xy_matrices()
-    Z = X.matmul(Y) + X.scale_left(alg.xi()) + Y.scale_left(alg.eta())
+    Z = (X.matmul(Y) + X.scale_left({1 << alg.xi_bit: 1})
+         + Y.scale_left({1 << alg.eta_bit: 1}))
     pows = [OddMatrix.identity(alg, Z.size), Z]
     while len(pows) <= (n + 2) // 2:
         pows.append(pows[-1].matmul(Z))

@@ -5,19 +5,19 @@ variables xi and eta.
 A monomial is a subset of the generators, stored as a Python int bitmask
 over the fixed order: x-block (bits 0..N-1), y-block (bits N..2N-1),
 xi (bit 2N), eta (bit 2N+1).  ExtElement coefficients are exact
-rationals: ints where the value is integral by construction (the relation
-families, the powers of S), Fractions otherwise (the public traces of
-`cdsw.hats`, `liemodule.invariant_basis_elements`); elements never store
-zero coefficients.  The checks themselves run on int terms dicts
-{mask: int}, and the spans of `cdsw.core.IdealSpan` take them.  Bidegree:
+rationals: ints where the value is integral by construction (the powers
+of S), Fractions otherwise (the public traces of `cdsw.hats`,
+`liemodule.invariant_basis_elements`); elements never store zero
+coefficients.  The checks themselves run on int terms dicts {mask: int}:
+the relation families, the entries of an OddMatrix and the rows of
+`cdsw.core.IdealSpan` are such dicts, with no ExtElement.  Bidegree:
 an x-generator counts (1,0), a y-generator (0,1), xi counts (1,0) and eta
 (0,1).
 
-An OddMatrix holds its entries as int coefficients over one shared
-denominator `den`, so matrix products run on ints; a trace becomes
-Fractions only when it leaves the matrix (`trace_product`), and the
-`_ints` traces hand out (int terms, den) for callers that keep summing on
-ints.
+An OddMatrix is built from int terms dicts over one shared denominator
+`den`, so matrix products run on ints, and its traces hand out (int terms,
+den) (the `_ints` methods); a trace becomes Fractions only where a public
+function returns an ExtElement (`cdsw.hats`).
 
 The swap x_a <-> y_a (`swap_mask`, `swap_terms`, `OddMatrix.swap`) is the
 algebra automorphism exchanging the two blocks: it sends x_A y_B to
@@ -92,23 +92,6 @@ class GrassmannAlgebra:
         self.cap = DEFAULT_MONOMIAL_CAP if cap is None else cap
         self.xi_bit = 2 * n
         self.eta_bit = 2 * n + 1
-        self._xmask = (1 << n) - 1
-        self._ymask = self._xmask << n
-
-    def xi(self):
-        return ExtElement(self, {1 << self.xi_bit: Fraction(1)})
-
-    def eta(self):
-        return ExtElement(self, {1 << self.eta_bit: Fraction(1)})
-
-    def bidegree_of_mask(self, mask):
-        p = (mask & self._xmask).bit_count()
-        q = (mask & self._ymask).bit_count()
-        if mask >> self.xi_bit & 1:
-            p += 1
-        if mask >> self.eta_bit & 1:
-            q += 1
-        return (p, q)
 
     def gen_name(self, bit):
         if bit < self.n:
@@ -287,33 +270,23 @@ class ExtElement:
 
 
 class OddMatrix:
-    """Square matrix of Grassmann elements, stored as int-coefficient terms
-    dicts over one shared positive denominator `den`; products keep
-    Grassmann signs because entry multiplication is the wedge.  Rationals
-    appear only at the boundary: the constructor takes ExtElements, and
-    `trace_product` returns one; `trace_product_ints` and
-    `trace_square_ints` return (int terms, den) instead."""
+    """Square matrix of Grassmann elements over one shared positive
+    denominator `den`: entries is a square list of rows of int terms dicts,
+    entry (i, j) being den times the matrix's entry.  Matrix products run
+    on ints and keep Grassmann signs (entry multiplication is the wedge),
+    and traces leave as (int terms, den) (`trace_product_ints`,
+    `trace_square_ints`)."""
 
-    def __init__(self, alg, entries):
-        """From a square list of rows of ExtElements."""
-        den = _common_den(e.terms for row in entries for e in row)
+    def __init__(self, alg, entries, den):
         self.alg = alg
         self.size = len(entries)
-        self.entries = [[_over(e.terms, den) for e in row] for row in entries]
+        self.entries = entries
         self.den = den
 
     @classmethod
-    def _of(cls, alg, entries, den):
-        """A matrix of int terms dicts over den."""
-        mat = cls.__new__(cls)
-        mat.alg, mat.size, mat.entries = alg, len(entries), entries
-        mat.den = den
-        return mat
-
-    @classmethod
     def identity(cls, alg, m):
-        return cls._of(alg, [[{0: 1} if i == j else {} for j in range(m)]
-                             for i in range(m)], 1)
+        return cls(alg, [[{0: 1} if i == j else {} for j in range(m)]
+                         for i in range(m)], 1)
 
     def _check_size(self, other):
         if self.size != other.size:
@@ -323,23 +296,19 @@ class OddMatrix:
         self._check_size(other)
         den = lcm(self.den, other.den)
         a, b = den // self.den, den // other.den
-        return OddMatrix._of(self.alg, [
+        return OddMatrix(self.alg, [
             [addmul(addmul({}, s, a), t, b) for s, t in zip(ra, rb)]
             for ra, rb in zip(self.entries, other.entries)], den)
 
     def matmul(self, other):
         self._check_size(other)
         cols = list(zip(*other.entries))
-        return OddMatrix._of(self.alg, [[_dot_into({}, row, col)
-                                         for col in cols]
-                                        for row in self.entries],
-                             self.den * other.den)
+        return OddMatrix(self.alg, [[_dot_into({}, row, col)
+                                     for col in cols]
+                                    for row in self.entries],
+                         self.den * other.den)
 
     __matmul__ = matmul
-
-    def trace_product(self, other):
-        """Tr(self . other) as an exact ExtElement."""
-        return ExtElement.from_ints(self.alg, *self.trace_product_ints(other))
 
     def trace_product_ints(self, other):
         """Tr(self . other) from the diagonal of the product alone,
@@ -366,16 +335,14 @@ class OddMatrix:
     def swap(self):
         """The swap x_a <-> y_a of every entry (see `swap_terms`)."""
         n = self.alg.n
-        return OddMatrix._of(self.alg, [[swap_terms(t, n) for t in row]
-                                        for row in self.entries], self.den)
+        return OddMatrix(self.alg, [[swap_terms(t, n) for t in row]
+                                    for row in self.entries], self.den)
 
-    def scale_left(self, elem):
-        """Left multiplication of every entry by a fixed element."""
-        den = _common_den([elem.terms])
-        e = _over(elem.terms, den)
-        return OddMatrix._of(self.alg, [[wedge_into({}, e, t) for t in row]
-                                        for row in self.entries],
-                             self.den * den)
+    def scale_left(self, terms):
+        """Left multiplication of every entry by an element given as int
+        terms, over 1: the denominator stays."""
+        return OddMatrix(self.alg, [[wedge_into({}, terms, t) for t in row]
+                                    for row in self.entries], self.den)
 
 
 def power_trace_ints(pows, k):
@@ -387,17 +354,6 @@ def power_trace_ints(pows, k):
     if k == 2 * h:
         return pows[h].trace_square_ints()
     return pows[h].trace_product_ints(pows[k - h])
-
-
-def _common_den(terms_dicts):
-    """Least common denominator of the rational coefficients."""
-    return lcm(*(c.denominator for t in terms_dicts for c in t.values()))
-
-
-def _over(terms, den):
-    """Int numerators of rational terms over den, a multiple of each of
-    their denominators."""
-    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
 
 
 def _dot_into(acc, row, col):

@@ -1,18 +1,20 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import settings
 
 from chiralring.rootsystem import build_root_system, chevalley_data
+from chiralring.rootsystem.reps import representation
 from chiralring.cdsw import Workspace
 from chiralring.cdsw.core import IdealSpan, ideal_rows
 from chiralring.abideals import AbelianIdeal, is_abelian, is_ideal
 from chiralring import exactla
 from chiralring.exactla import _is_prime, addmul
-from chiralring.exterior import (ExtElement, _bits, extract_xi_eta,
-                                 wedge_into)
+from chiralring.exterior import (ExtElement, OddMatrix, _bits,
+                                 extract_xi_eta, wedge_into)
 
 # Property tests draw the same examples on every run, and none is failed for
 # its time: the suite runs on small shared hosts.
@@ -96,6 +98,22 @@ def gen_y(alg, i):
     return ExtElement(alg, {1 << (alg.n + i): Fraction(1)})
 
 
+def gen_xi(alg):
+    """The auxiliary generator xi as an element."""
+    return ExtElement(alg, {1 << alg.xi_bit: Fraction(1)})
+
+
+def gen_eta(alg):
+    """The auxiliary generator eta as an element."""
+    return ExtElement(alg, {1 << alg.eta_bit: Fraction(1)})
+
+
+def elements(alg, terms_dicts):
+    """Int terms dicts, such as the relations of a family
+    (`cdsw.core.relations`), as elements."""
+    return [ExtElement(alg, t) for t in terms_dicts]
+
+
 def scalar(alg, c):
     """The constant c as an element (no term when c is 0)."""
     c = Fraction(c)
@@ -107,10 +125,19 @@ def sub(a, b):
     return ExtElement(a.alg, addmul(dict(a.terms), b.terms, -1))
 
 
+def mask_bidegree(alg, mask):
+    """The bidegree of a monomial: x-generators and xi count (1,0),
+    y-generators and eta (0,1)."""
+    n = alg.n
+    p = (mask & ((1 << n) - 1)).bit_count() + (mask >> alg.xi_bit & 1)
+    q = (mask >> n & ((1 << n) - 1)).bit_count() + (mask >> alg.eta_bit & 1)
+    return (p, q)
+
+
 def bidegree(elem):
     """The common bidegree of all terms of elem, or None if mixed or
     zero."""
-    degs = {elem.alg.bidegree_of_mask(m) for m in elem.terms}
+    degs = {mask_bidegree(elem.alg, m) for m in elem.terms}
     return degs.pop() if len(degs) == 1 else None
 
 
@@ -118,12 +145,28 @@ def component(elem, p, q):
     """The terms of elem of bidegree (p,q)."""
     alg = elem.alg
     return ExtElement(alg, {m: c for m, c in elem.terms.items()
-                            if alg.bidegree_of_mask(m) == (p, q)})
+                            if mask_bidegree(alg, m) == (p, q)})
 
 
 def xi_eta(elem):
     """The coefficient of xi^eta in elem (`exterior.extract_xi_eta`)."""
     return ExtElement(elem.alg, extract_xi_eta(elem.alg, elem.terms))
+
+
+def odd_matrix(alg, rows):
+    """The OddMatrix of a square list of rows of ExtElements: their
+    numerators over the least common denominator of every coefficient."""
+    den = lcm(*(c.denominator
+                for row in rows for e in row for c in e.terms.values()))
+    return OddMatrix(alg, [[{m: c.numerator * (den // c.denominator)
+                             for m, c in e.terms.items()}
+                            for e in row] for row in rows], den)
+
+
+def trace_product(a, b):
+    """Tr(a . b) of two OddMatrices as an exact element
+    (`OddMatrix.trace_product_ints`)."""
+    return ExtElement.from_ints(a.alg, *a.trace_product_ints(b))
 
 
 def entry(mat, i, j):
@@ -148,6 +191,34 @@ def fraction_S(ws):
     return ExtElement(ws.alg, {(1 << a) | (1 << (b + n)): c
                                for a in range(n)
                                for b, c in enumerate(lie.form_inv[a]) if c})
+
+
+def fraction_xy_matrices(ws):
+    """Reference for `Workspace.xy_matrices`, over Fractions:
+    rho(e^a) = sum_b form_inv[a][b] rho(e_b) summed densely, and
+    X = sum_a x_a rho(e^a), Y = sum_a y_a rho(e^a), as rows of
+    ExtElements."""
+    lie = ws.lie
+    rep = representation(lie, ws.trace_label)
+    size = range(rep.dim_V)
+    dual = []
+    for a in range(lie.dim):
+        m = [[Fraction(0)] * rep.dim_V for _ in size]
+        for b, c in enumerate(lie.form_inv[a]):
+            if c:
+                mb = rep.matrices[b]
+                for i in size:
+                    for j in size:
+                        m[i][j] += c * mb[i][j]
+        dual.append(m)
+
+    def rows(shift):
+        return [[ExtElement(ws.alg, {1 << (a + shift): dual[a][i][j]
+                                     for a in range(lie.dim)
+                                     if dual[a][i][j]})
+                 for j in size] for i in size]
+
+    return rows(0), rows(lie.dim)
 
 
 def power(elem, k):

@@ -18,7 +18,7 @@ from chiralring.cdsw.core import (IdealSpan, ideal_weight_zero, ideal_rows,
                                   XX, XY, YY, OFFDIAGONAL_SPOT_CHECKS,
                                   _FAMILY_DEGREE, _images)
 from chiralring.exterior import (ComponentTooLarge, ExtElement,
-                                 GrassmannAlgebra, WrongComponent)
+                                 GrassmannAlgebra, OddMatrix, WrongComponent)
 from chiralring.abideals import enumerate_abelian_ideals, poincare_series
 from chiralring.cdsw.hats import (check_conj_c1, check_conj_c2_c3,
                                   hat_monomials)
@@ -26,9 +26,10 @@ from chiralring.liemodule import invariant_basis, invariant_basis_elements
 from chiralring.rootsystem.reps import trace_power_degrees
 from conftest import (act_on, bidegree, canonical_ideal_span,
                       chevalley_generator_indices, chevalley_xy, component,
-                      eliminated_over, entry, fraction_relations, fraction_S,
-                      power, span_basis_elements, span_columns, swap_xy,
-                      use_seed_primes)
+                      elements, eliminated_over, entry, fraction_relations,
+                      fraction_S, fraction_xy_matrices, odd_matrix, power,
+                      span_basis_elements, span_columns, swap_xy,
+                      trace_product, use_seed_primes)
 
 
 def ideal_component(ws, families, p, q):
@@ -41,7 +42,7 @@ def ideal_component(ws, families, p, q):
         dp, dq = _FAMILY_DEGREE[fam]
         if p < dp or q < dq:
             continue
-        for rel in ws.rels.family(fam):
+        for rel in elements(alg, ws.rels[fam]):
             for m in alg.component_masks(p - dp, q - dq):
                 products.append(
                     rel.wedge(ExtElement(alg, {m: Fraction(1)})).terms)
@@ -56,7 +57,7 @@ def reference_ideal_rows(ws, families, p, q, weight):
         dp, dq = _FAMILY_DEGREE[fam]
         if p < dp or q < dq:
             continue
-        for rel in ws.rels.family(fam):
+        for rel in elements(ws.alg, ws.rels[fam]):
             if rel.is_zero():
                 continue
             rw = ws.action.mask_weight(next(iter(rel.terms)))
@@ -80,7 +81,7 @@ def swap_membership_invariance(ws, k):
 def family_equivariance(ws, family):
     """Every act_on(a, r) for r in a relation family stays in the family span:
     the families are adjoint copies."""
-    rels = [r for r in ws.rels.family(family) if not r.is_zero()]
+    rels = [r for r in elements(ws.alg, ws.rels[family]) if not r.is_zero()]
     p, q = _FAMILY_DEGREE[family]
     sub = IdealSpan(ws.alg.component_masks(p, q), (p, q),
                     [r.terms for r in rels])
@@ -93,12 +94,13 @@ def family_equivariance(ws, family):
 
 
 def test_relation_counts_and_degrees(ws_sl2):
-    rels = ws_sl2.rels
-    for rel in rels.xx_relations:
+    xx, xy, yy = (elements(ws_sl2.alg, ws_sl2.rels[fam])
+                  for fam in (XX, XY, YY))
+    for rel in xx:
         assert rel.is_zero() or bidegree(rel) == (2, 0)
-    for rel in rels.xy_relations:
+    for rel in xy:
         assert rel.is_zero() or bidegree(rel) == (1, 1)
-    for rel in rels.yy_relations:
+    for rel in yy:
         assert rel.is_zero() or bidegree(rel) == (0, 2)
 
 
@@ -163,6 +165,49 @@ def test_trace_representation_fixed_by_type(key, label, size, constant):
     X, Y = ws.xy_matrices()
     assert X.size == Y.size == size
     assert ws.trace_S_constant() == constant
+
+
+@pytest.mark.parametrize("key", LIE_DATA_TYPES, ids=lambda key: "%s%d" % key)
+def test_xy_matrices_match_fraction_oracle(key):
+    """X and Y, built on ints from `form_dual` and the scaled
+    representation matrices, equal the Fraction construction entry by entry
+    as rationals on every type with a trace representation, and so does
+    the constant c of Tr(XY) = c S, here from the Fraction X, Y and S."""
+    ws = Workspace(chevalley_data(build_root_system(*key)))
+    X, Y = ws.xy_matrices()
+    ref_x, ref_y = fraction_xy_matrices(ws)
+    for mat, ref in ((X, ref_x), (Y, ref_y)):
+        assert mat.size == len(ref)
+        for i, row in enumerate(ref):
+            for j, e in enumerate(row):
+                assert entry(mat, i, j) == e, (i, j)
+    t = trace_product(odd_matrix(ws.alg, ref_x), odd_matrix(ws.alg, ref_y))
+    S = fraction_S(ws)
+    mask, coeff = next(iter(S.terms.items()))
+    c = t.terms[mask] / coeff
+    assert t == S.scale(c)
+    assert ws.trace_S_constant() == c
+
+
+@pytest.mark.parametrize("perturb", ["coefficient", "monomial"])
+def test_trace_S_constant_refuses_a_non_proportional_trace(sl3, monkeypatch,
+                                                           perturb):
+    """A Y with one entry perturbed makes Tr(XY) no multiple of S: doubling
+    one coefficient keeps its monomials, adding a y generator to a
+    diagonal entry adds monomials S does not have."""
+    ws = Workspace(sl3)
+    X, Y = ws.xy_matrices()
+    entries = [[dict(t) for t in row] for row in Y.entries]
+    if perturb == "coefficient":
+        t = next(t for row in entries for t in row if t)
+        m = next(iter(t))
+        t[m] *= 2
+    else:
+        entries[0][0][1 << ws.alg.n] = Y.den
+    bad = OddMatrix(ws.alg, entries, Y.den)
+    monkeypatch.setattr(ws, "xy_matrices", lambda: (X, bad))
+    with pytest.raises(AssertionError, match="not proportional"):
+        ws.trace_S_constant()
 
 
 def test_S_not_in_relation_span(ws_sl2):
@@ -304,11 +349,12 @@ def test_swap_membership_invariance(ws_sl2, ws_sl3):
 def test_swap_maps_families(ws_sl3):
     """The x<->y involution sends the XX family to the YY family and fixes
     each XY relation."""
-    rels = ws_sl3.rels
-    for rxx, ryy in zip(rels.xx_relations, rels.yy_relations):
+    xx, xy, yy = (elements(ws_sl3.alg, ws_sl3.rels[fam])
+                  for fam in (XX, XY, YY))
+    for rxx, ryy in zip(xx, yy):
         assert swap_xy(rxx) == ryy
         assert swap_xy(ryy) == rxx
-    for rxy in rels.xy_relations:
+    for rxy in xy:
         assert swap_xy(rxy) == rxy
 
 
@@ -321,10 +367,10 @@ def test_int_relations_match_fraction_oracle(key):
     what it spanned; the x<->y swap still sends XX to YY and fixes XY."""
     lie = chevalley_data(build_root_system(*key))
     alg = GrassmannAlgebra(lie.dim)
-    rels = relations(alg, lie)
+    rels = relations(lie)
     den = lcm(*(v.denominator for row in lie.form_inv for v in row))
     assert den > 1
-    got = (rels.xx_relations, rels.xy_relations, rels.yy_relations)
+    got = tuple(elements(alg, rels[fam]) for fam in (XX, XY, YY))
     for fam, want in zip(got, fraction_relations(alg, lie)):
         assert len(fam) == len(want) == lie.dim
         for rel, ref in zip(fam, want):
@@ -356,7 +402,7 @@ def test_algebra_data_are_plain_ints(key):
         for mask in masks:
             assert ints(action.act_mask(a, mask).values())
     for fam in (XX, XY, YY):
-        assert all(ints(rel.terms.values()) for rel in ws.rels.family(fam))
+        assert all(ints(rel.values()) for rel in ws.rels[fam])
     rows = list(ideal_rows(ws, (XX, XY, YY), 2, 2, action.zero_weight))
     assert rows
     assert all(ints(row.values()) for row in rows)
@@ -749,10 +795,12 @@ def test_swap_maps_families_on_every_type(key):
     relation to the YY relation of the same index and fixes each XY one:
     a two-part span leaves out the YY rows and half the XY rows on this."""
     lie = chevalley_data(build_root_system(*key))
-    rels = relations(GrassmannAlgebra(lie.dim), lie)
-    for rxx, ryy in zip(rels.xx_relations, rels.yy_relations, strict=True):
+    alg = GrassmannAlgebra(lie.dim)
+    rels = relations(lie)
+    xx, xy, yy = (elements(alg, rels[fam]) for fam in (XX, XY, YY))
+    for rxx, ryy in zip(xx, yy, strict=True):
         assert swap_xy(rxx) == ryy
-    for rxy in rels.xy_relations:
+    for rxy in xy:
         assert swap_xy(rxy) == rxy
 
 
@@ -780,7 +828,7 @@ def test_chevalley_involution_on_every_type(key):
             assert lie.form[sigma[a]][sigma[b]] == lie.form[a][b]
     ws = Workspace(lie)
     for fam in (XX, XY, YY):
-        rels = ws.rels.family(fam)
+        rels = elements(ws.alg, ws.rels[fam])
         for c, rel in enumerate(rels):
             assert chevalley_xy(rel, lie) == rels[sigma[c]].scale(-1)
     for m in ws.action.weight_masks(2, 1, ws.action.zero_weight):

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from chiralring.exterior import (GrassmannAlgebra, ExtElement, OddMatrix,
                                  SizeMismatch, suffix_parity, swap_terms,
                                  term_key, wedge_into)
-from conftest import (bidegree, component, entry, gen_x, gen_y, matrix_trace,
-                      random_element, scalar, sub, swap_xy, xi_eta)
+from conftest import (bidegree, component, entry, gen_eta, gen_x, gen_xi,
+                      gen_y, mask_bidegree, matrix_trace, odd_matrix,
+                      random_element, scalar, sub, swap_xy, trace_product,
+                      xi_eta)
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +122,8 @@ def test_graded_commutativity():
         m1, m2 = rng.choice(monos), rng.choice(monos)
         u = ExtElement(alg, {m1: Fraction(rng.randint(1, 5))})
         v = ExtElement(alg, {m2: Fraction(rng.randint(1, 5))})
-        d1 = sum(alg.bidegree_of_mask(m1))
-        d2 = sum(alg.bidegree_of_mask(m2))
+        d1 = sum(mask_bidegree(alg, m1))
+        d2 = sum(mask_bidegree(alg, m2))
         sign = -1 if (d1 * d2) % 2 else 1
         assert u.wedge(v) == v.wedge(u).scale(sign)
 
@@ -132,9 +134,9 @@ def test_bidegree_additive():
     v = gen_x(alg, 2)
     assert bidegree(u) == (1, 1)
     assert bidegree(u.wedge(v)) == (2, 1)
-    assert bidegree(alg.xi()) == (1, 0)
-    assert bidegree(alg.eta()) == (0, 1)
-    assert bidegree(alg.xi().wedge(gen_y(alg, 0))) == (1, 1)
+    assert bidegree(gen_xi(alg)) == (1, 0)
+    assert bidegree(gen_eta(alg)) == (0, 1)
+    assert bidegree(gen_xi(alg).wedge(gen_y(alg, 0))) == (1, 1)
 
 
 def test_component_extraction():
@@ -147,13 +149,13 @@ def test_component_extraction():
 
 def test_extract_xi_eta():
     alg = GrassmannAlgebra(3)
-    assert xi_eta(alg.xi().wedge(alg.eta())) == scalar(alg, 1)
-    assert xi_eta(alg.eta().wedge(alg.xi())) == scalar(alg, -1)
+    assert xi_eta(gen_xi(alg).wedge(gen_eta(alg))) == scalar(alg, 1)
+    assert xi_eta(gen_eta(alg).wedge(gen_xi(alg))) == scalar(alg, -1)
     assert xi_eta(gen_x(alg, 0)).is_zero()
-    u = gen_x(alg, 0).wedge(alg.xi()).wedge(alg.eta())
+    u = gen_x(alg, 0).wedge(gen_xi(alg)).wedge(gen_eta(alg))
     assert xi_eta(u) == gen_x(alg, 0)
     # xi-only and eta-only terms are dropped
-    v = gen_x(alg, 0).wedge(alg.xi()) + gen_y(alg, 1).wedge(alg.eta())
+    v = gen_x(alg, 0).wedge(gen_xi(alg)) + gen_y(alg, 1).wedge(gen_eta(alg))
     assert xi_eta(v).is_zero()
 
 
@@ -166,7 +168,7 @@ def test_serialization_golden():
     el2 = gen_x(alg, 1) + gen_x(alg, 0).wedge(gen_y(alg, 2)).scale(
         Fraction(1, 2))
     assert str(el2) == "1/2 x1^y3 + 1 x2"
-    assert str(alg.xi().wedge(alg.eta())) == "1 xi^eta"
+    assert str(gen_xi(alg).wedge(gen_eta(alg))) == "1 xi^eta"
 
 
 def test_swap_involution():
@@ -178,7 +180,7 @@ def test_swap_involution():
         assert swap_xy(swap_xy(u)) == u
         assert swap_xy(u.wedge(v)) == swap_xy(u).wedge(swap_xy(v))
     assert swap_xy(gen_x(alg, 0)) == gen_y(alg, 0)
-    assert swap_xy(alg.xi()) == alg.eta()
+    assert swap_xy(gen_xi(alg)) == gen_eta(alg)
 
 
 def test_oddmatrix_trace_identity():
@@ -191,10 +193,10 @@ def test_oddmatrix_matmul_associative():
     alg = GrassmannAlgebra(3)
     rng = random.Random(5)
     for size in (2, 3):
-        a, b, c = (OddMatrix(alg, [[random_element(alg, rng, nterms=2,
-                                                   maxdeg=1)
-                                    for _ in range(size)]
-                                   for _ in range(size)])
+        a, b, c = (odd_matrix(alg, [[random_element(alg, rng, nterms=2,
+                                                    maxdeg=1)
+                                     for _ in range(size)]
+                                    for _ in range(size)])
                    for _ in range(3))
         lhs = a.matmul(b).matmul(c)
         rhs = a.matmul(b.matmul(c))
@@ -218,8 +220,8 @@ def test_oddmatrix_trace_cyclicity_graded():
                                             Fraction(rng.randint(-3, 3) or 1)})
 
                 def rand_mat(par):
-                    return OddMatrix(alg, [[rand_entry(par) for _ in range(2)]
-                                           for _ in range(2)])
+                    return odd_matrix(alg, [[rand_entry(par) for _ in range(2)]
+                                            for _ in range(2)])
                 A, B = rand_mat(pa), rand_mat(pb)
                 sign = -1 if pa * pb else 1
                 assert (matrix_trace(A.matmul(B))
@@ -235,8 +237,8 @@ _ENTRIES = st.dictionaries(
 @st.composite
 def _matrix_pairs(draw):
     size = draw(st.integers(1, 3))
-    return [OddMatrix(_ALG3, [[ExtElement(_ALG3, draw(_ENTRIES))
-                               for _ in range(size)] for _ in range(size)])
+    return [odd_matrix(_ALG3, [[ExtElement(_ALG3, draw(_ENTRIES))
+                                for _ in range(size)] for _ in range(size)])
             for _ in range(2)]
 
 
@@ -282,12 +284,15 @@ def test_integer_entries_match_fraction_arithmetic(case):
     """Int numerators over a shared denominator against the same products,
     sums and scalings taken entry by entry over Fractions."""
     (rows_a, rows_b), elem = case
-    a, b = OddMatrix(_ALG3, rows_a), OddMatrix(_ALG3, rows_b)
+    a, b = odd_matrix(_ALG3, rows_a), odd_matrix(_ALG3, rows_b)
     # a seventh of b has a denominator no entry drawn above shares
-    b7 = OddMatrix(_ALG3, [[e.scale(Fraction(1, 7)) for e in row]
-                           for row in rows_b])
+    b7 = odd_matrix(_ALG3, [[e.scale(Fraction(1, 7)) for e in row]
+                            for row in rows_b])
     prod, total, total7 = a.matmul(b), a + b, a + b7
-    left = a.scale_left(elem)
+    # elem is its int numerators over their denominator e.den
+    e = odd_matrix(_ALG3, [[elem]])
+    left = a.scale_left(e.entries[0][0])
+    left = OddMatrix(_ALG3, left.entries, left.den * e.den)
     for i in range(a.size):
         for j in range(a.size):
             assert entry(a, i, j) == rows_a[i][j]
@@ -297,8 +302,8 @@ def test_integer_entries_match_fraction_arithmetic(case):
             assert entry(total7, i, j) == \
                 rows_a[i][j] + rows_b[i][j].scale(Fraction(1, 7))
             assert entry(left, i, j) == elem.wedge(rows_a[i][j])
-    assert a.trace_product(b) == matrix_trace(prod)
-    assert b.trace_product(a) == matrix_trace(b.matmul(a))
+    assert trace_product(a, b) == matrix_trace(prod)
+    assert trace_product(b, a) == matrix_trace(b.matmul(a))
 
 
 @st.composite
@@ -357,7 +362,7 @@ def test_swap_terms_matches_oracle(case):
 
 def test_swap_refuses_xi_eta():
     alg = GrassmannAlgebra(2)
-    for aux in (alg.xi(), alg.eta()):
+    for aux in (gen_xi(alg), gen_eta(alg)):
         with pytest.raises(ValueError):
             swap_terms(gen_x(alg, 0).wedge(aux).terms, alg.n)
 
@@ -377,12 +382,12 @@ _EVEN_ENTRIES = st.dictionaries(
 def test_trace_square_matches_trace_product(rows):
     """Tr(P . P) from the diagonal and the pairs i < l against the full
     trace-only product, for even entries."""
-    a = OddMatrix(_ALG3, [[ExtElement(_ALG3, t) for t in row]
-                          for row in rows])
+    a = odd_matrix(_ALG3, [[ExtElement(_ALG3, t) for t in row]
+                           for row in rows])
     terms, den = a.trace_square_ints()
     assert den == a.den ** 2
     assert all(type(c) is int for c in terms.values())
-    assert ExtElement.from_ints(_ALG3, terms, den) == a.trace_product(a)
+    assert ExtElement.from_ints(_ALG3, terms, den) == trace_product(a, a)
 
 
 @settings(max_examples=40, deadline=None)
@@ -396,7 +401,7 @@ def test_matrix_swap_is_entrywise(case):
     rows_a, rows_b = ([[ExtElement(_ALG3, {m: c for m, c in e.terms.items()
                                            if not m & aux}) for e in row]
                        for row in rows] for rows in (rows_a, rows_b))
-    a, b = OddMatrix(_ALG3, rows_a), OddMatrix(_ALG3, rows_b)
+    a, b = odd_matrix(_ALG3, rows_a), odd_matrix(_ALG3, rows_b)
     sa = a.swap()
     assert sa.den == a.den
     prod, sprod = a.matmul(b).swap(), sa.matmul(b.swap())
@@ -412,7 +417,8 @@ def test_size_mismatch():
         OddMatrix.identity(alg, 2).matmul(OddMatrix.identity(alg, 3))
     # zip would silently drop the extra row or column
     with pytest.raises(SizeMismatch):
-        OddMatrix.identity(alg, 2).trace_product(OddMatrix.identity(alg, 3))
+        OddMatrix.identity(alg, 2).trace_product_ints(
+            OddMatrix.identity(alg, 3))
     with pytest.raises(SizeMismatch):
         OddMatrix.identity(alg, 3) + OddMatrix.identity(alg, 2)
 

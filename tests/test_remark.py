@@ -84,7 +84,8 @@ def test_xi_eta_part_of_trace_z_square(ws_sl2):
     xi-eta cross terms, whose extraction is exactly -2 Tr(XY)."""
     alg = ws_sl2.alg
     X, Y = ws_sl2.xy_matrices()
-    Z = X.matmul(Y) + X.scale_left(alg.xi()) + Y.scale_left(alg.eta())
+    Z = (X.matmul(Y) + X.scale_left({1 << alg.xi_bit: 1})
+         + Y.scale_left({1 << alg.eta_bit: 1}))
     tz2 = matrix_trace(Z.matmul(Z))
     trxy = matrix_trace(X.matmul(Y))
     assert xi_eta(tz2) == trxy.scale(-2)
@@ -113,7 +114,8 @@ def test_int_evaluation_matches_fraction_oracle(n):
     alg = ws.alg
     D, traces = z_traces(ws, n)
     X, Y = ws.xy_matrices()
-    Z = X.matmul(Y) + X.scale_left(alg.xi()) + Y.scale_left(alg.eta())
+    Z = (X.matmul(Y) + X.scale_left({1 << alg.xi_bit: 1})
+         + Y.scale_left({1 << alg.eta_bit: 1}))
     power = Z
     exact = []
     for k, terms in enumerate(traces, 1):
