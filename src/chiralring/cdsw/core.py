@@ -104,9 +104,10 @@ class Workspace:
     derive from the algebra alone is cached here and lives as long as the
     workspace:
 
-    - the OddMatrices X, Y and the powers of z = XY + YX: `z_powers` holds
-      z^0 .. z^ceil(k/2) for the largest degree k traced so far, and no
-      trace of degree k needs a higher power (see `cdsw.hats`);
+    - the OddMatrices X, Y, their product XY (`xy_product`) and the
+      powers of z = XY + YX: `z_powers` holds z^0 .. z^ceil(k/2) for the
+      largest degree k traced so far, and no trace of degree k needs a
+      higher power (see `cdsw.hats`);
     - the traces of `cdsw.hats` (Tr(z^k), dF(z)(X) and hat of degree k) as
       (int terms, den), in `traces`, keyed by (function name, k), and the
       products of hats that `hat_monomials` built, one memo per degrees
@@ -142,6 +143,7 @@ class Workspace:
         self.g = lie.dual_coxeter
         self.trace_label = default_trace_label(lie.rs.type_label)
         self._xy = None
+        self._xy_product = None
         self.z_powers = []
         self.traces = {}
         self.ideal_spans = {}
@@ -178,6 +180,14 @@ class Workspace:
 
         self._xy = (matrix(0), matrix(self.lie.dim))
         return self._xy
+
+    def xy_product(self):
+        """The OddMatrix X . Y, built once: z and the hat's first pair
+        read it."""
+        if self._xy_product is None:
+            X, Y = self.xy_matrices()
+            self._xy_product = X.matmul(Y)
+        return self._xy_product
 
     def trace_S_constant(self):
         """c with Tr_V(XY) = c * S; the Dynkin-index factor.  On ints,

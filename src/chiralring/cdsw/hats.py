@@ -16,7 +16,7 @@ from itertools import product
 from math import lcm
 
 from ..exterior import (ExtElement, OddMatrix, even_monomial,
-                        power_trace_ints, swap_terms, wedge_into)
+                        swap_power_trace_ints, swap_terms, wedge_into)
 from ..exactla import addmul
 from ..rootsystem.reps import trace_power_degrees
 from .core import ideal_weight_zero, invariants_of_quotient, XX, XY, YY
@@ -33,17 +33,14 @@ class HatElement:
                                                   self.degree_pair)
 
 
-def z_matrix(X, Y):
-    return X.matmul(Y) + Y.matmul(X)
-
-
 def _z_powers(ws, top):
-    """ws.z_powers extended to hold z^0 .. z^top."""
+    """ws.z_powers extended to hold z^0 .. z^top.  The swap x <-> y sends
+    X to Y, so z = XY + YX = XY + swap(XY): one matrix product."""
     pows = ws.z_powers
     if not pows:
-        X, Y = ws.xy_matrices()
-        pows.append(OddMatrix.identity(ws.alg, X.size))
-        pows.append(z_matrix(X, Y))
+        xy = ws.xy_product()
+        pows.append(OddMatrix.identity(ws.alg, xy.size))
+        pows.append(xy + xy.swap())
     while len(pows) <= top:
         pows.append(pows[-1].matmul(pows[1]))
     return pows
@@ -63,9 +60,9 @@ def _per_workspace(build):
 
 @_per_workspace
 def _trace_z_power_ints(ws, k):
-    """Tr(z^k) as (int terms, den), from z^floor(k/2) and z^ceil(k/2)
-    (`power_trace_ints`)."""
-    return power_trace_ints(_z_powers(ws, k - k // 2), k)
+    """Tr(z^k) as (int terms, den), from z^floor(k/2) and z^ceil(k/2),
+    whose entries the swap fixes (`swap_power_trace_ints`)."""
+    return swap_power_trace_ints(_z_powers(ws, k - k // 2), k)
 
 
 def trace_z_power(ws, k):
@@ -109,18 +106,27 @@ def _hat_trace_ints(ws, k):
     and sends X z^j to Y z^j (sign +1 at bidegree (j+1, j)), and odd
     entries anticommute under the trace, so T(b,a) = -swap(T(a,b)), that
     is (-1)**k times T(a,b) relabelled at bidegree (k-1, k-1).  So only the
-    chain X z^j is built, and only the pairs a <= b are traced."""
+    pairs a <= b are traced.  The pair a = 0 is Tr(XY . z^(k-2)), on the
+    workspace's XY, first multiplied by z^(k-2-h) when k-2 exceeds
+    h = ceil(k/2); the others take the chain X z^j, built for j <= k-3
+    only."""
     X, _ = ws.xy_matrices()
     h = (k + 1) // 2
     pows = _z_powers(ws, min(h, k - 2))
     # X z^j = (X z^(j-s)) . z^s with s = min(j, ceil(k/2))
     xz = [X]
-    for j in range(1, k - 1):
+    for j in range(1, k - 2):
         s = min(j, h)
         xz.append(xz[j - s].matmul(pows[s]))
     # every pair has the denominator den(X)^2 den(z)^(k-2)
+    b = k - 2
+    xy = ws.xy_product()
+    if b > h:
+        xy = xy.matmul(pows[b - h])
+    terms, den = xy.trace_product_ints(pows[min(b, h)])
     half, mid = {}, {}
-    for a in range(k // 2):
+    addmul(half if b else mid, terms, k)
+    for a in range(1, k // 2):
         b = k - 2 - a
         terms, den = xz[a].trace_product_ints(xz[b].swap())
         addmul(half if a < b else mid, terms, k)

@@ -17,7 +17,8 @@ an x-generator counts (1,0), a y-generator (0,1), xi counts (1,0) and eta
 An OddMatrix is built from int terms dicts over one shared denominator
 `den`, so matrix products run on ints, and its traces hand out (int terms,
 den) (the `_ints` methods); a trace becomes Fractions only where a public
-function returns an ExtElement (`cdsw.hats`).
+function returns an ExtElement (`cdsw.hats`), in `ExtElement.from_ints`,
+one Fraction per distinct coefficient.
 
 The swap x_a <-> y_a (`swap_mask`, `swap_terms`, `OddMatrix.swap`) is the
 algebra automorphism exchanging the two blocks: it sends x_A y_B to
@@ -40,7 +41,8 @@ entry or a trace is summed into one dict rather than copied per addend.
 Products of even elements (traces, hats) are built by `even_monomial`,
 each from a smaller one, the powers of one even element (S^k) by
 `memo_power`, each from the one before, and `power_trace_ints` takes
-Tr(M^k) from two half powers of M.
+Tr(M^k) from two half powers of M; `swap_power_trace_ints` takes it from
+about half those products when the swap fixes every entry of M.
 """
 
 from fractions import Fraction
@@ -191,13 +193,38 @@ def swap_mask(m, n):
 
 
 def swap_terms(terms, n):
-    """The swap x_a <-> y_a of a terms dict, monomial by monomial
-    (`swap_mask`)."""
+    """The swap x_a <-> y_a of a terms dict, monomial by monomial, as
+    `swap_mask` computes it.  Masks with xi/eta bits raise ValueError."""
+    low = (1 << n) - 1
     out = {}
     for m, c in terms.items():
-        m, s = swap_mask(m, n)
-        out[m] = -c if s < 0 else c
+        mx, my = m & low, m >> n
+        if my >> n:
+            raise ValueError("the swap is not defined on xi/eta")
+        out[mx << n | my] = -c if mx.bit_count() * my.bit_count() & 1 else c
     return out
+
+
+def _swap_halves(terms, n):
+    """(fixed, half) of a terms dict the swap fixes: its terms at masks the
+    swap maps to themselves, and those at masks below their image, so the
+    element is fixed + half + swap(half).  Raises ValueError on an element
+    the swap does not fix and on xi/eta masks."""
+    low = (1 << n) - 1
+    fixed, half = {}, {}
+    for m, c in terms.items():
+        mx, my = m & low, m >> n
+        if my >> n:
+            raise ValueError("the swap is not defined on xi/eta")
+        image = mx << n | my
+        if terms.get(image) != (-c if mx.bit_count() * my.bit_count() & 1
+                                else c):
+            raise ValueError("an entry the swap does not fix")
+        if image == m:
+            fixed[m] = c
+        elif m < image:
+            half[m] = c
+    return fixed, half
 
 
 def _mask_of(indices):
@@ -223,8 +250,16 @@ class ExtElement:
 
     @classmethod
     def from_ints(cls, alg, terms, den):
-        """The element with int terms over the positive denominator den."""
-        return cls(alg, {m: Fraction(c, den) for m, c in terms.items()})
+        """The element with int terms over the positive denominator den:
+        one Fraction per distinct coefficient, shared by its terms."""
+        memo = {}
+        out = {}
+        for m, c in terms.items():
+            f = memo.get(c)
+            if f is None:
+                f = memo[c] = Fraction(c, den)
+            out[m] = f
+        return cls(alg, out)
 
     def is_zero(self):
         return not self.terms
@@ -319,18 +354,21 @@ class OddMatrix:
             _dot_into(acc, row, col)
         return acc, self.den * other.den
 
-    def trace_square_ints(self):
+    def trace_square_ints(self, left=None):
         """Tr(self . self) for a matrix with even entries, as (int terms,
         den).  Even entries commute, so the trace is
         sum_i P_ii^2 + 2 sum_{i<l} P_il P_li: about half the products of
-        `trace_product_ints(self)`."""
+        `trace_product_ints(self)`.  With `left`, each first factor is
+        left's entry: sum_i L_ii P_ii + 2 sum_{i<l} L_il P_li."""
+        left = self if left is None else left
+        self._check_size(left)
         acc, off = {}, {}
         rows = self.entries
-        for i, row in enumerate(rows):
-            wedge_into(acc, row[i], row[i])
+        for i, row in enumerate(left.entries):
+            wedge_into(acc, row[i], rows[i][i])
             for l in range(i + 1, self.size):
                 wedge_into(off, row[l], rows[l][i])
-        return addmul(acc, off, 2), self.den * self.den
+        return addmul(acc, off, 2), left.den * self.den
 
     def swap(self):
         """The swap x_a <-> y_a of every entry (see `swap_terms`)."""
@@ -354,6 +392,32 @@ def power_trace_ints(pows, k):
     if k == 2 * h:
         return pows[h].trace_square_ints()
     return pows[h].trace_product_ints(pows[k - h])
+
+
+def swap_power_trace_ints(pows, k):
+    """Tr(M^k) as `power_trace_ints` reads it, from about half the
+    products, for M with even entries that the swap fixes.  Each left entry
+    a is fixed + half + swap(half) (`_swap_halves`) and the swap, an
+    automorphism, fixes the right entry b, so
+    a ^ b = fixed ^ b + (1 + swap)(half ^ b).  Raises ValueError when an
+    entry of either factor is not fixed by the swap or holds xi/eta."""
+    h = k // 2
+    a, b = pows[h], pows[k - h]
+    n = a.alg.n
+    split = [[_swap_halves(t, n) for t in row] for row in a.entries]
+    fixed = OddMatrix(a.alg, [[f for f, _ in row] for row in split], a.den)
+    half = OddMatrix(a.alg, [[hf for _, hf in row] for row in split], a.den)
+    if b is a:
+        (terms, den), (half_terms, _) = (a.trace_square_ints(fixed),
+                                         a.trace_square_ints(half))
+    else:
+        for row in b.entries:
+            for t in row:
+                _swap_halves(t, n)
+        (terms, den), (half_terms, _) = (fixed.trace_product_ints(b),
+                                         half.trace_product_ints(b))
+    addmul(addmul(terms, half_terms), swap_terms(half_terms, n))
+    return terms, den
 
 
 def _dot_into(acc, row, col):

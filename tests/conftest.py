@@ -169,6 +169,12 @@ def trace_product(a, b):
     return ExtElement.from_ints(a.alg, *a.trace_product_ints(b))
 
 
+def z_matrix(X, Y):
+    """z = XY + YX by two full matrix products: the reference for the z
+    that `cdsw.hats` builds as XY + swap(XY)."""
+    return X.matmul(Y) + Y.matmul(X)
+
+
 def entry(mat, i, j):
     """Entry (i, j) of an OddMatrix as an exact element."""
     return ExtElement.from_ints(mat.alg, mat.entries[i][j], mat.den)

@@ -5,8 +5,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chiralring.exactla import addmul
 from chiralring.exterior import (GrassmannAlgebra, ExtElement, OddMatrix,
-                                 SizeMismatch, suffix_parity, swap_terms,
+                                 SizeMismatch, suffix_parity,
+                                 swap_power_trace_ints, swap_terms,
                                  term_key, wedge_into)
 from conftest import (bidegree, component, entry, gen_eta, gen_x, gen_xi,
                       gen_y, mask_bidegree, matrix_trace, odd_matrix,
@@ -388,6 +390,52 @@ def test_trace_square_matches_trace_product(rows):
     assert den == a.den ** 2
     assert all(type(c) is int for c in terms.values())
     assert ExtElement.from_ints(_ALG3, terms, den) == trace_product(a, a)
+
+
+# even elements without xi/eta, over ints
+_EVEN_INT_TERMS = st.dictionaries(
+    st.integers(0, (1 << (2 * _ALG3.n)) - 1).filter(
+        lambda m: m.bit_count() % 2 == 0),
+    st.integers(-4, 4).filter(bool), max_size=4)
+
+
+def _swap_fixed(terms):
+    """terms + swap(terms), an element the swap fixes."""
+    return addmul(dict(terms), swap_terms(terms, _ALG3.n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_EVEN_INT_TERMS, min_size=6, max_size=6),
+       st.integers(1, 5))
+def test_swap_power_trace_matches_full_products(elems, den):
+    """For even e, f, the halved product of e + swap(e) with f + swap(f)
+    (`swap_power_trace_ints` on [[0, e'], [f', 0]], whose square has the
+    trace 2 e' f') is the full `wedge_into` product, and the traces of
+    M^k, k <= 4, for a 2x2 matrix M of such elements are those of the full
+    trace-only products."""
+    e, f = _swap_fixed(elems[0]), _swap_fixed(elems[1])
+    pair = OddMatrix(_ALG3, [[{}, e], [f, {}]], den)
+    assert swap_power_trace_ints([None, pair], 2) == (
+        addmul({}, wedge_into({}, e, f), 2), den * den)
+    m = OddMatrix(_ALG3, [[_swap_fixed(t) for t in elems[2:4]],
+                          [_swap_fixed(t) for t in elems[4:]]], den)
+    pows = [OddMatrix.identity(_ALG3, 2), m, m.matmul(m)]
+    for k in (1, 2, 3, 4):
+        h = k // 2
+        assert swap_power_trace_ints(pows, k) == \
+            pows[h].trace_product_ints(pows[k - h]), k
+
+
+def test_swap_power_trace_refuses_xi_eta():
+    """An entry holding xi^eta, on which the swap is not defined, raises
+    rather than being traced."""
+    alg = GrassmannAlgebra(2)
+    both = (1 << alg.xi_bit) | (1 << alg.eta_bit)
+    m = OddMatrix(alg, [[{both: 1}]], 1)
+    for k in (2, 3):
+        with pytest.raises(ValueError):
+            swap_power_trace_ints([OddMatrix.identity(alg, 1), m,
+                                   m.matmul(m)], k)
 
 
 @settings(max_examples=40, deadline=None)

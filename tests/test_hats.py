@@ -16,12 +16,12 @@ from chiralring.cdsw.core import (ideal_weight_zero, invariants_of_quotient,
                                   XX, YY)
 from chiralring.cdsw.hats import (hat_trace, hat_monomials, trace_z_power,
                                   d_trace, check_prop_hat, check_conj_c1,
-                                  check_conj_c2_c3, z_matrix, _hat_trace_ints)
+                                  check_conj_c2_c3, _hat_trace_ints)
 from chiralring.cli import CheckRunner
 from chiralring.rootsystem.reps import trace_power_degrees
 from conftest import (act_on, bidegree, chevalley_generator_indices,
                       eliminated_over, entry, fraction_S, matrix_trace, power,
-                      scalar, trace_product, use_seed_primes)
+                      scalar, trace_product, use_seed_primes, z_matrix)
 
 
 def test_hat_bidegrees(ws_sl3):
@@ -129,13 +129,15 @@ def test_d_trace_matches_sum_of_products(ws_sl3, ws_so5, k):
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_traces_match_full_products(ws_sl3, ws_so5, ws_sp4, ws_g2, k):
-    """Tr(z^k) from half powers (`trace_square_ints` at even k) and hat
-    from mirrored pairs against Tr(z^(k-2) . z^2) and the
-    product-by-product hat: A2 up to k = 6, B2, C2 and G2 at k = 3 and 4,
-    so both the pairs T(a,b), T(b,a) and the self-paired middle term of
-    even k are checked."""
+    """Tr(z^k) from half powers halved by the swap
+    (`swap_power_trace_ints`) and hat from mirrored pairs against
+    Tr(z^(k-2) . z^2) and the product-by-product hat: A2 up to k = 6, B2,
+    C2 and G2 at k = 3 and 4, B2 at k = 2 and 5, so both the pairs T(a,b),
+    T(b,a) and the self-paired middle term of even k are checked, and the
+    pair Tr(XY . z^(k-2)) both from z^(k-2) itself (k <= 5) and from
+    XY z^(k-2-ceil(k/2)) (A2 at k = 6)."""
     for ws in (ws_sl3, ws_so5, ws_sp4, ws_g2) if k in (3, 4) \
-            else (ws_sl3, ws_so5) if k == 2 else (ws_sl3,):
+            else (ws_sl3, ws_so5) if k in (2, 5) else (ws_sl3,):
         pows = _z_powers_by_products(ws, max(k - 2, 2))
         assert trace_z_power(ws, k) == trace_product(pows[k - 2], pows[2]), k
         assert hat_trace(ws, k).value == _hat_trace_by_products(ws, k), k
@@ -154,14 +156,41 @@ def test_y_chain_is_swapped_x_chain(request, fixture):
                 assert entry(xz, a, b) == entry(yz, a, b), (j, a, b)
 
 
-def test_degree_k_traces_build_powers_up_to_half_k(sl3):
+def test_swap_power_trace_refuses_unfixed_entries(ws_sl2):
+    """X . Y is not fixed by the swap (it is sent to Y . X), so the halved
+    trace refuses it, as the left factor and as the right one, rather than
+    returning a wrong trace."""
+    xy = ws_sl2.xy_product()
+    z = xy + xy.swap()
+    one = OddMatrix.identity(ws_sl2.alg, xy.size)
+    for pows, k in (([one, xy], 2), ([one, xy, z], 3), ([one, z, xy], 3)):
+        with pytest.raises(ValueError, match="does not fix"):
+            exterior.swap_power_trace_ints(pows, k)
+    assert exterior.swap_power_trace_ints([one, z], 2) == \
+        z.trace_square_ints()
+
+
+def test_degree_k_traces_build_powers_up_to_half_k(sl3, monkeypatch):
+    """Each degree k builds powers up to z^ceil(k/2), and X . Y is built
+    once per workspace, for z and every hat."""
     ws = Workspace(sl3)
+    X, Y = ws.xy_matrices()
+    xy_built = []
+    matmul = OddMatrix.matmul
+
+    def counting(self, other):
+        if self is X and other is Y:
+            xy_built.append(k)
+        return matmul(self, other)
+    monkeypatch.setattr(OddMatrix, "matmul", counting)
     for k in (2, 3, 4, 5, 6):
         trace_z_power(ws, k)
         hat_trace(ws, k)
         d_trace(ws, k, "X")
         # z^0 .. z^ceil(k/2)
         assert len(ws.z_powers) == (k + 1) // 2 + 1, k
+    assert xy_built == [2]
+    assert ws.xy_product() is ws.xy_product()
 
 
 def _digest(elem):
@@ -197,6 +226,7 @@ def test_prop_hat_traces_built_once_per_workspace(sl3, monkeypatch):
         raise AssertionError("a trace built twice")
     for name in ("matmul", "trace_product_ints", "trace_square_ints"):
         monkeypatch.setattr(OddMatrix, name, refuse)
+    monkeypatch.setattr(hats, "swap_power_trace_ints", refuse)
     for pair, report in want.items():
         assert check_prop_hat(ws, *pair) == report
     for k in (2, 3):
