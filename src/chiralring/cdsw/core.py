@@ -124,8 +124,8 @@ class Workspace:
       is built with no elimination.  A span never changes once built:
       checks read the quotient through its normal form, so each call
       hands out the cached span itself;
-    - the half-mask weights of `ActionTable.weight_masks`, the half-mask
-      images of `ActionTable.chevalley_image`, the table of
+    - the half-masks of `ActionTable.weight_masks` with packed weights, the
+      half-mask images of `ActionTable.chevalley_image`, the table of
       `ActionTable.casimir` and the invariant bases of
       `liemodule.invariant_basis` ((int terms, den) over the weight-zero
       masks), in `action`.  `invariants_of_quotient` computes an invariant

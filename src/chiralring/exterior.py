@@ -104,8 +104,8 @@ class GrassmannAlgebra:
 
     def component_masks(self, p, q):
         """All monomial masks of bidegree (p,q) without xi/eta, in canonical
-        order (lexicographic on the generator index tuple): combinations
-        come out in that order and every x bit precedes every y bit."""
+        (lexicographic) order; kept for the tests' reference slices and for
+        perfbench's tracer, which wraps it by name."""
         from itertools import combinations
         xs = [_mask_of(c) for c in combinations(range(self.n), p)]
         ys = [_mask_of(c) << self.n for c in combinations(range(self.n), q)]

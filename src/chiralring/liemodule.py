@@ -3,7 +3,8 @@ adjoint module, extended as even derivations; weight bookkeeping, the
 Casimir on weight zero, and invariant subspaces of bigraded components.
 
 Weight slices of a component are listed one way only,
-`ActionTable.weight_masks`, which joins x-halves and y-halves by weight."""
+`ActionTable.weight_masks`, which joins x-halves and y-halves by weight,
+each weight packed into one int, each half table built by extension."""
 
 from itertools import chain
 from math import lcm
@@ -39,13 +40,15 @@ class ActionTable:
                     row[b + n] = [(c + n, v) for c, v in moves]
             self.table.append(row)
         self.zero_weight = (0,) * lie.rank
-        # mask_weight's table: the weight of each generator bit
-        self._bit_weights = [self.generator_weight(b)
-                             for b in range(2 * n + 2)]
-        # weight_masks' half-mask tables, each filled on first use: the
-        # x-halves of (p,0) as (mask, weight) pairs in canonical order, keyed
-        # by p, and the y-halves of (0,q) grouped by weight, keyed by q
-        self._x_halves = {}
+        # the weight of x_b and of y_b, for mask_weight and weight_masks
+        self._weights = [lie.basis_weight(b) for b in range(n)]
+        # weight_masks' tables (`_pack`, `_x_table`), filled on first use;
+        # the y-halves of (0,q) grouped by packed weight, keyed by q.  A
+        # half-mask's largest |coordinate| is 2 rho's, the positive roots' sum
+        self._reach = max(map(sum, zip(*lie.rs.positive_roots)))
+        self._width = (3 * self._reach).bit_length() + 1
+        self._packed = [self._pack(w) for w in self._weights]
+        self._x_halves = [[(0, 0)]]
         self._y_halves = {}
         # invariant_basis's canonical bases, keyed by (p, q)
         self._invariant_bases = {}
@@ -57,18 +60,12 @@ class ActionTable:
         # rows a of D * Binv with an entry off the Cartan
         self._casimir = None
 
-    def generator_weight(self, bit):
-        n = self.alg.n
-        if bit >= 2 * n:
-            return self.zero_weight
-        return self.lie.basis_weight(bit if bit < n else bit - n)
-
     def mask_weight(self, mask):
-        w = list(self.zero_weight)
-        for b in _bits(mask):
-            for i, c in enumerate(self._bit_weights[b]):
-                w[i] += c
-        return tuple(w)
+        """The sum of the weights of a monomial's generators: x_b's and
+        y_b's is that of basis element b, xi's and eta's is zero."""
+        n, weights = self.alg.n, self._weights
+        return tuple(map(sum, zip(self.zero_weight, *(
+            weights[b % n] for b in _bits(mask) if b < 2 * n))))
 
     def act_mask(self, a, mask):
         """Image of a monomial under the even derivation, as a terms dict."""
@@ -151,26 +148,41 @@ class ActionTable:
 
     def weight_masks(self, p, q, weight):
         """Monomial masks of bidegree (p,q) and the given weight, in
-        canonical order.  A mask's weight is the sum of its x-part's and its
-        y-part's, so each x-part of weight w is joined with the y-parts of
-        weight `weight - w`; the full component is never listed.  The
-        half-masks and their weights depend only on the algebra, so each
-        (p,0) and (0,q) is listed and weighed once per action table."""
-        xs = self._x_halves.get(p)
-        if xs is None:
-            xs = self._x_halves[p] = [
-                (mx, self.mask_weight(mx))
-                for mx in self.alg.component_masks(p, 0)]
+        canonical order (ValueError on a weight not of the rank's length).
+        Each x-half of packed weight w is joined with the y-halves of packed
+        weight `_pack(weight) - w`, so the full component is never listed;
+        the half tables depend only on the algebra and are built once."""
+        if len(weight) != len(self.zero_weight):
+            raise ValueError("weight %r is not of rank %d"
+                             % (weight, len(self.zero_weight)))
+        if any(abs(c) > 2 * self._reach for c in weight):
+            return []
         ys = self._y_halves.get(q)
         if ys is None:
             ys = self._y_halves[q] = {}
-            for my in self.alg.component_masks(0, q):
-                ys.setdefault(self.mask_weight(my), []).append(my)
-        out = []
-        for mx, wx in xs:
-            need = tuple(w - c for w, c in zip(weight, wx))
-            out.extend(mx | my for my in ys.get(need, ()))
-        return out
+            for my, w in self._x_table(q):
+                ys.setdefault(w, []).append(my << self.alg.n)
+        target = self._pack(weight)
+        return [mx | my for mx, w in self._x_table(p)
+                for my in ys.get(target - w, ())]
+
+    def _pack(self, weight):
+        """One int for a weight, coordinate i in a signed field of `_width`
+        bits at bit i * _width: linear, and one-to-one on coordinates within
+        3 * _reach < 2^(_width - 1), where a reachable target (within
+        2 * _reach) less an x-half's weight (within _reach) lies."""
+        return sum(c << i * self._width for i, c in enumerate(weight))
+
+    def _x_table(self, p):
+        """The x-halves of (p,0) as (mask, packed weight), in canonical
+        (lexicographic) order, kept at index p: each level from the one
+        below, a half extended by every generator above its top bit in
+        turn, and its packed weight by one sum."""
+        xs, packed = self._x_halves, self._packed
+        while len(xs) <= min(p, len(packed)):
+            xs.append([(m | 1 << c, w + packed[c]) for m, w in xs[-1]
+                       for c in range(m.bit_length(), len(packed))])
+        return xs[p] if 0 <= p < len(xs) else []
 
 
 def invariants(action, p, q):
@@ -187,7 +199,9 @@ def invariants(action, p, q):
     submodule and every f_i kills it too.  An e_i moves the x-half or the
     y-half of a monomial, never both, so the image of mx | my joins the
     images of its halves, which share no monomial; a y-half moves as the
-    x-half of the same indices, so each is acted on once per e_i.
+    x-half of the same indices, so each is acted on once per e_i.  An
+    image of e_i has weight alpha_i, and the simple roots are distinct, so
+    its monomial alone keys its equation.
     """
     alg, lie = action.alg, action.lie
     alg.guard(p, q)
@@ -195,7 +209,7 @@ def invariants(action, p, q):
     n = alg.n
     low = (1 << n) - 1
     halves = {half for mask in w0 for half in (mask & low, mask >> n)}
-    # rows of the stacked equation system: one per (generator, image monomial)
+    # rows of the stacked equation system: one per image monomial
     eqs = {}
     for a in [lie.e_index(simple) for simple in lie.rs.simple_roots]:
         images = {half: action.act_mask(a, half) for half in halves}
@@ -203,7 +217,7 @@ def invariants(action, p, q):
             mx, my = mask & low, mask >> n
             for half, shift, rest in ((mx, 0, my << n), (my, n, mx)):
                 for m2, v in images[half].items():
-                    eqs.setdefault((a, m2 << shift | rest), {})[j] = v
+                    eqs.setdefault(m2 << shift | rest, {})[j] = v
     return [({w0[j]: c for j, c in chain([(piv, den)], row.items())}, den)
             for piv, (row, den) in kernel_basis(list(eqs.values()),
                                                 len(w0)).items()]

@@ -1,10 +1,12 @@
 import random
+from itertools import product
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from chiralring.rootsystem import build_root_system, chevalley_data
+from chiralring.rootsystem import (build_root_system, chevalley_data,
+                                   LIE_DATA_TYPES)
 from chiralring.exterior import (ComponentTooLarge, GrassmannAlgebra,
                                  ExtElement)
 from chiralring.liemodule import (ActionTable, invariants,
@@ -155,17 +157,18 @@ def weight_tables(rank2_tables):
        data=st.data())
 @settings(max_examples=60)
 def test_mask_weight_is_sum_of_generator_weights(weight_tables, key, data):
-    """mask_weight, read from the per-bit table, against the sum of
-    generator_weight over the bits, on random masks over every bit (x, y,
-    xi and eta) and on the empty mask."""
+    """mask_weight against the sum over the bits of the basis element's
+    weight (x_b and y_b that of basis element b, xi and eta zero), on random
+    masks over every bit (x, y, xi and eta) and on the empty mask."""
     act = weight_tables[key]
-    nbits = 2 * act.alg.n + 2
-    bits = data.draw(st.sets(st.integers(0, nbits - 1), max_size=8))
+    n = act.alg.n
+    bits = data.draw(st.sets(st.integers(0, 2 * n + 1), max_size=8))
     for mask in (0, sum(1 << b for b in bits)):
         want = [0] * act.lie.rank
-        for b in range(nbits):
+        for b in range(2 * n):
             if mask >> b & 1:
-                want = [w + c for w, c in zip(want, act.generator_weight(b))]
+                want = [w + c for w, c in zip(want,
+                                              act.lie.basis_weight(b % n))]
         assert act.mask_weight(mask) == tuple(want)
 
 
@@ -184,6 +187,77 @@ def test_weight_masks_cached_match_filtering(rank2_tables, key, p, q, data):
     want = [m for m in component if act.mask_weight(m) == w]
     assert act.weight_masks(p, q, w) == want
     assert act.weight_masks(p, q, w) == want
+
+
+@pytest.mark.parametrize("key", LIE_DATA_TYPES,
+                         ids=lambda key: "%s%d" % key)
+def test_weight_masks_match_filtering_every_type(key):
+    """weight_masks at every weight of a component against filtering the
+    component by mask_weight, list against list so the canonical order is
+    checked too: (2,2) up to rank 3, (2,1) at rank 4."""
+    lie = chevalley_data(build_root_system(*key))
+    act = ActionTable(GrassmannAlgebra(lie.dim), lie)
+    p, q = (2, 2) if lie.rank <= 3 else (2, 1)
+    groups = _weight_groups_by_filtering(act, p, q)
+    assert act.zero_weight in groups
+    for w, masks in groups.items():
+        assert act.weight_masks(p, q, w) == masks, w
+
+
+def test_weight_masks_refuses_weight_of_wrong_length(act_sl3):
+    """A weight longer or shorter than the rank raises; it is not cut to
+    the rank's length."""
+    for weight in [(0, 0, 5), (0, 0, 0), (0,), ()]:
+        with pytest.raises(ValueError):
+            act_sl3.weight_masks(1, 1, weight)
+
+
+def _far_coordinate(width):
+    """Coordinates near and beyond the packing field's edge 2^(width-1),
+    and near its multiples, where a packed target could alias a reachable
+    weight."""
+    return st.builds(lambda k, s, d: s * (1 << k) + d,
+                     st.integers(width - 2, width + 1) | st.just(40),
+                     st.sampled_from([-1, 1]), st.integers(-2, 2))
+
+
+@given(key=st.sampled_from([("A", 2), ("B", 2), ("G", 2)]),
+       p=st.integers(0, 2), q=st.integers(0, 2), data=st.data())
+@settings(max_examples=60)
+@example(key=("A", 2), p=1, q=1, data=None)
+def test_weight_masks_far_weights_match_filtering(rank2_tables, key, p, q,
+                                                  data):
+    """weight_masks at weights with a coordinate no mask reaches, near and
+    beyond the packing field's edge, against filtering the component: no
+    packed target aliases a reachable weight.  The explicit example is a
+    multiple of the field's size plus an offset that would carry into the
+    next field, (2^width, -1), which packs like (0, 0)."""
+    act = rank2_tables[key]
+    width = act._width
+    if data is None:
+        weight = (1 << width, -1)
+    else:
+        small = st.integers(-3, 3)
+        weight = data.draw(st.tuples(_far_coordinate(width), small)
+                           | st.tuples(small, _far_coordinate(width))
+                           | st.tuples(_far_coordinate(width),
+                                       _far_coordinate(width)))
+    want = _weight_groups_by_filtering(act, p, q).get(weight, [])
+    assert act.weight_masks(p, q, weight) == want
+
+
+def test_packing_one_to_one_within_three_reach(rank2_tables):
+    """_reach is the largest |coordinate| of an x-half-mask's weight, and
+    the weights with coordinates within 3 * _reach (a reachable target less
+    an x-half's weight) pack to distinct ints."""
+    for act in rank2_tables.values():
+        n = act.alg.n
+        assert act._reach == max(abs(c) for p in range(n + 1)
+                                 for m in act.alg.component_masks(p, 0)
+                                 for c in act.mask_weight(m))
+        bound = 3 * act._reach
+        box = list(product(range(-bound, bound + 1), repeat=act.lie.rank))
+        assert len({act._pack(w) for w in box}) == len(box)
 
 
 def test_invariants_live_on_weight_zero_slice(act_sl3):
